@@ -1,12 +1,13 @@
 """End-to-end acceptance suite.
 
 Ten numbered criteria exercise the package against its frozen oracles:
-exact subdivision energy ratios, closed-form interior extension matrices,
-depth-independent corner resistance, metric and neighborhood bounds,
-energy-measure calculus, the mass concentration certificate, scale
-function inequalities, certified level realization, and random-walk
-cross-validation.  Criteria with a stated wall-clock budget fail when
-they run over it.  `run_all` prints one verdict line per criterion.
+exact subdivision energy ratios, closed-form extension matrices checked
+against elimination, depth-independent corner resistance, metric and
+neighborhood bounds, energy-measure calculus, the mass concentration
+certificate, scale function inequalities, certified level realization,
+and random-walk cross-validation.  Criteria with a stated wall-clock
+budget fail when they run over it.  `run_all` prints one verdict line
+per criterion.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import (base_energy, extension_ratio_check, harmonic_extend,
-                    matrix_stack_exact)
+                    matrix_stack_by_elimination, matrix_stack_exact)
 from .geometry import (boundary_cells, build_graph, cell_neighborhood,
-                       geodesic_hops, interior_letters, words)
+                       geodesic_hops, words)
 from .measures import (ceiling_below_sup, divergence_statistic,
                        energy_measure, singularity_certificate)
 from .rand import stream
@@ -79,45 +80,22 @@ def _c1():
 # ---- 2: interior extension matrices --------------------------------------
 
 
-def _interior_pattern(l: int, i) -> tuple:
-    """Closed-form extension matrix for an interior cell, exact over 6l+1."""
-    a = Fraction(1, 6 * l + 1)
-    i1, i2 = i
-    if i2 == 0:
-        k = i1
-        rows = ((1 - (6 * k + 3) * a, (6 * k - 2) * a, 5 * a),
-                (1 - (6 * k + 9) * a, (6 * k + 4) * a, 5 * a),
-                (1 - (6 * k + 6) * a, (6 * k + 1) * a, 5 * a))
-    elif i1 == 0:
-        k = i2
-        rows = ((1 - (6 * k + 3) * a, 5 * a, (6 * k - 2) * a),
-                (1 - (6 * k + 6) * a, 5 * a, (6 * k + 1) * a),
-                (1 - (6 * k + 9) * a, 5 * a, (6 * k + 4) * a))
-    else:
-        k = i2
-        rows = ((5 * a, 1 - (6 * k + 6) * a, (6 * k + 1) * a),
-                (5 * a, 1 - (6 * k + 3) * a, (6 * k - 2) * a),
-                (5 * a, 1 - (6 * k + 9) * a, (6 * k + 4) * a))
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def _c2():
     n_matched = 0
     for l in range(5, 11):
         letters = boundary_cells(l)
         stack = matrix_stack_exact(l)
-        interior = set(interior_letters(l))
+        oracle = matrix_stack_by_elimination(l)
         for pos, i in enumerate(letters):
             mat = stack[pos]
             for row in mat:
                 if sum(row, Fraction(0)) != 1:
                     return False, f"row sum != 1 at l={l}, cell {i}"
-            if i in interior:
-                if mat != _interior_pattern(l, i):
-                    return False, f"entry mismatch at l={l}, cell {i}"
-                n_matched += 1
-    return True, (f"{n_matched} interior matrices exact over 6l+1 for l in 5..10; "
-                  "all row sums exactly 1")
+            if mat != oracle[pos]:
+                return False, f"closed form differs from elimination at l={l}, cell {i}"
+            n_matched += 1
+    return True, (f"{n_matched} closed-form matrices over 6l+1 equal elimination "
+                  "for l in 5..10; all row sums exactly 1")
 
 
 # ---- 3: corner resistance invariance -------------------------------------

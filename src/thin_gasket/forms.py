@@ -5,11 +5,13 @@ of (u_j - u_k)^2.  The depth-n form is (1/R_n) times the sum of E0 over all
 cell corner triples.  Harmonic extension pins values on V_k and minimizes
 the depth-n form; two independent routes are provided: a pinned Laplacian
 solve on the depth-n graph, and per-cell products of the one-subdivision
-harmonic matrices.
+harmonic matrices.  Those matrices come from closed forms over 6l + 1;
+elimination on the depth-1 graph is kept only as their oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -17,15 +19,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, SolveError
-from .geometry import ApproximationGraph, boundary_cells, build_graph
+from .errors import DomainError
+from .geometry import ApproximationGraph, _letter_index, boundary_cells, build_graph
 from .rand import stream
 from .sequence import LevelSequence, check_level, resistance_ratio
 
 #: Quadratic-form matrix of E0 in the corner basis.
 TRIANGLE_FORM = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
-
-_RATIONAL_MATRIX_MAX_LEVEL = 300
 
 
 def base_energy(u):
@@ -75,6 +75,55 @@ def level_energy(form: DiscreteForm, u) -> float:
 
 
 # ---- One-subdivision harmonic matrices -----------------------------------
+#
+# Every one-subdivision matrix has integer numerators over q = 6l + 1.  A cell
+# index (i1, i2) has barycentric index t = (l-1-i1-i2, i1, i2), and its corner
+# j sits at t + e_j.  A relabelling p of the outer corners maps cell t to the
+# cell with index t' (t'[p[j]] = t[j]) and entry [j][m] to [p[j]][p[m]], so
+# two patterns cover all 3l - 3 cells: cells on the bottom edge (i2 = 0) with
+# largest part in {2, ..., l-3}, and the three cells next to corner 0.
+
+_CORNER_RELABELLINGS = tuple(itertools.permutations(range(3)))
+
+
+def _edge_numerators(l: int, k: int) -> tuple:
+    """Numerators over 6l+1 of bottom-edge cell (k, 0), 2 <= k <= l-3."""
+    q = 6 * l + 1
+    return ((q - 6 * k - 3, 6 * k - 2, 5),
+            (q - 6 * k - 9, 6 * k + 4, 5),
+            (q - 6 * k - 6, 6 * k + 1, 5))
+
+
+def _near_corner_numerators(l: int, i) -> tuple:
+    """Numerators over 6l+1 of the cells (0, 0), (1, 0), (0, 1) at corner 0;
+    column 0 carries 6l, the rest is a fixed intercept."""
+    q = 6 * l + 1
+    c = 6 * l
+    return {
+        (0, 0): ((q, 0, 0), (c - 8, 5, 4), (c - 8, 4, 5)),
+        (1, 0): ((c - 8, 5, 4), (c - 14, 10, 5), (c - 11, 6, 6)),
+        (0, 1): ((c - 8, 4, 5), (c - 11, 6, 6), (c - 14, 5, 10)),
+    }[i]
+
+
+def _cell_numerators(l: int, i) -> tuple:
+    """Closed-form numerators over 6l+1 of the matrix of cell i."""
+    i1, i2 = i
+    t = (l - 1 - i1 - i2, i1, i2)
+    for p in _CORNER_RELABELLINGS:
+        s = tuple(t[p[j]] for j in range(3))  # preimage of t under p
+        if s[0] >= l - 2:
+            base = _near_corner_numerators(l, (s[1], s[2]))
+        elif s[2] == 0 and 2 <= s[1] <= l - 3:
+            base = _edge_numerators(l, s[1])
+        else:
+            continue
+        out = [[0] * 3 for _ in range(3)]
+        for j in range(3):
+            for m in range(3):
+                out[p[j]][p[m]] = base[j][m]
+        return tuple(tuple(row) for row in out)
+    raise DomainError(f"{i} is not a cell index of level {l}")
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +134,7 @@ def _depth_one_graph(l: int) -> ApproximationGraph:
 @lru_cache(maxsize=None)
 def _basis_extension_exact(l: int):
     """Exact vertex values of the three corner-basis harmonic extensions
-    at depth 1, as a V x 3 nested list of Fractions."""
+    at depth 1, as a V x 3 nested list of Fractions, by elimination."""
     g = _depth_one_graph(l)
     lap = linalg.dense_rational_laplacian(g.adjacency)
     pins = [int(v) for v in g.boundary]
@@ -95,12 +144,13 @@ def _basis_extension_exact(l: int):
     return linalg.rational_pinned_solve(lap, pins, pin_values)
 
 
-def snap_to_denominator(x: float, q: int, tol: float = 1e-9):
-    """Snap a float to the nearest multiple of 1/q when within tol."""
-    num = round(x * q)
-    if abs(x - num / q) <= tol:
-        return Fraction(num, q)
-    return None
+def matrix_stack_by_elimination(l: int):
+    """The level-l matrices read off a rational pinned solve on the depth-1
+    graph, in boundary_cells(l) order.  O(l^3); an oracle for the closed
+    forms of matrix_stack_exact, not a production route."""
+    g = _depth_one_graph(l)
+    values = _basis_extension_exact(l)
+    return tuple(tuple(tuple(values[int(v)]) for v in cell) for cell in g.cells)
 
 
 @dataclass(frozen=True)
@@ -114,7 +164,6 @@ class HarmonicMatrix:
     l: int
     index: tuple[int, int]
     entries: tuple
-    exact: bool
 
     def as_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.entries])
@@ -123,66 +172,26 @@ class HarmonicMatrix:
 @lru_cache(maxsize=None)
 def matrix_stack_exact(l: int):
     """All one-subdivision matrices of level l as Fraction tuples, in
-    boundary_cells(l) order."""
+    boundary_cells(l) order, from the closed forms over 6l+1; O(l)."""
     check_level(l)
-    if l > _RATIONAL_MATRIX_MAX_LEVEL:
-        raise SolveError(f"exact matrices limited to l <= {_RATIONAL_MATRIX_MAX_LEVEL}")
-    g = _depth_one_graph(l)
-    values = _basis_extension_exact(l)
-    out = []
-    for idx in range(g.n_cells):
-        c = g.cells[idx]
-        rows = tuple(tuple(values[int(c[j])][m] for m in range(3)) for j in range(3))
-        out.append(rows)
-    return tuple(out)
+    q = 6 * l + 1
+    return tuple(tuple(tuple(Fraction(x, q) for x in row) for row in _cell_numerators(l, i))
+                 for i in boundary_cells(l))
 
 
 @lru_cache(maxsize=None)
 def matrix_stack(l: int) -> np.ndarray:
     """Float (m, 3, 3) stack of the level-l one-subdivision matrices."""
-    try:
-        exact = matrix_stack_exact(l)
-        return np.array([[[float(x) for x in row] for row in mat] for mat in exact])
-    except SolveError:
-        g = _depth_one_graph(l)
-        lap = linalg.laplacian(g.adjacency)
-        pins = g.boundary
-        vals, _ = linalg.pinned_solve(lap, pins, np.eye(3))
-        return vals[g.cells]  # (m, 3, 3): [cell, corner j, basis m]
+    return np.array([[[float(x) for x in row] for row in mat] for mat in matrix_stack_exact(l)])
 
 
-def harmonic_matrix(l: int, i, snap_tol: float = 1e-9) -> HarmonicMatrix:
-    """The one-subdivision matrix for cell index i of level l.
-
-    Computed from an exact rational pinned solve when feasible; otherwise
-    from a float solve with entries snapped to denominator 6l+1 when they
-    land within snap_tol of such a rational.
-    """
+def harmonic_matrix(l: int, i) -> HarmonicMatrix:
+    """The exact one-subdivision matrix for cell index i of level l."""
     i = tuple(i)
-    letters = boundary_cells(l)
-    try:
-        pos = letters.index(i)
-    except ValueError:
+    pos = _letter_index(l).get(i)
+    if pos is None:
         raise DomainError(f"{i} is not a cell index of level {l}")
-    try:
-        entries = matrix_stack_exact(l)[pos]
-        return HarmonicMatrix(l, i, entries, exact=True)
-    except SolveError:
-        arr = matrix_stack(l)[pos]
-        q = 6 * l + 1
-        snapped = []
-        all_exact = True
-        for row in arr:
-            out_row = []
-            for x in row:
-                s = snap_to_denominator(float(x), q, snap_tol)
-                if s is None:
-                    all_exact = False
-                    out_row.append(float(x))
-                else:
-                    out_row.append(s)
-            snapped.append(tuple(out_row))
-        return HarmonicMatrix(l, i, tuple(snapped), exact=all_exact)
+    return HarmonicMatrix(l, i, matrix_stack_exact(l)[pos])
 
 
 # ---- Harmonic extension --------------------------------------------------

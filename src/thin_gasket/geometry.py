@@ -36,13 +36,13 @@ def boundary_cells(l: int) -> tuple[tuple[int, int], ...]:
 
     A cell index (i1, i2) has nonnegative parts with i1 + i2 <= l - 1 and
     lies on the boundary of the index triangle: i1 * i2 * (l-1-i1-i2) = 0.
+    For 0 < i1 < l-1 these are exactly i2 = 0 and i2 = l-1-i1.
     """
     check_level(l)
-    out = []
-    for i1 in range(l):
-        for i2 in range(l - i1):
-            if i1 * i2 * (l - 1 - i1 - i2) == 0:
-                out.append((i1, i2))
+    out = [(0, i2) for i2 in range(l)]
+    for i1 in range(1, l - 1):
+        out += [(i1, 0), (i1, l - 1 - i1)]
+    out.append((l - 1, 0))
     assert len(out) == cell_count(l)
     return tuple(out)
 

@@ -60,7 +60,7 @@ def rational_solve(a, b):
 
 def laplacian(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
     deg = np.asarray(adjacency.sum(axis=1)).ravel()
-    return (sparse.diags(deg) - adjacency).tocsr()
+    return (sparse.diags(deg, dtype=np.float64) - adjacency).tocsr()
 
 
 def pinned_solve(lap: sparse.csr_matrix, pinned: np.ndarray, pin_values: np.ndarray,

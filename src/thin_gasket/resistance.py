@@ -132,6 +132,8 @@ def _corner_pair_from_trace(trace, j: int, k: int, precision: str):
 def corner_resistance(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
                       precision: str = "rational") -> ResistanceResult:
     """R_n(q_j, q_k) by level-by-level reduction; exact in rational mode."""
+    if j not in (0, 1, 2) or k not in (0, 1, 2):
+        raise DomainError(f"corner indices must be 0, 1 or 2, got {j} and {k}")
     if j == k:
         raise DomainError("corner pair must be distinct")
     trace = corner_trace(ls, n, precision)

@@ -397,6 +397,10 @@ def _ball_mass_value(g: ApproximationGraph, x: int, s: Fraction) -> float:
 
 
 def sample_vertex_pairs(g: ApproximationGraph, n_pairs: int, seed: int):
+    v = g.n_vertices
+    if not 1 <= n_pairs <= v * (v - 1):
+        raise DomainError(f"need 1 to {v * (v - 1)} distinct ordered vertex pairs on the "
+                          f"depth-{g.level} graph, got {n_pairs}")
     rng = stream(seed, 2)
     out = []
     seen = set()

@@ -10,6 +10,7 @@ standard-error units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import DomainError
 from .geometry import (ApproximationGraph, cell_neighborhood,
                        neighborhood_vertex_ids, word_to_index)
 from .rand import stream
-from .resistance import ResistanceSolver, corner_resistance
+from .resistance import ResistanceSolver
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,11 @@ class WalkConfig:
     max_steps: int = 10_000_000
     seed: int = 0
     chunk: int = 100_000
+
+    def __post_init__(self):
+        if self.trials < 1 or self.chunk < 1:
+            raise DomainError(f"walks need trials >= 1 and chunk >= 1, "
+                              f"got trials={self.trials}, chunk={self.chunk}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +111,15 @@ def commute_time_check(g: ApproximationGraph, x: int | None = None,
                        z_max: float = 4.0) -> dict:
     """Empirical commute time x -> y -> x against 6 M_n R_unit(x, y).
 
-    The prediction is exact (rational) when x and y are outer corners of a
-    graph shallow enough for the exact reduction.
+    The prediction is exact (rational) when x and y are outer corners,
+    from the corner resistance identity R_n(q_j, q_k) = 2/3.
     """
     if x is None:
         x = int(g.corner_id(0))
     if y is None:
         y = int(g.corner_id(1))
+    if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
+        raise DomainError("commute endpoint out of range")
     if x == y:
         raise DomainError("commute endpoints must differ")
     mask_y = np.zeros(g.n_vertices, dtype=bool)
@@ -124,13 +132,11 @@ def commute_time_check(g: ApproximationGraph, x: int | None = None,
     st = _stats(total, cap1 + cap2)
 
     m_n = g.ls.M(g.level)
-    corners = {int(g.corner_id(j)): j for j in range(3)}
+    corners = {int(g.corner_id(j)) for j in range(3)}
     predicted_exact = None
-    if x in corners and y in corners and g.level <= 3 and max(
-            g.ls.prefix(g.level), default=5) <= 60:
-        r = corner_resistance(g.ls, g.level, corners[x], corners[y], "rational")
-        unit = r.value / g.ls.R(g.level)
-        predicted_exact = 6 * m_n * unit
+    if x in corners and y in corners:
+        # R_n(q_j, q_k) = 2/3 at every depth, so R_unit = (2/3) / R_n
+        predicted_exact = 6 * m_n * Fraction(2, 3) / g.ls.R(g.level)
         predicted = float(predicted_exact)
     else:
         solver = ResistanceSolver(g)

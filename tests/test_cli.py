@@ -1,13 +1,29 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import thin_gasket
 from thin_gasket.cli import RunConfig, dump_config, load_config, main
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_process(argv, timeout=60):
+    """The CLI in a child interpreter, so a hang fails instead of blocking;
+    returns (exit code, stderr)."""
+    env = dict(os.environ)
+    src = str(Path(thin_gasket.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "thin_gasket.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+    return proc.returncode, proc.stderr
 
 
 # ---- Configuration -------------------------------------------------------
@@ -64,6 +80,22 @@ def test_domain_error_exits_1(tmp_path, capsys):
     rc = run(["build", "--seq", "4", "--depth", "1", "--out", tmp_path])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["resistance", "--corners", "0,5", "--depth", "1"],  # singular corner system
+    ["dm", "--seq", "5", "--depth", "0"],  # more pairs than the graph has
+    ["dm", "--seq", "5", "--depth", "1", "--pairs", "0"],  # a vacuous pass
+    ["build", "--seq", "5,x", "--depth", "1"],  # malformed level
+    ["walk", "--depth", "0", "--trials", "0"],  # no trials
+    ["walk", "--depth", "0", "--x", "0", "--y", "7"],  # vertex past the graph
+], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
+        "walk-vertex"])
+def test_bad_input_exits_1_without_traceback(tmp_path, argv):
+    code, err = run_process([*argv, "--out", tmp_path])
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 # ---- Artifacts -----------------------------------------------------------

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thin_gasket.errors import DomainError, SolveError
-from thin_gasket.forms import (base_energy, discrete_form, extension_ratio_check,
-                               harmonic_extend, harmonic_matrix,
-                               matrix_stack, matrix_stack_exact,
-                               one_subdivision_trace, snap_to_denominator)
+from thin_gasket.errors import DomainError
+from thin_gasket.forms import (TRIANGLE_FORM, _depth_one_graph, base_energy,
+                               discrete_form, extension_ratio_check,
+                               harmonic_extend, harmonic_matrix, matrix_stack,
+                               matrix_stack_by_elimination, matrix_stack_exact,
+                               one_subdivision_trace)
 from thin_gasket.geometry import boundary_cells, build_graph, interior_letters
 from thin_gasket.sequence import LevelSequence, resistance_ratio
 
@@ -44,7 +45,6 @@ def test_matrix_stack_structure():
 
 def test_golden_interior_matrix_level_5():
     m = harmonic_matrix(5, (2, 0))
-    assert m.exact
     a = Fraction(1, 31)
     assert m.entries == (
         (16 * a, 10 * a, 5 * a),
@@ -75,9 +75,9 @@ def test_harmonic_matrix_rejects_non_letter():
         harmonic_matrix(5, (1, 1))
 
 
-def test_snap_to_denominator():
-    assert snap_to_denominator(16 / 31 + 1e-12, 31) == Fraction(16, 31)
-    assert snap_to_denominator(0.51, 31) is None
+@pytest.mark.parametrize("l", range(5, 17))
+def test_closed_forms_equal_elimination(l):
+    assert matrix_stack_exact(l) == matrix_stack_by_elimination(l)
 
 
 # ---- Traces --------------------------------------------------------------
@@ -165,6 +165,24 @@ def test_discrete_form_energy(ls5):
     assert exact == pytest.approx(form.energy(u), rel=1e-12)
 
 
-def test_exact_stack_size_guard():
-    with pytest.raises(SolveError):
-        matrix_stack_exact(301)
+def test_large_level_stack_certifies_itself():
+    # No elimination: together with the trace identity S = r_l T these
+    # properties make the matrices the unique energy minimizer.
+    for l in (301, 3001):
+        q = 6 * l + 1
+        stack = matrix_stack_exact(l)
+        g = _depth_one_graph(l)
+        assert len(stack) == g.n_cells == 3 * l - 3
+        by_vertex = {}
+        for cell, mat in zip(g.cells.tolist(), stack):
+            for v, row in zip(cell, mat):
+                assert sum(row) == 1 and min(row) >= 0
+                assert by_vertex.setdefault(v, row) == row
+        for j in range(3):
+            assert by_vertex[int(g.boundary[j])] == tuple(Fraction(int(m == j)) for m in range(3))
+        # sum_i A_i^T T A_i = r_l T with A_i = N_i / q and r_l = 9 / q
+        nums = np.array([[[x.numerator * (q // x.denominator) for x in row] for row in mat]
+                         for mat in stack], dtype=np.int64)
+        t = np.array(TRIANGLE_FORM, dtype=np.int64)
+        total = np.einsum("ija,jk,ikb->ab", nums, t, nums)
+        assert np.array_equal(total, 9 * q * t)
