@@ -16,8 +16,8 @@ from .forms import (DiscreteForm, HarmonicMatrix, HarmonicSpec, base_energy,
                     harmonic_matrix, matrix_stack, matrix_stack_exact,
                     one_subdivision_trace)
 from .geometry import (ApproximationGraph, BallMass, CellMeasure, LatticePoint,
-                       apply_contraction, ball_mass, boundary_cells,
-                       build_graph, cell_neighborhood, corner, euclidean_sq,
+                       ball_mass, boundary_cells, build_graph,
+                       cell_neighborhood, corner, euclidean_sq,
                        geodesic_distance, geodesic_hops, graph_to_json,
                        index_to_word, interior_letters, is_cell_index,
                        metric_ratio_bounds_ok, neighborhood_vertex_ids,

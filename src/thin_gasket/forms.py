@@ -70,10 +70,6 @@ def discrete_form(ls: LevelSequence, n: int, graph: ApproximationGraph | None = 
     return DiscreteForm(g, ls.R(n))
 
 
-def level_energy(form: DiscreteForm, u) -> float:
-    return form.energy(u)
-
-
 # ---- One-subdivision harmonic matrices -----------------------------------
 #
 # Every one-subdivision matrix has integer numerators over q = 6l + 1.  A cell

@@ -132,31 +132,6 @@ def corner(j: int, level: int = 0, L: int = 1) -> LatticePoint:
     raise DomainError(f"corner index must be 0, 1 or 2, got {j}")
 
 
-def apply_contraction(ls: LevelSequence, word, p: LatticePoint) -> LatticePoint:
-    """Image of p under the composed cell maps of `word`.
-
-    p is interpreted in the sequence shifted past the word, i.e. its
-    denominator is l_{|word|+1} * ... * l_{|word|+p.level}.  The result is a
-    point at level |word| + p.level of the unshifted sequence.
-    """
-    word = tuple(tuple(i) for i in word)
-    n = len(word)
-    a, b = p.a, p.b
-    # denominator of the current point within the shifted sequence
-    d = 1
-    for k in range(p.level):
-        d *= ls.level(n + 1 + k)
-    for j in range(n, 0, -1):
-        l = ls.level(j)
-        i1, i2 = word[j - 1]
-        if not is_cell_index(l, (i1, i2)):
-            raise SequenceError(f"{(i1, i2)} is not a cell index of level {l}")
-        a += i1 * d
-        b += i2 * d
-        d *= l
-    return LatticePoint(n + p.level, a, b)
-
-
 # ---- Approximation graphs ------------------------------------------------
 
 
@@ -178,6 +153,7 @@ class ApproximationGraph:
         self.boundary = boundary
         self.edges = edges
         self._adj = None
+        self._nbr = None
         self._vertex_cells = None
 
     # -- sizes
@@ -236,6 +212,13 @@ class ApproximationGraph:
         return adj.indices[adj.indptr[v]: adj.indptr[v + 1]]
 
     @property
+    def neighbor_table(self) -> np.ndarray:
+        """(V, 4) neighbour table padded by repetition; built once per graph."""
+        if self._nbr is None:
+            self._nbr = _padded_neighbor_table(self.adjacency)
+        return self._nbr
+
+    @property
     def vertex_cells(self) -> sparse.csr_matrix:
         """Vertex -> incident cells incidence (V x M)."""
         if self._vertex_cells is None:
@@ -262,6 +245,22 @@ class ApproximationGraph:
 
     def word(self, idx: int) -> tuple:
         return index_to_word(self.ls, self.level, idx)
+
+
+def _padded_neighbor_table(adj: sparse.csr_matrix) -> np.ndarray:
+    """(V, 4) int32 table whose row v lists v's neighbours (sorted CSR
+    order) repeated to width 4, so a uniform column is a uniform neighbour.
+
+    Raises DomainError unless every degree divides 4; on gasket graphs the
+    degrees are 2 (outer corners) or 4.
+    """
+    deg = np.diff(adj.indptr)
+    bad = np.flatnonzero((deg == 0) | (4 % np.maximum(deg, 1) != 0))
+    if bad.size:
+        raise DomainError(f"vertex {int(bad[0])} has degree {int(deg[bad[0]])}, "
+                          "which does not divide the table width 4")
+    cols = adj.indptr[:-1, None] + np.arange(4) % deg[:, None]
+    return adj.indices[cols].astype(np.int32)
 
 
 def _corner_numerators(ls: LevelSequence, n: int) -> np.ndarray:

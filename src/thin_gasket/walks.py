@@ -1,10 +1,11 @@
 """Nearest-neighbor random walks on approximation graphs.
 
-The walker moves to a uniformly random graph neighbor each step.  Commute
-times between two vertices have exact expectation 2 |E| R_unit(x, y) =
-6 M_n R_unit(x, y), which ties the simulator back to the resistance
-solvers; the check compares the empirical mean against that prediction in
-standard-error units.
+The walker moves to a uniformly random graph neighbor each step; the
+simulator advances it k steps at a time through jump tables over the
+vertices that are not targets.  Commute times between two vertices have
+exact expectation 2 |E| R_unit(x, y) = 6 M_n R_unit(x, y), which ties the
+simulator back to the resistance solvers; the check compares the empirical
+mean against that prediction in standard-error units.
 """
 
 from __future__ import annotations
@@ -20,6 +21,16 @@ from .geometry import (ApproximationGraph, cell_neighborhood,
 from .rand import stream
 from .resistance import ResistanceSolver
 
+# A k-step jump table holds F * 4^k entries over the F free vertices; k is
+# the largest block length <= _MAX_BLOCK that keeps it within _TABLE_ENTRIES
+# (about 1 MB of int32), and at least 1.
+_TABLE_ENTRIES = 1 << 18
+_MAX_BLOCK = 5
+
+# Commute checks refuse runs whose predicted walker-steps (trials times the
+# predicted commute time) exceed this; criterion 10 needs about 6.8e8.
+_WORK_BUDGET = 2_000_000_000
+
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -29,9 +40,10 @@ class WalkConfig:
     chunk: int = 100_000
 
     def __post_init__(self):
-        if self.trials < 1 or self.chunk < 1:
-            raise DomainError(f"walks need trials >= 1 and chunk >= 1, "
-                              f"got trials={self.trials}, chunk={self.chunk}")
+        if self.trials < 1 or self.chunk < 1 or self.max_steps < 1:
+            raise DomainError(f"walks need trials, chunk and max_steps >= 1, "
+                              f"got trials={self.trials}, chunk={self.chunk}, "
+                              f"max_steps={self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -44,24 +56,57 @@ class HittingStats:
     max_steps: int
 
 
-def _neighbor_table(g: ApproximationGraph):
-    adj = g.adjacency
-    deg = np.diff(adj.indptr)
-    width = int(deg.max())
-    nbr = np.zeros((g.n_vertices, width), dtype=np.int64)
-    for v in range(g.n_vertices):
-        row = adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
-        nbr[v, :row.size] = row
-    return nbr, deg.astype(np.int64)
+def _block_length(n_free: int) -> int:
+    k = _MAX_BLOCK
+    while k > 1 and n_free * 4 ** k > _TABLE_ENTRIES:
+        k -= 1
+    return k
+
+
+def _jump_table(nbr: np.ndarray, target_mask: np.ndarray, k: int):
+    """k-step jump table over the F free vertices (those not in target_mask).
+
+    Entry f * 4^k + word, for free index f and a word of k 2-bit digits with
+    the first step in the low bits, is the free index the walk ends on, or
+    F + s - 1 when it first hits a target at step s (1 <= s <= k).  Returns
+    the flat int32 table and the vertex -> free index map (F on targets).
+    """
+    free = np.flatnonzero(~target_mask)
+    n_free = free.size
+    index = np.full(target_mask.size, n_free, dtype=np.int32)
+    index[free] = np.arange(n_free, dtype=np.int32)
+    # one step in free indices; row F is an absorbing "hit" state
+    step = np.vstack([index[nbr[free]], np.full((1, 4), n_free, dtype=np.int32)])
+    words = np.arange(4 ** k)
+    cur = np.arange(n_free, dtype=np.int32)[:, None]
+    absorbed = np.zeros((n_free, words.size), dtype=np.int32)
+    for j in range(k):
+        cur = step[cur, (words >> 2 * j) & 3]
+        absorbed += cur == n_free
+    # a walk first hit at step s is absorbed for k - s + 1 of the k steps
+    table = np.where(cur == n_free, n_free + k - absorbed, cur)
+    return table.ravel(), index
 
 
 def simulate_hitting(g: ApproximationGraph, start: int, target_mask: np.ndarray,
                      cfg: WalkConfig, tag: int = 1):
     """Per-trial step counts until the walk started at `start` first sits on
-    a target vertex.  Returns (steps array, capped count)."""
+    a target vertex.  Returns (steps array, capped count).
+
+    Walkers advance k steps per iteration through a jump table: each draws
+    one uniform integer below 4^k, whose 2-bit digits (low bits first) pick
+    columns of the padded neighbour table, so every step is a uniform
+    neighbour.  A trial is capped iff it has not hit by cfg.max_steps; its
+    count is then max_steps.
+    """
     if not 0 <= start < g.n_vertices:
         raise DomainError("start vertex out of range")
-    nbr, deg = _neighbor_table(g)
+    if target_mask[start]:
+        return np.zeros(cfg.trials, dtype=np.int64), 0
+    n_free = int(np.count_nonzero(~target_mask))
+    k = _block_length(n_free)
+    table, index = _jump_table(g.neighbor_table, target_mask, k)
+    shift = 2 * k
     chunks = []
     capped = 0
     remaining = cfg.trials
@@ -69,22 +114,23 @@ def simulate_hitting(g: ApproximationGraph, start: int, target_mask: np.ndarray,
     while remaining > 0:
         m = min(cfg.chunk, remaining)
         rng = stream(cfg.seed, (tag << 32) | chunk_idx)
-        pos = np.full(m, start, dtype=np.int64)
         steps = np.zeros(m, dtype=np.int64)
-        active = np.nonzero(~target_mask[pos])[0]
-        step = 0
-        while active.size:
-            step += 1
-            if step > cfg.max_steps:
-                capped += active.size
-                steps[active] = cfg.max_steps
-                break
-            p = pos[active]
-            r = rng.integers(0, deg[p])
-            moved = nbr[p, r]
-            pos[active] = moved
-            steps[active] = step
-            active = active[~target_mask[moved]]
+        walker = np.arange(m)
+        pos = np.full(m, index[start], dtype=np.int32)
+        base = 0
+        while walker.size and base < cfg.max_steps:
+            words = rng.integers(0, 1 << shift, size=walker.size, dtype=np.uint16)
+            pos = table[(pos << shift) | words]
+            hit = pos >= n_free
+            if hit.any():
+                steps[walker[hit]] = base + 1 + (pos[hit] - n_free)
+                keep = ~hit
+                walker, pos = walker[keep], pos[keep]
+            base += k
+        late = np.flatnonzero(steps > cfg.max_steps)  # hit inside the last block
+        steps[walker] = cfg.max_steps
+        steps[late] = cfg.max_steps
+        capped += walker.size + late.size
         chunks.append(steps)
         remaining -= m
         chunk_idx += 1
@@ -112,7 +158,10 @@ def commute_time_check(g: ApproximationGraph, x: int | None = None,
     """Empirical commute time x -> y -> x against 6 M_n R_unit(x, y).
 
     The prediction is exact (rational) when x and y are outer corners,
-    from the corner resistance identity R_n(q_j, q_k) = 2/3.
+    from the corner resistance identity R_n(q_j, q_k) = 2/3.  It is computed
+    before any walk: a run whose predicted commute time reaches max_steps,
+    or whose trials times that time exceed _WORK_BUDGET walker-steps, raises
+    DomainError instead of running for hours.
     """
     if x is None:
         x = int(g.corner_id(0))
@@ -122,15 +171,6 @@ def commute_time_check(g: ApproximationGraph, x: int | None = None,
         raise DomainError("commute endpoint out of range")
     if x == y:
         raise DomainError("commute endpoints must differ")
-    mask_y = np.zeros(g.n_vertices, dtype=bool)
-    mask_y[y] = True
-    mask_x = np.zeros(g.n_vertices, dtype=bool)
-    mask_x[x] = True
-    fwd, cap1 = simulate_hitting(g, x, mask_y, cfg, tag=1)
-    bwd, cap2 = simulate_hitting(g, y, mask_x, cfg, tag=2)
-    total = fwd + bwd
-    st = _stats(total, cap1 + cap2)
-
     m_n = g.ls.M(g.level)
     corners = {int(g.corner_id(j)) for j in range(3)}
     predicted_exact = None
@@ -141,6 +181,20 @@ def commute_time_check(g: ApproximationGraph, x: int | None = None,
     else:
         solver = ResistanceSolver(g)
         predicted = 6.0 * m_n * solver.unit_resistance(x, y)
+    if predicted >= cfg.max_steps:
+        raise DomainError(f"predicted commute time {predicted:.4g} steps is not "
+                          f"below max_steps={cfg.max_steps}")
+    if cfg.trials * predicted > _WORK_BUDGET:
+        raise DomainError(f"{cfg.trials} trials of a predicted {predicted:.4g}-step "
+                          f"commute exceed the budget of {_WORK_BUDGET:.0e} "
+                          "walker-steps")
+    mask_y = np.zeros(g.n_vertices, dtype=bool)
+    mask_y[y] = True
+    mask_x = np.zeros(g.n_vertices, dtype=bool)
+    mask_x[x] = True
+    fwd, cap1 = simulate_hitting(g, x, mask_y, cfg, tag=1)
+    bwd, cap2 = simulate_hitting(g, y, mask_x, cfg, tag=2)
+    st = _stats(fwd + bwd, cap1 + cap2)
     z = (st.mean - predicted) / st.stderr if st.stderr > 0 else 0.0
     return {"depth": g.level, "x": x, "y": y, "trials": cfg.trials,
             "empirical_mean": st.mean, "stderr": st.stderr,

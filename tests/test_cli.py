@@ -89,8 +89,11 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["build", "--seq", "5,x", "--depth", "1"],  # malformed level
     ["walk", "--depth", "0", "--trials", "0"],  # no trials
     ["walk", "--depth", "0", "--x", "0", "--y", "7"],  # vertex past the graph
+    ["walk", "--depth", "0", "--max-steps", "-1"],  # a negative step cap
+    ["walk", "--seq", "5", "--depth", "4", "--trials", "200"],  # commute ~1.2e7 > cap
+    ["walk", "--seq", "5", "--depth", "3"],  # 1e5 trials ~2.8e10 walker-steps
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
-        "walk-vertex"])
+        "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1

@@ -2,11 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from thin_gasket.geometry import build_graph
+from thin_gasket.errors import DomainError
+from thin_gasket.geometry import (_padded_neighbor_table, build_graph,
+                                  neighborhood_vertex_ids, word_to_index)
+from thin_gasket.rand import stream
 from thin_gasket.sequence import LevelSequence
-from thin_gasket.walks import (WalkConfig, commute_time_check,
-                               exit_time_profile, hitting_time)
+from thin_gasket.walks import (WalkConfig, _block_length, commute_time_check,
+                               exit_time_profile, hitting_time,
+                               simulate_hitting)
 
 
 def _graph(seq, depth):
@@ -71,3 +76,129 @@ def test_walk_config_validation():
     g = _graph((5,), 0)
     with pytest.raises(Exception):
         commute_time_check(g, x=0, y=0, cfg=WalkConfig(trials=10, seed=0))
+    for bad in (0, -1):
+        with pytest.raises(DomainError):
+            WalkConfig(max_steps=bad)
+
+
+# ---- The block-stepped kernel against a one-step reference -----------------
+
+
+def _reference_hitting(g, start, target_mask, cfg, tag):
+    """One step at a time over a loop-built padded neighbour table, consuming
+    the kernel's draws: per block, one uint16 below 4^k per active walker,
+    read as 2-bit digits low bits first."""
+    adj = g.adjacency
+    nbr = np.zeros((g.n_vertices, 4), dtype=np.int64)
+    for v in range(g.n_vertices):
+        row = adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
+        nbr[v] = [row[j % row.size] for j in range(4)]
+    k = _block_length(int(np.count_nonzero(~target_mask)))
+    chunks, capped = [], 0
+    for chunk_idx, first in enumerate(range(0, cfg.trials, cfg.chunk)):
+        m = min(cfg.chunk, cfg.trials - first)
+        rng = stream(cfg.seed, (tag << 32) | chunk_idx)
+        pos = np.full(m, start, dtype=np.int64)
+        steps = np.zeros(m, dtype=np.int64)
+        active = np.arange(m) if not target_mask[start] else np.arange(0)
+        base = 0
+        while active.size and base < cfg.max_steps:
+            words = rng.integers(0, 4 ** k, size=active.size, dtype=np.uint16)
+            alive = np.ones(active.size, dtype=bool)
+            for j in range(k):
+                if base + j + 1 > cfg.max_steps:
+                    break
+                i = np.flatnonzero(alive)
+                w = active[i]
+                pos[w] = nbr[pos[w], (words[i] >> (2 * j)) & 3]
+                hit = target_mask[pos[w]]
+                steps[w[hit]] = base + j + 1
+                alive[i[hit]] = False
+            active = active[alive]
+            base += k
+        steps[active] = cfg.max_steps
+        capped += active.size
+        chunks.append(steps)
+    return np.concatenate(chunks), capped
+
+
+def _mask(g, targets):
+    mask = np.zeros(g.n_vertices, dtype=bool)
+    mask[list(targets)] = True
+    return mask
+
+
+def _commute_cases():
+    for depth, trials in ((0, 3_000), (1, 2_000), (2, 300)):
+        g = _graph((5,), depth)
+        q0, q1 = int(g.corner_id(0)), int(g.corner_id(1))
+        cfg = WalkConfig(trials=trials, seed=17, chunk=700)
+        yield f"commute-d{depth}-fwd", g, q0, _mask(g, [q1]), cfg, 1
+        yield f"commute-d{depth}-bwd", g, q1, _mask(g, [q0]), cfg, 2
+
+
+def _exit_mask(g, w, radius):
+    mask = np.ones(g.n_vertices, dtype=bool)
+    mask[neighborhood_vertex_ids(g, w, radius)] = False
+    return int(g.cells[word_to_index(g.ls, w)][0]), mask
+
+
+def _cap_cases():
+    """Exits from a radius-1 neighbourhood (6 free vertices, k = 5) capped
+    at 1, 7 and 13 steps, so the cap falls inside a block."""
+    g = _graph((5,), 2)
+    start, mask = _exit_mask(g, ((0, 0), (0, 0)), 1)
+    for cap in (1, 7, 13):
+        cfg = WalkConfig(trials=500, max_steps=cap, seed=5, chunk=200)
+        yield f"cap-{cap}", g, start, mask, cfg, 1
+
+
+def _edge_cases():
+    g = _graph((5,), 2)
+    start, mask = _exit_mask(g, ((0, 0), (0, 0)), 2)
+    yield "exit-radius-2", g, start, mask, WalkConfig(trials=2_000, seed=9), 102
+    q1 = int(g.corner_id(1))
+    yield "start-on-target", g, q1, _mask(g, [q1]), WalkConfig(trials=50, seed=4), 1
+    # a tenth of the vertices as targets: larger free sets, so k = 3 and k = 1
+    for depth in (3, 4):
+        g = _graph((5,), depth)
+        mask = np.random.default_rng(depth).random(g.n_vertices) < 0.1
+        mask[0] = False
+        yield f"sparse-targets-d{depth}", g, 0, mask, WalkConfig(trials=1_000, seed=8), 1
+
+
+@pytest.mark.parametrize("case", [*_commute_cases(), *_edge_cases(), *_cap_cases()],
+                         ids=lambda case: case[0])
+def test_kernel_matches_one_step_reference(case):
+    _, g, start, mask, cfg, tag = case
+    steps, capped = simulate_hitting(g, start, mask, cfg, tag=tag)
+    ref_steps, ref_capped = _reference_hitting(g, start, mask, cfg, tag)
+    assert steps.dtype == ref_steps.dtype
+    assert np.array_equal(steps, ref_steps)
+    assert capped == ref_capped
+
+
+def test_block_length_keeps_tables_in_budget():
+    free = (1, 236, 257, 1025, 4097, 16384, 16385, 10 ** 6)
+    assert [_block_length(f) for f in free] == [5, 5, 4, 3, 2, 2, 1, 1]
+
+
+def test_cap_cases_split_hits_and_caps():
+    for _, g, start, mask, cfg, tag in _cap_cases():
+        assert _block_length(int(np.count_nonzero(~mask))) == 5
+        steps, capped = simulate_hitting(g, start, mask, cfg, tag=tag)
+        assert steps.max() == cfg.max_steps
+        if cfg.max_steps == 1:
+            assert capped == cfg.trials
+        else:
+            assert 0 < capped < cfg.trials
+            assert capped <= np.count_nonzero(steps == cfg.max_steps)
+
+
+@pytest.mark.parametrize("dense", [
+    np.ones((4, 4)) - np.eye(4),  # K4: every degree 3
+    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),  # an isolated vertex
+], ids=["degree-3", "degree-0"])
+def test_neighbor_table_rejects_unpaddable_degree(dense):
+    with pytest.raises(DomainError):
+        _padded_neighbor_table(sparse.csr_matrix(dense))
