@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DomainError
 from .forms import (base_energy, extension_ratio_check, harmonic_extend,
                     matrix_stack_by_elimination, matrix_stack_exact)
 from .geometry import (boundary_cells, build_graph, cell_neighborhood,
@@ -341,6 +342,11 @@ def criterion(number: int) -> CriterionResult:
 
 
 def run_all(numbers=None, out=print) -> list:
+    if numbers is not None:
+        unknown = set(numbers) - {row[0] for row in _TABLE}
+        if unknown or not numbers:
+            raise DomainError(f"criteria are numbered 1 to {len(_TABLE)}, "
+                              f"got {sorted(numbers)}")
     results = []
     for num, name, budget, body in _TABLE:
         if numbers is not None and num not in numbers:

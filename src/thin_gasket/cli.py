@@ -105,6 +105,13 @@ def _parse_int(key: str, raw) -> int:
         raise GasketError(f"{key} must be an integer, got {raw!r}") from None
 
 
+def _parse_fraction(key: str, raw) -> Fraction:
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise GasketError(f"{key} must be a fraction such as 1/5, got {raw!r}") from None
+
+
 def _parse_seq(text) -> tuple[int, ...]:
     if isinstance(text, tuple):
         return text
@@ -133,8 +140,6 @@ def resolve_config(args) -> RunConfig:
     items = {}
     if getattr(args, "config", None):
         items.update(load_config(args.config))
-    if OUT_ENV in os.environ and "out" not in items:
-        items["out"] = os.environ[OUT_ENV]
     for key in ("seq", "continuation", "diverging", "depth", "seed",
                 "precision", "trials", "out"):
         val = getattr(args, key.replace("-", "_"), None)
@@ -196,9 +201,13 @@ def _parse_pin(text: str, precision: str):
     parts = [tok.strip() for tok in text.split(",")]
     if len(parts) != 3:
         raise GasketError("pin must be three comma-separated corner values")
+    values = tuple(_parse_fraction("pin value", tok) for tok in parts)
     if precision == "rational":
-        return tuple(Fraction(tok) for tok in parts)
-    return tuple(float(Fraction(tok)) for tok in parts)
+        return values
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        raise GasketError(f"float pin values must fit a double, got {text!r}") from None
 
 
 def _value_str(x) -> str:
@@ -351,11 +360,11 @@ def cmd_psi(cfg: RunConfig, args) -> int:
         sc = build_scale(ls, kind)
         entry = {}
         if args.s is not None:
-            s = Fraction(args.s)
+            s = _parse_fraction("--s", args.s)
             entry["s"] = str(s)
             entry["value"] = _value_str(sc.eval(s))
         if args.invert is not None:
-            t = Fraction(args.invert)
+            t = _parse_fraction("--invert", args.invert)
             entry["t"] = str(t)
             entry["inverse"] = str(sc.inverse(t))
         knots = []
@@ -486,7 +495,7 @@ def cmd_walk(cfg: RunConfig, args) -> int:
 def cmd_verify_all(cfg: RunConfig, args) -> int:
     numbers = None
     if args.only:
-        numbers = {int(t) for t in args.only.split(",")}
+        numbers = {_parse_int("criterion number", t) for t in args.only.split(",")}
     results = acceptance.run_all(numbers=numbers, out=None)
     payload = acceptance.results_json(results)
     path = _write_json(_out_path(cfg, "verify-all.json"), payload)
@@ -504,7 +513,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="comma-separated subdivision levels, e.g. 5,7,6")
     common.add_argument("--continuation", choices=("none", "repeat-last"),
                         default=None)
-    common.add_argument("--diverging", action="store_const", const=True,
+    common.add_argument("--diverging", action="store_const", const="true",
                         default=None, help="mark the sequence as diverging")
     common.add_argument("--depth", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)

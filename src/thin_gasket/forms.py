@@ -341,16 +341,12 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, pin_level: int = 0,
 # ---- One-subdivision ratio check ----------------------------------------
 
 
-def one_subdivision_trace(l: int, precision: str = "rational"):
-    """Trace (Schur complement) of the unit-conductance one-subdivision
-    network onto the three outer corners, as a 3x3 matrix."""
+def one_subdivision_trace(l: int):
+    """Exact trace (Schur complement) of the unit-conductance one-subdivision
+    network onto the three outer corners, as a 3x3 Fraction matrix."""
     g = _depth_one_graph(l)
-    keep = [int(v) for v in g.boundary]
-    if precision == "rational":
-        lap = linalg.dense_rational_laplacian(g.adjacency)
-        return linalg.schur_complement(lap, keep)
-    lap = linalg.laplacian(g.adjacency).toarray().astype(np.float64)
-    return linalg.schur_complement_float(lap, keep)
+    lap = linalg.dense_rational_laplacian(g.adjacency)
+    return linalg.schur_complement(lap, [int(v) for v in g.boundary])
 
 
 def extension_ratio_check(l: int, n_random: int = 100, seed: int = 7,
@@ -368,7 +364,7 @@ def extension_ratio_check(l: int, n_random: int = 100, seed: int = 7,
 
     report = {"l": l, "expected": r, "n_pins": len(pins), "precision": precision}
     if precision == "rational":
-        s = one_subdivision_trace(l, "rational")
+        s = one_subdivision_trace(l)
         target = [[r * x for x in row] for row in TRIANGLE_FORM]
         trace_equal = s == target
         ratios_equal = True

@@ -341,14 +341,6 @@ def euclidean_sq(g: ApproximationGraph, x: int, y: int) -> Fraction:
     return Fraction(da * da + da * db + db * db, g.L * g.L)
 
 
-def metric_ratio_bounds_ok(hops: int, qf: int, upper: int = 6) -> bool:
-    """Exact check of 1 <= (hops/L) / |x-y| <= upper given hops and the
-    integer quadratic form value qf = da^2 + da db + db^2 (same L scale)."""
-    if qf == 0:
-        return hops == 0
-    return hops * hops >= qf and hops * hops <= upper * upper * qf
-
-
 # ---- Cell neighborhoods --------------------------------------------------
 
 
@@ -440,7 +432,6 @@ def uniform_mass(ls: LevelSequence, n: int) -> CellMeasure:
 class BallMass:
     """Outer/inner cell-cover mass bracketing the measure of a metric ball."""
 
-    value: Fraction
     outer: Fraction
     inner: Fraction
     radius: Fraction
@@ -467,7 +458,7 @@ def ball_mass(g: ApproximationGraph, x: int, s) -> BallMass:
     M = g.n_cells
     outer = Fraction(int(outer_mask.sum()), M)
     inner = Fraction(int(inner_mask.sum()), M)
-    return BallMass(outer, outer, inner, s, int(outer_mask.sum()), int(inner_mask.sum()))
+    return BallMass(outer, inner, s, int(outer_mask.sum()), int(inner_mask.sum()))
 
 
 # ---- Export --------------------------------------------------------------
@@ -494,6 +485,8 @@ def graph_to_json(g: ApproximationGraph) -> dict:
 def render_svg(g: ApproximationGraph, size: float = 600.0, fill: str = "#2f4a6b",
                background: str = "#ffffff") -> str:
     """Deterministic SVG rendering: one filled triangle per cell."""
+    if not 0 < size < math.inf:
+        raise DomainError(f"render size must be positive and finite, got {size}")
     L = g.L
     h = size * math.sqrt(3.0) / 2.0
     lines = [

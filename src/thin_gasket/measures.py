@@ -140,12 +140,13 @@ class CertificateReport:
     passed: bool
 
 
-def _mass_arrays(h: HarmonicSpec, depths, route: str = "matrices"):
-    """Float per-cell energy masses for each requested depth."""
+def _mass_arrays(h: HarmonicSpec, depths):
+    """Float per-cell energy masses for each requested depth, from the
+    matrix cascade."""
     ls = h.ls
     out = {}
     for d in depths:
-        vals = h.cell_values(d) if route == "matrices" else h.cell_values_from_graph(d)
+        vals = h.cell_values(d)
         if h.precision == "rational":
             arr = np.array([float(base_energy(row)) for row in vals])
             out[d] = arr / float(ls.R(d))
@@ -154,8 +155,8 @@ def _mass_arrays(h: HarmonicSpec, depths, route: str = "matrices"):
     return out
 
 
-def singularity_certificate(h: HarmonicSpec, max_depth: int, tol: float = 1e-12,
-                            route: str = "matrices") -> CertificateReport:
+def singularity_certificate(h: HarmonicSpec, max_depth: int,
+                            tol: float = 1e-12) -> CertificateReport:
     """Check the children-coefficient ceiling over every admissible cell.
 
     Admissible parents sit at depths pin_level+1 .. max_depth-1, end in an
@@ -165,7 +166,7 @@ def singularity_certificate(h: HarmonicSpec, max_depth: int, tol: float = 1e-12,
     k = h.pin_level
     if max_depth < k + 2:
         raise DomainError("certificate needs max_depth >= pin_level + 2")
-    masses = _mass_arrays(h, range(k + 1, max_depth + 1), route)
+    masses = _mass_arrays(h, range(k + 1, max_depth + 1))
     total = float(masses[k + 1].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else 0.0
 
@@ -233,8 +234,7 @@ class DivergenceReport:
 
 
 def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
-                         seed: int = 0, route: str = "matrices",
-                         tol: float = 1e-9) -> DivergenceReport:
+                         seed: int = 0, tol: float = 1e-9) -> DivergenceReport:
     """Accumulate 1 - coefficient along uniformly sampled addresses.
 
     Along each address the partial sum over depths k+1..N must dominate
@@ -245,7 +245,9 @@ def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
     k = h.pin_level
     if max_depth < k + 2:
         raise DomainError("divergence needs max_depth >= pin_level + 2")
-    masses = _mass_arrays(h, range(k, max_depth + 1), route)
+    if n_samples < 1:
+        raise DomainError(f"divergence needs n_samples >= 1, got {n_samples}")
+    masses = _mass_arrays(h, range(k, max_depth + 1))
     total = float(masses[k].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else 0.0
 

@@ -44,17 +44,15 @@ class EtaFunction:
     """A space-time profile eta: (0, 1] -> (0, 1], increasing, eta(1) = 1.
 
     Kinds: "elementary" is 1/log(e-1+1/r); "iterated" composes it k times;
-    "piecewise" interpolates exact rational knots linearly; "custom" wraps
-    user callables and cannot be certified.
+    "piecewise" interpolates exact rational knots linearly.  Every kind
+    has a certified interval inverse.
     """
 
-    def __init__(self, kind: str, k: int = 1, knots=None, fn=None, inv=None,
+    def __init__(self, kind: str, k: int = 1, knots=None,
                  label: str | None = None):
         self.kind = kind
         self.k = k
         self.knots = None
-        self.fn = fn
-        self.inv = inv
         if kind == "piecewise":
             if not knots or len(knots) < 2:
                 raise DomainError("piecewise eta needs at least two knots")
@@ -65,9 +63,6 @@ class EtaFunction:
             if ks[-1][0] != 1 or ks[-1][1] != 1:
                 raise DomainError("piecewise eta must end at the knot (1, 1)")
             self.knots = ks
-        elif kind == "custom":
-            if fn is None:
-                raise DomainError("custom eta needs a callable")
         elif kind not in ("elementary", "iterated"):
             raise DomainError(f"unknown eta kind {kind!r}")
         self.label = label or kind
@@ -90,14 +85,6 @@ class EtaFunction:
     def piecewise(cls, knots, label: str = "piecewise") -> "EtaFunction":
         return cls("piecewise", knots=knots, label=label)
 
-    @classmethod
-    def custom(cls, fn, inv=None, label: str = "custom") -> "EtaFunction":
-        return cls("custom", fn=fn, inv=inv, label=label)
-
-    @property
-    def certified(self) -> bool:
-        return self.kind != "custom"
-
     # -- evaluation
 
     def __call__(self, r) -> float:
@@ -113,9 +100,7 @@ class EtaFunction:
             for _ in range(self.k):
                 v = _eta1_float(v)
             return v
-        if self.kind == "piecewise":
-            return float(self._piecewise_value(Fraction(r)))
-        return float(self.fn(r))
+        return float(self._piecewise_value(Fraction(r)))
 
     def _piecewise_value(self, r: Fraction) -> Fraction:
         ks = self.knots
@@ -139,10 +124,8 @@ class EtaFunction:
                 for _ in range(self.k - 1):
                     v = 1 / mpmath.log(mpmath.e - 1 + 1 / v)
                 return v
-            if self.kind == "piecewise":
-                v = self._piecewise_value(r)
-                return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-            return mpmath.mpf(self.fn(float(r)))
+            v = self._piecewise_value(r)
+            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
 
     # -- inverses
 
@@ -157,18 +140,7 @@ class EtaFunction:
             for _ in range(self.k):
                 v = _eta1_inv_float(v)
             return v
-        if self.kind == "piecewise":
-            return float(self._piecewise_inverse(Fraction(y)))
-        if self.inv is not None:
-            return float(self.inv(y))
-        lo, hi = 1e-15, 1.0
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if self.fn(mid) >= y:
-                hi = mid
-            else:
-                lo = mid
-        return math.sqrt(lo * hi)
+        return float(self._piecewise_inverse(Fraction(y)))
 
     def _piecewise_inverse(self, y: Fraction) -> Fraction:
         ks = self.knots
@@ -187,16 +159,12 @@ class EtaFunction:
                 for _ in range(self.k):
                     v = 1 / (mpmath.exp(1 / v) - mpmath.e + 1)
                 return v
-            if self.kind == "piecewise":
-                v = self._piecewise_inverse(y)
-                return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-            return mpmath.mpf(self.inverse(float(y)))
+            v = self._piecewise_inverse(y)
+            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
 
     def iv_inverse(self, y):
         """Certified interval enclosure of eta^{-1}(y) at the current
         iv precision; y is a Fraction (piecewise) or Fraction/interval."""
-        if not self.certified:
-            raise RealizationError("custom eta cannot be certified")
         if self.kind == "piecewise":
             if not isinstance(y, Fraction):
                 raise DomainError("piecewise inversion needs an exact rational y")
@@ -427,8 +395,6 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
     """
     if n_levels < 1:
         raise DomainError("need at least one level")
-    if not eta.certified:
-        return _realize_float(eta, n_levels, n0, min_ratio, horizon_extra)
 
     screen = summability_report(eta, n_terms=summability_terms)
     if not screen["summable"]:
@@ -484,37 +450,6 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
         big_l *= l_n
     seq = LevelSequence(tuple(entries), diverging=True)
     return RealizationResult(eta.label, n0, n_levels, seq, records, True, min_ratio)
-
-
-def _realize_float(eta: EtaFunction, n_levels: int, n0: int | None,
-                   min_ratio: int, horizon_extra: int) -> RealizationResult:
-    """Float fallback for custom profiles; results are not certified."""
-    window = n_levels + horizon_extra
-    if n0 is None:
-        for cand in range(1, 41):
-            if all(eta.inverse(2.0 ** (1 - n)) / eta.inverse(2.0 ** -n) >= min_ratio
-                   for n in range(cand, cand + window + 1)):
-                n0 = cand
-                break
-        else:
-            raise RealizationError("no admissible offset n0 found below 41")
-    entries = []
-    records = []
-    big_l = 1
-    base = eta.inverse(2.0 ** -n0)
-    for n in range(1, n_levels + 1):
-        x = eta.inverse(2.0 ** -(n + n0))
-        if x == 0:
-            raise RealizationError("float underflow; use a certified profile")
-        l_n = int(base / (big_l * x))
-        if l_n < MIN_LEVEL:
-            raise RealizationError(f"realized level l_{n} = {l_n} below the "
-                                   f"minimum {MIN_LEVEL}")
-        entries.append(l_n)
-        records.append(LevelRecord(n, l_n, 53, False))
-        big_l *= l_n
-    seq = LevelSequence(tuple(entries), diverging=True)
-    return RealizationResult(eta.label, n0, n_levels, seq, records, False, min_ratio)
 
 
 # ---- Comparability of the realized time scale ----------------------------

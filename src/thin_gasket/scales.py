@@ -45,11 +45,10 @@ def resistance_exponent(l: int) -> float:
 class BetaBundle:
     """Lower/upper power-law exponents for the three scales.
 
-    mode "prefix" takes min/max over the stored levels; mode "diverging"
-    uses the l -> infinity limits on the side they bound.
+    Min/max over the stored levels; a diverging sequence uses the
+    l -> infinity limits on the side they bound.
     """
 
-    mode: str
     time: tuple[float, float]
     mass: tuple[float, float]
     resistance: tuple[float, float]
@@ -58,34 +57,29 @@ class BetaBundle:
         return getattr(self, kind)
 
 
-def beta_bundle(ls: LevelSequence, mode: str = "auto") -> BetaBundle:
-    if mode == "auto":
-        mode = "diverging" if ls.diverging else "prefix"
+def beta_bundle(ls: LevelSequence) -> BetaBundle:
     entries = ls.materialized()
     if not entries:
         raise SequenceError("cannot derive exponents from an empty sequence")
     walks = [walk_exponent(l) for l in entries]
     masses = [mass_exponent(l) for l in entries]
     ress = [resistance_exponent(l) for l in entries]
-    if mode == "prefix":
-        return BetaBundle(mode, (min(walks), max(walks)), (min(masses), max(masses)),
-                          (min(ress), max(ress)))
-    if mode == "diverging":
-        return BetaBundle(mode, (2.0, max(walks)), (1.0, max(masses)), (min(ress), 1.0))
-    raise DomainError(f"unknown beta mode {mode!r}")
+    if ls.diverging:
+        return BetaBundle((2.0, max(walks)), (1.0, max(masses)), (min(ress), 1.0))
+    return BetaBundle((min(walks), max(walks)), (min(masses), max(masses)),
+                      (min(ress), max(ress)))
 
 
 class PiecewiseScale:
     """One of the three scale functions, evaluated exactly per segment."""
 
-    def __init__(self, ls: LevelSequence, kind: str, mode: str = "auto",
-                 max_segments: int = 200):
+    def __init__(self, ls: LevelSequence, kind: str, max_segments: int = 200):
         if kind not in KINDS:
             raise DomainError(f"kind must be one of {KINDS}")
         self.ls = ls
         self.kind = kind
         self.max_segments = max_segments
-        self.bundle = beta_bundle(ls, mode)
+        self.bundle = beta_bundle(ls)
         if kind == "time":
             self.tail_beta = self.bundle.time[0]
         elif kind == "mass":
@@ -211,13 +205,13 @@ class PiecewiseScale:
         return (lo + hi) / 2
 
 
-def build_scale(ls: LevelSequence, kind: str, mode: str = "auto") -> PiecewiseScale:
-    return PiecewiseScale(ls, kind, mode)
+def build_scale(ls: LevelSequence, kind: str) -> PiecewiseScale:
+    return PiecewiseScale(ls, kind)
 
 
-def scale_triple(ls: LevelSequence, mode: str = "auto"):
-    return (build_scale(ls, "time", mode), build_scale(ls, "mass", mode),
-            build_scale(ls, "resistance", mode))
+def scale_triple(ls: LevelSequence):
+    return (build_scale(ls, "time"), build_scale(ls, "mass"),
+            build_scale(ls, "resistance"))
 
 
 # ---- Structural checks ---------------------------------------------------
@@ -243,11 +237,11 @@ def knot_continuity_check(scale: PiecewiseScale, n_segments: int) -> dict:
             "mismatches": mismatches, "passed": not mismatches}
 
 
-def product_identity_check(ls: LevelSequence, mode: str = "auto",
-                           n_segments: int = 4, samples_per_segment: int = 5,
+def product_identity_check(ls: LevelSequence, n_segments: int = 4,
+                           samples_per_segment: int = 5,
                            tol: float = 1e-14) -> dict:
     """Psi = Psi_M * Psi_R: exact on (0, 1], within tol on the tails."""
-    psi, psi_m, psi_r = scale_triple(ls, mode)
+    psi, psi_m, psi_r = scale_triple(ls)
     exact_ok = True
     for n in range(1, n_segments + 1):
         l, ln, _, _, _ = psi.segment_data(n)
@@ -287,6 +281,8 @@ def doubling_check(scale: PiecewiseScale, c: Fraction | None = None,
         c = Fraction(6) if scale.kind == "resistance" else Fraction(81)
     if n_segments is None:
         n_segments = min(len(scale.ls.materialized()), scale.max_segments)
+    if n_segments < 1:
+        raise DomainError(f"doubling checks need n_segments >= 1, got {n_segments}")
     beta_lo, beta_hi = scale.bundle.for_kind(scale.kind)
     pool = _sample_pool(scale, n_segments, target_points)
 
@@ -392,10 +388,6 @@ class ComparisonReport:
     passed: bool
 
 
-def _ball_mass_value(g: ApproximationGraph, x: int, s: Fraction) -> float:
-    return float(ball_mass(g, x, s).value)
-
-
 def sample_vertex_pairs(g: ApproximationGraph, n_pairs: int, seed: int):
     v = g.n_vertices
     if not 1 <= n_pairs <= v * (v - 1):
@@ -417,8 +409,8 @@ def sample_vertex_pairs(g: ApproximationGraph, n_pairs: int, seed: int):
 
 
 def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
-                      lambdas=(Fraction(7, 10), Fraction(2, 5), Fraction(3, 20)),
-                      mode: str = "auto") -> ComparisonReport:
+                      lambdas=(Fraction(7, 10), Fraction(2, 5),
+                               Fraction(3, 20))) -> ComparisonReport:
     """Sampled two-sided comparisons between resistance, the time scale and
     ball masses on a built graph.
 
@@ -437,7 +429,7 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
     exponents.
     """
     ls, n = g.ls, g.level
-    psi, psi_m, psi_r = scale_triple(ls, mode)
+    psi, psi_m, psi_r = scale_triple(ls)
     b0, b1 = psi.bundle.resistance
     solver = ResistanceSolver(g)
     scale_r = ls.R(n)
@@ -467,7 +459,7 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
         hops = int(geodesic_hops(g, x)[0, y])
         d = Fraction(hops, big_l)
         r_val = float(scale_r) * solver.unit_resistance(x, y)
-        mb = _ball_mass_value(g, x, d)
+        mb = float(ball_mass(g, x, d).outer)
         pv = float(psi.eval(d))
         record("resistance-mass-time", r_val * mb / pv)
         record("mass-vs-mass-scale", mb / float(psi_m.eval(d)))
@@ -481,7 +473,7 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
                 lam = lam_floor
                 floor_count += 1
             sd = lam * d
-            q = float(psi.eval(sd)) / _ball_mass_value(g, x, sd)
+            q = float(psi.eval(sd)) / float(ball_mass(g, x, sd).outer)
             lamf = float(lam)
             record("shrink-lower", q / (lamf ** b1 * q_base))
             record("shrink-upper", q / (lamf ** b0 * q_base))

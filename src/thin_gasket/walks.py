@@ -146,8 +146,14 @@ def _stats(steps: np.ndarray, capped: int) -> HittingStats:
 
 def hitting_time(g: ApproximationGraph, start: int, targets,
                  cfg: WalkConfig = WalkConfig()) -> HittingStats:
+    ids = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if ids.size == 0:
+        raise DomainError("hitting time needs at least one target vertex")
+    if ids.min() < 0 or ids.max() >= g.n_vertices:
+        raise DomainError(f"target vertices must lie in [0, {g.n_vertices}), "
+                          f"got {ids.min()}..{ids.max()}")
     mask = np.zeros(g.n_vertices, dtype=bool)
-    mask[np.atleast_1d(np.asarray(targets, dtype=np.int64))] = True
+    mask[ids] = True
     steps, capped = simulate_hitting(g, start, mask, cfg, tag=1)
     return _stats(steps, capped)
 
@@ -205,16 +211,16 @@ def commute_time_check(g: ApproximationGraph, x: int | None = None,
 
 
 def exit_time_profile(g: ApproximationGraph, w, radii,
-                      cfg: WalkConfig = WalkConfig(), corner: int = 0) -> list:
+                      cfg: WalkConfig = WalkConfig()) -> list:
     """Mean exit times from growing cell neighborhoods of w.
 
-    The walk starts at the given corner of cell w and runs until it leaves
+    The walk starts at corner 0 of cell w and runs until it leaves
     the union of cells within radius k.  Radius 0 has exit time 0 by
     definition (the point itself is the boundary).  Means are reported for
     offline comparison against the quadratic-in-k time scaling.
     """
     idx = word_to_index(g.ls, w)
-    start = int(g.cells[idx][corner])
+    start = int(g.cells[idx][0])
     out = []
     for k in radii:
         if k == 0:

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thin_gasket
 from thin_gasket.cli import RunConfig, dump_config, load_config, main
@@ -64,6 +67,30 @@ def test_env_var_sets_output_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envdir" / "build-5-d1.json").exists()
 
 
+def test_out_precedence_file_env_flag(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out={tmp_path / 'filedir'}\n")
+    argv = ["build", "--seq", "5", "--depth", "0", "--config", cfg]
+    assert run(argv) == 0
+    assert (tmp_path / "filedir" / "build-5-d0.json").exists()
+    monkeypatch.setenv("THIN_GASKET_OUT", str(tmp_path / "envdir"))
+    assert run(argv) == 0
+    assert (tmp_path / "envdir" / "build-5-d0.json").exists()
+    assert run([*argv, "--out", tmp_path / "flagdir"]) == 0
+    assert (tmp_path / "flagdir" / "build-5-d0.json").exists()
+
+
+@pytest.mark.parametrize("verb,name", [("doubling", "doubling-9-58.json"),
+                                       ("dm", "dm-9-58-d2.json")])
+def test_diverging_flag_matches_config(tmp_path, verb, name):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seq=9,58\ndiverging=true\n")
+    assert run([verb, "--config", cfg, "--out", tmp_path / "file"]) == 0
+    assert run([verb, "--seq", "9,58", "--diverging", "--out", tmp_path / "flag"]) == 0
+    flag, file = tmp_path / "flag" / name, tmp_path / "file" / name
+    assert flag.read_bytes() == file.read_bytes()
+
+
 # ---- Exit codes ----------------------------------------------------------
 
 
@@ -92,13 +119,92 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["walk", "--depth", "0", "--max-steps", "-1"],  # a negative step cap
     ["walk", "--seq", "5", "--depth", "4", "--trials", "200"],  # commute ~1.2e7 > cap
     ["walk", "--seq", "5", "--depth", "3"],  # 1e5 trials ~2.8e10 walker-steps
+    ["energy", "--pin", "a,b,c"],  # malformed pin values
+    ["psi", "--s", "abc"],  # malformed evaluation point
+    ["psi", "--invert", "abc"],  # malformed value to invert
+    ["verify-all", "--only", "x"],  # malformed criterion number
+    ["verify-all", "--only", "11"],  # no such criterion: a vacuous pass
+    ["doubling", "--segments", "0"],  # an empty sample pool
+    ["diverge", "--samples", "0"],  # a pass on zero addresses
+    ["render", "--size", "-1"],  # a negative-size figure
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
-        "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget"])
+        "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
+        "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
+        "doubling-segments", "diverge-samples", "render-size"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _int_list(lo, hi, bad):
+    good = st.lists(st.integers(lo, hi), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs)))
+    return st.one_of(good, st.sampled_from(bad))
+
+
+_FRACTION = st.one_of(
+    st.builds("{}/{}".format, st.integers(-2, 9), st.integers(1, 9)),
+    st.sampled_from(["", "x", "1/0", "1//2", "nan", "0.25", "5"]))
+_PIN = st.one_of(st.lists(_FRACTION, min_size=3, max_size=3).map(",".join),
+                 st.sampled_from(["1,0", "1,0,0,0", "a,b,c"]))
+_SMALL = st.integers(-1, 4)
+_KIND = st.sampled_from(["time", "mass", "resistance", "all"])
+
+# verb -> strategy for its own flags, each a list of argv tokens
+_VERB_FLAGS = {
+    "build": st.just([]),
+    "render": st.sampled_from([-1.0, 0.0, 40.0]).map(lambda v: ["--size", v]),
+    "energy": st.tuples(_PIN, st.sampled_from(["direct", "cg", "cells"]),
+                        st.sampled_from(["matrices", "graph"])).map(
+        lambda t: ["--pin", t[0], "--method", t[1], "--route", t[2]]),
+    "extend": st.tuples(_PIN, st.sampled_from(["direct", "cg"])).map(
+        lambda t: ["--pin", t[0], "--method", t[1]]),
+    "resistance": _int_list(-1, 3, ["0", "x", "0,,1"]).map(lambda c: ["--corners", c]),
+    "matrices": st.tuples(st.integers(4, 9), _int_list(0, 8, ["x"])).map(
+        lambda t: ["--l", t[0], "--index", t[1]]),
+    "measure": st.tuples(_PIN, st.sampled_from(["matrices", "graph"])).map(
+        lambda t: ["--pin", t[0], "--route", t[1]]),
+    "certify": st.tuples(_PIN, _SMALL).map(lambda t: ["--pin", t[0], "--max-depth", t[1]]),
+    "diverge": st.tuples(_PIN, _SMALL, st.integers(-1, 20)).map(
+        lambda t: ["--pin", t[0], "--max-depth", t[1], "--samples", t[2]]),
+    "psi": st.tuples(_FRACTION, _FRACTION, _SMALL, _KIND).map(
+        lambda t: ["--s", t[0], "--invert", t[1], "--segments", t[2], "--kind", t[3]]),
+    "doubling": st.tuples(_SMALL, _KIND).map(lambda t: ["--segments", t[0], "--kind", t[1]]),
+    "dm": st.integers(-1, 20).map(lambda n: ["--pairs", n]),
+    "realize": st.tuples(st.sampled_from(["eta1", "eta0", "x"]), _SMALL).map(
+        lambda t: ["--eta", t[0], "--n", t[1]]),
+    "slowdecay": st.tuples(st.sampled_from([0.5, 2.5, 4.0]), _SMALL).map(
+        lambda t: ["--power", t[0], "--n-max", t[1]]),
+    "walk": st.tuples(st.integers(0, 2000), st.integers(-1, 10_000)).map(
+        lambda t: ["--trials", t[0], "--max-steps", t[1]]),
+    "verify-all": _int_list(0, 11, ["x", "", ","]).map(lambda o: ["--only", o]),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    verb = draw(st.sampled_from(sorted(_VERB_FLAGS)))
+    argv = [verb, *draw(_VERB_FLAGS[verb])]
+    argv += ["--seq", draw(_int_list(5, 9, ["4", "x", "5,,6", "5,y"]))]
+    argv += ["--depth", draw(st.integers(0, 2))]
+    if draw(st.booleans()):
+        argv.append("--diverging")
+    if draw(st.booleans()):
+        argv += ["--precision", draw(st.sampled_from(["float", "rational"]))]
+    return argv
+
+
+@settings(max_examples=16, derandomize=True)
+@given(argv=_cli_argv())
+def test_cli_never_ends_in_traceback(argv):
+    """Small random argument sets end in 0, 1 or 2, never a traceback or a
+    hang; each case is one child interpreter at a time."""
+    with tempfile.TemporaryDirectory() as out:
+        code, err = run_process([*argv, "--out", out], timeout=120)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)
 
 
 # ---- Artifacts -----------------------------------------------------------

@@ -105,6 +105,12 @@ def test_non_summable_eta_rejected():
         realize_sequence(ident, 4)
 
 
+@pytest.mark.parametrize("kind", ["custom", "bogus"])
+def test_unknown_eta_kind_rejected(kind):
+    with pytest.raises(DomainError, match="unknown eta kind"):
+        EtaFunction(kind)
+
+
 def test_slow_decay_profile():
     eta, rep = slow_decay_eta(lambda r: r ** 2.5, n_max=6)
     assert rep["passed"]

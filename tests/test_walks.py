@@ -37,6 +37,14 @@ def test_hitting_time_reproducible():
     assert a == b
 
 
+@pytest.mark.parametrize("targets", [[-1], [21], [0, 21], []],
+                         ids=["negative", "past-graph", "one-past-graph", "empty"])
+def test_hitting_time_rejects_bad_targets(targets):
+    g = _graph((5,), 1)  # 21 vertices
+    with pytest.raises(DomainError):
+        hitting_time(g, 0, targets, WalkConfig(trials=10, seed=3))
+
+
 def test_commute_time_exact_predictions():
     exact = {0: Fraction(4), 1: Fraction(496, 3), 2: Fraction(61504, 9)}
     for depth, value in exact.items():
