@@ -463,7 +463,7 @@ def cmd_slowdecay(cfg: RunConfig, args) -> int:
         return r ** power
 
     eta, rep = slow_decay_eta(psi0, n_max=args.n_max)
-    summ = summability_report(eta, n_terms=max(6, args.n_max))
+    summ = summability_report(eta, n_terms=args.n_max)
     payload = {"power": power, "report": rep, "summable": summ["summable"]}
     path = _write_json(_out_path(cfg, f"slowdecay-p{power}.json"), payload)
     ok = rep["passed"] and summ["summable"]

@@ -7,6 +7,11 @@ the depth-n form; two independent routes are provided: a pinned Laplacian
 solve on the depth-n graph, and per-cell products of the one-subdivision
 harmonic matrices.  Those matrices come from closed forms over 6l + 1;
 elimination on the depth-1 graph is kept only as their oracle.
+
+Both precisions run the same numpy code: rational values are numpy object
+arrays of Fractions, float values float64 arrays, and precision picks only
+the dtype, the matrix stack and the graph solver.  The one-subdivision
+trace is the exact Schur complement of linalg.
 """
 
 from __future__ import annotations
@@ -215,17 +220,14 @@ class HarmonicSpec:
     # -- pin values per depth-k cell
 
     def _pin_cell_values(self):
-        cells = self.pin_graph.cells
-        if self.precision == "rational":
-            return [[self.pin_vertex_values[int(c)] for c in row] for row in cells]
-        vals = np.asarray(self.pin_vertex_values, dtype=np.float64)
-        return vals[cells]
+        dtype = object if self.precision == "rational" else np.float64
+        return np.asarray(self.pin_vertex_values, dtype=dtype)[self.pin_graph.cells]
 
     # -- matrix-cascade route
 
     def cell_values(self, d: int):
         """Corner values of every depth-d cell via matrix products, shape
-        (M_d, 3); exact Fractions in rational mode."""
+        (M_d, 3); an object array of Fractions in rational mode."""
         if d < self.pin_level:
             raise DomainError(f"depth {d} below pin level {self.pin_level}")
         if d in self._cell_values:
@@ -233,14 +235,10 @@ class HarmonicSpec:
         prev = self.cell_values(d - 1)
         l = self.ls.level(d)
         if self.precision == "rational":
-            stack = matrix_stack_exact(l)
-            out = []
-            for row in prev:
-                for mat in stack:
-                    out.append([sum(mat[j][m] * row[m] for m in range(3)) for j in range(3)])
+            stack = np.array(matrix_stack_exact(l), dtype=object)
         else:
             stack = matrix_stack(l)
-            out = np.einsum("mij,wj->wmi", stack, prev).reshape(-1, 3)
+        out = np.einsum("mij,wj->wmi", stack, prev).reshape(-1, 3)
         self._cell_values[d] = out
         return out
 
@@ -261,7 +259,7 @@ class HarmonicSpec:
             lap = linalg.dense_rational_laplacian(g.adjacency)
             pv = [[Fraction(v)] for v in self.pin_vertex_values]
             full = linalg.rational_pinned_solve(lap, [int(p) for p in pin_ids], pv)
-            values = [row[0] for row in full]
+            values = np.array(full, dtype=object)[:, 0]
         else:
             pv = np.asarray(self.pin_vertex_values, dtype=np.float64)
             values, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), pin_ids, pv,
@@ -273,10 +271,7 @@ class HarmonicSpec:
         """Corner values of depth-d cells read off a depth-n solve."""
         n = d if n is None else n
         g, values = self.extend(n)
-        ids = g.corner_ids_at_depth(d)
-        if self.precision == "rational":
-            return [[values[int(c)] for c in row] for row in ids]
-        return np.asarray(values)[ids]
+        return np.asarray(values)[g.corner_ids_at_depth(d)]
 
     # -- energies
 
@@ -284,13 +279,8 @@ class HarmonicSpec:
         """Depth-n energy of the extension (equals the pin energy for any
         n >= pin level)."""
         vals = self.cell_values(n) if route == "matrices" else self.cell_values_from_graph(n)
-        r = self.ls.R(n)
-        if self.precision == "rational":
-            total = Fraction(0)
-            for row in vals:
-                total += base_energy(row)
-            return total / r
-        return float(cell_energies(np.asarray(vals)).sum() / r)
+        # a float64 sum over the Fraction R_n divides as floats
+        return cell_energies(vals).sum() / self.ls.R(n)
 
 
 def corner_pin_values(g: ApproximationGraph, triple):
@@ -343,7 +333,7 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, pin_level: int = 0,
 
 def one_subdivision_trace(l: int):
     """Exact trace (Schur complement) of the unit-conductance one-subdivision
-    network onto the three outer corners, as a 3x3 Fraction matrix."""
+    network onto the three outer corners, as a 3x3 object array of Fractions."""
     g = _depth_one_graph(l)
     lap = linalg.dense_rational_laplacian(g.adjacency)
     return linalg.schur_complement(lap, [int(v) for v in g.boundary])
@@ -366,7 +356,7 @@ def extension_ratio_check(l: int, n_random: int = 100, seed: int = 7,
     if precision == "rational":
         s = one_subdivision_trace(l)
         target = [[r * x for x in row] for row in TRIANGLE_FORM]
-        trace_equal = s == target
+        trace_equal = np.array_equal(s, target)
         ratios_equal = True
         for p in pins:
             u = [Fraction(x).limit_denominator(10**12) for x in p]

@@ -392,7 +392,7 @@ class CellMeasure:
     """A mass assignment on depth-`depth` cells.
 
     Uniform instances carry no array; others store per-cell masses in word
-    enumeration order (floats or Fractions).
+    enumeration order (a float64 array, or an object array of Fractions).
     """
 
     def __init__(self, ls, depth, masses=None, total=None, kind="uniform"):
@@ -401,12 +401,8 @@ class CellMeasure:
         self.masses = masses
         self.kind = kind
         if total is None:
-            if masses is None:
-                total = Fraction(1)
-            elif isinstance(masses, np.ndarray):
-                total = float(masses.sum())
-            else:
-                total = sum(masses, Fraction(0) if masses and isinstance(masses[0], Fraction) else 0)
+            # item() gives a Python float, or the Fraction of an object array
+            total = Fraction(1) if masses is None else masses.sum(keepdims=True).item()
         self.total = total
 
     @property

@@ -2,10 +2,13 @@
 
 Two solver paths serve the whole package.  The rational path does dense
 Gaussian elimination over Fraction entries and is reserved for small systems
-(golden values, one-subdivision solves).  The float path assembles sparse
-graph Laplacians and solves pinned systems either by direct LU with a few
-rounds of iterative refinement (default) or by Jacobi-preconditioned
-conjugate gradients (method="cg", tolerance configurable).
+(golden values, one-subdivision solves); its one Schur complement is the
+kept rows of the Laplacian applied to exact harmonic extensions of unit
+pins, returned as a numpy object array of Fractions.  The float path
+assembles sparse graph Laplacians and solves pinned systems either by
+direct LU with a few rounds of iterative refinement (default) or by
+Jacobi-preconditioned conjugate gradients (method="cg", tolerance
+configurable).
 """
 
 from __future__ import annotations
@@ -178,26 +181,16 @@ def dense_rational_laplacian(adjacency: sparse.csr_matrix):
 
 
 def schur_complement(lap_dense, keep):
-    """Exact Schur complement of a Fraction matrix onto the kept indices."""
-    v = len(lap_dense)
+    """Exact Schur complement of a Laplacian onto the kept indices.
+
+    Column c holds the kept rows of L applied to the harmonic extension of
+    the unit pin on keep[c] (rational_pinned_solve); returns a numpy object
+    array of Fractions.
+    """
     keep = list(keep)
-    keep_set = set(keep)
-    drop = [i for i in range(v) if i not in keep_set]
-    if not drop:
-        return [[Fraction(lap_dense[i][j]) for j in keep] for i in keep]
-    a = [[lap_dense[i][j] for j in drop] for i in drop]
-    b = [[lap_dense[i][j] for j in keep] for i in drop]
-    x = rational_solve(a, b)  # A^{-1} B
-    out = []
-    for i in keep:
-        row = []
-        for cj, j in enumerate(keep):
-            s = Fraction(lap_dense[i][j])
-            for di, d in enumerate(drop):
-                s -= lap_dense[i][d] * x[di][cj]
-            row.append(s)
-        out.append(row)
-    return out
+    units = [[Fraction(int(i == j)) for j in keep] for i in keep]
+    ext = np.array(rational_pinned_solve(lap_dense, keep, units), dtype=object)
+    return np.array([lap_dense[i] for i in keep], dtype=object) @ ext
 
 
 def schur_complement_float(lap: np.ndarray, keep) -> np.ndarray:

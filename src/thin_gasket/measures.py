@@ -9,6 +9,10 @@ Against the uniform measure, the per-cell Bhattacharyya coefficient of the
 children of an admissible cell is bounded away from 1 by a fixed gap; the
 certificate checks that bound cell by cell and the divergence statistic
 accumulates 1 - coefficient along sampled addresses.
+
+Masses follow the precision of the harmonic function: an object array of
+Fractions, exact at every depth, or a float64 array; the certificate and
+the divergence statistic read them as floats.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .forms import HarmonicSpec, base_energy, cell_energies
+from .forms import HarmonicSpec, cell_energies
 from .geometry import CellMeasure, _letter_index, interior_letters
 from .rand import stream
 from .sequence import cell_count
@@ -62,8 +66,8 @@ def energy_measure(h: HarmonicSpec, depth: int, route: str = "matrices") -> Cell
     """Energy measure of h on depth-`depth` cells.
 
     route "matrices" uses per-cell matrix products, "graph" reads corner
-    values off a pinned Laplacian solve.  Masses are exact Fractions when
-    h carries rational precision.
+    values off a pinned Laplacian solve.  Masses are an object array of
+    exact Fractions when h carries rational precision.
     """
     ls = h.ls
     d_eff = max(depth, h.pin_level)
@@ -73,17 +77,8 @@ def energy_measure(h: HarmonicSpec, depth: int, route: str = "matrices") -> Cell
         vals = h.cell_values_from_graph(d_eff)
     else:
         raise DomainError(f"unknown route {route!r}")
-    r = ls.R(d_eff)
-    if h.precision == "rational":
-        fine = [base_energy(row) / r for row in vals]
-        if d_eff == depth:
-            masses = fine
-        else:
-            block = ls.M(d_eff) // ls.M(depth)
-            masses = [sum(fine[i * block:(i + 1) * block], Fraction(0))
-                      for i in range(ls.M(depth))]
-        return CellMeasure(ls, depth, masses, kind="energy")
-    fine = cell_energies(np.asarray(vals)) / float(r)
+    # R_d as float(R_d) for float64 values, as the Fraction for object arrays
+    fine = cell_energies(vals) / np.asarray(ls.R(d_eff), dtype=vals.dtype)
     if d_eff != depth:
         fine = fine.reshape(ls.M(depth), -1).sum(axis=1)
     return CellMeasure(ls, depth, fine, kind="energy")
@@ -146,12 +141,8 @@ def _mass_arrays(h: HarmonicSpec, depths):
     ls = h.ls
     out = {}
     for d in depths:
-        vals = h.cell_values(d)
-        if h.precision == "rational":
-            arr = np.array([float(base_energy(row)) for row in vals])
-            out[d] = arr / float(ls.R(d))
-        else:
-            out[d] = cell_energies(np.asarray(vals)) / float(ls.R(d))
+        energies = cell_energies(h.cell_values(d)).astype(np.float64, copy=False)
+        out[d] = energies / float(ls.R(d))
     return out
 
 

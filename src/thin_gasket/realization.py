@@ -28,6 +28,13 @@ from .sequence import MIN_LEVEL, LevelSequence, time_factor
 
 E_MINUS_1 = math.e - 1.0
 
+#: Largest magnitude, in bits, of an argument the inverses pass to exp.
+#: mpmath reduces x modulo log 2 at about mag(x) extra bits (0.24 s at 1e5
+#: bits, 19 s at 2^20 bits on 2 vCPUs).  At y = 2^-n, eta1 passes n + 1
+#: bits, eta2 about 1.44 * 2^n (about 6000 in its summability screen), and
+#: more than 2^16 is passed by eta3 from n = 4 on and by eta4 from n = 2.
+_EXP_ARG_MAX_MAG = 1 << 16
+
 
 # ---- The eta family ------------------------------------------------------
 
@@ -157,7 +164,12 @@ class EtaFunction:
             if self.kind in ("elementary", "iterated"):
                 v = mpmath.mpf(y.numerator) / mpmath.mpf(y.denominator)
                 for _ in range(self.k):
-                    v = 1 / (mpmath.exp(1 / v) - mpmath.e + 1)
+                    x = 1 / v
+                    if mpmath.mag(x) > _EXP_ARG_MAX_MAG:
+                        raise RealizationError(
+                            f"{self.label} inverse at {y} needs exp of a number "
+                            f"past 2^{_EXP_ARG_MAX_MAG}")
+                    v = 1 / (mpmath.exp(x) - mpmath.e + 1)
                 return v
             v = self._piecewise_inverse(y)
             return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
@@ -175,7 +187,11 @@ class EtaFunction:
         e_iv = iv.exp(iv.mpf(1))
         v = y
         for _ in range(self.k):
-            v = 1 / (iv.exp(1 / v) - e_iv + 1)
+            x = 1 / v
+            if mpmath.mag(x.b) > _EXP_ARG_MAX_MAG:
+                raise RealizationError(f"{self.label} inverse needs exp of a number "
+                                       f"past 2^{_EXP_ARG_MAX_MAG}")
+            v = 1 / (iv.exp(x) - e_iv + 1)
         return v
 
 
@@ -390,8 +406,10 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
     """Compute the level sequence realizing eta, with certified floors.
 
     Raises RealizationError when eta fails the summability screen, when no
-    offset makes consecutive inverse values shrink by min_ratio, or when a
-    computed level falls below the minimum.
+    offset makes consecutive inverse values shrink by min_ratio, when a
+    computed level falls below the minimum, or, by magnitude before any
+    precision is raised, when a level has more than max_prec bits or an
+    inverse would take exp of a number past 2^_EXP_ARG_MAX_MAG.
     """
     if n_levels < 1:
         raise DomainError("need at least one level")
@@ -429,6 +447,10 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
                 base = eta.iv_inverse(Fraction(1, 2 ** n0))
                 x = eta.iv_inverse(Fraction(1, 2 ** (n + n0)))
                 q = base / (iv.mpf(big_l) * x)
+                # no precision up to the cap decides the floor of a larger number
+                if mpmath.mag(q.b) > max_prec:
+                    raise RealizationError(f"level {n} has more than {max_prec} bits; "
+                                           "no precision up to the cap certifies it")
                 lo = math.floor(_mpf_to_fraction(q.a))
                 hi = math.floor(_mpf_to_fraction(q.b))
                 if lo == hi:

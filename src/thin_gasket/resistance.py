@@ -3,7 +3,8 @@
 R_n(x, y) = R_n * (unit-conductance effective resistance between x and y
 on the depth-n graph).  Routes:
 
-- "rational": exact dense elimination, small graphs only.
+- "rational": 1 / (exact Schur complement onto {x, y})[0][0], small graphs
+  only.
 - "direct": sparse LU with iterative refinement.
 - "cg": Jacobi-preconditioned conjugate gradient.
 - "reduction": corner pairs only; eliminates the graph level by level via
@@ -56,12 +57,7 @@ def _unit_resistance_rational(g: ApproximationGraph, x: int, y: int) -> Fraction
     if g.n_vertices > _RATIONAL_VERTEX_LIMIT:
         raise SolveError(f"rational route limited to {_RATIONAL_VERTEX_LIMIT} vertices")
     lap = linalg.dense_rational_laplacian(g.adjacency)
-    free = [i for i in range(g.n_vertices) if i != y]
-    col = {v: j for j, v in enumerate(free)}
-    a = [[lap[i][j] for j in free] for i in free]
-    b = [[Fraction(1) if i == x else Fraction(0)] for i in free]
-    sol = linalg.rational_solve(a, b)
-    return sol[col[x]][0]
+    return 1 / linalg.schur_complement(lap, [x, y])[0][0]
 
 
 # ---- Level-by-level corner reduction -------------------------------------
@@ -74,19 +70,12 @@ def ring_reduce(l: int, trace, precision: str = "rational"):
     g = _depth_one_graph(l)
     v = g.n_vertices
     keep = [int(c) for c in g.boundary]
-    if precision == "rational":
-        lap = [[Fraction(0)] * v for _ in range(v)]
-        for cell in g.cells:
-            ids = [int(c) for c in cell]
-            for a in range(3):
-                for b in range(3):
-                    lap[ids[a]][ids[b]] += trace[a][b]
-        return linalg.schur_complement(lap, keep)
-    lap = np.zeros((v, v))
-    t = np.asarray(trace, dtype=np.float64)
+    t = np.asarray(trace, dtype=object if precision == "rational" else np.float64)
+    lap = np.zeros((v, v), dtype=t.dtype)
     for cell in g.cells:
-        ids = cell.astype(int)
-        lap[np.ix_(ids, ids)] += t
+        lap[np.ix_(cell, cell)] += t
+    if precision == "rational":
+        return linalg.schur_complement(lap, keep)
     return _project_trace(linalg.schur_complement_float(lap, keep))
 
 
@@ -105,11 +94,10 @@ def _project_trace(t: np.ndarray) -> np.ndarray:
 
 
 def corner_trace(ls: LevelSequence, n: int, precision: str = "rational"):
-    """Trace of the unit-conductance depth-n network onto (q0, q1, q2)."""
-    if precision == "rational":
-        trace = [[Fraction(t) for t in row] for row in TRIANGLE_FORM]
-    else:
-        trace = np.array(TRIANGLE_FORM, dtype=np.float64)
+    """Trace of the unit-conductance depth-n network onto (q0, q1, q2); an
+    object array of Fractions in rational precision."""
+    trace = np.array([[Fraction(t) for t in row] for row in TRIANGLE_FORM],
+                     dtype=object if precision == "rational" else np.float64)
     for k in range(n, 0, -1):
         trace = ring_reduce(ls.level(k), trace, precision)
     return trace
@@ -117,12 +105,9 @@ def corner_trace(ls: LevelSequence, n: int, precision: str = "rational"):
 
 def _corner_pair_from_trace(trace, j: int, k: int, precision: str):
     """Unit resistance between corners j and k given the 3x3 trace."""
-    free = sorted({0, 1, 2} - {k})
     if precision == "rational":
-        a = [[trace[p][q] for q in free] for p in free]
-        b = [[Fraction(1) if p == j else Fraction(0)] for p in free]
-        sol = linalg.rational_solve(a, b)
-        return sol[free.index(j)][0]
+        return 1 / linalg.schur_complement(trace, [j, k])[0][0]
+    free = sorted({0, 1, 2} - {k})
     a = np.array([[float(trace[p][q]) for q in free] for p in free])
     b = np.array([1.0 if p == j else 0.0 for p in free])
     sol = np.linalg.solve(a, b)
@@ -138,10 +123,8 @@ def corner_resistance(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
         raise DomainError("corner pair must be distinct")
     trace = corner_trace(ls, n, precision)
     unit = _corner_pair_from_trace(trace, j, k, precision)
-    scale = ls.R(n)
-    if precision == "rational":
-        return ResistanceResult(scale * unit, True, "reduction", 0.0, j, k)
-    return ResistanceResult(float(scale) * unit, False, "reduction", 0.0, j, k)
+    # a Fraction times a float unit is float(R_n) * unit
+    return ResistanceResult(ls.R(n) * unit, precision == "rational", "reduction", 0.0, j, k)
 
 
 # ---- General pairs -------------------------------------------------------

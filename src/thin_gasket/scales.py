@@ -150,7 +150,11 @@ class PiecewiseScale:
             beta = self.tail_beta
             if float(beta).is_integer():
                 return s ** int(beta)
-            return float(s) ** beta
+            try:
+                return float(s) ** beta
+            except OverflowError:
+                raise DomainError(f"the {self.kind} scale s^{float(beta):.6g} is past double "
+                                  "range at this s") from None
         n = self._segment_of(s)
         l, ln, lead, a, b = self.segment_data(n)
         x = s * ln - 1
@@ -186,7 +190,12 @@ class PiecewiseScale:
         if t == 1:
             return Fraction(1)
         if t > 1:
-            return float(t) ** (1.0 / self.tail_beta)
+            try:
+                return float(t) ** (1.0 / self.tail_beta)
+            except OverflowError:
+                beta = float(self.tail_beta)
+                raise DomainError(f"the {self.kind} scale inverse t^(1/{beta:.6g}) is past "
+                                  "double range at this t") from None
         n = 1
         while True:
             _, knot_val = self.knot(n)

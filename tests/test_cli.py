@@ -127,10 +127,16 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["doubling", "--segments", "0"],  # an empty sample pool
     ["diverge", "--samples", "0"],  # a pass on zero addresses
     ["render", "--size", "-1"],  # a negative-size figure
+    ["psi", "--s", "1e400"],  # s^beta past double range
+    ["psi", "--invert", "1e400"],  # t^(1/beta) past double range
+    ["realize", "--eta", "eta2"],  # level 3 past the precision cap
+    ["realize", "--eta", "eta3"],  # exp of a number past 2^65536: a hang
+    ["realize", "--eta", "eta4"],  # the same: an OverflowError in mpmath
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
         "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
-        "doubling-segments", "diverge-samples", "render-size"])
+        "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
+        "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1
@@ -151,6 +157,8 @@ _PIN = st.one_of(st.lists(_FRACTION, min_size=3, max_size=3).map(",".join),
                  st.sampled_from(["1,0", "1,0,0,0", "a,b,c"]))
 _SMALL = st.integers(-1, 4)
 _KIND = st.sampled_from(["time", "mass", "resistance", "all"])
+_ETA = st.tuples(st.sampled_from(["eta1", "eta2", "eta3", "eta4", "eta0", "x"]),
+                 _SMALL).map(lambda t: ["--eta", t[0], "--n", t[1]])
 
 # verb -> strategy for its own flags, each a list of argv tokens
 _VERB_FLAGS = {
@@ -173,8 +181,8 @@ _VERB_FLAGS = {
         lambda t: ["--s", t[0], "--invert", t[1], "--segments", t[2], "--kind", t[3]]),
     "doubling": st.tuples(_SMALL, _KIND).map(lambda t: ["--segments", t[0], "--kind", t[1]]),
     "dm": st.integers(-1, 20).map(lambda n: ["--pairs", n]),
-    "realize": st.tuples(st.sampled_from(["eta1", "eta0", "x"]), _SMALL).map(
-        lambda t: ["--eta", t[0], "--n", t[1]]),
+    "realize": _ETA,
+    "compare": _ETA,
     "slowdecay": st.tuples(st.sampled_from([0.5, 2.5, 4.0]), _SMALL).map(
         lambda t: ["--power", t[0], "--n-max", t[1]]),
     "walk": st.tuples(st.integers(0, 2000), st.integers(-1, 10_000)).map(
@@ -289,6 +297,12 @@ def test_realize_json(tmp_path, capsys):
     assert data["levels"] == ["9", "58", "3001", "8888829"]
 
 
+def test_slowdecay_below_six_knot_levels(tmp_path, capsys):
+    assert run(["slowdecay", "--n-max", "3", "--out", tmp_path]) == 0
+    data = json.loads((tmp_path / "slowdecay-p2.5.json").read_text())
+    assert data["summable"] is True
+
+
 def test_doubling_verb(tmp_path, capsys):
     rc = run(["doubling", "--seq", "5", "--kind", "resistance",
               "--out", tmp_path])
@@ -317,3 +331,22 @@ def test_verify_all_subset(tmp_path, capsys):
     assert crit["passed"] is True
     printed = json.loads(capsys.readouterr().out)
     assert printed == data
+
+
+# Rational-precision files written before the exact and float cascades shared
+# one numpy code path; the exact routes must keep writing them byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv,name", [
+    ("measure --seq 5,6 --depth 2 --pin 1,2/3,1/9", "measure-5-6-d2.csv"),
+    ("measure --seq 5,6 --depth 1 --pin 1,2/3,1/9 --route graph", "measure-5-6-d1.csv"),
+    ("energy --seq 5,6 --depth 1 --pin 1,2/3,1/9 --route graph --method direct",
+     "energy-5-6-d1.json"),
+    ("extend --seq 5 --depth 1 --pin 1,2/3,1/9", "extend-5-d1.csv"),
+    ("resistance --seq 5,7,6,12 --depth 3", "resistance-5-7-6-12-d3.json"),
+    ("resistance --seq 5 --depth 1 --x 3 --y 11", "resistance-5-d1.json"),
+])
+def test_rational_outputs_match_golden_bytes(tmp_path, capsys, argv, name):
+    assert run([*argv.split(), "--precision", "rational", "--out", tmp_path]) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from thin_gasket.forms import base_energy, harmonic_extend
-from thin_gasket.geometry import word_to_index, words
+from thin_gasket.geometry import build_graph, word_to_index, words
 from thin_gasket.measures import (bhattacharyya_children, ceiling_below_sup,
                                   children_sum_ceiling, divergence_statistic,
                                   energy_measure, singularity_certificate)
+from thin_gasket.resistance import corner_trace, effective_resistance
 from thin_gasket.sequence import LevelSequence
 
 
@@ -52,6 +53,37 @@ def test_constant_pin_gives_zero_measure():
     mu = energy_measure(h, 1)
     assert mu.total == 0
     assert all(x == 0 for x in mu.masses)
+
+
+def _only_fractions(values) -> bool:
+    flat = np.asarray(values, dtype=object).ravel()
+    return flat.size > 0 and all(type(x) is Fraction for x in flat)
+
+
+def test_rational_routes_stay_exact():
+    pin = (Fraction(1), Fraction(2, 3), Fraction(1, 9))
+    ls = LevelSequence((5, 6), continuation="repeat-last")
+    h = _rational_extension((5, 6), pin, 2)
+    for d in range(3):
+        assert _only_fractions(h.cell_values(d))
+        assert type(h.energy(d)) is Fraction
+        mu = energy_measure(h, d)
+        assert _only_fractions(mu.masses) and type(mu.total) is Fraction
+    # the graph route, on the depth-1 graph
+    assert _only_fractions(h.cell_values_from_graph(1))
+    assert type(h.energy(1, route="graph")) is Fraction
+    mu = energy_measure(h, 1, route="graph")
+    assert _only_fractions(mu.masses) and type(mu.total) is Fraction
+    # a depth-1 pin: the depth-0 measure sums children
+    g1 = build_graph(ls, 1)
+    h1 = harmonic_extend(ls, np.linspace(0.0, 1.0, g1.n_vertices), 2, pin_level=1,
+                         method="cells", precision="rational")
+    mu0 = energy_measure(h1, 0)
+    assert _only_fractions(mu0.masses)
+    assert mu0.total == h1.energy(1)
+    for n in (0, 2):
+        assert _only_fractions(corner_trace(ls, n))
+    assert type(effective_resistance(ls, 1, 3, 11, method="rational").value) is Fraction
 
 
 def test_routes_agree_in_float():
