@@ -32,7 +32,7 @@ from .realization import (CriterionParams, EtaFunction, RealizationResult,
                           growth_criterion_check, realize_sequence,
                           slow_decay_eta, summability_report)
 from .resistance import (ResistanceResult, ResistanceSolver, corner_resistance,
-                         corner_trace, effective_resistance, ring_reduce)
+                         corner_trace, effective_resistance)
 from .scales import (BetaBundle, PiecewiseScale, beta_bundle, build_scale,
                      comparison_checks, doubling_check, knot_continuity_check,
                      mass_exponent, product_identity_check,

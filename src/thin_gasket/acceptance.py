@@ -28,7 +28,7 @@ from .measures import (ceiling_below_sup, divergence_statistic,
                        energy_measure, singularity_certificate)
 from .rand import stream
 from .realization import (EtaFunction, comparability_report, realize_sequence)
-from .resistance import corner_resistance
+from .resistance import corner_resistance_by_reduction
 from .scales import (build_scale, comparison_checks, doubling_check,
                      knot_continuity_check, product_identity_check)
 from .sequence import LevelSequence, cell_count
@@ -111,7 +111,7 @@ def _c3():
         # the level; fall back to the float reduction past level 12
         precision = "rational" if max(entries) <= 12 else "float"
         for n in range(4):
-            value = float(corner_resistance(ls, n, precision=precision))
+            value = float(corner_resistance_by_reduction(ls, n, precision=precision))
             err = abs(value - 2.0 / 3.0)
             worst = max(worst, err)
             if err > 1e-9:

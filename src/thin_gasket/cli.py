@@ -433,11 +433,17 @@ def _eta_from_name(name: str) -> EtaFunction:
 def cmd_realize(cfg: RunConfig, args) -> int:
     eta = _eta_from_name(args.eta)
     res = realize_sequence(eta, args.n, n0=args.n0, min_ratio=args.min_ratio)
-    payload = {"eta": res.eta_label, "n0": res.n0, "certified": res.certified,
-               "min_ratio": res.min_ratio,
-               "levels": [str(l) for l in res.entries],
-               "records": [dataclasses.asdict(r) for r in res.records]}
-    path = _write_json(_out_path(cfg, f"realize-{args.eta}-n{args.n}.json"), payload)
+    # levels past n = 13 of eta1 outgrow the default 4300-digit int-to-str limit
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = {"eta": res.eta_label, "n0": res.n0, "certified": res.certified,
+                   "min_ratio": res.min_ratio,
+                   "levels": [str(l) for l in res.entries],
+                   "records": [dataclasses.asdict(r) for r in res.records]}
+        path = _write_json(_out_path(cfg, f"realize-{args.eta}-n{args.n}.json"), payload)
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     head = ", ".join(str(l) for l in res.entries[:3])
     print(f"[{'PASS' if res.certified else 'FAIL'}] {args.n} levels from "
           f"{args.eta}: n0={res.n0}, levels {head}, ... -> {path}")

@@ -11,7 +11,8 @@ elimination on the depth-1 graph is kept only as their oracle.
 Both precisions run the same numpy code: rational values are numpy object
 arrays of Fractions, float values float64 arrays, and precision picks only
 the dtype, the matrix stack and the graph solver.  The one-subdivision
-trace is the exact Schur complement of linalg.
+trace is a Schur complement of linalg; folded level by level, it is the
+oracle of the closed-form corner resistance.
 """
 
 from __future__ import annotations
@@ -165,9 +166,6 @@ class HarmonicMatrix:
     l: int
     index: tuple[int, int]
     entries: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
 
 
 @lru_cache(maxsize=None)
@@ -331,12 +329,34 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, pin_level: int = 0,
 # ---- One-subdivision ratio check ----------------------------------------
 
 
-def one_subdivision_trace(l: int):
-    """Exact trace (Schur complement) of the unit-conductance one-subdivision
-    network onto the three outer corners, as a 3x3 object array of Fractions."""
+def _project_trace(t: np.ndarray) -> np.ndarray:
+    """Snap a float 3x3 trace back to a symmetric zero-row-sum matrix.
+
+    Float noise off that manifold feeds the constant mode of the next
+    assembly, the one direction a fold amplifies instead of attenuating.
+    """
+    c01 = -(t[0, 1] + t[1, 0]) / 2.0
+    c02 = -(t[0, 2] + t[2, 0]) / 2.0
+    c12 = -(t[1, 2] + t[2, 1]) / 2.0
+    return np.array([[c01 + c02, -c01, -c02],
+                     [-c01, c01 + c12, -c12],
+                     [-c02, -c12, c02 + c12]])
+
+
+def one_subdivision_trace(l: int, trace=TRIANGLE_FORM, precision: str = "rational"):
+    """Trace (Schur complement) onto the three outer corners of the level-l
+    one-subdivision network whose every cell carries the 3x3 form `trace`
+    (unit conductances by default).  Exact, as an object array, in rational
+    precision; a float trace is snapped back by _project_trace."""
     g = _depth_one_graph(l)
-    lap = linalg.dense_rational_laplacian(g.adjacency)
-    return linalg.schur_complement(lap, [int(v) for v in g.boundary])
+    t = np.asarray(trace, dtype=object if precision == "rational" else np.float64)
+    lap = np.zeros((g.n_vertices, g.n_vertices), dtype=t.dtype)
+    for cell in g.cells:
+        lap[np.ix_(cell, cell)] += t
+    keep = [int(v) for v in g.boundary]
+    if precision == "rational":
+        return linalg.schur_complement(lap, keep)
+    return _project_trace(linalg.schur_complement_float(lap, keep))
 
 
 def extension_ratio_check(l: int, n_random: int = 100, seed: int = 7,

@@ -172,13 +172,6 @@ class ApproximationGraph:
 
     # -- lookups
 
-    def vertex_id(self, a: int, b: int) -> int:
-        code = (int(a) << _ENC_SHIFT) | int(b)
-        i = int(np.searchsorted(self._enc, code))
-        if i >= self._enc.shape[0] or self._enc[i] != code:
-            raise DomainError(f"({a}, {b}) is not a vertex at depth {self.level}")
-        return i
-
     def vertex_ids(self, coords: np.ndarray) -> np.ndarray:
         codes = (coords[..., 0].astype(np.int64) << _ENC_SHIFT) | coords[..., 1]
         ids = np.searchsorted(self._enc, codes)
@@ -206,10 +199,6 @@ class ApproximationGraph:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.adjacency.indptr)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        adj = self.adjacency
-        return adj.indices[adj.indptr[v]: adj.indptr[v + 1]]
 
     @property
     def neighbor_table(self) -> np.ndarray:

@@ -43,10 +43,6 @@ def _eta1_float(r: float) -> float:
     return 1.0 / math.log(E_MINUS_1 + 1.0 / r)
 
 
-def _eta1_inv_float(y: float) -> float:
-    return 1.0 / (math.exp(1.0 / y) - E_MINUS_1)
-
-
 class EtaFunction:
     """A space-time profile eta: (0, 1] -> (0, 1], increasing, eta(1) = 1.
 
@@ -141,12 +137,10 @@ class EtaFunction:
         if not 0 < y <= 1:
             raise DomainError("eta values lie in (0, 1]")
         if self.kind in ("elementary", "iterated"):
-            if y < 1e-2:
-                return float(self.mp_inverse(y))
-            v = y
-            for _ in range(self.k):
-                v = _eta1_inv_float(v)
-            return v
+            r = float(self.mp_inverse(y))
+            if r == 0.0:
+                raise DomainError(f"eta^-1({y}) lies below double range")
+            return r
         return float(self._piecewise_inverse(Fraction(y)))
 
     def _piecewise_inverse(self, y: Fraction) -> Fraction:

@@ -7,10 +7,13 @@ on the depth-n graph).  Routes:
   only.
 - "direct": sparse LU with iterative refinement.
 - "cg": Jacobi-preconditioned conjugate gradient.
-- "reduction": corner pairs only; eliminates the graph level by level via
-  Schur complements of one-subdivision networks, so depth and level size
-  enter only linearly.  All cells at one depth are translates of a single
-  model cell, which is what makes the shared per-level trace valid.
+- "reduction": corner pairs only, from the closed form R_n(q_j, q_k) = 2/3
+  at every depth; O(1), no solve.
+
+The level-by-level reduction (corner_trace) survives only as the closed
+form's oracle: it folds the graph onto its corners through Schur
+complements of one-subdivision networks, which is valid because all cells
+at one depth are translates of a single model cell.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from scipy.sparse.linalg import splu
 
 from . import linalg
 from .errors import DomainError, SolveError
-from .forms import TRIANGLE_FORM, _depth_one_graph
+from .forms import TRIANGLE_FORM, one_subdivision_trace
 from .geometry import ApproximationGraph, build_graph
 from .sequence import LevelSequence
 
@@ -60,71 +63,55 @@ def _unit_resistance_rational(g: ApproximationGraph, x: int, y: int) -> Fraction
     return 1 / linalg.schur_complement(lap, [x, y])[0][0]
 
 
-# ---- Level-by-level corner reduction -------------------------------------
-
-
-def ring_reduce(l: int, trace, precision: str = "rational"):
-    """Given the 3x3 corner trace of a child network, assemble the level-l
-    one-subdivision graph with that trace on every cell and re-trace onto
-    the outer corners."""
-    g = _depth_one_graph(l)
-    v = g.n_vertices
-    keep = [int(c) for c in g.boundary]
-    t = np.asarray(trace, dtype=object if precision == "rational" else np.float64)
-    lap = np.zeros((v, v), dtype=t.dtype)
-    for cell in g.cells:
-        lap[np.ix_(cell, cell)] += t
-    if precision == "rational":
-        return linalg.schur_complement(lap, keep)
-    return _project_trace(linalg.schur_complement_float(lap, keep))
-
-
-def _project_trace(t: np.ndarray) -> np.ndarray:
-    """Snap a folded 3x3 trace back to a symmetric zero-row-sum matrix.
-
-    Float noise off that manifold feeds the constant mode of the next
-    assembly, the one direction a fold amplifies instead of attenuating.
-    """
-    c01 = -(t[0, 1] + t[1, 0]) / 2.0
-    c02 = -(t[0, 2] + t[2, 0]) / 2.0
-    c12 = -(t[1, 2] + t[2, 1]) / 2.0
-    return np.array([[c01 + c02, -c01, -c02],
-                     [-c01, c01 + c12, -c12],
-                     [-c02, -c12, c02 + c12]])
-
-
-def corner_trace(ls: LevelSequence, n: int, precision: str = "rational"):
-    """Trace of the unit-conductance depth-n network onto (q0, q1, q2); an
-    object array of Fractions in rational precision."""
-    trace = np.array([[Fraction(t) for t in row] for row in TRIANGLE_FORM],
-                     dtype=object if precision == "rational" else np.float64)
-    for k in range(n, 0, -1):
-        trace = ring_reduce(ls.level(k), trace, precision)
-    return trace
-
-
-def _corner_pair_from_trace(trace, j: int, k: int, precision: str):
-    """Unit resistance between corners j and k given the 3x3 trace."""
-    if precision == "rational":
-        return 1 / linalg.schur_complement(trace, [j, k])[0][0]
-    free = sorted({0, 1, 2} - {k})
-    a = np.array([[float(trace[p][q]) for q in free] for p in free])
-    b = np.array([1.0 if p == j else 0.0 for p in free])
-    sol = np.linalg.solve(a, b)
-    return float(sol[free.index(j)])
+# ---- Corner pairs --------------------------------------------------------
 
 
 def corner_resistance(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
                       precision: str = "rational") -> ResistanceResult:
-    """R_n(q_j, q_k) by level-by-level reduction; exact in rational mode."""
+    """R_n(q_j, q_k) = 2/3 at every depth, from the closed form; runs no solve.
+
+    Each l-subdivision contracts energy by exactly r_l = 9/(6l+1), so the
+    trace of the depth-n network onto the outer corners is R_n times the
+    triangle form, whose corner pairs have unit resistance 2/3 / R_n.
+    """
     if j not in (0, 1, 2) or k not in (0, 1, 2):
         raise DomainError(f"corner indices must be 0, 1 or 2, got {j} and {k}")
     if j == k:
         raise DomainError("corner pair must be distinct")
+    if n < 0:
+        raise DomainError("depth must be nonnegative")
+    if n >= 1:
+        ls.level(n)  # O(1): a sequence with level n has every level below it
+    value = Fraction(2, 3) if precision == "rational" else 2 / 3
+    return ResistanceResult(value, precision == "rational", "reduction", 0.0, j, k)
+
+
+def corner_trace(ls: LevelSequence, n: int, precision: str = "rational"):
+    """Trace of the unit-conductance depth-n network onto (q0, q1, q2) by
+    folding one-subdivision networks level by level; an object array of
+    Fractions in rational precision."""
+    trace = np.array([[Fraction(t) for t in row] for row in TRIANGLE_FORM],
+                     dtype=object if precision == "rational" else np.float64)
+    for k in range(n, 0, -1):
+        trace = one_subdivision_trace(ls.level(k), trace, precision)
+    return trace
+
+
+def corner_resistance_by_reduction(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
+                                   precision: str = "rational"):
+    """R_n(q_j, q_k) from the folded corner trace: the oracle of
+    corner_resistance's closed form, exact (a Fraction) in rational mode.
+    It refuses the arguments that corner_resistance refuses."""
+    corner_resistance(ls, n, j, k, precision)
     trace = corner_trace(ls, n, precision)
-    unit = _corner_pair_from_trace(trace, j, k, precision)
+    if precision == "rational":
+        unit = 1 / linalg.schur_complement(trace, [j, k])[0][0]
+    else:
+        free = [p for p in range(3) if p != k]
+        b = np.array([1.0 if p == j else 0.0 for p in free])
+        unit = float(np.linalg.solve(trace[np.ix_(free, free)], b)[free.index(j)])
     # a Fraction times a float unit is float(R_n) * unit
-    return ResistanceResult(ls.R(n) * unit, precision == "rational", "reduction", 0.0, j, k)
+    return ls.R(n) * unit
 
 
 # ---- General pairs -------------------------------------------------------

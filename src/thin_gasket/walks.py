@@ -11,7 +11,6 @@ mean against that prediction in standard-error units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import DomainError
 from .geometry import (ApproximationGraph, cell_neighborhood,
                        neighborhood_vertex_ids, word_to_index)
 from .rand import stream
-from .resistance import ResistanceSolver
+from .resistance import ResistanceSolver, corner_resistance
 
 # A k-step jump table holds F * 4^k entries over the F free vertices; k is
 # the largest block length <= _MAX_BLOCK that keeps it within _TABLE_ENTRIES
@@ -178,11 +177,11 @@ def commute_time_check(g: ApproximationGraph, x: int | None = None,
     if x == y:
         raise DomainError("commute endpoints must differ")
     m_n = g.ls.M(g.level)
-    corners = {int(g.corner_id(j)) for j in range(3)}
+    corners = {int(g.corner_id(j)): j for j in range(3)}
     predicted_exact = None
     if x in corners and y in corners:
-        # R_n(q_j, q_k) = 2/3 at every depth, so R_unit = (2/3) / R_n
-        predicted_exact = 6 * m_n * Fraction(2, 3) / g.ls.R(g.level)
+        r_xy = corner_resistance(g.ls, g.level, corners[x], corners[y]).value
+        predicted_exact = 6 * m_n * r_xy / g.ls.R(g.level)
         predicted = float(predicted_exact)
     else:
         solver = ResistanceSolver(g)

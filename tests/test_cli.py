@@ -132,11 +132,13 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["realize", "--eta", "eta2"],  # level 3 past the precision cap
     ["realize", "--eta", "eta3"],  # exp of a number past 2^65536: a hang
     ["realize", "--eta", "eta4"],  # the same: an OverflowError in mpmath
+    ["resistance", "--depth", "-1"],  # a negative depth
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
         "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
-        "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4"])
+        "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
+        "resistance-depth"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1
@@ -295,6 +297,16 @@ def test_realize_json(tmp_path, capsys):
     assert data["certified"] is True
     assert data["n0"] == 1
     assert data["levels"] == ["9", "58", "3001", "8888829"]
+
+
+def test_realize_past_the_int_digit_limit(tmp_path, capsys):
+    # l_14 of eta1 has 7116 digits, past the default int-to-str limit of 4300
+    limit = sys.get_int_max_str_digits()
+    assert run(["realize", "--eta", "eta1", "--n", "14", "--out", tmp_path]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    data = json.loads((tmp_path / "realize-eta1-n14.json").read_text(), parse_int=str)
+    assert len(data["levels"][13]) == 7116
+    assert data["records"][13]["level"] == data["levels"][13]
 
 
 def test_slowdecay_below_six_knot_levels(tmp_path, capsys):

@@ -23,6 +23,15 @@ def test_elementary_eta_values():
     assert eta.inverse(y) == pytest.approx(0.37, rel=1e-12)
 
 
+def test_log_profile_inverse_below_double_range():
+    # eta^-1 of both lies below the smallest positive double
+    with pytest.raises(DomainError):
+        EtaFunction.iterated(2).inverse(0.05)
+    with pytest.raises(DomainError):
+        EtaFunction.elementary().inverse(0.001)
+    assert 0 < EtaFunction.elementary().inverse(0.01) < 1e-40
+
+
 def test_realized_sequence_golden_prefix():
     res = realize_sequence(EtaFunction.elementary(), 5)
     assert res.certified

@@ -1,12 +1,15 @@
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from thin_gasket.errors import DomainError, SequenceError
+from thin_gasket.forms import one_subdivision_trace
 from thin_gasket.geometry import build_graph
 from thin_gasket.resistance import (ResistanceSolver, corner_resistance,
-                                    corner_trace, effective_resistance,
-                                    ring_reduce)
+                                    corner_resistance_by_reduction, corner_trace,
+                                    effective_resistance)
 from thin_gasket.sequence import LevelSequence
 
 TRIANGLE = [[Fraction(2), Fraction(-1), Fraction(-1)],
@@ -54,11 +57,37 @@ def test_ring_reduce_renormalizes_triangle():
     # one fold of the scaled triangle reproduces the scaling by r_l
     from thin_gasket.sequence import resistance_ratio
     for l in (5, 8):
-        folded = ring_reduce(l, TRIANGLE, precision="rational")
+        folded = one_subdivision_trace(l, TRIANGLE, precision="rational")
         r = resistance_ratio(l)
         for j in range(3):
             for k in range(3):
                 assert folded[j][k] == r * TRIANGLE[j][k]
+
+
+def test_reduction_oracle_matches_closed_form():
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for entries in ((5, 5, 5, 5), (5, 7, 6, 12)):
+        ls = LevelSequence(entries)
+        for depth in range(4):
+            for j, k in pairs:
+                closed = corner_resistance(ls, depth, j, k).value
+                assert corner_resistance_by_reduction(ls, depth, j, k) == closed
+    for entries in ((5,), (9, 58)):
+        ls = LevelSequence(entries, continuation="repeat-last")
+        for depth in range(4):
+            closed = corner_resistance(ls, depth, precision="float").value
+            fold = corner_resistance_by_reduction(ls, depth, precision="float")
+            assert abs(fold - closed) < 1e-12
+    # the closed form is O(1) in depth and level size
+    t0 = time.perf_counter()
+    assert corner_resistance(LevelSequence((9, 58, 3001)), 3).value == Fraction(2, 3)
+    deep = LevelSequence((5,), continuation="repeat-last")
+    assert corner_resistance(deep, 10**6).value == Fraction(2, 3)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(SequenceError):
+        corner_resistance(LevelSequence((5, 7)), 3)
+    with pytest.raises(DomainError):
+        corner_resistance(deep, -1)
 
 
 def test_effective_resistance_methods_agree(ls5):
