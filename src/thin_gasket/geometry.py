@@ -175,7 +175,8 @@ class ApproximationGraph:
     def vertex_ids(self, coords: np.ndarray) -> np.ndarray:
         codes = (coords[..., 0].astype(np.int64) << _ENC_SHIFT) | coords[..., 1]
         ids = np.searchsorted(self._enc, codes)
-        if not np.all(self._enc[ids] == codes):
+        # a code past the last vertex sorts to len(self._enc)
+        if not (np.all(ids < len(self._enc)) and np.all(self._enc[ids] == codes)):
             raise DomainError("some coordinates are not vertices of this graph")
         return ids
 

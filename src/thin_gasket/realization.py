@@ -11,12 +11,40 @@ eta^{-1}(2^{-n0}) and makes the piecewise time scale of the sequence
 comparable to r^2 eta(r).  Floors are certified with interval arithmetic
 at adaptive precision, so the doubly exponential growth of the levels is
 exact, not floating point.
+
+Reciprocal enclosures.  The realization needs only ratios of inverse
+values, so it encloses the reciprocals B = 1/eta^{-1}(2^{-n0}) and
+X = 1/eta^{-1}(2^{-n-n0}) directly.  For the log profiles that is
+exp(x) - e + 1 at the last iterate (x = 1/y, then x <- exp(x) - e + 1), with
+no division at all when y is a power of 1/2; for piecewise eta it is the
+exact reciprocal of the knot interpolant.  Then l_n = floor(X / (L_{n-1} B))
+costs one interval division, and the brackets are the cross-multiplied,
+all-positive forms L_n B <= X and 5 X <= 6 L_n B.
+
+Magnitude-guided precision ladder.  Precision rises in the doubling order
+start_prec, 2 start_prec, ... and carries over from one level to the next,
+so each LevelRecord.prec is the first rung, at or above the previous
+level's, that certifies the level.  A cheap probe of q = X / (L_{n-1} B) at
+start_prec gives M = mag(q), and refuses a level of more than max_prec bits
+before any precision is raised; the ladder then skips every rung p < M - 2.
+Such a rung cannot decide.  Its enclosure contains q, and its endpoints are
+p-bit floats, distinct for the log profiles (exp of a nonzero rational is
+irrational, so no enclosure built on it is a point).  The probe's lower end
+gives q >= 2^{M-1}.  Were the floors equal, both endpoints would exceed
+q - 1 >= 2^{M-2}, where p-bit floats are multiples of 2^{M-1-p} >= 4, so
+they would differ by at least 4 > 1, a contradiction.  Piecewise eta may
+give an exact point enclosure, so its ladder skips nothing.
+
+The comparability report works on integers of level size only: the knot
+identity is checked per level, ln T_n is a running sum of per-level logs,
+and Psi, r and eta(r) come from integer numerator/denominator pairs.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +76,7 @@ class EtaFunction:
 
     Kinds: "elementary" is 1/log(e-1+1/r); "iterated" composes it k times;
     "piecewise" interpolates exact rational knots linearly.  Every kind
-    has a certified interval inverse.
+    has a certified interval enclosure of 1/eta^{-1}.
     """
 
     def __init__(self, kind: str, k: int = 1, knots=None,
@@ -117,18 +145,23 @@ class EtaFunction:
     def mp_value(self, r, prec: int = 120):
         """eta(r) as an mpmath float; r may be a Fraction with a huge
         denominator."""
+        r = Fraction(r)
         with mpmath.workprec(prec):
-            r = Fraction(r)
-            if r >= 1:
-                return mpmath.mpf(1)
-            if self.kind in ("elementary", "iterated"):
-                inv_r = mpmath.mpf(r.denominator) / mpmath.mpf(r.numerator)
-                v = 1 / mpmath.log(mpmath.e - 1 + inv_r)
-                for _ in range(self.k - 1):
-                    v = 1 / mpmath.log(mpmath.e - 1 + 1 / v)
-                return v
-            v = self._piecewise_value(r)
-            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+            return self._mp_ratio_value(r.numerator, r.denominator)
+
+    def _mp_ratio_value(self, num: int, den: int):
+        """eta(num/den) at the working precision, for positive integers
+        num and den that need not be coprime; den may be huge."""
+        if num >= den:
+            return mpmath.mpf(1)
+        if self.kind in ("elementary", "iterated"):
+            inv_r = mpmath.mpf(den) / mpmath.mpf(num)
+            v = 1 / mpmath.log(mpmath.e - 1 + inv_r)
+            for _ in range(self.k - 1):
+                v = 1 / mpmath.log(mpmath.e - 1 + 1 / v)
+            return v
+        v = self._piecewise_value(Fraction(num, den))
+        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
 
     # -- inverses
 
@@ -168,25 +201,22 @@ class EtaFunction:
             v = self._piecewise_inverse(y)
             return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
 
-    def iv_inverse(self, y):
-        """Certified interval enclosure of eta^{-1}(y) at the current
-        iv precision; y is a Fraction (piecewise) or Fraction/interval."""
+    def iv_inverse_recip(self, y: Fraction):
+        """Certified interval enclosure of 1/eta^{-1}(y) at the current iv
+        precision, for a rational y in (0, 1]."""
         if self.kind == "piecewise":
-            if not isinstance(y, Fraction):
-                raise DomainError("piecewise inversion needs an exact rational y")
             r = self._piecewise_inverse(y)
-            return iv.mpf(r.numerator) / iv.mpf(r.denominator)
-        if isinstance(y, Fraction):
-            y = iv.mpf(y.numerator) / iv.mpf(y.denominator)
+            return iv.mpf(r.denominator) / iv.mpf(r.numerator)
         e_iv = iv.exp(iv.mpf(1))
-        v = y
+        # 1/eta1^{-1}(v) = exp(1/v) - e + 1: each iterate needs only the
+        # reciprocal the previous one returned
+        x = iv.mpf(y.denominator) / iv.mpf(y.numerator)
         for _ in range(self.k):
-            x = 1 / v
             if mpmath.mag(x.b) > _EXP_ARG_MAX_MAG:
                 raise RealizationError(f"{self.label} inverse needs exp of a number "
                                        f"past 2^{_EXP_ARG_MAX_MAG}")
-            v = 1 / (iv.exp(x) - e_iv + 1)
-        return v
+            x = iv.exp(x) - e_iv + 1
+        return x
 
 
 # ---- Summability ---------------------------------------------------------
@@ -335,47 +365,63 @@ class RealizationResult:
         return self.sequence.entries
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpmath float endpoint."""
-    t = getattr(x, "_mpf_", None)
-    if t is None:
-        # iv-context endpoints come back as degenerate intervals
-        lo, hi = x._mpi_
-        if lo != hi:
-            raise RealizationError("endpoint is not degenerate")
-        t = lo
-    sign, man, exp, _ = t
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise RealizationError("non-finite interval endpoint")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
+@contextmanager
+def _iv_prec(prec: int):
+    saved = iv.prec
+    iv.prec = prec
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def _floor_endpoints(v) -> tuple[int, int]:
+    """Floors of both endpoints of an interval, by integer shifts."""
+    floors = []
+    for sign, man, exp, _ in v._mpi_:
+        if man == 0 and exp != 0:
+            raise RealizationError("non-finite interval endpoint")
+        man = -man if sign else man
+        floors.append(man << exp if exp >= 0 else man >> -exp)
+    return floors[0], floors[1]
 
 
 def _iv_ratio_at(eta: EtaFunction, n: int):
     """Interval for eta^{-1}(2^{1-n})/eta^{-1}(2^{-n})."""
-    num = eta.iv_inverse(Fraction(1, 2 ** (n - 1)))
-    den = eta.iv_inverse(Fraction(1, 2 ** n))
-    return num / den
+    return eta.iv_inverse_recip(Fraction(1, 2 ** n)) / \
+        eta.iv_inverse_recip(Fraction(1, 2 ** (n - 1)))
 
 
-def _certify_ge(make_iv, bound: int, start_prec: int, max_prec: int):
-    """True/False for value >= bound, raising precision until decidable."""
+def _certify_ge(make_iv, bound: int, start_prec: int, max_prec: int) -> bool:
+    """Whether value >= bound, raising precision until decidable."""
     prec = start_prec
     while prec <= max_prec:
-        saved = iv.prec
-        try:
-            iv.prec = prec
+        with _iv_prec(prec):
             val = make_iv()
             if val.a >= bound:
-                return True, prec
+                return True
             if val.b < bound:
-                return False, prec
-        finally:
-            iv.prec = saved
+                return False
         prec *= 2
     raise RealizationError(f"cannot decide comparison at precision {max_prec}")
+
+
+def _level_quotient(eta: EtaFunction, n0: int, n: int, big_l: int):
+    """Enclosures (q, X, B) at the current iv precision, with
+    B = 1/eta^{-1}(2^{-n0}), X = 1/eta^{-1}(2^{-n-n0}) and
+    q = X / (L_{n-1} B), whose floor is l_n."""
+    recip_base = eta.iv_inverse_recip(Fraction(1, 2 ** n0))
+    recip_x = eta.iv_inverse_recip(Fraction(1, 2 ** (n + n0)))
+    return recip_x / (iv.mpf(big_l) * recip_base), recip_x, recip_base
+
+
+def _first_useful_rung(eta: EtaFunction, q_probe, prec: int) -> int:
+    """The first rung prec * 2^k not below mag(q) - 2; the rungs before it
+    cannot decide the floor of q (module docstring)."""
+    if eta.kind != "piecewise":
+        while prec < mpmath.mag(q_probe.a) - 2:
+            prec *= 2
+    return prec
 
 
 def _choose_n0(eta: EtaFunction, min_ratio: int, window: int,
@@ -383,9 +429,8 @@ def _choose_n0(eta: EtaFunction, min_ratio: int, window: int,
     for cand in range(1, 41):
         ok = True
         for n in range(cand, cand + window + 1):
-            ge, _ = _certify_ge(lambda n=n: _iv_ratio_at(eta, n),
-                                min_ratio, start_prec, max_prec)
-            if not ge:
+            if not _certify_ge(lambda n=n: _iv_ratio_at(eta, n),
+                               min_ratio, start_prec, max_prec):
                 ok = False
                 break
         if ok:
@@ -407,6 +452,8 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
     """
     if n_levels < 1:
         raise DomainError("need at least one level")
+    if n0 is not None and n0 < 1:
+        raise DomainError("n0 must be >= 1")
 
     screen = summability_report(eta, n_terms=summability_terms)
     if not screen["summable"]:
@@ -420,9 +467,8 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
         n0 = _choose_n0(eta, min_ratio, window, start_prec, max_prec)
     else:
         for n in range(n0, n0 + window + 1):
-            ge, _ = _certify_ge(lambda n=n: _iv_ratio_at(eta, n),
-                                min_ratio, start_prec, max_prec)
-            if not ge:
+            if not _certify_ge(lambda n=n: _iv_ratio_at(eta, n),
+                               min_ratio, start_prec, max_prec):
                 raise RealizationError(f"offset n0 = {n0} violates the ratio "
                                        f"condition at n = {n}")
 
@@ -431,31 +477,27 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
     big_l = 1
     prec = start_prec
     for n in range(1, n_levels + 1):
+        with _iv_prec(start_prec):
+            probe = _level_quotient(eta, n0, n, big_l)
+        q_probe = probe[0]
+        # no precision up to the cap decides the floor of a larger number
+        if mpmath.mag(q_probe.b) > max_prec:
+            raise RealizationError(f"level {n} has more than {max_prec} bits; "
+                                   "no precision up to the cap certifies it")
+        prec = _first_useful_rung(eta, q_probe, prec)
         while True:
             if prec > max_prec:
                 raise RealizationError(f"cannot certify level {n} below "
                                        f"precision {max_prec}")
-            saved = iv.prec
-            try:
-                iv.prec = prec
-                base = eta.iv_inverse(Fraction(1, 2 ** n0))
-                x = eta.iv_inverse(Fraction(1, 2 ** (n + n0)))
-                q = base / (iv.mpf(big_l) * x)
-                # no precision up to the cap decides the floor of a larger number
-                if mpmath.mag(q.b) > max_prec:
-                    raise RealizationError(f"level {n} has more than {max_prec} bits; "
-                                           "no precision up to the cap certifies it")
-                lo = math.floor(_mpf_to_fraction(q.a))
-                hi = math.floor(_mpf_to_fraction(q.b))
+            with _iv_prec(prec):
+                q, recip_x, recip_base = (
+                    probe if prec == start_prec else _level_quotient(eta, n0, n, big_l))
+                lo, hi = _floor_endpoints(q)
                 if lo == hi:
                     l_n = lo
-                    lhs = iv.mpf(big_l * l_n) * x
-                    ok_lower = lhs.b <= base.a
-                    ok_upper = base.b <= ((iv.mpf(6) / iv.mpf(5)) * lhs).a
-                    if ok_lower and ok_upper:
+                    scaled = iv.mpf(big_l * l_n) * recip_base
+                    if scaled.b <= recip_x.a and (5 * recip_x).b <= (6 * scaled).a:
                         break
-            finally:
-                iv.prec = saved
             prec *= 2
         if l_n < MIN_LEVEL:
             raise RealizationError(
@@ -487,15 +529,12 @@ def comparability_report(eta: EtaFunction, result: RealizationResult,
 
     with mpmath.workprec(prec):
         # ratio infimum of eta over the realization window (finite surrogate)
-        ratios = []
-        for n in range(1, big_n + n0 + result_horizon(result)):
-            num = eta.mp_inverse(Fraction(1, 2 ** (n - 1)), prec=prec)
-            den = eta.mp_inverse(Fraction(1, 2 ** n), prec=prec)
-            ratios.append(num / den)
-        c_eta = min(ratios)
+        invs = [eta.mp_inverse(Fraction(1, 2 ** n), prec=prec)
+                for n in range(big_n + n0 + result_horizon(result))]
+        c_eta = min(a / b for a, b in zip(invs, invs[1:]))
         beta_eta = 1.0 / float(mpmath.log(c_eta, 2))
 
-        inv_base = eta.mp_inverse(Fraction(1, 2 ** n0), prec=prec)
+        inv_base = invs[n0]
         c_hi = float(2 ** (2 - n0) * ((mpmath.mpf(6) / 5) / inv_base) ** beta_eta)
         prod = mpmath.mpf(1)
         for l in entries:
@@ -504,35 +543,29 @@ def comparability_report(eta: EtaFunction, result: RealizationResult,
 
         identity_ok = _knot_identity_exact(entries)
 
+        def ln_ratio(num: int, den: int):
+            return mpmath.log(mpmath.mpf(num)) - mpmath.log(mpmath.mpf(den))
+
         # sampled ratios of Psi against r^2 eta(r)
         knot_ratios = []
         sample_ratios = []
-        t_run = Fraction(1)
+        s1 = samples_per_segment + 1
+        ln_t = mpmath.mpf(0)
         l_run = 1
-        for n in range(1, big_n + 1):
-            l = entries[n - 1]
-            t_run *= time_factor(l)
+        for l in entries:
+            tf = time_factor(l)
+            ln_t += ln_ratio(tf.numerator, tf.denominator)
             l_run *= l
-            ln_t = mpmath.log(mpmath.mpf(t_run.numerator)) - \
-                mpmath.log(mpmath.mpf(t_run.denominator))
             ln_l = mpmath.log(mpmath.mpf(l_run))
-            eta_val = eta.mp_value(Fraction(1, l_run), prec=prec)
+            eta_val = eta._mp_ratio_value(1, l_run)
             v = float(mpmath.exp(ln_t + mpmath.log(eta_val) - 2 * ln_l))
             knot_ratios.append(v)
-            a = Fraction(3 * l - 4, l - 1)
-            b = Fraction(6 * l - 8, 9 * (l - 1))
-            for j in range(1, samples_per_segment + 1):
-                u = 1 + Fraction(j * (l - 1), samples_per_segment + 1)
-                # Psi(u/L_n) = (1/T_n)(1+A(u-1))(1+B(u-1))
-                fac = (1 + a * (u - 1)) * (1 + b * (u - 1))
-                ln_psi = mpmath.log(mpmath.mpf(fac.numerator)) - \
-                    mpmath.log(mpmath.mpf(fac.denominator)) - ln_t
-                r = u / l_run
-                ln_r = mpmath.log(mpmath.mpf(r.numerator)) - \
-                    mpmath.log(mpmath.mpf(r.denominator))
-                eta_r = eta.mp_value(r, prec=prec)
-                sample_ratios.append(float(mpmath.exp(2 * ln_r + mpmath.log(eta_r)
-                                                      - ln_psi)))
+            for j in range(1, s1):
+                ln_psi = ln_ratio(*_psi_factor(l, j, s1)) - ln_t
+                r_num, r_den = _sample_point(l, j, s1, l_run)
+                eta_r = eta._mp_ratio_value(r_num, r_den)
+                sample_ratios.append(float(mpmath.exp(2 * ln_ratio(r_num, r_den)
+                                                      + mpmath.log(eta_r) - ln_psi)))
 
     lo_budget = c_lo / 2.0
     hi_budget = max(c_hi, c_hi ** 2) * 2.0 ** (n0 + 1)
@@ -556,18 +589,23 @@ def result_horizon(result: RealizationResult) -> int:
     return max(8, result.n_levels)
 
 
+def _psi_factor(l: int, j: int, s1: int) -> tuple[int, int]:
+    """T_n Psi(u/L_n) = (1 + A(u-1))(1 + B(u-1)) at u = 1 + j(l-1)/s1, with
+    A = (3l-4)/(l-1) and B = (6l-8)/(9(l-1)), as an unreduced pair."""
+    return (s1 + j * (3 * l - 4)) * (9 * s1 + j * (6 * l - 8)), 9 * s1 * s1
+
+
+def _sample_point(l: int, j: int, s1: int, big_l: int) -> tuple[int, int]:
+    """The sample point r = u/L_n, u = 1 + j(l-1)/s1, as an unreduced pair."""
+    return s1 + j * (l - 1), s1 * big_l
+
+
 def _knot_identity_exact(entries) -> bool:
-    """T_n / L_n^2 = 2^n prod (1 - 5/(6 l_k) - 1/(6 l_k^2)), exactly."""
-    t_acc = Fraction(1)
-    l_acc = 1
-    p_acc = Fraction(1)
-    for k, l in enumerate(entries, start=1):
-        t_acc *= time_factor(l)
-        l_acc *= l
-        p_acc *= 1 - Fraction(5, 6 * l) - Fraction(1, 6 * l * l)
-        if t_acc != 2 ** k * l_acc * l_acc * p_acc:
-            return False
-    return True
+    """T_n / L_n^2 = 2^n prod (1 - 5/(6 l_k) - 1/(6 l_k^2)) for every n,
+    exactly.  Both sides are products of nonzero per-level factors, so by
+    induction this holds iff each level has
+    time_factor(l) = 2 l^2 (1 - 5/(6l) - 1/(6l^2)) = (6l+1)(l-1)/3."""
+    return all(3 * time_factor(l) == (6 * l + 1) * (l - 1) for l in entries)
 
 
 # ---- Slowly decaying profiles -------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -133,12 +134,14 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["realize", "--eta", "eta3"],  # exp of a number past 2^65536: a hang
     ["realize", "--eta", "eta4"],  # the same: an OverflowError in mpmath
     ["resistance", "--depth", "-1"],  # a negative depth
+    ["realize", "--n0", "0"],  # 2^-n0 is no level scale
+    ["realize", "--n0", "-2"],
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
         "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
-        "resistance-depth"])
+        "resistance-depth", "realize-n0-zero", "realize-n0-negative"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1
@@ -362,3 +365,28 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_rational_outputs_match_golden_bytes(tmp_path, capsys, argv, name):
     assert run([*argv.split(), "--precision", "rational", "--out", tmp_path]) == 0
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# Realization files written before levels were certified through reciprocal
+# enclosures and the magnitude-guided precision ladder.  The n = 17 file
+# (229 KB, l_17 has 56,924 digits) is pinned by its sha256 instead.
+GOLDEN_SHA256 = {
+    "realize-eta1-n17.json":
+        "984261b90f9d7d606e86a984309fd71de076040ba8624fcfb8aa0580ca0995d3",
+}
+
+
+@pytest.mark.parametrize("argv,name", [
+    ("realize --eta eta1 --n 13", "realize-eta1-n13.json"),
+    ("realize --eta eta2 --n 2", "realize-eta2-n2.json"),
+    ("compare --eta eta1 --n 17", "compare-eta1-n17.json"),
+    ("compare --eta eta2 --n 2", "compare-eta2-n2.json"),
+    ("realize --eta eta1 --n 17", "realize-eta1-n17.json"),
+])
+def test_realization_outputs_match_golden_bytes(tmp_path, capsys, argv, name):
+    assert run([*argv.split(), "--out", tmp_path]) == 0
+    data = (tmp_path / name).read_bytes()
+    if name in GOLDEN_SHA256:
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_SHA256[name]
+    else:
+        assert data == (GOLDEN / name).read_bytes()

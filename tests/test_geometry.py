@@ -116,6 +116,20 @@ def test_graph_budget(ls5):
         build_graph(ls5, 9, max_corners=1000)
 
 
+def test_vertex_ids_round_trip(ls5):
+    g = build_graph(ls5, 2)
+    assert np.array_equal(g.vertex_ids(g.vertices), np.arange(g.n_vertices))
+
+
+# (100, 100) sorts past the last vertex code; (1, 100) sorts between codes
+@pytest.mark.parametrize("coords", [[[100, 100]], [[1, 100]], [[0, 0], [100, 100]]],
+                         ids=["past-last-code", "between-codes", "mixed"])
+def test_vertex_ids_rejects_non_vertices(coords):
+    g = build_graph(LevelSequence((5,)), 1)
+    with pytest.raises(DomainError, match="not vertices"):
+        g.vertex_ids(np.array(coords))
+
+
 # ---- Metric --------------------------------------------------------------
 
 

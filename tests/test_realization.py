@@ -1,8 +1,11 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from thin_gasket import realization
 from thin_gasket.errors import DomainError, RealizationError
 from thin_gasket.realization import (EtaFunction, comparability_report,
                                      compose_params, elementary_params,
@@ -10,8 +13,10 @@ from thin_gasket.realization import (EtaFunction, comparability_report,
                                      growth_criterion_check, realize_sequence,
                                      result_horizon, slow_decay_eta,
                                      summability_report)
+from thin_gasket.sequence import time_factor
 
 GOLDEN_LEVELS = (9, 58, 3001, 8888829, 78962962144297)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_elementary_eta_values():
@@ -68,6 +73,82 @@ def test_comparability_report():
     assert lo < rep["ratio_min"] <= rep["ratio_max"] < hi
     ratios = rep["knot_ratios"]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_offset_below_one_rejected():
+    # 2^-n0 would not be a level scale; Fraction(1, 2 ** n0) fails for n0 < 0
+    for n0 in (0, -2):
+        with pytest.raises(DomainError, match="n0 must be >= 1"):
+            realize_sequence(EtaFunction.elementary(), 3, n0=n0)
+
+
+# ---- Closed forms of the comparability report ----------------------------
+
+
+@pytest.mark.parametrize("l", [*range(5, 41), *GOLDEN_LEVELS[:4]])
+def test_psi_factor_and_sample_point_closed_forms(l):
+    s1 = 4
+    a = Fraction(3 * l - 4, l - 1)
+    b = Fraction(6 * l - 8, 9 * (l - 1))
+    for big_l in (l, 58 * l):
+        for j in range(1, s1):
+            u = 1 + Fraction(j * (l - 1), s1)
+            assert Fraction(*realization._psi_factor(l, j, s1)) == \
+                (1 + a * (u - 1)) * (1 + b * (u - 1))
+            assert Fraction(*realization._sample_point(l, j, s1, big_l)) == u / big_l
+
+
+def _knot_identity_cumulative(entries, tf) -> bool:
+    """T_n / L_n^2 = 2^n prod (1 - 5/(6 l_k) - 1/(6 l_k^2)), checked on the
+    running products."""
+    t_acc = Fraction(1)
+    l_acc = 1
+    p_acc = Fraction(1)
+    for k, l in enumerate(entries, start=1):
+        t_acc *= tf(l)
+        l_acc *= l
+        p_acc *= 1 - Fraction(5, 6 * l) - Fraction(1, 6 * l * l)
+        if t_acc != 2 ** k * l_acc * l_acc * p_acc:
+            return False
+    return True
+
+
+def test_per_level_knot_identity_matches_cumulative(monkeypatch):
+    entries = realize_sequence(EtaFunction.elementary(), 10).entries
+    assert realization._knot_identity_exact(entries)
+    assert _knot_identity_cumulative(entries, time_factor)
+    # a wrong time factor at any one level fails both forms
+    for bad in entries:
+        def tf(l, bad=bad):
+            return time_factor(l) + (Fraction(1, 3) if l == bad else 0)
+        monkeypatch.setattr(realization, "time_factor", tf)
+        assert not realization._knot_identity_exact(entries)
+        assert not _knot_identity_cumulative(entries, tf)
+
+
+# ---- Precision ladder ----------------------------------------------------
+
+
+def test_skipped_rungs_cannot_decide_the_floor():
+    eta = EtaFunction.elementary()
+    start = 192
+    res = realize_sequence(eta, 14)
+    golden = json.loads((GOLDEN / "realize-eta1-n13.json").read_text())
+    assert [r.prec for r in res.records[:13]] == [r["prec"] for r in golden["records"]]
+    for n in range(10, 15):
+        big_l = math.prod(res.entries[:n - 1])
+        with realization._iv_prec(start):
+            probe, _, _ = realization._level_quotient(eta, res.n0, n, big_l)
+        prec = start
+        while prec < realization._first_useful_rung(eta, probe, start):
+            with realization._iv_prec(prec):
+                q, _, _ = realization._level_quotient(eta, res.n0, n, big_l)
+            lo, hi = realization._floor_endpoints(q)
+            assert lo < hi
+            assert lo <= res.entries[n - 1] <= hi
+            prec *= 2
+        # every level skips at least one rung, and certifies past them
+        assert start < prec <= res.records[n - 1].prec
 
 
 def test_growth_criterion_elementary():
