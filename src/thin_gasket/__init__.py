@@ -20,12 +20,12 @@ from .geometry import (ApproximationGraph, BallMass, CellMeasure, LatticePoint,
                        cell_neighborhood, corner, euclidean_sq,
                        geodesic_distance, geodesic_hops, graph_to_json,
                        index_to_word, interior_letters, is_cell_index,
-                       neighborhood_vertex_ids, render_svg, uniform_mass,
-                       word_to_index, words)
+                       neighborhood_vertex_ids, render_svg, word_to_index,
+                       words)
 from .measures import (AddressSample, CertificateReport, DivergenceReport,
-                       SINGULARITY_GAP, bhattacharyya_children,
-                       children_sum_ceiling, divergence_statistic,
-                       energy_measure, singularity_certificate)
+                       SINGULARITY_GAP, children_sum_ceiling,
+                       divergence_statistic, energy_measure,
+                       singularity_certificate)
 from .realization import (CriterionParams, EtaFunction, RealizationResult,
                           comparability_report, compose_params,
                           elementary_params, eta_doubling_check,

@@ -25,13 +25,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .geometry import ApproximationGraph, _letter_index, boundary_cells, build_graph
 from .rand import stream
 from .sequence import LevelSequence, check_level, resistance_ratio
 
 #: Quadratic-form matrix of E0 in the corner basis.
 TRIANGLE_FORM = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+
+#: Corner slots (3 M_d) the cell cascade may hold at one depth: 2^27 float64
+#: values are 1 GiB, before the einsum's temporaries.
+_CASCADE_SLOTS = 1 << 27
 
 
 def base_energy(u):
@@ -225,11 +229,17 @@ class HarmonicSpec:
 
     def cell_values(self, d: int):
         """Corner values of every depth-d cell via matrix products, shape
-        (M_d, 3); an object array of Fractions in rational mode."""
+        (M_d, 3); an object array of Fractions in rational mode.  Refuses
+        with BudgetError, before any product, a depth past 2^27 corner
+        slots."""
         if d < self.pin_level:
             raise DomainError(f"depth {d} below pin level {self.pin_level}")
         if d in self._cell_values:
             return self._cell_values[d]
+        slots = 3 * self.ls.M(d)
+        if slots > _CASCADE_SLOTS:
+            raise BudgetError(f"the cell cascade to depth {d} needs {slots} corner slots (> "
+                              f"budget {_CASCADE_SLOTS}; {slots * 8 / 2**30:.1f} GiB as float64)")
         prev = self.cell_values(d - 1)
         l = self.ls.level(d)
         if self.precision == "rational":

@@ -5,6 +5,12 @@ boundary cells.  Every vertex carries exact integer lattice coordinates
 (a, b) meaning q_0 + (a (q_1 - q_0) + b (q_2 - q_0)) / L_n, so all incidence
 and metric comparisons are exact integer arithmetic.  The graph metric
 (BFS hops times 1/L_n) is the finite-depth proxy for the geodesic metric.
+
+Sizes are budgeted in corner slots, 3 M_n: build_graph refuses more than
+max_corners, and the cell cascade behind energy measures
+(forms.HarmonicSpec.cell_values) more than 2^27.  Exact Fraction solves on
+a graph stop at linalg.RATIONAL_SIZE_LIMIT = 400 vertices.  A CellMeasure
+is plain arrays: per-cell masses in word enumeration order and their total.
 """
 
 from __future__ import annotations
@@ -379,39 +385,15 @@ def neighborhood_vertex_ids(g: ApproximationGraph, w, k: int) -> np.ndarray:
 
 
 class CellMeasure:
-    """A mass assignment on depth-`depth` cells.
+    """Per-cell masses on depth-`depth` cells, in word enumeration order: a
+    float64 array, or an object array of Fractions.  total is their sum."""
 
-    Uniform instances carry no array; others store per-cell masses in word
-    enumeration order (a float64 array, or an object array of Fractions).
-    """
-
-    def __init__(self, ls, depth, masses=None, total=None, kind="uniform"):
+    def __init__(self, ls, depth, masses):
         self.ls = ls
         self.depth = depth
         self.masses = masses
-        self.kind = kind
-        if total is None:
-            # item() gives a Python float, or the Fraction of an object array
-            total = Fraction(1) if masses is None else masses.sum(keepdims=True).item()
-        self.total = total
-
-    @property
-    def uniform(self) -> bool:
-        return self.masses is None
-
-    def mass_by_index(self, idx: int):
-        if self.uniform:
-            return Fraction(1, self.ls.M(self.depth))
-        return self.masses[idx]
-
-    def mass(self, word):
-        return self.mass_by_index(word_to_index(self.ls, word))
-
-
-def uniform_mass(ls: LevelSequence, n: int) -> CellMeasure:
-    """The self-similar uniform measure at depth n: every cell gets 1/M_n."""
-    ls.prefix(n)
-    return CellMeasure(ls, n, None, Fraction(1), kind="uniform")
+        # item() gives a Python float, or the Fraction of an object array
+        self.total = masses.sum(keepdims=True).item()
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,11 @@ Two solver paths serve the whole package.  The rational path does dense
 Gaussian elimination over Fraction entries and is reserved for small systems
 (golden values, one-subdivision solves); its one Schur complement is the
 kept rows of the Laplacian applied to exact harmonic extensions of unit
-pins, returned as a numpy object array of Fractions.  The float path
+pins, returned as a numpy object array of Fractions.  RATIONAL_SIZE_LIMIT
+is the one limit of every exact solve: graphs of more than 400 vertices
+and systems of more than 400 unknowns are refused with a SolveError, since
+the cost of elimination grows with the cube of the size times the cost of
+ever longer numerators.  The float path
 assembles sparse graph Laplacians and solves pinned systems either by
 direct LU with a few rounds of iterative refinement (default) or by
 Jacobi-preconditioned conjugate gradients (method="cg", tolerance
@@ -22,7 +26,7 @@ from scipy.sparse import linalg as spla
 
 from .errors import SolveError
 
-RATIONAL_SIZE_LIMIT = 2500
+RATIONAL_SIZE_LIMIT = 400
 
 
 def rational_solve(a, b):

@@ -10,9 +10,15 @@ children of an admissible cell is bounded away from 1 by a fixed gap; the
 certificate checks that bound cell by cell and the divergence statistic
 accumulates 1 - coefficient along sampled addresses.
 
-Masses follow the precision of the harmonic function: an object array of
-Fractions, exact at every depth, or a float64 array; the certificate and
-the divergence statistic read them as floats.
+A measure is plain arrays: CellMeasure holds the per-cell masses in word
+enumeration order and their total, nothing else.  Masses follow the
+precision of the harmonic function: an object array of Fractions, exact at
+every depth, or a float64 array.  Both statistics read energy_measure's
+masses as float64 and run on whole arrays: the certificate over every cell
+of a depth, the divergence statistic over all sampled addresses one depth
+at a time, both through the one kernel _children_coefficients.  The masses
+come from the cell cascade, so the cascade's size budget
+(HarmonicSpec.cell_values) bounds the depths they reach.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .forms import HarmonicSpec, cell_energies
-from .geometry import CellMeasure, _letter_index, interior_letters
+from .geometry import CellMeasure, boundary_cells, interior_letters
 from .rand import stream
 from .sequence import cell_count
 
@@ -81,30 +87,26 @@ def energy_measure(h: HarmonicSpec, depth: int, route: str = "matrices") -> Cell
     fine = cell_energies(vals) / np.asarray(ls.R(d_eff), dtype=vals.dtype)
     if d_eff != depth:
         fine = fine.reshape(ls.M(depth), -1).sum(axis=1)
-    return CellMeasure(ls, depth, fine, kind="energy")
+    return CellMeasure(ls, depth, fine)
 
 
-def _coefficient(children, parent, m: int) -> float:
-    """Bhattacharyya coefficient of the children profile against uniform."""
-    if parent <= 0:
-        return 0.0
-    s = 0.0
-    for c in children:
-        if c > 0:
-            s += math.sqrt(float(c) / float(parent))
-    return s / math.sqrt(m)
+def _float_masses(h: HarmonicSpec, depths) -> dict:
+    """energy_measure's masses as float64 arrays, by depth."""
+    return {d: np.asarray(energy_measure(h, d).masses, dtype=np.float64) for d in depths}
 
 
-def bhattacharyya_children(mu: CellMeasure, parent_index: int) -> float:
-    """Children coefficient of the cell with the given depth-(d-1) index,
-    where mu lives at depth d."""
-    if mu.depth < 1:
-        raise DomainError("children coefficients need depth >= 1")
-    m = cell_count(mu.ls.level(mu.depth))
-    lo = parent_index * m
-    children = [mu.mass_by_index(i) for i in range(lo, lo + m)]
-    parent = sum(float(c) for c in children)
-    return _coefficient(children, parent, m)
+def _children_coefficients(parent: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """Bhattacharyya coefficients against uniform of the rows of the (P, m)
+    array `children` under the positive parent masses `parent` (P,)."""
+    m = children.shape[1]
+    return np.sqrt(np.maximum(children, 0.0) / parent[:, None]).sum(axis=1) / math.sqrt(m)
+
+
+def _interior_flags(l: int) -> np.ndarray:
+    """Flags over the letters of level l in boundary_cells order, True at
+    interior_letters(l)."""
+    inner = set(interior_letters(l))
+    return np.array([i in inner for i in boundary_cells(l)])
 
 
 # ---- Singularity certificate --------------------------------------------
@@ -135,17 +137,6 @@ class CertificateReport:
     passed: bool
 
 
-def _mass_arrays(h: HarmonicSpec, depths):
-    """Float per-cell energy masses for each requested depth, from the
-    matrix cascade."""
-    ls = h.ls
-    out = {}
-    for d in depths:
-        energies = cell_energies(h.cell_values(d)).astype(np.float64, copy=False)
-        out[d] = energies / float(ls.R(d))
-    return out
-
-
 def singularity_certificate(h: HarmonicSpec, max_depth: int,
                             tol: float = 1e-12) -> CertificateReport:
     """Check the children-coefficient ceiling over every admissible cell.
@@ -157,7 +148,7 @@ def singularity_certificate(h: HarmonicSpec, max_depth: int,
     k = h.pin_level
     if max_depth < k + 2:
         raise DomainError("certificate needs max_depth >= pin_level + 2")
-    masses = _mass_arrays(h, range(k + 1, max_depth + 1))
+    masses = _float_masses(h, range(k + 1, max_depth + 1))
     total = float(masses[k + 1].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else 0.0
 
@@ -165,28 +156,16 @@ def singularity_certificate(h: HarmonicSpec, max_depth: int,
     n_adm = 0
     max_excess = -math.inf
     for d in range(k + 1, max_depth):
-        l_parent = ls.level(d)
-        l_child = ls.level(d + 1)
-        m_parent = cell_count(l_parent)
-        m_child = cell_count(l_child)
         parent = masses[d]
-        child = masses[d + 1].reshape(parent.size, m_child)
-
-        last = np.arange(parent.size) % m_parent
-        interior = np.zeros(m_parent, dtype=bool)
-        for letter in interior_letters(l_parent):
-            interior[_letter_pos(l_parent, letter)] = True
-        mask = interior[last] & (parent > floor)
-
+        child = masses[d + 1].reshape(parent.size, -1)
+        flags = _interior_flags(ls.level(d))
+        interior = np.tile(flags, parent.size // flags.size)
+        live = parent > floor
+        mask = interior & live
         n_mask = int(mask.sum())
-        n_zero = int((interior[last] & ~(parent > floor)).sum())
-        if n_mask:
-            p = parent[mask]
-            c = child[mask]
-            coeff = np.sqrt(np.maximum(c, 0.0) / p[:, None]).sum(axis=1) / math.sqrt(m_child)
-            mx = float(coeff.max())
-        else:
-            mx = 0.0
+        n_zero = int((interior & ~live).sum())
+        mx = float(_children_coefficients(parent[mask], child[mask]).max()) if n_mask else 0.0
+        l_child = ls.level(d + 1)
         ceiling = children_sum_ceiling(l_child)
         records.append(DepthRecord(d, l_child, n_mask, n_zero, mx, ceiling))
         n_adm += n_mask
@@ -196,10 +175,6 @@ def singularity_certificate(h: HarmonicSpec, max_depth: int,
         r.max_coeff <= math.sqrt(float(CEILING_SUP_SQ)) + tol for r in records if r.n_admissible)
     return CertificateReport(k, max_depth, SINGULARITY_GAP, records, n_adm,
                              max_excess if n_adm else 0.0, passed)
-
-
-def _letter_pos(l: int, letter) -> int:
-    return _letter_index(l)[tuple(letter)]
 
 
 # ---- Divergence along sampled addresses ----------------------------------
@@ -230,7 +205,8 @@ def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
 
     Along each address the partial sum over depths k+1..N must dominate
     delta times the number of interior-letter steps in k+2..N; cells of
-    zero mass contribute a full unit.
+    zero mass contribute a full unit.  All addresses advance together, one
+    depth at a time.
     """
     ls = h.ls
     k = h.pin_level
@@ -238,50 +214,36 @@ def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
         raise DomainError("divergence needs max_depth >= pin_level + 2")
     if n_samples < 1:
         raise DomainError(f"divergence needs n_samples >= 1, got {n_samples}")
-    masses = _mass_arrays(h, range(k, max_depth + 1))
+    masses = _float_masses(h, range(k, max_depth + 1))
     total = float(masses[k].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else 0.0
 
     counts = [cell_count(ls.level(d)) for d in range(1, max_depth + 1)]
-    interior_sets = {}
-    for d in range(1, max_depth + 1):
-        l = ls.level(d)
-        if l not in interior_sets:
-            pos = [_letter_pos(l, w) for w in interior_letters(l)]
-            flags = np.zeros(cell_count(l), dtype=bool)
-            flags[pos] = True
-            interior_sets[l] = flags
-
     rng = stream(seed, 0)
-    letters = np.stack([rng.integers(0, counts[d - 1], size=n_samples)
-                        for d in range(1, max_depth + 1)], axis=1)
+    letters = np.stack([rng.integers(0, m, size=n_samples) for m in counts], axis=1)
+
+    idx = np.zeros(n_samples, dtype=np.int64)  # depth n-1 cell of each address
+    div = np.zeros(n_samples)
+    ap = np.zeros(n_samples, dtype=np.int64)
+    for n in range(1, max_depth + 1):
+        m = counts[n - 1]
+        if n >= k + 1:
+            parent = masses[n - 1][idx]
+            live = parent > floor
+            children = masses[n][idx[live, None] * m + np.arange(m)]
+            step = np.ones(n_samples)
+            step[live] = 1.0 - _children_coefficients(parent[live], children)
+            div += step
+        if n >= k + 2:
+            ap += _interior_flags(ls.level(n - 1))[letters[:, n - 2]]
+        idx = idx * m + letters[:, n - 1]
 
     delta = SINGULARITY_GAP
     samples = []
-    failures = 0
     for s in range(n_samples):
-        idx = 0
-        div = 0.0
-        ap = 0
-        for n in range(1, max_depth + 1):
-            letter = int(letters[s, n - 1])
-            child_idx = idx * counts[n - 1] + letter
-            if n >= k + 1:
-                parent_mass = float(masses[n - 1][idx])
-                if parent_mass <= floor:
-                    div += 1.0
-                else:
-                    m = counts[n - 1]
-                    block = masses[n][idx * m:(idx + 1) * m]
-                    coeff = float(np.sqrt(np.maximum(block, 0.0) / parent_mass).sum()
-                                  / math.sqrt(m))
-                    div += 1.0 - coeff
-            if n >= k + 2 and interior_sets[ls.level(n - 1)][int(letters[s, n - 2])]:
-                ap += 1
-            idx = child_idx
-        bound = delta * ap
-        ok = div >= bound - tol
-        if not ok:
-            failures += 1
-        samples.append(AddressSample(tuple(int(x) for x in letters[s]), div, ap, bound, ok))
+        total_s = float(div[s])
+        bound = delta * int(ap[s])
+        samples.append(AddressSample(tuple(int(x) for x in letters[s]), total_s, int(ap[s]),
+                                     bound, total_s >= bound - tol))
+    failures = sum(not x.ok for x in samples)
     return DivergenceReport(n_samples, max_depth, delta, samples, failures, failures == 0)

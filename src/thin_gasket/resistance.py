@@ -3,8 +3,8 @@
 R_n(x, y) = R_n * (unit-conductance effective resistance between x and y
 on the depth-n graph).  Routes:
 
-- "rational": 1 / (exact Schur complement onto {x, y})[0][0], small graphs
-  only.
+- "rational": 1 / (exact Schur complement onto {x, y})[0][0], on graphs of
+  at most linalg.RATIONAL_SIZE_LIMIT (400) vertices.
 - "direct": sparse LU with iterative refinement.
 - "cg": Jacobi-preconditioned conjugate gradient.
 - "reduction": corner pairs only, from the closed form R_n(q_j, q_k) = 2/3
@@ -29,8 +29,6 @@ from .errors import DomainError, SolveError
 from .forms import TRIANGLE_FORM, one_subdivision_trace
 from .geometry import ApproximationGraph, build_graph
 from .sequence import LevelSequence
-
-_RATIONAL_VERTEX_LIMIT = 700
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,6 @@ def _unit_resistance_direct(g: ApproximationGraph, x: int, y: int,
 
 
 def _unit_resistance_rational(g: ApproximationGraph, x: int, y: int) -> Fraction:
-    if g.n_vertices > _RATIONAL_VERTEX_LIMIT:
-        raise SolveError(f"rational route limited to {_RATIONAL_VERTEX_LIMIT} vertices")
     lap = linalg.dense_rational_laplacian(g.adjacency)
     return 1 / linalg.schur_complement(lap, [x, y])[0][0]
 

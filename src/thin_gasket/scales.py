@@ -156,8 +156,11 @@ class PiecewiseScale:
                 raise DomainError(f"the {self.kind} scale s^{float(beta):.6g} is past double "
                                   "range at this s") from None
         n = self._segment_of(s)
-        l, ln, lead, a, b = self.segment_data(n)
-        x = s * ln - 1
+        return self._segment_value(n, s * self._Ls[n] - 1)
+
+    def _segment_value(self, n: int, x):
+        """The segment-n formula at x = s L_n - 1, exact for rational x."""
+        _, _, lead, a, b = self.segment_data(n)
         if self.kind == "time":
             return lead * (1 + a * x) * (1 + b * x)
         if self.kind == "mass":
@@ -171,16 +174,11 @@ class PiecewiseScale:
         """Natural log of the value as an mpmath float; safe for values far
         outside double range."""
         with mpmath.workprec(prec):
-            s = Fraction(s)
-            if s >= 1:
-                val = self.eval(s)
-                if isinstance(val, Fraction):
-                    return mpmath.log(mpmath.mpf(val.numerator)) - \
-                        mpmath.log(mpmath.mpf(val.denominator))
-                return mpmath.log(mpmath.mpf(val))
             val = self.eval(s)
-            return mpmath.log(mpmath.mpf(val.numerator)) - \
-                mpmath.log(mpmath.mpf(val.denominator))
+            if isinstance(val, Fraction):
+                return mpmath.log(mpmath.mpf(val.numerator)) - \
+                    mpmath.log(mpmath.mpf(val.denominator))
+            return mpmath.log(mpmath.mpf(val))
 
     def inverse(self, t, rtol: float = 1e-14):
         """Rational bisection solve of eval(s) = t; monotonicity is exact."""
@@ -231,14 +229,8 @@ def knot_continuity_check(scale: PiecewiseScale, n_segments: int) -> dict:
     upper endpoint must reproduce the depth n-1 knot value."""
     mismatches = []
     for n in range(1, n_segments + 1):
-        l, ln, lead, a, b = scale.segment_data(n)
-        x = Fraction(l - 1)
-        if scale.kind == "time":
-            top = lead * (1 + a * x) * (1 + b * x)
-        elif scale.kind == "mass":
-            top = lead * (1 + a * x)
-        else:
-            top = lead * (1 + b * x)
+        l = scale.segment_data(n)[0]
+        top = scale._segment_value(n, Fraction(l - 1))
         _, prev = scale.knot(n - 1)
         if top != prev:
             mismatches.append(n)

@@ -136,12 +136,18 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["resistance", "--depth", "-1"],  # a negative depth
     ["realize", "--n0", "0"],  # 2^-n0 is no level scale
     ["realize", "--n0", "-2"],
+    # exact Fraction elimination on 795 vertices: past the 400-vertex limit
+    ["extend", "--seq", "8", "--depth", "2", "--precision", "rational"],
+    ["resistance", "--seq", "8", "--depth", "2", "--x", "3", "--y", "11",
+     "--precision", "rational"],
+    ["certify", "--seq", "58", "--max-depth", "4"],  # a 19 GiB cell cascade
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
         "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
-        "resistance-depth", "realize-n0-zero", "realize-n0-negative"])
+        "resistance-depth", "realize-n0-zero", "realize-n0-negative",
+        "extend-rational-size", "resistance-rational-size", "certify-cascade-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1
@@ -364,6 +370,20 @@ GOLDEN = Path(__file__).parent / "golden"
 ])
 def test_rational_outputs_match_golden_bytes(tmp_path, capsys, argv, name):
     assert run([*argv.split(), "--precision", "rational", "--out", tmp_path]) == 0
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# Float certificate and divergence files written before the energy-measure
+# statistics ran on one children-coefficient kernel over whole arrays.
+@pytest.mark.parametrize("argv,name", [
+    ("certify --seq 5,7,9,6 --max-depth 4", "certify-5-7-9-6-d4.json"),
+    ("certify --seq 5 --max-depth 3 --pin 1,1,0", "certify-5-d3.json"),
+    ("diverge --seq 5,5,5,5 --max-depth 4 --samples 200 --seed 29",
+     "diverge-5-5-5-5-d4.json"),
+    ("diverge --seq 5,6 --max-depth 4 --pin 1,1,0 --seed 3", "diverge-5-6-d4.json"),
+])
+def test_measure_statistics_match_golden_bytes(tmp_path, capsys, argv, name):
+    assert run([*argv.split(), "--out", tmp_path]) == 0
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thin_gasket.errors import DomainError
+from thin_gasket.errors import BudgetError, DomainError
 from thin_gasket.forms import (TRIANGLE_FORM, _depth_one_graph, base_energy,
                                discrete_form, extension_ratio_check,
                                harmonic_extend, harmonic_matrix, matrix_stack,
@@ -152,6 +152,14 @@ def test_deep_pin_level(ls5):
     assert h.energy(2, route="graph") > 0
     with pytest.raises(DomainError):
         harmonic_extend(ls5, pin, 0, pin_level=1)
+
+
+def test_cell_cascade_refuses_past_its_budget(ls5):
+    # 3 M_8 = 3 * 12^8 corner slots is past 2^27; 3 M_7 is not
+    h = harmonic_extend(ls5, (1.0, 0.0, 0.0), 0, method="cells")
+    with pytest.raises(BudgetError):
+        h.cell_values(8)
+    assert sorted(h._cell_values) == [0]  # refused before any product
 
 
 def test_discrete_form_energy(ls5):

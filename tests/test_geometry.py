@@ -13,8 +13,7 @@ from thin_gasket.geometry import (ApproximationGraph, ball_mass, boundary_cells,
                                   euclidean_sq, geodesic_distance,
                                   geodesic_hops, graph_to_json, index_to_word,
                                   interior_letters, is_cell_index, render_svg,
-                                  uniform_mass, word_count, word_to_index,
-                                  words)
+                                  word_count, word_to_index, words)
 from thin_gasket.sequence import LevelSequence
 
 
@@ -178,13 +177,6 @@ def test_neighborhood_rejects_radius_past_level(ls5):
 
 
 # ---- Masses --------------------------------------------------------------
-
-
-def test_uniform_mass(ls576):
-    mu = uniform_mass(ls576, 2)
-    assert mu.uniform
-    assert mu.total == 1
-    assert mu.mass(((0, 0), (3, 0))) == Fraction(1, 12 * 18)
 
 
 def test_ball_mass_brackets(ls5):

@@ -4,13 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thin_gasket.forms import base_energy, harmonic_extend
-from thin_gasket.geometry import build_graph, word_to_index, words
-from thin_gasket.measures import (bhattacharyya_children, ceiling_below_sup,
+from thin_gasket.forms import base_energy, cell_energies, harmonic_extend
+from thin_gasket.geometry import (boundary_cells, build_graph, interior_letters,
+                                  word_to_index)
+from thin_gasket.measures import (MASS_FLOOR_REL, SINGULARITY_GAP,
+                                  _children_coefficients, ceiling_below_sup,
                                   children_sum_ceiling, divergence_statistic,
                                   energy_measure, singularity_certificate)
+from thin_gasket.rand import stream
 from thin_gasket.resistance import corner_trace, effective_resistance
-from thin_gasket.sequence import LevelSequence
+from thin_gasket.sequence import LevelSequence, cell_count
 
 
 def _rational_extension(seq, pin, depth):
@@ -24,8 +27,8 @@ def test_golden_depth_one_masses():
     h = _rational_extension((5,), (1, 0, 0), 1)
     mu = energy_measure(h, 1)
     assert mu.total == 2
-    assert mu.mass(((2, 0),)) == Fraction(6, 31)
-    assert mu.mass(((0, 2),)) == Fraction(6, 31)
+    assert mu.masses[word_to_index(h.ls, ((2, 0),))] == Fraction(6, 31)
+    assert mu.masses[word_to_index(h.ls, ((0, 2),))] == Fraction(6, 31)
     assert sum(mu.masses, Fraction(0)) == 2
 
 
@@ -110,8 +113,12 @@ def test_bhattacharyya_children_below_ceiling():
     mu1 = energy_measure(h, 1)
     mu0 = energy_measure(h, 0)
     # compare child masses of the root against the uniform split
-    coeff = bhattacharyya_children(mu1, 0)
+    parent = np.array([float(mu0.total)])
+    children = np.asarray(mu1.masses, dtype=np.float64)[None, :]
+    [coeff] = _children_coefficients(parent, children)
     assert 0 <= coeff <= children_sum_ceiling(5) + 1e-12
+    expected = sum(math.sqrt(float(c) / float(mu0.total)) for c in mu1.masses) / math.sqrt(12)
+    assert coeff == pytest.approx(expected, rel=1e-14)
 
 
 # ---- Certificate ---------------------------------------------------------
@@ -161,3 +168,77 @@ def test_divergence_reproducible():
     assert [s.letters for s in a.samples] == [s.letters for s in b.samples]
     assert [s.divergence_sum for s in a.samples] == [
         s.divergence_sum for s in b.samples]
+
+
+def _divergence_by_address(h, max_depth, n_samples, seed, tol=1e-9):
+    """Reference: the statistic one address at a time, on float masses
+    from the cascade and interior flags from interior_letters."""
+    ls, k = h.ls, h.pin_level
+    masses = {d: cell_energies(h.cell_values(d)) / float(ls.R(d))
+              for d in range(k, max_depth + 1)}
+    total = float(masses[k].sum())
+    floor = MASS_FLOOR_REL * total if total > 0 else 0.0
+    counts = [cell_count(ls.level(d)) for d in range(1, max_depth + 1)]
+    interior = {}
+    for d in range(1, max_depth + 1):
+        l = ls.level(d)
+        interior[l] = [w in interior_letters(l) for w in boundary_cells(l)]
+    rng = stream(seed, 0)
+    letters = np.stack([rng.integers(0, counts[d - 1], size=n_samples)
+                        for d in range(1, max_depth + 1)], axis=1)
+    out = []
+    for s in range(n_samples):
+        idx = 0
+        div = 0.0
+        ap = 0
+        for n in range(1, max_depth + 1):
+            letter = int(letters[s, n - 1])
+            child_idx = idx * counts[n - 1] + letter
+            if n >= k + 1:
+                parent_mass = float(masses[n - 1][idx])
+                if parent_mass <= floor:
+                    div += 1.0
+                else:
+                    m = counts[n - 1]
+                    block = masses[n][idx * m:(idx + 1) * m]
+                    coeff = float(np.sqrt(np.maximum(block, 0.0) / parent_mass).sum()
+                                  / math.sqrt(m))
+                    div += 1.0 - coeff
+            if n >= k + 2 and interior[ls.level(n - 1)][int(letters[s, n - 2])]:
+                ap += 1
+            idx = child_idx
+        bound = SINGULARITY_GAP * ap
+        out.append((tuple(int(x) for x in letters[s]), div, ap, bound, div >= bound - tol))
+    return out
+
+
+@pytest.mark.parametrize("entries,pin,depth,n_samples,seed", [
+    ((5, 7, 9, 6), (1.0, 0.0, 0.0), 4, 200, 29),
+    ((5, 5, 5, 5), (1.0, 0.0, 0.0), 4, 200, 29),
+    ((9, 8, 7, 6), (1.0, 0.0, 0.0), 4, 200, 29),
+    ((6, 6, 6, 6), (1.0, 0.0, 0.0), 4, 200, 29),
+    ((5,), (1.0, 0.25, 0.0), 6, 200, 11),
+    ((9, 58), (0.3, -0.7, 1.0), 2, 200, 4),
+    ((5, 6), (1.0, 1.0, 0.0), 4, 200, 3),
+    ((5, 6, 7), "linear-v1", 4, 150, 8),
+    ((5, 6, 7), "split-v1", 4, 150, 8),
+], ids=["c7-5-7-9-6", "c7-5-5-5-5", "c7-9-8-7-6", "c7-6-6-6-6", "5-d6", "9-58-d2",
+        "5-6-zero-mass", "v1-pin-linear", "v1-pin-zero-mass"])
+def test_divergence_matches_per_address_loop(entries, pin, depth, n_samples, seed):
+    ls = LevelSequence(entries, continuation="repeat-last")
+    g1 = build_graph(ls, 1)
+    if pin == "linear-v1":
+        values = np.linspace(-1.0, 1.0, g1.n_vertices)
+        h = harmonic_extend(ls, values, depth, pin_level=1, method="cells")
+    elif pin == "split-v1":
+        # 1 on vertices with a >= L_1 / 2, else 0: cells on one side carry no energy
+        values = (g1.vertices[:, 0] * 2 >= g1.L).astype(np.float64)
+        h = harmonic_extend(ls, values, depth, pin_level=1, method="cells")
+    else:
+        h = harmonic_extend(ls, pin, 0, method="cells")
+    rep = divergence_statistic(h, depth, n_samples=n_samples, seed=seed)
+    expected = _divergence_by_address(h, depth, n_samples, seed)
+    got = [(s.letters, s.divergence_sum, s.ap_count, s.bound, s.ok) for s in rep.samples]
+    assert got == expected
+    assert rep.n_failures == sum(not e[4] for e in expected)
+    assert rep.passed == (rep.n_failures == 0)
