@@ -308,12 +308,12 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method="cells",
                         precision=cfg.precision)
     mu = energy_measure(h, cfg.depth, route=args.route)
-    rows = []
-    for idx, w in enumerate(words(h.ls, cfg.depth)):
-        rows.append((idx, _word_tag(w), _value_str(mu.masses[idx])))
+    # a generator, so csv.writer streams the rows instead of holding them all
+    rows = ((idx, _word_tag(w), _value_str(mu.masses[idx]))
+            for idx, w in enumerate(words(h.ls, cfg.depth)))
     path = _write_csv(_out_path(cfg, f"measure-{_seq_tag(cfg)}-d{cfg.depth}.csv"),
                       ("index", "word", "mass"), rows)
-    print(f"energy measure on {len(rows)} cells, total {_value_str(mu.total)} "
+    print(f"energy measure on {len(mu.masses)} cells, total {_value_str(mu.total)} "
           f"-> {path}")
     return 0
 

@@ -303,8 +303,10 @@ def build_graph(ls: LevelSequence, n: int, max_corners: int = 6_000_000) -> Appr
     pair_idx = np.array([[0, 1], [0, 2], [1, 2]])
     pairs = cells[:, pair_idx].reshape(-1, 2)
     pairs = np.sort(pairs, axis=1)
-    edge_codes = pairs[:, 0] * vertices.shape[0] + pairs[:, 1]
-    edge_codes = np.unique(edge_codes)
+    edge_codes = np.sort(pairs[:, 0] * vertices.shape[0] + pairs[:, 1])
+    # cells share only corners, so the codes are distinct; the mask keeps
+    # np.unique's result without its hash table
+    edge_codes = edge_codes[np.concatenate(([True], edge_codes[1:] != edge_codes[:-1]))]
     edges = np.stack(
         [edge_codes // vertices.shape[0], edge_codes % vertices.shape[0]], axis=1
     )
@@ -416,10 +418,16 @@ def ball_mass(g: ApproximationGraph, x: int, s) -> BallMass:
     s = Fraction(s)
     if s <= 0:
         raise DomainError("ball radius must be positive")
+    return _ball_mass_from_hops(g, geodesic_hops(g, [x])[0], s)
+
+
+def _ball_mass_from_hops(g: ApproximationGraph, hops: np.ndarray, s: Fraction) -> BallMass:
+    """ball_mass for a positive radius s about the centre whose (V,) BFS hop
+    counts are given, so balls of several radii about one centre share one
+    search."""
     thr = s * g.L
     # strict: hop < thr  <=>  hop <= (num - 1) // den
     cut = (thr.numerator - 1) // thr.denominator
-    hops = geodesic_hops(g, [x])[0]
     cell_hops = hops[g.cells]  # (M, 3)
     outer_mask = cell_hops.min(axis=1) <= cut
     inner_mask = cell_hops.max(axis=1) <= cut

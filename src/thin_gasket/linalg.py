@@ -88,7 +88,9 @@ def pinned_solve(lap: sparse.csr_matrix, pinned: np.ndarray, pin_values: np.ndar
         pin_values = pin_values[:, None]
     k = pin_values.shape[1]
 
-    free = np.setdiff1d(np.arange(v, dtype=np.int64), pinned)
+    mask = np.ones(v, dtype=bool)
+    mask[pinned] = False
+    free = np.flatnonzero(mask)
     lap_csc = lap.tocsc()
     a = lap_csc[free][:, free].tocsc()
     b = -lap_csc[free][:, pinned] @ pin_values

@@ -10,6 +10,13 @@ on the depth-n graph).  Routes:
 - "reduction": corner pairs only, from the closed form R_n(q_j, q_k) = 2/3
   at every depth; O(1), no solve.
 
+Many float queries on one graph go through ResistanceSolver.  Cells meet
+only at their corners and all cells at one depth are translates of a single
+model cell, so V_{n-1} separates the depth-n graph into identical pieces; the
+solver eliminates them level by level with one banded Cholesky factor per
+distinct level and solves the closed-form R_n * TRIANGLE_FORM system left on
+the outer corners.  The sparse LU of linalg.pinned_solve is its oracle.
+
 The level-by-level reduction (corner_trace) survives only as the closed
 form's oracle: it folds the graph onto its corners through Schur
 complements of one-subdivision networks, which is valid because all cells
@@ -20,14 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import splu
+from scipy import sparse
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse import csgraph
 
 from . import linalg
 from .errors import DomainError, SolveError
-from .forms import TRIANGLE_FORM, one_subdivision_trace
-from .geometry import ApproximationGraph, build_graph
+from .forms import TRIANGLE_FORM, _depth_one_graph, one_subdivision_trace
+from .geometry import ApproximationGraph, _corner_numerators, build_graph
 from .sequence import LevelSequence
 
 
@@ -144,36 +155,123 @@ def effective_resistance(ls: LevelSequence, n: int, x: int, y: int,
     raise DomainError(f"unknown method {method!r}")
 
 
-class ResistanceSolver:
-    """One grounded factorization answering many unit-resistance queries."""
+class _ModelCell(NamedTuple):
+    """One l-subdivision network split at its three outer corners.
 
-    def __init__(self, g: ApproximationGraph, ground: int | None = None):
+    With K its unit Laplacian, I the non-corner vertices and B the corners:
+    interior: model vertex ids of I, in reverse Cuthill-McKee order;
+    chol: upper banded Cholesky factor of K_II in that order;
+    k_bi: K_BI as a sparse (3, |I|) matrix, rows in corner order;
+    coupling: P = K_II^-1 K_IB, shape (|I|, 3).
+    """
+
+    interior: np.ndarray
+    chol: np.ndarray
+    k_bi: sparse.csr_matrix
+    coupling: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _model_cell(l: int) -> _ModelCell:
+    """Banded Cholesky of one l-subdivision network's interior block; no
+    dense |I| x |I| array is formed (|I| = 6l - 12)."""
+    g = _depth_one_graph(l)
+    lap = linalg.laplacian(g.adjacency).tocsr()
+    mask = np.ones(g.n_vertices, dtype=bool)
+    mask[g.boundary] = False
+    inner = np.flatnonzero(mask)
+    order = csgraph.reverse_cuthill_mckee(lap[inner][:, inner].tocsr(), symmetric_mode=True)
+    interior = inner[order]
+    upper = sparse.triu(lap[interior][:, interior]).tocoo()
+    band = int((upper.col - upper.row).max(initial=0))
+    ab = np.zeros((band + 1, interior.size))
+    ab[band + upper.row - upper.col, upper.col] = upper.data
+    chol = cholesky_banded(ab)
+    k_bi = lap[g.boundary][:, interior].tocsr()
+    coupling = cho_solve_banded((chol, False), k_bi.T.toarray())
+    return _ModelCell(interior, chol, k_bi, coupling)
+
+
+class ResistanceSolver:
+    """Unit-resistance queries on one graph by cell-by-cell elimination.
+
+    Depth-(k-1) cells meet only at their corners and are translates of one
+    model l_k-subdivision network, so V_{k-1} cuts the vertices new at
+    depth k into identical pieces.  A solve eliminates the vertices new at
+    depth n, then those new at depth n-1, and so on down to the outer
+    corners, batched over the cells of a level with the model cell's banded
+    Cholesky factor (_model_cell, one per distinct level).  Each step leaves
+    r_l times the coarser Laplacian, so what remains is R_n * TRIANGLE_FORM
+    on the outer corners, grounded at q0 and solved in closed form; the
+    back-substitution then runs level by level.  A query makes one solve and
+    one refinement pass with the residual from the sparse Laplacian.  free
+    holds the non-ground vertex ids.
+    """
+
+    def __init__(self, g: ApproximationGraph):
+        ls, n = g.ls, g.level
         self.graph = g
-        self.ground = int(g.boundary[0]) if ground is None else int(ground)
-        lap = linalg.laplacian(g.adjacency).tocsr()
+        self.ground = int(g.boundary[0])
         mask = np.ones(g.n_vertices, dtype=bool)
         mask[self.ground] = False
-        self.free = np.nonzero(mask)[0]
-        self.pos = -np.ones(g.n_vertices, dtype=np.int64)
-        self.pos[self.free] = np.arange(self.free.size)
-        self.reduced = lap[self.free][:, self.free].tocsc()
-        self.lu = splu(self.reduced)
+        self.free = np.flatnonzero(mask)
+        # L = B^T B with B the edge incidence matrix: the residual sums edge
+        # differences, free of the eps * deg * |u| cancellation of L u
+        e = g.edges
+        self.incidence = sparse.csr_matrix(
+            (np.tile([1.0, -1.0], g.n_edges), (np.repeat(np.arange(g.n_edges), 2), e.ravel())),
+            shape=(g.n_edges, g.n_vertices))
+        self.corner_scale = float(ls.R(n))
+        # per level k, finest first: the (M_{k-1}, |I|) interior and
+        # (M_{k-1}, 3) corner vertex ids of the depth-(k-1) cells, the model
+        # cell, and c_k = R_n / R_k, the factor the finer eliminations leave
+        # on the level-k Laplacian
+        self.levels = []
+        for k in range(n, 0, -1):
+            l = ls.level(k)
+            model = _model_cell(l)
+            corners = _corner_numerators(ls, k - 1) * (g.L // ls.L(k - 1))
+            inner = _depth_one_graph(l).vertices[model.interior] * (g.L // ls.L(k))
+            self.levels.append((g.vertex_ids(corners[:, :1, :] + inner[None, :, :]),
+                                g.vertex_ids(corners), model, float(ls.R(n) / ls.R(k))))
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """u with L u = b off the ground and u = 0 at the ground."""
+        b = b.copy()
+        particular = []
+        for interior, corners, model, scale in self.levels:
+            b_i = b[interior]
+            # a cell with no source has no particular solution
+            active = np.flatnonzero(b_i.any(axis=1))
+            if active.size == b_i.shape[0]:
+                active = slice(None)  # views, not copies, of whole tables
+            z = cho_solve_banded((model.chol, False), b_i[active].T, check_finite=False)
+            np.add.at(b, corners[active], -(model.k_bi @ z).T)
+            particular.append((active, z.T / scale))
+        u = np.zeros_like(b)
+        _, q1, q2 = self.graph.boundary
+        u[q1] = (2 * b[q1] + b[q2]) / (3 * self.corner_scale)
+        u[q2] = (b[q1] + 2 * b[q2]) / (3 * self.corner_scale)
+        for (interior, corners, model, _), (active, z) in zip(reversed(self.levels),
+                                                              reversed(particular)):
+            u_i = np.einsum("mj,ij->mi", u[corners], -model.coupling)
+            u_i[active] += z
+            u[interior] = u_i
+        return u
 
     def unit_resistance(self, x: int, y: int) -> float:
         if x == y:
             return 0.0
-        b = np.zeros(self.free.size)
-        if x != self.ground:
-            b[self.pos[x]] += 1.0
-        if y != self.ground:
-            b[self.pos[y]] -= 1.0
-        u = self.lu.solve(b)
-        # one refinement pass keeps long solves honest
-        r = b - self.reduced @ u
-        u = u + self.lu.solve(r)
-        ux = u[self.pos[x]] if x != self.ground else 0.0
-        uy = u[self.pos[y]] if y != self.ground else 0.0
-        val = float(ux - uy)
+        b = np.zeros(self.graph.n_vertices)
+        b[x] += 1.0
+        b[y] -= 1.0
+        b[self.ground] = 0.0
+        u = self._solve(b)
+        # one refinement pass with the residual of the sparse Laplacian
+        r = b - self.incidence.T @ (self.incidence @ u)
+        r[self.ground] = 0.0
+        u = u + self._solve(r)
+        val = float(u[x] - u[y])
         if val < 0:
             raise SolveError(f"negative resistance {val} for pair ({x}, {y})")
         return val

@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from .errors import DomainError, SequenceError
-from .geometry import ApproximationGraph, ball_mass, geodesic_hops
+from .geometry import ApproximationGraph, _ball_mass_from_hops, geodesic_hops
 from .rand import stream
 from .resistance import ResistanceSolver
 from .sequence import LevelSequence, cell_count, time_factor, walk_exponent
@@ -457,10 +457,10 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
     floor_count = 0
     big_l = ls.L(n)
     for x, y in pairs:
-        hops = int(geodesic_hops(g, x)[0, y])
-        d = Fraction(hops, big_l)
+        hops = geodesic_hops(g, x)[0]
+        d = Fraction(int(hops[y]), big_l)
         r_val = float(scale_r) * solver.unit_resistance(x, y)
-        mb = float(ball_mass(g, x, d).outer)
+        mb = float(_ball_mass_from_hops(g, hops, d).outer)
         pv = float(psi.eval(d))
         record("resistance-mass-time", r_val * mb / pv)
         record("mass-vs-mass-scale", mb / float(psi_m.eval(d)))
@@ -474,7 +474,7 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
                 lam = lam_floor
                 floor_count += 1
             sd = lam * d
-            q = float(psi.eval(sd)) / float(ball_mass(g, x, sd).outer)
+            q = float(psi.eval(sd)) / float(_ball_mass_from_hops(g, hops, sd).outer)
             lamf = float(lam)
             record("shrink-lower", q / (lamf ** b1 * q_base))
             record("shrink-upper", q / (lamf ** b0 * q_base))

@@ -110,6 +110,16 @@ def test_edges_are_cell_sides(ls5):
     assert len(sides) == g.n_edges
 
 
+@pytest.mark.parametrize("depth", range(6))
+def test_edges_match_unique_of_cell_sides(ls5, depth):
+    g = build_graph(ls5, depth)
+    sides = np.sort(g.cells[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
+    codes = np.unique(sides[:, 0] * g.n_vertices + sides[:, 1])
+    expected = np.stack([codes // g.n_vertices, codes % g.n_vertices], axis=1)
+    assert g.edges.dtype == expected.dtype
+    assert np.array_equal(g.edges, expected)
+
+
 def test_graph_budget(ls5):
     with pytest.raises(BudgetError):
         build_graph(ls5, 9, max_corners=1000)

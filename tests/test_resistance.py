@@ -1,16 +1,18 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from thin_gasket import linalg
 from thin_gasket.errors import DomainError, SequenceError
-from thin_gasket.forms import one_subdivision_trace
+from thin_gasket.forms import TRIANGLE_FORM, _depth_one_graph, one_subdivision_trace
 from thin_gasket.geometry import build_graph
-from thin_gasket.resistance import (ResistanceSolver, corner_resistance,
+from thin_gasket.resistance import (ResistanceSolver, _model_cell, corner_resistance,
                                     corner_resistance_by_reduction, corner_trace,
                                     effective_resistance)
-from thin_gasket.sequence import LevelSequence
+from thin_gasket.sequence import LevelSequence, resistance_ratio
 
 TRIANGLE = [[Fraction(2), Fraction(-1), Fraction(-1)],
             [Fraction(-1), Fraction(2), Fraction(-1)],
@@ -136,3 +138,89 @@ def test_solver_matches_direct(ls5):
     for (x, y), val in zip([(0, 7), (3, 40)], got):
         ref = effective_resistance(ls5, 2, x, y, graph=g, method="direct")
         assert val == pytest.approx(float(ref), rel=1e-9)
+
+
+# ---- Cell-by-cell elimination --------------------------------------------
+
+
+def _sample_pairs(g, count, seed):
+    """The three corner pairs, then seeded vertex pairs with x != y."""
+    rng = np.random.default_rng(seed)
+    c = [int(g.corner_id(j)) for j in range(3)]
+    pairs = [(c[0], c[1]), (c[0], c[2]), (c[1], c[2])]
+    while len(pairs) < count:
+        x, y = (int(v) for v in rng.integers(0, g.n_vertices, 2))
+        if x != y:
+            pairs.append((x, y))
+    return pairs
+
+
+@pytest.mark.parametrize("entries,depth", [
+    *(((5,), d) for d in range(6)),
+    ((5, 7, 6, 12), 3),
+    ((9, 58), 2),
+    ((3001,), 1),
+])
+def test_solver_matches_sparse_lu(entries, depth):
+    # oracle: one sparse-LU pinned solve grounded at the last vertex, with a
+    # zero-sum injection e_x - e_y per pair, so u[x] - u[y] = R_unit(x, y)
+    g = build_graph(LevelSequence(entries, continuation="repeat-last"), depth)
+    pairs = _sample_pairs(g, 12, seed=depth)
+    injection = np.zeros((g.n_vertices, len(pairs)))
+    for j, (x, y) in enumerate(pairs):
+        injection[x, j] += 1.0
+        injection[y, j] -= 1.0
+    ground = g.n_vertices - 1
+    u, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), np.array([ground]),
+                               np.zeros((1, len(pairs))), injection=injection,
+                               method="direct")
+    solver = ResistanceSolver(g)
+    assert solver.free.size == g.n_vertices - 1
+    for j, (x, y) in enumerate(pairs):
+        assert solver.unit_resistance(x, y) == pytest.approx(u[x, j] - u[y, j], rel=1e-10)
+
+
+@pytest.mark.parametrize("l", [5, 6])
+def test_solver_matches_rational_resistance(l):
+    ls = LevelSequence((l,))
+    g = build_graph(ls, 1)
+    solver = ResistanceSolver(g)
+    scale = float(ls.R(1))
+    for x, y in _sample_pairs(g, 10, seed=l):
+        exact = effective_resistance(ls, 1, x, y, graph=g, method="rational").value
+        assert abs(scale * solver.unit_resistance(x, y) - exact) <= 1e-12 * exact
+
+
+def test_solver_corner_pairs_at_depth_five(ls5):
+    g = build_graph(ls5, 5)
+    solver = ResistanceSolver(g)
+    scale = float(ls5.R(5))
+    for x, y in _sample_pairs(g, 3, seed=0):
+        assert abs(scale * solver.unit_resistance(x, y) - 2 / 3) <= 1e-11
+
+
+@pytest.mark.parametrize("l", [5, 6, 12, 58, 3001])
+def test_model_cell_schur_complement_is_scaled_triangle(l):
+    g = _depth_one_graph(l)
+    model = _model_cell(l)
+    lap = linalg.laplacian(g.adjacency).tocsr()
+    k_bb = lap[g.boundary][:, g.boundary].toarray()
+    schur = k_bb - model.k_bi @ model.coupling
+    target = float(resistance_ratio(l)) * np.array(TRIANGLE_FORM, dtype=float)
+    assert np.abs(schur - target).max() <= 1e-12
+    assert model.interior.size == 6 * l - 12
+
+
+def test_model_cell_of_a_long_level_stays_banded():
+    # a dense K_II^-1 at l = 3001 would be 17,994^2 doubles, 2.6 GB
+    _model_cell.cache_clear()
+    g = build_graph(LevelSequence((3001,)), 1)
+    tracemalloc.start()
+    try:
+        solver = ResistanceSolver(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert _model_cell(3001).chol.shape[0] <= 5
+    assert abs(float(g.ls.R(1)) * solver.unit_resistance(0, g.n_vertices - 1) - 2 / 3) < 1e-11
