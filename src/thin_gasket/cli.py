@@ -240,7 +240,8 @@ def cmd_render(cfg: RunConfig, args) -> int:
 
 def cmd_energy(cfg: RunConfig, args) -> int:
     pin = _parse_pin(args.pin, cfg.precision)
-    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method=args.method,
+    method = "cells" if args.route == "matrices" else "direct"
+    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method=method,
                         precision=cfg.precision)
     value = h.energy(cfg.depth, route=args.route)
     report = {"seq": list(cfg.seq), "depth": cfg.depth, "pin": [str(p) for p in pin],
@@ -254,9 +255,9 @@ def cmd_energy(cfg: RunConfig, args) -> int:
 
 def cmd_extend(cfg: RunConfig, args) -> int:
     pin = _parse_pin(args.pin, cfg.precision)
-    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method=args.method,
+    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method="direct",
                         precision=cfg.precision)
-    g, values = h.extend(cfg.depth, method=args.method)
+    g, values = h.extend(cfg.depth)
     rows = [(int(a), int(b), _value_str(v))
             for (a, b), v in zip(g.vertices, values)]
     path = _write_csv(_out_path(cfg, f"extend-{_seq_tag(cfg)}-d{cfg.depth}.csv"),
@@ -271,7 +272,7 @@ def cmd_resistance(cfg: RunConfig, args) -> int:
         if args.x is None or args.y is None:
             raise GasketError("--x and --y must be given together")
         res = effective_resistance(ls, cfg.depth, args.x, args.y,
-                                   method=args.method, precision=cfg.precision)
+                                   precision=cfg.precision)
     else:
         corners = [_parse_int("corner", t) for t in args.corners.split(",")]
         if len(corners) != 2:
@@ -542,21 +543,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("energy", parents=[common])
     sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.add_argument("--method", choices=("direct", "cg", "cells"), default="cells")
     sp.add_argument("--route", choices=("matrices", "graph"), default="matrices")
     sp.set_defaults(fn=cmd_energy)
 
     sp = sub.add_parser("extend", parents=[common])
     sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.add_argument("--method", choices=("direct", "cg"), default="direct")
     sp.set_defaults(fn=cmd_extend)
 
     sp = sub.add_parser("resistance", parents=[common])
     sp.add_argument("--corners", type=str, default="0,1")
     sp.add_argument("--x", type=int, default=None)
     sp.add_argument("--y", type=int, default=None)
-    sp.add_argument("--method", choices=("auto", "direct", "cg", "rational",
-                                         "reduction"), default="auto")
     sp.set_defaults(fn=cmd_resistance)
 
     sp = sub.add_parser("matrices", parents=[common])

@@ -74,9 +74,9 @@ class DiscreteForm:
         return total / self.scale
 
 
-def discrete_form(ls: LevelSequence, n: int, graph: ApproximationGraph | None = None,
-                  max_corners: int = 6_000_000) -> DiscreteForm:
-    g = graph if graph is not None else build_graph(ls, n, max_corners)
+def discrete_form(ls: LevelSequence, n: int,
+                  graph: ApproximationGraph | None = None) -> DiscreteForm:
+    g = graph if graph is not None else build_graph(ls, n)
     return DiscreteForm(g, ls.R(n))
 
 
@@ -252,14 +252,15 @@ class HarmonicSpec:
 
     # -- graph-solve route
 
-    def extend(self, n: int, method: str = "direct", max_corners: int = 6_000_000):
-        """Materialize values on V_n by a pinned Laplacian solve.  Returns
-        (graph, values); cached per depth."""
+    def extend(self, n: int):
+        """Materialize values on V_n by a pinned Laplacian solve: dense
+        Fraction elimination in rational precision, a sparse LU in float.
+        Returns (graph, values); cached per depth."""
         if n < self.pin_level:
             raise DomainError(f"depth {n} below pin level {self.pin_level}")
         if n in self._materialized:
             return self._materialized[n]
-        g = build_graph(self.ls, n, max_corners)
+        g = build_graph(self.ls, n)
         lift = g.L // self.pin_graph.L
         coords = self.pin_graph.vertices * lift
         pin_ids = g.vertex_ids(coords)
@@ -270,15 +271,13 @@ class HarmonicSpec:
             values = np.array(full, dtype=object)[:, 0]
         else:
             pv = np.asarray(self.pin_vertex_values, dtype=np.float64)
-            values, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), pin_ids, pv,
-                                            method=method)
+            values, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), pin_ids, pv)
         self._materialized[n] = (g, values)
         return g, values
 
-    def cell_values_from_graph(self, d: int, n: int | None = None):
-        """Corner values of depth-d cells read off a depth-n solve."""
-        n = d if n is None else n
-        g, values = self.extend(n)
+    def cell_values_from_graph(self, d: int):
+        """Corner values of depth-d cells read off a depth-d solve."""
+        g, values = self.extend(d)
         return np.asarray(values)[g.corner_ids_at_depth(d)]
 
     # -- energies
@@ -307,17 +306,20 @@ def corner_pin_values(g: ApproximationGraph, triple):
 
 
 def harmonic_extend(ls: LevelSequence, pin, depth: int, pin_level: int = 0,
-                    method: str = "direct", precision: str = "float",
-                    max_corners: int = 6_000_000) -> HarmonicSpec:
+                    method: str = "direct", precision: str = "float") -> HarmonicSpec:
     """Harmonic extension of a pin on V_k, materialized to V_depth.
 
     For pin_level 0 the pin is the corner triple (u(q0), u(q1), u(q2));
     for deeper pins it is an array over the depth-k graph's vertex order.
-    method: "direct" or "cg" (graph solve), or "cells" (matrix products).
+    method picks the route that materializes depth `depth`: "cells" runs
+    the matrix cascade (HarmonicSpec.cell_values), "direct" the graph solve
+    (HarmonicSpec.extend); either route stays available afterwards.
     """
+    if method not in ("cells", "direct"):
+        raise DomainError(f"unknown extension method {method!r}; use 'cells' or 'direct'")
     if depth < pin_level:
         raise DomainError(f"target depth {depth} below pin level {pin_level}")
-    gk = build_graph(ls, pin_level, max_corners)
+    gk = build_graph(ls, pin_level)
     if pin_level == 0 and len(pin) == 3 and not isinstance(pin, np.ndarray):
         pin_vals = corner_pin_values(gk, tuple(pin))
     else:
@@ -332,7 +334,7 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, pin_level: int = 0,
     if method == "cells":
         h.cell_values(depth)
     else:
-        h.extend(depth, method=method, max_corners=max_corners)
+        h.extend(depth)
     return h
 
 

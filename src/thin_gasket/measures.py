@@ -44,7 +44,9 @@ SINGULARITY_GAP = 1.0 - math.sqrt(361.0 / 372.0)
 #: Relative floor below which a cell mass counts as zero.  Double-precision
 #: cascades carry absolute noise around 1e-31 per cell energy, amplified by
 #: 1/R_d; genuine admissible masses sit many orders above 1e-20 * total,
-#: exact zeros (degenerate pins) far below.  Cells under the floor are
+#: exact zeros (degenerate pins) far below.  The total is read at the pin
+#: level, whose masses have no cascade noise: a constant pin's total is 0,
+#: its floor infinite, and its noise no mass.  Cells under the floor are
 #: reported as zero-mass: the divergence statistic assigns them the limit
 #: term 1, the certificate counts them separately instead of verifying
 #: unverifiable noise.  Rational-precision routes have exact zeros and
@@ -148,9 +150,9 @@ def singularity_certificate(h: HarmonicSpec, max_depth: int,
     k = h.pin_level
     if max_depth < k + 2:
         raise DomainError("certificate needs max_depth >= pin_level + 2")
-    masses = _float_masses(h, range(k + 1, max_depth + 1))
-    total = float(masses[k + 1].sum())
-    floor = MASS_FLOOR_REL * total if total > 0 else 0.0
+    masses = _float_masses(h, range(k, max_depth + 1))
+    total = float(masses[k].sum())
+    floor = MASS_FLOOR_REL * total if total > 0 else math.inf
 
     records = []
     n_adm = 0
@@ -216,7 +218,7 @@ def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
         raise DomainError(f"divergence needs n_samples >= 1, got {n_samples}")
     masses = _float_masses(h, range(k, max_depth + 1))
     total = float(masses[k].sum())
-    floor = MASS_FLOOR_REL * total if total > 0 else 0.0
+    floor = MASS_FLOOR_REL * total if total > 0 else math.inf
 
     counts = [cell_count(ls.level(d)) for d in range(1, max_depth + 1)]
     rng = stream(seed, 0)

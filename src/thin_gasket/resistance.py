@@ -1,21 +1,22 @@
 """Effective resistance on approximation graphs.
 
 R_n(x, y) = R_n * (unit-conductance effective resistance between x and y
-on the depth-n graph).  Routes:
+on the depth-n graph).  One route per precision:
 
-- "rational": 1 / (exact Schur complement onto {x, y})[0][0], on graphs of
-  at most linalg.RATIONAL_SIZE_LIMIT (400) vertices.
-- "direct": sparse LU with iterative refinement.
-- "cg": Jacobi-preconditioned conjugate gradient.
-- "reduction": corner pairs only, from the closed form R_n(q_j, q_k) = 2/3
-  at every depth; O(1), no solve.
+- rational: 1 / (exact Schur complement onto {x, y})[0][0], on graphs of
+  at most linalg.RATIONAL_SIZE_LIMIT (400) vertices;
+- float: ResistanceSolver's cell-by-cell elimination;
 
-Many float queries on one graph go through ResistanceSolver.  Cells meet
-only at their corners and all cells at one depth are translates of a single
-model cell, so V_{n-1} separates the depth-n graph into identical pieces; the
-solver eliminates them level by level with one banded Cholesky factor per
-distinct level and solves the closed-form R_n * TRIANGLE_FORM system left on
-the outer corners.  The sparse LU of linalg.pinned_solve is its oracle.
+and corner pairs come from the closed form R_n(q_j, q_k) = 2/3 at every
+depth, in O(1) with no solve.
+
+ResistanceSolver serves every float query.  Cells meet only at their
+corners and all cells at one depth are translates of a single model cell,
+so V_{n-1} separates the depth-n graph into identical pieces; the solver
+eliminates them level by level with one banded Cholesky factor per
+distinct level and solves the closed-form R_n * TRIANGLE_FORM system left
+on the outer corners.  The sparse LU of linalg.pinned_solve is its oracle
+in the tests.
 
 The level-by-level reduction (corner_trace) survives only as the closed
 form's oracle: it folds the graph onto its corners through Schur
@@ -53,16 +54,6 @@ class ResistanceResult:
 
     def __float__(self) -> float:
         return float(self.value)
-
-
-def _unit_resistance_direct(g: ApproximationGraph, x: int, y: int,
-                            method: str = "direct") -> tuple[float, float]:
-    lap = linalg.laplacian(g.adjacency)
-    injection = np.zeros(g.n_vertices)
-    injection[x] = 1.0
-    u, res = linalg.pinned_solve(lap, np.array([y]), np.array([0.0]),
-                                 injection=injection, method=method)
-    return float(u[x]), res
 
 
 def _unit_resistance_rational(g: ApproximationGraph, x: int, y: int) -> Fraction:
@@ -126,33 +117,24 @@ def corner_resistance_by_reduction(ls: LevelSequence, n: int, j: int = 0, k: int
 
 def effective_resistance(ls: LevelSequence, n: int, x: int, y: int,
                          graph: ApproximationGraph | None = None,
-                         method: str = "auto", precision: str = "float",
-                         max_corners: int = 6_000_000) -> ResistanceResult:
-    """R_n(x, y) between vertex ids of the depth-n graph."""
-    g = graph if graph is not None else build_graph(ls, n, max_corners)
+                         precision: str = "float") -> ResistanceResult:
+    """R_n(x, y) between vertex ids of the depth-n graph: the exact Schur
+    complement in rational precision, ResistanceSolver in float precision,
+    with the relative residual of its refined potential."""
+    g = graph if graph is not None else build_graph(ls, n)
     if x == y:
         zero = Fraction(0) if precision == "rational" else 0.0
         return ResistanceResult(zero, precision == "rational", "trivial", 0.0, x, y)
     if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
         raise DomainError("vertex id out of range")
-    if method == "auto":
-        if precision == "rational":
-            method = "rational"
-        else:
-            method = "direct"
-    scale = ls.R(n)
-    if method == "rational":
+    if precision == "rational":
         unit = _unit_resistance_rational(g, x, y)
-        return ResistanceResult(scale * unit, True, "rational", 0.0, x, y)
-    if method in ("direct", "cg"):
-        unit, res = _unit_resistance_direct(g, x, y, method)
-        return ResistanceResult(float(scale) * unit, False, method, res, x, y)
-    if method == "reduction":
-        corners = {int(g.corner_id(j)): j for j in range(3)}
-        if x not in corners or y not in corners:
-            raise DomainError("reduction route handles corner pairs only")
-        return corner_resistance(ls, n, corners[x], corners[y], precision)
-    raise DomainError(f"unknown method {method!r}")
+        return ResistanceResult(ls.R(n) * unit, True, "rational", 0.0, x, y)
+    solver = ResistanceSolver(g)
+    b, u = solver.potential(x, y)
+    residual = float(np.linalg.norm(solver.residual(b, u)) / np.linalg.norm(b))
+    return ResistanceResult(float(ls.R(n)) * float(u[x] - u[y]), False, "elimination",
+                            residual, x, y)
 
 
 class _ModelCell(NamedTuple):
@@ -204,8 +186,8 @@ class ResistanceSolver:
     r_l times the coarser Laplacian, so what remains is R_n * TRIANGLE_FORM
     on the outer corners, grounded at q0 and solved in closed form; the
     back-substitution then runs level by level.  A query makes one solve and
-    one refinement pass with the residual from the sparse Laplacian.  free
-    holds the non-ground vertex ids.
+    one refinement pass with the residual from the edge form.  free holds
+    the non-ground vertex ids.
     """
 
     def __init__(self, g: ApproximationGraph):
@@ -259,23 +241,27 @@ class ResistanceSolver:
             u[interior] = u_i
         return u
 
-    def unit_resistance(self, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
+    def residual(self, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """b - L u off the ground, with L u = B^T (B u) from the edge form."""
+        r = b - self.incidence.T @ (self.incidence @ u)
+        r[self.ground] = 0.0
+        return r
+
+    def potential(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """The source b = e_x - e_y off the ground and the potential u with
+        L u = b there, after one refinement pass; SolveError if u[x] < u[y]."""
         b = np.zeros(self.graph.n_vertices)
         b[x] += 1.0
         b[y] -= 1.0
         b[self.ground] = 0.0
         u = self._solve(b)
-        # one refinement pass with the residual of the sparse Laplacian
-        r = b - self.incidence.T @ (self.incidence @ u)
-        r[self.ground] = 0.0
-        u = u + self._solve(r)
-        val = float(u[x] - u[y])
-        if val < 0:
-            raise SolveError(f"negative resistance {val} for pair ({x}, {y})")
-        return val
+        u = u + self._solve(self.residual(b, u))
+        if u[x] < u[y]:
+            raise SolveError(f"negative resistance {u[x] - u[y]} for pair ({x}, {y})")
+        return b, u
 
-    def resistances(self, pairs, scale: Fraction) -> np.ndarray:
-        s = float(scale)
-        return np.array([s * self.unit_resistance(int(x), int(y)) for x, y in pairs])
+    def unit_resistance(self, x: int, y: int) -> float:
+        if x == y:
+            return 0.0
+        u = self.potential(x, y)[1]
+        return float(u[x] - u[y])

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thin_gasket
-from thin_gasket.cli import RunConfig, dump_config, load_config, main
+from thin_gasket.cli import RunConfig, dump_config, load_config, main, make_parser
+from thin_gasket.errors import GasketError
+from thin_gasket.geometry import build_graph
+from thin_gasket.sequence import LevelSequence
 
 
 def run(argv):
@@ -104,6 +108,59 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("verb", ["energy", "extend", "resistance"])
+def test_method_flag_is_a_usage_error(verb, capsys):
+    # one route per query: --route alone picks energy's route, --precision
+    # resistance's, and extend always runs the graph solve
+    with pytest.raises(SystemExit) as exc:
+        run([verb, "--method", "direct"])
+    assert exc.value.code == 2
+
+
+# Every verb's option strings and their choices (None for free values), so a
+# new knob shows up as a diff here.
+_COMMON_OPTIONS = {
+    "--seq": None, "--continuation": ("none", "repeat-last"), "--diverging": None,
+    "--depth": None, "--seed": None, "--precision": ("rational", "float"),
+    "--trials": None, "--out": None, "--config": None,
+}
+_VERB_OPTIONS = {
+    "build": {},
+    "render": {"--size": None},
+    "energy": {"--pin": None, "--route": ("matrices", "graph")},
+    "extend": {"--pin": None},
+    "resistance": {"--corners": None, "--x": None, "--y": None},
+    "matrices": {"--l": None, "--index": None},
+    "measure": {"--pin": None, "--route": ("matrices", "graph")},
+    "certify": {"--pin": None, "--max-depth": None},
+    "diverge": {"--pin": None, "--max-depth": None, "--samples": None},
+    "psi": {"--kind": ("time", "mass", "resistance", "all"), "--s": None,
+            "--invert": None, "--segments": None},
+    "doubling": {"--kind": ("time", "mass", "resistance", "all"), "--segments": None},
+    "dm": {"--pairs": None},
+    "realize": {"--eta": None, "--n": None, "--n0": None, "--min-ratio": None},
+    "compare": {"--eta": None, "--n": None},
+    "slowdecay": {"--power": None, "--n-max": None},
+    "walk": {"--max-steps": None, "--x": None, "--y": None},
+    "verify-all": {"--only": None},
+}
+
+
+def _options(parser):
+    return {" ".join(a.option_strings): tuple(a.choices) if a.choices else None
+            for a in parser._actions if a.option_strings}
+
+
+def test_parser_surface():
+    parser = make_parser()
+    assert _options(parser) == {"-h --help": None}
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(_VERB_OPTIONS)
+    for verb, sp in sub.choices.items():
+        expected = {"-h --help": None, **_COMMON_OPTIONS, **_VERB_OPTIONS[verb]}
+        assert _options(sp) == expected, verb
+
+
 def test_domain_error_exits_1(tmp_path, capsys):
     rc = run(["build", "--seq", "4", "--depth", "1", "--out", tmp_path])
     assert rc == 1
@@ -175,11 +232,9 @@ _ETA = st.tuples(st.sampled_from(["eta1", "eta2", "eta3", "eta4", "eta0", "x"]),
 _VERB_FLAGS = {
     "build": st.just([]),
     "render": st.sampled_from([-1.0, 0.0, 40.0]).map(lambda v: ["--size", v]),
-    "energy": st.tuples(_PIN, st.sampled_from(["direct", "cg", "cells"]),
-                        st.sampled_from(["matrices", "graph"])).map(
-        lambda t: ["--pin", t[0], "--method", t[1], "--route", t[2]]),
-    "extend": st.tuples(_PIN, st.sampled_from(["direct", "cg"])).map(
-        lambda t: ["--pin", t[0], "--method", t[1]]),
+    "energy": st.tuples(_PIN, st.sampled_from(["matrices", "graph"])).map(
+        lambda t: ["--pin", t[0], "--route", t[1]]),
+    "extend": _PIN.map(lambda p: ["--pin", p]),
     "resistance": _int_list(-1, 3, ["0", "x", "0,,1"]).map(lambda c: ["--corners", c]),
     "matrices": st.tuples(st.integers(4, 9), _int_list(0, 8, ["x"])).map(
         lambda t: ["--l", t[0], "--index", t[1]]),
@@ -202,12 +257,26 @@ _VERB_FLAGS = {
 }
 
 
+def _vertex_count(seq, depth):
+    """V of the depth-`depth` graph of a drawn --seq; 0 for a malformed one."""
+    try:
+        ls = LevelSequence(tuple(int(t) for t in seq.split(",")), continuation="repeat-last")
+        return build_graph(ls, depth).n_vertices
+    except (GasketError, ValueError):
+        return 0
+
+
 @st.composite
 def _cli_argv(draw):
     verb = draw(st.sampled_from(sorted(_VERB_FLAGS)))
     argv = [verb, *draw(_VERB_FLAGS[verb])]
-    argv += ["--seq", draw(_int_list(5, 9, ["4", "x", "5,,6", "5,y"]))]
-    argv += ["--depth", draw(st.integers(0, 2))]
+    seq = draw(_int_list(5, 9, ["4", "x", "5,,6", "5,y"]))
+    depth = draw(st.integers(0, 2))
+    argv += ["--seq", seq, "--depth", depth]
+    if verb == "resistance" and draw(st.booleans()):
+        # vertex ids from -1 to V + 1: both ends one past the graph
+        ids = st.integers(-1, _vertex_count(seq, depth) + 1)
+        argv += ["--x", draw(ids), "--y", draw(ids)]
     if draw(st.booleans()):
         argv.append("--diverging")
     if draw(st.booleans()):
@@ -220,10 +289,31 @@ def _cli_argv(draw):
 def test_cli_never_ends_in_traceback(argv):
     """Small random argument sets end in 0, 1 or 2, never a traceback or a
     hang; each case is one child interpreter at a time."""
+    _assert_clean_exit(argv)
+
+
+def _assert_clean_exit(argv):
     with tempfile.TemporaryDirectory() as out:
         code, err = run_process([*argv, "--out", out], timeout=120)
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err, (argv, err)
+
+
+@st.composite
+def _resistance_pair_argv(draw):
+    seq = draw(st.sampled_from(["5", "6,5", "9"]))
+    depth = draw(st.integers(0, 2))
+    ids = st.integers(-1, _vertex_count(seq, depth) + 1)
+    return ["resistance", "--seq", seq, "--depth", depth, "--x", draw(ids), "--y", draw(ids),
+            "--precision", draw(st.sampled_from(["float", "rational"]))]
+
+
+@settings(max_examples=12, derandomize=True)
+@given(argv=_resistance_pair_argv())
+def test_resistance_pairs_never_end_in_traceback(argv):
+    """The same for vertex pairs on well-formed sequences, which the draws
+    above rarely reach: both precisions, ids one past either end."""
+    _assert_clean_exit(argv)
 
 
 # ---- Artifacts -----------------------------------------------------------
@@ -362,8 +452,7 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv,name", [
     ("measure --seq 5,6 --depth 2 --pin 1,2/3,1/9", "measure-5-6-d2.csv"),
     ("measure --seq 5,6 --depth 1 --pin 1,2/3,1/9 --route graph", "measure-5-6-d1.csv"),
-    ("energy --seq 5,6 --depth 1 --pin 1,2/3,1/9 --route graph --method direct",
-     "energy-5-6-d1.json"),
+    ("energy --seq 5,6 --depth 1 --pin 1,2/3,1/9 --route graph", "energy-5-6-d1.json"),
     ("extend --seq 5 --depth 1 --pin 1,2/3,1/9", "extend-5-d1.csv"),
     ("resistance --seq 5,7,6,12 --depth 3", "resistance-5-7-6-12-d3.json"),
     ("resistance --seq 5 --depth 1 --x 3 --y 11", "resistance-5-d1.json"),
@@ -465,3 +554,31 @@ def test_resistance_outputs_match_golden_within_float_tolerance(tmp_path, capsys
         cells_a, cells_b = a.split(","), b.split(",")
         assert len(cells_a) == len(cells_b)
         assert all(_csv_cell_close(x, y) for x, y in zip(cells_a, cells_b))
+
+
+# A float pair resistance written while `resistance --x --y` still factored
+# the whole grounded Laplacian with a sparse LU (method "direct"); the
+# elimination agrees within 1e-10 and reports its own route and residual.
+def test_float_pair_resistance_matches_golden(tmp_path, capsys):
+    name = "resistance-5-d3.json"
+    assert run(["resistance", "--seq", "5", "--depth", "3", "--x", "3", "--y", "2000",
+                "--out", tmp_path]) == 0
+    new = json.loads((tmp_path / name).read_text())
+    old = json.loads((GOLDEN / name).read_text())
+    assert sorted(new) == sorted(old)
+    assert type(new["value"]) is str and _float_close(float(new["value"]), float(old["value"]))
+    assert new["method"] == "elimination"
+    assert new["residual"] <= 1e-10
+    for key in set(old) - {"value", "method", "residual"}:
+        assert new[key] == old[key], key
+
+
+@pytest.mark.parametrize("argv", [
+    "certify --seq 5 --max-depth 3 --pin 1,1,1",
+    "diverge --seq 5,6,7 --max-depth 3 --pin 1,1,1",
+])
+def test_constant_pin_passes(tmp_path, capsys, argv):
+    # a constant pin has the zero energy measure, so no cell is admissible
+    # and every sampled address collects the full unit per depth
+    assert run([*argv.split(), "--out", tmp_path]) == 0
+    assert "[PASS]" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thin_gasket import linalg
 from thin_gasket.errors import BudgetError, DomainError
 from thin_gasket.forms import (TRIANGLE_FORM, _depth_one_graph, base_energy,
                                discrete_form, extension_ratio_check,
@@ -137,11 +138,18 @@ def test_extension_bounded_by_pin_range(ls5):
 
 
 def test_cg_matches_direct(ls5):
-    hd = harmonic_extend(ls5, (1.0, 2.0, -1.0), 2, method="direct")
-    hc = harmonic_extend(ls5, (1.0, 2.0, -1.0), 2, method="cg")
-    _, vd = hd.extend(2)
-    _, vc = hc.extend(2)
+    g = build_graph(ls5, 2)
+    lap = linalg.laplacian(g.adjacency)
+    pin = np.array([1.0, 2.0, -1.0])
+    vd, _ = linalg.pinned_solve(lap, g.boundary, pin, method="direct")
+    vc, _ = linalg.pinned_solve(lap, g.boundary, pin, method="cg")
     assert np.max(np.abs(vd - vc)) < 1e-9
+
+
+def test_extension_methods_are_cells_and_direct(ls5):
+    for method in ("cg", "Cells", "auto"):
+        with pytest.raises(DomainError):
+            harmonic_extend(ls5, (1.0, 0.0, 0.0), 1, method=method)
 
 
 def test_deep_pin_level(ls5):

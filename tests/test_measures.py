@@ -86,7 +86,7 @@ def test_rational_routes_stay_exact():
     assert mu0.total == h1.energy(1)
     for n in (0, 2):
         assert _only_fractions(corner_trace(ls, n))
-    assert type(effective_resistance(ls, 1, 3, 11, method="rational").value) is Fraction
+    assert type(effective_resistance(ls, 1, 3, 11, precision="rational").value) is Fraction
 
 
 def test_routes_agree_in_float():
@@ -146,6 +146,22 @@ def test_certificate_handles_zero_mass_branches():
     assert rep.passed
 
 
+def test_constant_pin_has_no_live_cells():
+    # the zero energy measure: the float cascade leaves noise of order 1e-32
+    # per cell below the pin level's exact zeros, and none of it is mass
+    for seq in ((5,), (5, 6, 7)):
+        h = harmonic_extend(LevelSequence(seq, continuation="repeat-last"),
+                            (1.0, 1.0, 1.0), 0, method="cells")
+        assert float(np.asarray(energy_measure(h, 3).masses).max()) > 0.0
+        cert = singularity_certificate(h, 3)
+        assert cert.passed
+        assert cert.n_admissible == 0 and cert.max_excess == 0.0
+        assert sum(r.n_zero_mass for r in cert.records) > 0
+        div = divergence_statistic(h, 3, n_samples=50, seed=0)
+        assert div.passed and div.n_failures == 0
+        assert all(s.divergence_sum == 3.0 for s in div.samples)
+
+
 def test_divergence_statistic():
     ls = LevelSequence((5, 5, 5, 5))
     h = harmonic_extend(ls, (1.0, 0.0, 0.0), 0, method="cells")
@@ -177,7 +193,7 @@ def _divergence_by_address(h, max_depth, n_samples, seed, tol=1e-9):
     masses = {d: cell_energies(h.cell_values(d)) / float(ls.R(d))
               for d in range(k, max_depth + 1)}
     total = float(masses[k].sum())
-    floor = MASS_FLOOR_REL * total if total > 0 else 0.0
+    floor = MASS_FLOOR_REL * total if total > 0 else math.inf
     counts = [cell_count(ls.level(d)) for d in range(1, max_depth + 1)]
     interior = {}
     for d in range(1, max_depth + 1):

@@ -92,24 +92,40 @@ def test_reduction_oracle_matches_closed_form():
         corner_resistance(deep, -1)
 
 
+def _pinned_unit_resistance(g, x, y, method):
+    """u[x] - u[y] for a unit current from x to y, grounded at y, by the
+    pinned_solve oracle."""
+    injection = np.zeros(g.n_vertices)
+    injection[x] = 1.0
+    u, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), np.array([y]),
+                               np.array([0.0]), injection=injection, method=method)
+    return float(u[x] - u[y])
+
+
 def test_effective_resistance_methods_agree(ls5):
     g = build_graph(ls5, 1)
     x, y = int(g.corner_id(0)), int(g.corner_id(1))
-    exact = effective_resistance(ls5, 1, x, y, graph=g, method="rational")
-    direct = effective_resistance(ls5, 1, x, y, graph=g, method="direct")
-    cg = effective_resistance(ls5, 1, x, y, graph=g, method="cg")
+    exact = effective_resistance(ls5, 1, x, y, graph=g, precision="rational")
+    elim = effective_resistance(ls5, 1, x, y, graph=g)
+    cg = float(ls5.R(1)) * _pinned_unit_resistance(g, x, y, "cg")
     assert exact.exact and exact.value == Fraction(2, 3)
-    assert float(direct) == pytest.approx(float(exact), rel=1e-10)
-    assert float(cg) == pytest.approx(float(exact), rel=1e-8)
+    assert elim.method == "elimination" and not elim.exact
+    assert elim.residual <= 1e-10
+    assert float(elim) == pytest.approx(float(exact), rel=1e-10)
+    assert cg == pytest.approx(float(exact), rel=1e-8)
 
 
 def test_effective_resistance_symmetry_and_identity(ls5):
     g = build_graph(ls5, 1)
-    a = effective_resistance(ls5, 1, 3, 11, graph=g, method="direct")
-    b = effective_resistance(ls5, 1, 11, 3, graph=g, method="direct")
+    a = effective_resistance(ls5, 1, 3, 11, graph=g)
+    b = effective_resistance(ls5, 1, 11, 3, graph=g)
     assert float(a) == pytest.approx(float(b), rel=1e-12)
-    same = effective_resistance(ls5, 1, 3, 3, graph=g, method="direct")
+    same = effective_resistance(ls5, 1, 3, 3, graph=g)
     assert float(same) == 0.0
+    with pytest.raises(DomainError):
+        effective_resistance(ls5, 1, 3, g.n_vertices, graph=g)
+    with pytest.raises(DomainError):
+        effective_resistance(ls5, 1, -1, 3, graph=g, precision="rational")
 
 
 def test_resistance_is_a_metric_on_samples(ls5):
@@ -133,11 +149,11 @@ def test_resistance_is_a_metric_on_samples(ls5):
 def test_solver_matches_direct(ls5):
     g = build_graph(ls5, 2)
     solver = ResistanceSolver(g)
-    scale = ls5.R(2)
-    got = solver.resistances([(0, 7), (3, 40)], scale)
-    for (x, y), val in zip([(0, 7), (3, 40)], got):
-        ref = effective_resistance(ls5, 2, x, y, graph=g, method="direct")
-        assert val == pytest.approx(float(ref), rel=1e-9)
+    for x, y in [(0, 7), (3, 40)]:
+        ref = _pinned_unit_resistance(g, x, y, "direct")
+        assert solver.unit_resistance(x, y) == pytest.approx(ref, rel=1e-9)
+        got = effective_resistance(ls5, 2, x, y, graph=g)
+        assert float(got) == pytest.approx(float(ls5.R(2)) * ref, rel=1e-9)
 
 
 # ---- Cell-by-cell elimination --------------------------------------------
@@ -187,7 +203,7 @@ def test_solver_matches_rational_resistance(l):
     solver = ResistanceSolver(g)
     scale = float(ls.R(1))
     for x, y in _sample_pairs(g, 10, seed=l):
-        exact = effective_resistance(ls, 1, x, y, graph=g, method="rational").value
+        exact = effective_resistance(ls, 1, x, y, graph=g, precision="rational").value
         assert abs(scale * solver.unit_resistance(x, y) - exact) <= 1e-12 * exact
 
 
