@@ -67,12 +67,6 @@ class DiscreteForm:
         vals = np.asarray(u, dtype=np.float64)[self.graph.cells]
         return float(cell_energies(vals).sum() / self.scale)
 
-    def energy_exact(self, u) -> Fraction:
-        total = Fraction(0)
-        for c0, c1, c2 in self.graph.cells:
-            total += base_energy((u[int(c0)], u[int(c1)], u[int(c2)]))
-        return total / self.scale
-
 
 def discrete_form(ls: LevelSequence, n: int,
                   graph: ApproximationGraph | None = None) -> DiscreteForm:

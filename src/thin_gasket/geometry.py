@@ -8,8 +8,10 @@ and metric comparisons are exact integer arithmetic.  The graph metric
 
 Sizes are budgeted in corner slots, 3 M_n: build_graph refuses more than
 max_corners, and the cell cascade behind energy measures
-(forms.HarmonicSpec.cell_values) more than 2^27.  Exact Fraction solves on
-a graph stop at linalg.RATIONAL_SIZE_LIMIT = 400 vertices.  A CellMeasure
+(forms.HarmonicSpec.cell_values) more than 2^27.  Dense exact Fraction
+solves on a graph (rational harmonic extension by the graph route) stop at
+linalg.RATIONAL_SIZE_LIMIT = 400 vertices; exact pair resistances, by
+cell-by-cell elimination, are bounded only by max_corners.  A CellMeasure
 is plain arrays: per-cell masses in word enumeration order and their total.
 """
 
@@ -78,10 +80,6 @@ def _letter_index(l: int) -> dict:
 
 
 # ---- Words --------------------------------------------------------------
-
-
-def word_count(ls: LevelSequence, n: int) -> int:
-    return ls.M(n)
 
 
 def word_to_index(ls: LevelSequence, word) -> int:

@@ -1,19 +1,22 @@
-"""Linear-algebra backends: exact rational elimination and sparse solves.
+"""Linear-algebra backends: dense exact rational elimination and sparse
+float solves.
 
-Two solver paths serve the whole package.  The rational path does dense
-Gaussian elimination over Fraction entries and is reserved for small systems
-(golden values, one-subdivision solves); its one Schur complement is the
-kept rows of the Laplacian applied to exact harmonic extensions of unit
-pins, returned as a numpy object array of Fractions.  RATIONAL_SIZE_LIMIT
-is the one limit of every exact solve: graphs of more than 400 vertices
-and systems of more than 400 unknowns are refused with a SolveError, since
-the cost of elimination grows with the cube of the size times the cost of
-ever longer numerators.  The float path
+The rational path does dense Gaussian elimination over Fraction entries
+and is reserved for small systems: the graph route of exact harmonic
+extension (rational extend and --route graph, acceptance criterion 6's
+oracle) and the one-subdivision oracles.  Its Schur complement is the kept
+rows of the Laplacian applied to exact harmonic extensions of unit pins,
+returned as a numpy object array of Fractions; it is the test oracle of
+the exact resistance elimination, which lives in resistance and does not
+use this path.  RATIONAL_SIZE_LIMIT bounds every dense exact solve: graphs
+of more than 400 vertices and systems of more than 400 unknowns are
+refused with a SolveError, since the cost of dense elimination grows with
+the size cubed times the cost of ever longer numerators.  The float path
 assembles sparse graph Laplacians and solves pinned systems either by
 direct LU with at most MAX_REFINE rounds of iterative refinement (default)
 or by Jacobi-preconditioned conjugate gradients (method="cg"), both to the
 relative residual SOLVE_RTOL.  pinned_solve runs the graph route of
-harmonic extension and is the oracle of the resistance solver.
+harmonic extension and is the oracle of the float resistance solver.
 """
 
 from __future__ import annotations
@@ -41,7 +44,10 @@ def rational_solve(a, b):
 
     a: list of rows (each a list of Fraction/int), square.
     b: list of rows, each a list (multiple right-hand sides allowed).
-    Returns the solution as a list of rows of Fractions.
+    Returns the solution as a list of rows of Fractions.  Gaussian
+    elimination, then back-substitution on the right-hand sides; each row
+    operation touches only the pivot row's nonzero entries, so a sparse
+    Laplacian costs far less than n^3.
     """
     n = len(a)
     if n > RATIONAL_SIZE_LIMIT:
@@ -49,6 +55,8 @@ def rational_solve(a, b):
     m = len(b[0]) if n else 0
     aug = [[Fraction(x) for x in row_a] + [Fraction(x) for x in row_b]
            for row_a, row_b in zip(a, b)]
+    # per pivot row, its nonzero columns right of the pivot among the unknowns
+    upper = []
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -61,14 +69,22 @@ def rational_solve(a, b):
             aug[col], aug[piv] = aug[piv], aug[col]
         prow = aug[col]
         inv = 1 / prow[col]
-        for j in range(col, n + m):
+        nz = [j for j in range(col + 1, n + m) if prow[j] != 0]
+        for j in nz:
             prow[j] *= inv
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
+        upper.append([j for j in nz if j < n])
+        for r in range(col + 1, n):
+            f = aug[r][col]
+            if f != 0:
                 row = aug[r]
-                for j in range(col, n + m):
+                for j in nz:
                     row[j] -= f * prow[j]
+    for col in range(n - 1, -1, -1):
+        prow = aug[col]
+        for j in upper[col]:
+            f, done = prow[j], aug[j]
+            for c in range(n, n + m):
+                prow[c] -= f * done[c]
     return [row[n:] for row in aug]
 
 

@@ -1,22 +1,21 @@
 """Effective resistance on approximation graphs.
 
 R_n(x, y) = R_n * (unit-conductance effective resistance between x and y
-on the depth-n graph).  One route per precision:
+on the depth-n graph).  One route serves both precisions: ResistanceSolver's
+cell-by-cell elimination, in float64 with one refinement pass, or exactly
+over Fractions; and corner pairs come from the closed form
+R_n(q_j, q_k) = 2/3 at every depth, in O(1) with no solve.
 
-- rational: 1 / (exact Schur complement onto {x, y})[0][0], on graphs of
-  at most linalg.RATIONAL_SIZE_LIMIT (400) vertices;
-- float: ResistanceSolver's cell-by-cell elimination;
-
-and corner pairs come from the closed form R_n(q_j, q_k) = 2/3 at every
-depth, in O(1) with no solve.
-
-ResistanceSolver serves every float query.  Cells meet only at their
-corners and all cells at one depth are translates of a single model cell,
-so V_{n-1} separates the depth-n graph into identical pieces; the solver
-eliminates them level by level with one banded Cholesky factor per
-distinct level and solves the closed-form R_n * TRIANGLE_FORM system left
-on the outer corners.  The sparse LU of linalg.pinned_solve is its oracle
-in the tests.
+Cells meet only at their corners and all cells at one depth are
+translates of a single model cell, so V_{n-1} separates the depth-n graph
+into identical pieces; the solver eliminates them level by level with one
+factor of the model cell's interior block per distinct level, carries the
+sources to the corners and extends the potential back with the closed-form
+harmonic matrices (forms.matrix_stack), and solves the closed-form
+R_n * TRIANGLE_FORM system left on the outer corners.  The size of an exact
+query is bounded only by build_graph's corner budget.  The sparse LU of
+linalg.pinned_solve and the dense Fraction Schur complement of linalg are
+its oracles in the tests.
 
 The level-by-level reduction (corner_trace) survives only as the closed
 form's oracle: it folds the graph onto its corners through Schur
@@ -38,7 +37,8 @@ from scipy.sparse import csgraph
 
 from . import linalg
 from .errors import DomainError, SolveError
-from .forms import TRIANGLE_FORM, _depth_one_graph, one_subdivision_trace
+from .forms import (TRIANGLE_FORM, _depth_one_graph, matrix_stack, matrix_stack_exact,
+                    one_subdivision_trace)
 from .geometry import ApproximationGraph, _corner_numerators, build_graph
 from .sequence import LevelSequence
 
@@ -54,11 +54,6 @@ class ResistanceResult:
 
     def __float__(self) -> float:
         return float(self.value)
-
-
-def _unit_resistance_rational(g: ApproximationGraph, x: int, y: int) -> Fraction:
-    lap = linalg.dense_rational_laplacian(g.adjacency)
-    return 1 / linalg.schur_complement(lap, [x, y])[0][0]
 
 
 # ---- Corner pairs --------------------------------------------------------
@@ -101,13 +96,10 @@ def corner_resistance_by_reduction(ls: LevelSequence, n: int, j: int = 0, k: int
     corner_resistance's closed form, exact (a Fraction) in rational mode.
     It refuses the arguments that corner_resistance refuses."""
     corner_resistance(ls, n, j, k, precision)
-    trace = corner_trace(ls, n, precision)
-    if precision == "rational":
-        unit = 1 / linalg.schur_complement(trace, [j, k])[0][0]
-    else:
-        free = [p for p in range(3) if p != k]
-        b = np.array([1.0 if p == j else 0.0 for p in free])
-        unit = float(np.linalg.solve(trace[np.ix_(free, free)], b)[free.index(j)])
+    t = corner_trace(ls, n, precision)
+    m = 3 - j - k
+    # conductances -t on a triangle: the edge jk in parallel with jm, mk in series
+    unit = 1 / (-t[j][k] + t[j][m] * t[k][m] / (-t[j][m] - t[k][m]))
     # a Fraction times a float unit is float(R_n) * unit
     return ls.R(n) * unit
 
@@ -118,23 +110,33 @@ def corner_resistance_by_reduction(ls: LevelSequence, n: int, j: int = 0, k: int
 def effective_resistance(ls: LevelSequence, n: int, x: int, y: int,
                          graph: ApproximationGraph | None = None,
                          precision: str = "float") -> ResistanceResult:
-    """R_n(x, y) between vertex ids of the depth-n graph: the exact Schur
-    complement in rational precision, ResistanceSolver in float precision,
-    with the relative residual of its refined potential."""
+    """R_n(x, y) between vertex ids of the depth-n graph by ResistanceSolver:
+    exact in rational precision; in float precision with the relative
+    residual of its refined potential."""
     g = graph if graph is not None else build_graph(ls, n)
     if x == y:
         zero = Fraction(0) if precision == "rational" else 0.0
         return ResistanceResult(zero, precision == "rational", "trivial", 0.0, x, y)
     if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
         raise DomainError("vertex id out of range")
-    if precision == "rational":
-        unit = _unit_resistance_rational(g, x, y)
-        return ResistanceResult(ls.R(n) * unit, True, "rational", 0.0, x, y)
     solver = ResistanceSolver(g)
+    if precision == "rational":
+        u = solver._solve(solver._source(x, y, Fraction(1)))
+        return ResistanceResult(ls.R(n) * (u[x] - u[y]), True, "rational", 0.0, x, y)
     b, u = solver.potential(x, y)
     residual = float(np.linalg.norm(solver.residual(b, u)) / np.linalg.norm(b))
     return ResistanceResult(float(ls.R(n)) * float(u[x] - u[y]), False, "elimination",
                             residual, x, y)
+
+
+def _stack_rows(l: int) -> np.ndarray:
+    """Per vertex of the level-l model network, the row of
+    matrix_stack(l).reshape(-1, 3) that extends corner values to it: row j
+    of cell i's matrix belongs to vertex cells[i][j]."""
+    g = _depth_one_graph(l)
+    rows = np.empty(g.n_vertices, dtype=np.int64)
+    rows[g.cells.ravel()] = np.arange(g.cells.size)
+    return rows
 
 
 class _ModelCell(NamedTuple):
@@ -142,15 +144,23 @@ class _ModelCell(NamedTuple):
 
     With K its unit Laplacian, I the non-corner vertices and B the corners:
     interior: model vertex ids of I, in reverse Cuthill-McKee order;
-    chol: upper banded Cholesky factor of K_II in that order;
-    k_bi: K_BI as a sparse (3, |I|) matrix, rows in corner order;
-    coupling: P = K_II^-1 K_IB, shape (|I|, 3).
+    band: K_II in that order, in upper banded storage (integer entries);
+    chol: the upper banded Cholesky factor of K_II;
+    harmonic: H_I^T, shape (3, |I|), with H_I = -K_II^-1 K_IB the rows of
+    matrix_stack(l) at I: u_I = H_I u_B extends corner values harmonically
+    and K_BI K_II^-1 = -H_I^T.  Stored C-contiguous so that the solver's
+    einsums stream it (over twice as fast as H_I's layout, and unlike a
+    BLAS matmul of these thin shapes they run on one thread).
     """
 
     interior: np.ndarray
+    band: np.ndarray
     chol: np.ndarray
-    k_bi: sparse.csr_matrix
-    coupling: np.ndarray
+    harmonic: np.ndarray
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K_II^-1 rhs for an (|I|, k) float array."""
+        return cho_solve_banded((self.chol, False), rhs, check_finite=False)
 
 
 @lru_cache(maxsize=None)
@@ -165,13 +175,58 @@ def _model_cell(l: int) -> _ModelCell:
     order = csgraph.reverse_cuthill_mckee(lap[inner][:, inner].tocsr(), symmetric_mode=True)
     interior = inner[order]
     upper = sparse.triu(lap[interior][:, interior]).tocoo()
-    band = int((upper.col - upper.row).max(initial=0))
-    ab = np.zeros((band + 1, interior.size))
-    ab[band + upper.row - upper.col, upper.col] = upper.data
-    chol = cholesky_banded(ab)
-    k_bi = lap[g.boundary][:, interior].tocsr()
-    coupling = cho_solve_banded((chol, False), k_bi.T.toarray())
-    return _ModelCell(interior, chol, k_bi, coupling)
+    w = int((upper.col - upper.row).max(initial=0))
+    band = np.zeros((w + 1, interior.size))
+    band[w + upper.row - upper.col, upper.col] = upper.data
+    harmonic = matrix_stack(l).reshape(-1, 3)[_stack_rows(l)[interior]]
+    return _ModelCell(interior, band, cholesky_banded(band), np.ascontiguousarray(harmonic.T))
+
+
+class _ExactCell(NamedTuple):
+    """The model cell in Fractions: harmonic is H_I^T from
+    matrix_stack_exact(l), and K_II = L D L^T with L unit lower triangular
+    of K_II's bandwidth w, lower[o][i] = L[i, i - o] for 1 <= o <= w and
+    diag = D."""
+
+    harmonic: np.ndarray
+    lower: list
+    diag: list
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """K_II^-1 rhs exactly for an (|I|, k) object array."""
+        w = len(self.lower) - 1
+        n = rhs.shape[0]
+        z = rhs.copy()
+        for i in range(n):
+            for o in range(1, min(w, i) + 1):
+                z[i] -= self.lower[o][i] * z[i - o]
+        for i in range(n - 1, -1, -1):
+            z[i] /= self.diag[i]
+            for o in range(1, min(w, n - 1 - i) + 1):
+                z[i] -= self.lower[o][i + o] * z[i + o]
+        return z
+
+
+@lru_cache(maxsize=None)
+def _exact_model_cell(l: int) -> _ExactCell:
+    """Exact banded L D L^T of the model cell's K_II, in _model_cell's
+    order; built on the first exact query of level l."""
+    model = _model_cell(l)
+    w, n = model.band.shape[0] - 1, model.band.shape[1]
+    # k[o][i] = K_II[i, i - o]
+    k = [[Fraction(int(v)) for v in row] for row in model.band[::-1]]
+    lower = [[Fraction(0)] * n for _ in range(w + 1)]
+    diag = [Fraction(0)] * n
+    for i in range(n):
+        for o in range(min(w, i), 0, -1):
+            j = i - o
+            s = k[o][i]
+            for p in range(1, min(w - o, j) + 1):
+                s -= lower[o + p][i] * lower[p][j] * diag[j - p]
+            lower[o][i] = s / diag[j]
+        diag[i] = k[0][i] - sum(lower[o][i] ** 2 * diag[i - o] for o in range(1, min(w, i) + 1))
+    stack = np.array(matrix_stack_exact(l), dtype=object).reshape(-1, 3)
+    return _ExactCell(stack[_stack_rows(l)[model.interior]].T, lower, diag)
 
 
 class ResistanceSolver:
@@ -181,12 +236,17 @@ class ResistanceSolver:
     model l_k-subdivision network, so V_{k-1} cuts the vertices new at
     depth k into identical pieces.  A solve eliminates the vertices new at
     depth n, then those new at depth n-1, and so on down to the outer
-    corners, batched over the cells of a level with the model cell's banded
-    Cholesky factor (_model_cell, one per distinct level).  Each step leaves
-    r_l times the coarser Laplacian, so what remains is R_n * TRIANGLE_FORM
-    on the outer corners, grounded at q0 and solved in closed form; the
-    back-substitution then runs level by level.  A query makes one solve and
-    one refinement pass with the residual from the edge form.  free holds
+    corners, batched over the cells of a level: each cell with a source
+    gets its particular solution from one factor of the model cell's K_II
+    per distinct level, and its source moves to its corners through the
+    closed-form harmonic rows H_I.  Each step leaves r_l times the coarser
+    Laplacian, so what remains is R_n * TRIANGLE_FORM on the outer corners,
+    grounded at q0 and solved in closed form; the back-substitution then
+    extends the potential level by level through H_I and adds the
+    particular solutions.  The source's dtype picks the arithmetic: float64
+    with the banded Cholesky factor (a query makes one solve and one
+    refinement pass with the residual from the edge form), or Fractions
+    with an exact banded L D L^T (exact, so no refinement).  free holds
     the non-ground vertex ids.
     """
 
@@ -203,40 +263,53 @@ class ResistanceSolver:
         self.incidence = sparse.csr_matrix(
             (np.tile([1.0, -1.0], g.n_edges), (np.repeat(np.arange(g.n_edges), 2), e.ravel())),
             shape=(g.n_edges, g.n_vertices))
-        self.corner_scale = float(ls.R(n))
+        self.corner_scale = ls.R(n)
         # per level k, finest first: the (M_{k-1}, |I|) interior and
-        # (M_{k-1}, 3) corner vertex ids of the depth-(k-1) cells, the model
-        # cell, and c_k = R_n / R_k, the factor the finer eliminations leave
-        # on the level-k Laplacian
+        # (M_{k-1}, 3) corner vertex ids of the depth-(k-1) cells, the level,
+        # and c_k = R_n / R_k, the factor the finer eliminations leave on
+        # the level-k Laplacian
         self.levels = []
         for k in range(n, 0, -1):
             l = ls.level(k)
-            model = _model_cell(l)
             corners = _corner_numerators(ls, k - 1) * (g.L // ls.L(k - 1))
-            inner = _depth_one_graph(l).vertices[model.interior] * (g.L // ls.L(k))
+            inner = _depth_one_graph(l).vertices[_model_cell(l).interior] * (g.L // ls.L(k))
             self.levels.append((g.vertex_ids(corners[:, :1, :] + inner[None, :, :]),
-                                g.vertex_ids(corners), model, float(ls.R(n) / ls.R(k))))
+                                g.vertex_ids(corners), l, ls.R(n) / ls.R(k)))
+
+    def _source(self, x: int, y: int, one) -> np.ndarray:
+        """e_x - e_y off the ground in units of one: 1.0 for a float solve,
+        Fraction(1) for an exact one."""
+        b = np.zeros(self.graph.n_vertices, dtype=np.asarray(one).dtype)
+        b[x] += one
+        b[y] -= one
+        b[self.ground] = 0
+        return b
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        """u with L u = b off the ground and u = 0 at the ground."""
+        """u with L u = b off the ground and u = 0 at the ground: in float64,
+        or exactly for an object array of Fractions."""
+        exact = b.dtype == object
         b = b.copy()
         particular = []
-        for interior, corners, model, scale in self.levels:
+        for interior, corners, l, scale in self.levels:
+            cell = _exact_model_cell(l) if exact else _model_cell(l)
             b_i = b[interior]
             # a cell with no source has no particular solution
             active = np.flatnonzero(b_i.any(axis=1))
             if active.size == b_i.shape[0]:
                 active = slice(None)  # views, not copies, of whole tables
-            z = cho_solve_banded((model.chol, False), b_i[active].T, check_finite=False)
-            np.add.at(b, corners[active], -(model.k_bi @ z).T)
-            particular.append((active, z.T / scale))
+            b_a = b_i[active]
+            z = cell.solve(b_a.T).T / (scale if exact else float(scale))
+            np.add.at(b, corners[active], np.einsum("mi,ji->mj", b_a, cell.harmonic))
+            particular.append((cell, active, z))
         u = np.zeros_like(b)
+        scale = self.corner_scale if exact else float(self.corner_scale)
         _, q1, q2 = self.graph.boundary
-        u[q1] = (2 * b[q1] + b[q2]) / (3 * self.corner_scale)
-        u[q2] = (b[q1] + 2 * b[q2]) / (3 * self.corner_scale)
-        for (interior, corners, model, _), (active, z) in zip(reversed(self.levels),
-                                                              reversed(particular)):
-            u_i = np.einsum("mj,ij->mi", u[corners], -model.coupling)
+        u[q1] = (2 * b[q1] + b[q2]) / (3 * scale)
+        u[q2] = (b[q1] + 2 * b[q2]) / (3 * scale)
+        for (interior, corners, _, _), (cell, active, z) in zip(reversed(self.levels),
+                                                                reversed(particular)):
+            u_i = np.einsum("mj,ji->mi", u[corners], cell.harmonic)
             u_i[active] += z
             u[interior] = u_i
         return u
@@ -248,12 +321,10 @@ class ResistanceSolver:
         return r
 
     def potential(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-        """The source b = e_x - e_y off the ground and the potential u with
-        L u = b there, after one refinement pass; SolveError if u[x] < u[y]."""
-        b = np.zeros(self.graph.n_vertices)
-        b[x] += 1.0
-        b[y] -= 1.0
-        b[self.ground] = 0.0
+        """The float source b = e_x - e_y off the ground and the potential u
+        with L u = b there, after one refinement pass; SolveError if
+        u[x] < u[y]."""
+        b = self._source(x, y, 1.0)
         u = self._solve(b)
         u = u + self._solve(self.residual(b, u))
         if u[x] < u[y]:

@@ -120,14 +120,6 @@ class LevelSequence:
         """All explicitly stored levels (prefix plus table)."""
         return self.entries + self.table
 
-    def supports_depth(self, n: int) -> bool:
-        try:
-            self.level(max(n, 1)) if n > 0 else None
-            self.prefix(n)
-            return True
-        except SequenceError:
-            return False
-
     # -- product scales -----------------------------------------------------
 
     def L(self, n: int) -> int:

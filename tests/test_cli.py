@@ -193,10 +193,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["resistance", "--depth", "-1"],  # a negative depth
     ["realize", "--n0", "0"],  # 2^-n0 is no level scale
     ["realize", "--n0", "-2"],
-    # exact Fraction elimination on 795 vertices: past the 400-vertex limit
+    # dense Fraction elimination on 795 vertices: past the 400-vertex limit
     ["extend", "--seq", "8", "--depth", "2", "--precision", "rational"],
-    ["resistance", "--seq", "8", "--depth", "2", "--x", "3", "--y", "11",
-     "--precision", "rational"],
     ["certify", "--seq", "58", "--max-depth", "4"],  # a 19 GiB cell cascade
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
         "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
@@ -204,7 +202,7 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "realize-n0-zero", "realize-n0-negative",
-        "extend-rational-size", "resistance-rational-size", "certify-cascade-budget"])
+        "extend-rational-size", "certify-cascade-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1
@@ -267,8 +265,7 @@ def _vertex_count(seq, depth):
 
 
 @st.composite
-def _cli_argv(draw):
-    verb = draw(st.sampled_from(sorted(_VERB_FLAGS)))
+def _cli_argv(draw, verb):
     argv = [verb, *draw(_VERB_FLAGS[verb])]
     seq = draw(_int_list(5, 9, ["4", "x", "5,,6", "5,y"]))
     depth = draw(st.integers(0, 2))
@@ -284,12 +281,13 @@ def _cli_argv(draw):
     return argv
 
 
-@settings(max_examples=16, derandomize=True)
-@given(argv=_cli_argv())
-def test_cli_never_ends_in_traceback(argv):
+@pytest.mark.parametrize("verb", sorted(_VERB_FLAGS))
+@settings(max_examples=2, derandomize=True)
+@given(data=st.data())
+def test_cli_never_ends_in_traceback(verb, data):
     """Small random argument sets end in 0, 1 or 2, never a traceback or a
-    hang; each case is one child interpreter at a time."""
-    _assert_clean_exit(argv)
+    hang, for every verb; each case is one child interpreter at a time."""
+    _assert_clean_exit(data.draw(_cli_argv(verb), label="argv"))
 
 
 def _assert_clean_exit(argv):
@@ -571,6 +569,19 @@ def test_float_pair_resistance_matches_golden(tmp_path, capsys):
     assert new["residual"] <= 1e-10
     for key in set(old) - {"value", "method", "residual"}:
         assert new[key] == old[key], key
+
+
+def test_exact_pair_resistance_past_the_dense_limit(tmp_path):
+    # 795 vertices: the exact elimination has no vertex limit
+    argv = ["resistance", "--seq", "8", "--depth", "2", "--x", "3", "--y", "11"]
+    values = {}
+    for precision in ("rational", "float"):
+        out = tmp_path / precision
+        code, err = run_process([*argv, "--precision", precision, "--out", out])
+        assert code == 0, err
+        values[precision] = json.loads((out / "resistance-8-d2.json").read_text())["value"]
+    exact = Fraction(values["rational"])
+    assert abs(float(values["float"]) - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,7 @@ from thin_gasket.geometry import (ApproximationGraph, ball_mass, boundary_cells,
                                   euclidean_sq, geodesic_distance,
                                   geodesic_hops, graph_to_json, index_to_word,
                                   interior_letters, is_cell_index, render_svg,
-                                  word_count, word_to_index, words)
+                                  word_to_index, words)
 from thin_gasket.sequence import LevelSequence
 
 
@@ -54,7 +54,7 @@ def test_is_cell_index():
 def test_word_enumeration_round_trip(ls576):
     n = 2
     ws = list(words(ls576, n))
-    assert len(ws) == word_count(ls576, n) == 12 * 18
+    assert len(ws) == ls576.M(n) == 12 * 18
     for idx, w in enumerate(ws):
         assert word_to_index(ls576, w) == idx
         assert index_to_word(ls576, n, idx) == w

@@ -9,9 +9,9 @@ from thin_gasket import linalg
 from thin_gasket.errors import DomainError, SequenceError
 from thin_gasket.forms import TRIANGLE_FORM, _depth_one_graph, one_subdivision_trace
 from thin_gasket.geometry import build_graph
-from thin_gasket.resistance import (ResistanceSolver, _model_cell, corner_resistance,
-                                    corner_resistance_by_reduction, corner_trace,
-                                    effective_resistance)
+from thin_gasket.resistance import (ResistanceSolver, _exact_model_cell, _model_cell,
+                                    corner_resistance, corner_resistance_by_reduction,
+                                    corner_trace, effective_resistance)
 from thin_gasket.sequence import LevelSequence, resistance_ratio
 
 TRIANGLE = [[Fraction(2), Fraction(-1), Fraction(-1)],
@@ -196,15 +196,50 @@ def test_solver_matches_sparse_lu(entries, depth):
         assert solver.unit_resistance(x, y) == pytest.approx(u[x, j] - u[y, j], rel=1e-10)
 
 
+def _dense_oracle(ls, depth, pairs):
+    """R_n(x, y) per pair from the dense Fraction Schur complement: one
+    elimination onto every vertex of the pairs, then the trace of that
+    trace onto each pair (a trace of a trace is the trace)."""
+    g = build_graph(ls, depth)
+    keep = sorted({v for pair in pairs for v in pair})
+    trace = linalg.schur_complement(linalg.dense_rational_laplacian(g.adjacency), keep)
+    return [ls.R(depth) / linalg.schur_complement(trace, [keep.index(x), keep.index(y)])[0][0]
+            for x, y in pairs]
+
+
 @pytest.mark.parametrize("l", [5, 6])
 def test_solver_matches_rational_resistance(l):
     ls = LevelSequence((l,))
     g = build_graph(ls, 1)
     solver = ResistanceSolver(g)
     scale = float(ls.R(1))
-    for x, y in _sample_pairs(g, 10, seed=l):
-        exact = effective_resistance(ls, 1, x, y, graph=g, precision="rational").value
+    pairs = _sample_pairs(g, 10, seed=l)
+    for (x, y), exact in zip(pairs, _dense_oracle(ls, 1, pairs)):
         assert abs(scale * solver.unit_resistance(x, y) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("entries,depth", [((5,), 1), ((5, 5), 2), ((6, 5), 2)])
+def test_exact_elimination_equals_dense_schur_complement(entries, depth):
+    ls = LevelSequence(entries)
+    g = build_graph(ls, depth)
+    assert g.n_vertices <= linalg.RATIONAL_SIZE_LIMIT
+    pairs = _sample_pairs(g, 8, seed=depth)
+    for (x, y), oracle in zip(pairs, _dense_oracle(ls, depth, pairs)):
+        res = effective_resistance(ls, depth, x, y, graph=g, precision="rational")
+        assert type(res.value) is Fraction and res.value == oracle
+        assert (res.method, res.exact, res.residual) == ("rational", True, 0.0)
+
+
+@pytest.mark.parametrize("entries,depth", [((8,), 2), ((9, 58), 2)])
+def test_exact_elimination_past_the_dense_limit(entries, depth):
+    ls = LevelSequence(entries, continuation="repeat-last")
+    g = build_graph(ls, depth)
+    assert g.n_vertices > linalg.RATIONAL_SIZE_LIMIT
+    for x, y in _sample_pairs(g, 5, seed=depth):
+        exact = effective_resistance(ls, depth, x, y, graph=g, precision="rational").value
+        approx = effective_resistance(ls, depth, x, y, graph=g).value
+        assert type(exact) is Fraction
+        assert abs(approx - exact) <= 1e-12 * exact
 
 
 def test_solver_corner_pairs_at_depth_five(ls5):
@@ -217,14 +252,27 @@ def test_solver_corner_pairs_at_depth_five(ls5):
 
 @pytest.mark.parametrize("l", [5, 6, 12, 58, 3001])
 def test_model_cell_schur_complement_is_scaled_triangle(l):
+    # the closed-form rows H_I are the harmonic extension: K_II H_I + K_IB = 0,
+    # so the elimination leaves K_BB + K_BI H_I = r_l * TRIANGLE_FORM
     g = _depth_one_graph(l)
     model = _model_cell(l)
-    lap = linalg.laplacian(g.adjacency).tocsr()
-    k_bb = lap[g.boundary][:, g.boundary].toarray()
-    schur = k_bb - model.k_bi @ model.coupling
-    target = float(resistance_ratio(l)) * np.array(TRIANGLE_FORM, dtype=float)
-    assert np.abs(schur - target).max() <= 1e-12
     assert model.interior.size == 6 * l - 12
+    lap = linalg.laplacian(g.adjacency).tocsr()
+    inner, corners = model.interior, g.boundary
+    if l <= 12:
+        k = lap.toarray().astype(np.int64).astype(object)
+        h = _exact_model_cell(l).harmonic.T
+        assert np.array_equal(k[np.ix_(inner, inner)] @ h + k[np.ix_(inner, corners)],
+                              np.zeros((inner.size, 3), dtype=int))
+        assert np.array_equal(k[np.ix_(corners, corners)] + k[np.ix_(corners, inner)] @ h,
+                              np.array(TRIANGLE, dtype=object) * resistance_ratio(l))
+    else:
+        h = model.harmonic.T
+        harmonic = lap[inner][:, inner] @ h + lap[inner][:, corners].toarray()
+        schur = lap[corners][:, corners].toarray() + lap[corners][:, inner] @ h
+        target = float(resistance_ratio(l)) * np.array(TRIANGLE_FORM, dtype=float)
+        assert np.abs(harmonic).max() <= 1e-12
+        assert np.abs(schur - target).max() <= 1e-12
 
 
 def test_model_cell_of_a_long_level_stays_banded():

@@ -64,14 +64,15 @@ def test_repeat_last_continuation():
     assert ls.level(1) == 5
     assert ls.level(2) == 7
     assert ls.level(9) == 7
-    assert ls.supports_depth(50)
+    assert ls.prefix(50)[-1] == 7
     assert ls.L(4) == 5 * 7 * 7 * 7
 
 
 def test_finite_prefix_raises_past_end():
     ls = LevelSequence((5, 7))
-    assert ls.supports_depth(2)
-    assert not ls.supports_depth(3)
+    assert ls.prefix(2) == (5, 7)
+    with pytest.raises(SequenceError):
+        ls.prefix(3)
     with pytest.raises(SequenceError):
         ls.level(3)
 
