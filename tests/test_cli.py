@@ -571,14 +571,13 @@ def test_float_pair_resistance_matches_golden(tmp_path, capsys):
         assert new[key] == old[key], key
 
 
-def test_exact_pair_resistance_past_the_dense_limit(tmp_path):
+def test_exact_pair_resistance_past_the_dense_limit(tmp_path, capsys):
     # 795 vertices: the exact elimination has no vertex limit
     argv = ["resistance", "--seq", "8", "--depth", "2", "--x", "3", "--y", "11"]
     values = {}
     for precision in ("rational", "float"):
         out = tmp_path / precision
-        code, err = run_process([*argv, "--precision", precision, "--out", out])
-        assert code == 0, err
+        assert run([*argv, "--precision", precision, "--out", out]) == 0
         values[precision] = json.loads((out / "resistance-8-d2.json").read_text())["value"]
     exact = Fraction(values["rational"])
     assert abs(float(values["float"]) - exact) <= 1e-12 * exact
