@@ -15,13 +15,12 @@ from .forms import (DiscreteForm, HarmonicMatrix, HarmonicSpec, base_energy,
                     discrete_form, extension_ratio_check, harmonic_extend,
                     harmonic_matrix, matrix_stack, matrix_stack_exact,
                     one_subdivision_trace)
-from .geometry import (ApproximationGraph, BallMass, CellMeasure, LatticePoint,
-                       ball_mass, boundary_cells, build_graph,
-                       cell_neighborhood, corner, euclidean_sq,
-                       geodesic_distance, geodesic_hops, graph_to_json,
-                       index_to_word, interior_letters, is_cell_index,
-                       neighborhood_vertex_ids, render_svg, word_to_index,
-                       words)
+from .geometry import (ApproximationGraph, BallMass, CellMeasure, ball_mass,
+                       boundary_cells, build_graph, cell_neighborhood,
+                       euclidean_sq, geodesic_distance, geodesic_hops,
+                       graph_to_json, index_to_word, interior_letters,
+                       is_cell_index, neighborhood_vertex_ids, render_svg,
+                       word_to_index, words)
 from .measures import (AddressSample, CertificateReport, DivergenceReport,
                        SINGULARITY_GAP, children_sum_ceiling,
                        divergence_statistic, energy_measure,

@@ -51,7 +51,7 @@ OUT_ENV = "THIN_GASKET_OUT"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Normalized run configuration; round-trips through key=value text."""
+    """Normalized run configuration, read from key=value text and flags."""
 
     seq: tuple[int, ...] = (5,)
     continuation: str = "repeat-last"
@@ -61,18 +61,6 @@ class RunConfig:
     precision: str = "float"
     trials: int = 100_000
     out: str = "."
-
-    def normalized(self) -> dict:
-        return {
-            "continuation": self.continuation,
-            "depth": str(self.depth),
-            "diverging": "true" if self.diverging else "false",
-            "out": self.out,
-            "precision": self.precision,
-            "seed": str(self.seed),
-            "seq": ",".join(str(l) for l in self.seq),
-            "trials": str(self.trials),
-        }
 
     @classmethod
     def from_items(cls, items: dict) -> "RunConfig":
@@ -129,10 +117,6 @@ def load_config(path) -> dict:
         key, val = line.split("=", 1)
         items[key.strip()] = val.strip()
     return items
-
-
-def dump_config(cfg: RunConfig) -> str:
-    return "".join(f"{k}={v}\n" for k, v in sorted(cfg.normalized().items()))
 
 
 def resolve_config(args) -> RunConfig:

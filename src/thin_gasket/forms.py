@@ -2,11 +2,12 @@
 
 The base form on corner triples is E0(u) = sum over unordered corner pairs
 of (u_j - u_k)^2.  The depth-n form is (1/R_n) times the sum of E0 over all
-cell corner triples.  Harmonic extension pins values on V_k and minimizes
-the depth-n form; two independent routes are provided: a pinned Laplacian
-solve on the depth-n graph, and per-cell products of the one-subdivision
-harmonic matrices.  Those matrices come from closed forms over 6l + 1;
-elimination on the depth-1 graph is kept only as their oracle.
+cell corner triples.  Harmonic extension pins the outer corner values
+(u(q0), u(q1), u(q2)) and minimizes the depth-n form; two independent
+routes are provided: a pinned Laplacian solve on the depth-n graph, and
+per-cell products of the one-subdivision harmonic matrices.  Those
+matrices come from closed forms over 6l + 1; elimination on the depth-1
+graph is kept only as their oracle.
 
 Both precisions run the same numpy code: rational values are numpy object
 arrays of Fractions, float values float64 arrays, and precision picks only
@@ -36,6 +37,9 @@ TRIANGLE_FORM = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
 #: Corner slots (3 M_d) the cell cascade may hold at one depth: 2^27 float64
 #: values are 1 GiB, before the einsum's temporaries.
 _CASCADE_SLOTS = 1 << 27
+
+#: Random pins extension_ratio_check adds to the three corner-basis pins.
+_RATIO_RANDOM_PINS = 100
 
 
 def base_energy(u):
@@ -195,29 +199,21 @@ def harmonic_matrix(l: int, i) -> HarmonicMatrix:
 
 
 class HarmonicSpec:
-    """A pin on V_k together with lazily materialized harmonic values.
+    """A corner pin (u(q0), u(q1), u(q2)) together with lazily materialized
+    harmonic values.
 
-    pin_graph: the depth-k graph fixing the pin ordering.
-    pin_vertex_values: values on pin_graph.vertices (floats or Fractions).
+    pin: the three corner values, as Fractions in rational precision and
+    as floats otherwise.
     """
 
-    def __init__(self, ls: LevelSequence, pin_level: int, pin_graph: ApproximationGraph,
-                 pin_vertex_values, precision: str = "float"):
+    def __init__(self, ls: LevelSequence, pin: tuple, precision: str):
         self.ls = ls
-        self.pin_level = pin_level
-        self.pin_graph = pin_graph
-        self.pin_vertex_values = pin_vertex_values
+        self.pin = pin
         self.precision = precision
         self._materialized: dict[int, tuple[ApproximationGraph, object]] = {}
-        self._cell_values: dict[int, object] = {}
-        k = pin_level
-        self._cell_values[k] = self._pin_cell_values()
-
-    # -- pin values per depth-k cell
-
-    def _pin_cell_values(self):
-        dtype = object if self.precision == "rational" else np.float64
-        return np.asarray(self.pin_vertex_values, dtype=dtype)[self.pin_graph.cells]
+        dtype = object if precision == "rational" else np.float64
+        # the depth-0 cell lists its corners as (q0, q1, q2)
+        self._cell_values: dict[int, object] = {0: np.array([pin], dtype=dtype)}
 
     # -- matrix-cascade route
 
@@ -226,8 +222,8 @@ class HarmonicSpec:
         (M_d, 3); an object array of Fractions in rational mode.  Refuses
         with BudgetError, before any product, a depth past 2^27 corner
         slots."""
-        if d < self.pin_level:
-            raise DomainError(f"depth {d} below pin level {self.pin_level}")
+        if d < 0:
+            raise DomainError(f"depth must be nonnegative, got {d}")
         if d in self._cell_values:
             return self._cell_values[d]
         slots = 3 * self.ls.M(d)
@@ -250,22 +246,19 @@ class HarmonicSpec:
         """Materialize values on V_n by a pinned Laplacian solve: dense
         Fraction elimination in rational precision, a sparse LU in float.
         Returns (graph, values); cached per depth."""
-        if n < self.pin_level:
-            raise DomainError(f"depth {n} below pin level {self.pin_level}")
+        if n < 0:
+            raise DomainError(f"depth must be nonnegative, got {n}")
         if n in self._materialized:
             return self._materialized[n]
         g = build_graph(self.ls, n)
-        lift = g.L // self.pin_graph.L
-        coords = self.pin_graph.vertices * lift
-        pin_ids = g.vertex_ids(coords)
         if self.precision == "rational":
             lap = linalg.dense_rational_laplacian(g.adjacency)
-            pv = [[Fraction(v)] for v in self.pin_vertex_values]
-            full = linalg.rational_pinned_solve(lap, [int(p) for p in pin_ids], pv)
+            full = linalg.rational_pinned_solve(lap, [int(p) for p in g.boundary],
+                                                [[v] for v in self.pin])
             values = np.array(full, dtype=object)[:, 0]
         else:
-            pv = np.asarray(self.pin_vertex_values, dtype=np.float64)
-            values, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), pin_ids, pv)
+            values, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), g.boundary,
+                                            np.array(self.pin))
         self._materialized[n] = (g, values)
         return g, values
 
@@ -278,53 +271,30 @@ class HarmonicSpec:
 
     def energy(self, n: int, route: str = "matrices"):
         """Depth-n energy of the extension (equals the pin energy for any
-        n >= pin level)."""
+        n >= 0)."""
         vals = self.cell_values(n) if route == "matrices" else self.cell_values_from_graph(n)
         # a float64 sum over the Fraction R_n divides as floats
         return cell_energies(vals).sum() / self.ls.R(n)
 
 
-def corner_pin_values(g: ApproximationGraph, triple):
-    """Vertex-value array for a depth-0 pin given as (u(q0), u(q1), u(q2))."""
-    if g.level != 0:
-        raise DomainError("corner pins apply to the depth-0 graph")
-    if any(isinstance(v, Fraction) for v in triple):
-        out = [Fraction(0)] * 3
-        for j, v in enumerate(triple):
-            out[g.corner_id(j)] = Fraction(v)
-        return out
-    out = np.zeros(3)
-    for j, v in enumerate(triple):
-        out[g.corner_id(j)] = float(v)
-    return out
+def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "direct",
+                    precision: str = "float") -> HarmonicSpec:
+    """Harmonic extension of the corner pin (u(q0), u(q1), u(q2)),
+    materialized to V_depth.
 
-
-def harmonic_extend(ls: LevelSequence, pin, depth: int, pin_level: int = 0,
-                    method: str = "direct", precision: str = "float") -> HarmonicSpec:
-    """Harmonic extension of a pin on V_k, materialized to V_depth.
-
-    For pin_level 0 the pin is the corner triple (u(q0), u(q1), u(q2));
-    for deeper pins it is an array over the depth-k graph's vertex order.
+    The pin may be any sequence of three values (tuple, list or array).
     method picks the route that materializes depth `depth`: "cells" runs
     the matrix cascade (HarmonicSpec.cell_values), "direct" the graph solve
     (HarmonicSpec.extend); either route stays available afterwards.
     """
     if method not in ("cells", "direct"):
         raise DomainError(f"unknown extension method {method!r}; use 'cells' or 'direct'")
-    if depth < pin_level:
-        raise DomainError(f"target depth {depth} below pin level {pin_level}")
-    gk = build_graph(ls, pin_level)
-    if pin_level == 0 and len(pin) == 3 and not isinstance(pin, np.ndarray):
-        pin_vals = corner_pin_values(gk, tuple(pin))
-    else:
-        if len(pin) != gk.n_vertices:
-            raise DomainError(
-                f"pin has {len(pin)} values; depth-{pin_level} graph has {gk.n_vertices} vertices"
-            )
-        pin_vals = np.asarray(pin, dtype=np.float64)
-    if precision == "rational":
-        pin_vals = [v if isinstance(v, Fraction) else Fraction(v) for v in pin_vals]
-    h = HarmonicSpec(ls, pin_level, gk, pin_vals, precision)
+    if depth < 0:
+        raise DomainError(f"target depth must be nonnegative, got {depth}")
+    if len(pin) != 3:
+        raise DomainError(f"pin has {len(pin)} values; a corner pin has 3")
+    convert = Fraction if precision == "rational" else float
+    h = HarmonicSpec(ls, tuple(convert(v) for v in pin), precision)
     if method == "cells":
         h.cell_values(depth)
     else:
@@ -365,18 +335,17 @@ def one_subdivision_trace(l: int, trace=TRIANGLE_FORM, precision: str = "rationa
     return _project_trace(linalg.schur_complement_float(lap, keep))
 
 
-def extension_ratio_check(l: int, n_random: int = 100, seed: int = 7,
-                          precision: str = "rational") -> dict:
+def extension_ratio_check(l: int, seed: int = 7, precision: str = "rational") -> dict:
     """Verify that minimal one-subdivision extension energy is r_l * E0.
 
     Checks the 3x3 trace matrix against r_l times the triangle form and the
-    energy ratio for corner-basis plus random pins.  Exact in rational mode;
-    float mode reports the maximum relative error.
+    energy ratio for the corner basis plus _RATIO_RANDOM_PINS random pins.
+    Exact in rational mode; float mode reports the maximum relative error.
     """
     r = resistance_ratio(l)
     rng = stream(seed, l)
     pins = [np.eye(3)[j] for j in range(3)]
-    pins += [rng.uniform(-1.0, 1.0, size=3) for _ in range(n_random)]
+    pins += [rng.uniform(-1.0, 1.0, size=3) for _ in range(_RATIO_RANDOM_PINS)]
 
     report = {"l": l, "expected": r, "n_pins": len(pins), "precision": precision}
     if precision == "rational":

@@ -7,11 +7,12 @@ and metric comparisons are exact integer arithmetic.  The graph metric
 (BFS hops times 1/L_n) is the finite-depth proxy for the geodesic metric.
 
 Sizes are budgeted in corner slots, 3 M_n: build_graph refuses more than
-max_corners, and the cell cascade behind energy measures
+MAX_CORNERS = 6e6 (about 100 MB of working arrays; (5,) builds to depth 5,
+3 M_5 = 746,496), and the cell cascade behind energy measures
 (forms.HarmonicSpec.cell_values) more than 2^27.  Dense exact Fraction
 solves on a graph (rational harmonic extension by the graph route) stop at
 linalg.RATIONAL_SIZE_LIMIT = 400 vertices; exact pair resistances, by
-cell-by-cell elimination, are bounded only by max_corners.  A CellMeasure
+cell-by-cell elimination, are bounded only by MAX_CORNERS.  A CellMeasure
 is plain arrays: per-cell masses in word enumeration order and their total.
 """
 
@@ -33,6 +34,9 @@ _ENC_SHIFT = 32
 _COORD_LIMIT = 1 << 31
 
 CORNER_OFFSETS = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
+
+#: Corner slots (3 M_n) build_graph may assemble.
+MAX_CORNERS = 6_000_000
 
 
 # ---- Alphabets ----------------------------------------------------------
@@ -111,29 +115,6 @@ def words(ls: LevelSequence, n: int):
 
     alphabets = [boundary_cells(ls.level(k)) for k in range(1, n + 1)]
     return itertools.product(*alphabets)
-
-
-# ---- Lattice points and contractions ------------------------------------
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """Exact vertex coordinates (a, b) over denominator L_level."""
-
-    level: int
-    a: int
-    b: int
-
-
-def corner(j: int, level: int = 0, L: int = 1) -> LatticePoint:
-    """Outer corner q_j expressed at the given level (L = L_level)."""
-    if j == 0:
-        return LatticePoint(level, 0, 0)
-    if j == 1:
-        return LatticePoint(level, L, 0)
-    if j == 2:
-        return LatticePoint(level, 0, L)
-    raise DomainError(f"corner index must be 0, 1 or 2, got {j}")
 
 
 # ---- Approximation graphs ------------------------------------------------
@@ -271,10 +252,10 @@ def _corner_numerators(ls: LevelSequence, n: int) -> np.ndarray:
     return base[:, None, :] + CORNER_OFFSETS[None, :, :]
 
 
-def build_graph(ls: LevelSequence, n: int, max_corners: int = 6_000_000) -> ApproximationGraph:
+def build_graph(ls: LevelSequence, n: int) -> ApproximationGraph:
     """Assemble the depth-n approximation graph.
 
-    Fails with BudgetError when 3 M_n exceeds max_corners or coordinates
+    Fails with BudgetError when 3 M_n exceeds MAX_CORNERS or coordinates
     would overflow the fast integer encoding (L_n >= 2^31).
     """
     if n < 0:
@@ -282,9 +263,9 @@ def build_graph(ls: LevelSequence, n: int, max_corners: int = 6_000_000) -> Appr
     ls.prefix(n)  # raises SequenceError when the prefix cannot cover depth n
     L = ls.L(n)
     M = ls.M(n)
-    if 3 * M > max_corners:
+    if 3 * M > MAX_CORNERS:
         raise BudgetError(
-            f"depth {n} needs {3 * M} corner slots (> budget {max_corners}); "
+            f"depth {n} needs {3 * M} corner slots (> budget {MAX_CORNERS}); "
             f"roughly {3 * M * 16 / 1e6:.0f} MB of working arrays"
         )
     if L >= _COORD_LIMIT:
@@ -456,8 +437,7 @@ def graph_to_json(g: ApproximationGraph) -> dict:
     }
 
 
-def render_svg(g: ApproximationGraph, size: float = 600.0, fill: str = "#2f4a6b",
-               background: str = "#ffffff") -> str:
+def render_svg(g: ApproximationGraph, size: float = 600.0) -> str:
     """Deterministic SVG rendering: one filled triangle per cell."""
     if not 0 < size < math.inf:
         raise DomainError(f"render size must be positive and finite, got {size}")
@@ -466,7 +446,7 @@ def render_svg(g: ApproximationGraph, size: float = 600.0, fill: str = "#2f4a6b"
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.2f}" height="{h:.2f}" '
         f'viewBox="0 0 {size:.2f} {h:.2f}">',
-        f'<rect width="100%" height="100%" fill="{background}"/>',
+        '<rect width="100%" height="100%" fill="#ffffff"/>',
     ]
     pts = g.vertices.astype(np.float64)
     xs = (pts[:, 0] + 0.5 * pts[:, 1]) * (size / L)
@@ -474,6 +454,6 @@ def render_svg(g: ApproximationGraph, size: float = 600.0, fill: str = "#2f4a6b"
     for idx in range(g.n_cells):
         c = g.cells[idx]
         coords = " ".join(f"{xs[v]:.4f},{ys[v]:.4f}" for v in c)
-        lines.append(f'<polygon points="{coords}" fill="{fill}"/>')
+        lines.append(f'<polygon points="{coords}" fill="#2f4a6b"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -44,8 +44,8 @@ SINGULARITY_GAP = 1.0 - math.sqrt(361.0 / 372.0)
 #: Relative floor below which a cell mass counts as zero.  Double-precision
 #: cascades carry absolute noise around 1e-31 per cell energy, amplified by
 #: 1/R_d; genuine admissible masses sit many orders above 1e-20 * total,
-#: exact zeros (degenerate pins) far below.  The total is read at the pin
-#: level, whose masses have no cascade noise: a constant pin's total is 0,
+#: exact zeros (degenerate pins) far below.  The total is read at depth 0,
+#: whose masses have no cascade noise: a constant pin's total is 0,
 #: its floor infinite, and its noise no mass.  Cells under the floor are
 #: reported as zero-mass: the divergence statistic assigns them the limit
 #: term 1, the certificate counts them separately instead of verifying
@@ -77,19 +77,15 @@ def energy_measure(h: HarmonicSpec, depth: int, route: str = "matrices") -> Cell
     values off a pinned Laplacian solve.  Masses are an object array of
     exact Fractions when h carries rational precision.
     """
-    ls = h.ls
-    d_eff = max(depth, h.pin_level)
     if route == "matrices":
-        vals = h.cell_values(d_eff)
+        vals = h.cell_values(depth)
     elif route == "graph":
-        vals = h.cell_values_from_graph(d_eff)
+        vals = h.cell_values_from_graph(depth)
     else:
         raise DomainError(f"unknown route {route!r}")
     # R_d as float(R_d) for float64 values, as the Fraction for object arrays
-    fine = cell_energies(vals) / np.asarray(ls.R(d_eff), dtype=vals.dtype)
-    if d_eff != depth:
-        fine = fine.reshape(ls.M(depth), -1).sum(axis=1)
-    return CellMeasure(ls, depth, fine)
+    masses = cell_energies(vals) / np.asarray(h.ls.R(depth), dtype=vals.dtype)
+    return CellMeasure(h.ls, depth, masses)
 
 
 def _float_masses(h: HarmonicSpec, depths) -> dict:
@@ -130,7 +126,6 @@ class DepthRecord:
 
 @dataclass
 class CertificateReport:
-    pin_level: int
     max_depth: int
     gap: float
     records: list
@@ -139,25 +134,24 @@ class CertificateReport:
     passed: bool
 
 
-def singularity_certificate(h: HarmonicSpec, max_depth: int,
-                            tol: float = 1e-12) -> CertificateReport:
+def singularity_certificate(h: HarmonicSpec, max_depth: int) -> CertificateReport:
     """Check the children-coefficient ceiling over every admissible cell.
 
-    Admissible parents sit at depths pin_level+1 .. max_depth-1, end in an
-    interior letter of their own level, and carry positive energy mass.
+    Admissible parents sit at depths 1 .. max_depth-1, end in an interior
+    letter of their own level, and carry positive energy mass.  Every
+    admissible coefficient must also stay within 1e-12 of sqrt(361/372).
     """
     ls = h.ls
-    k = h.pin_level
-    if max_depth < k + 2:
-        raise DomainError("certificate needs max_depth >= pin_level + 2")
-    masses = _float_masses(h, range(k, max_depth + 1))
-    total = float(masses[k].sum())
+    if max_depth < 2:
+        raise DomainError("certificate needs max_depth >= 2")
+    masses = _float_masses(h, range(max_depth + 1))
+    total = float(masses[0].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else math.inf
 
     records = []
     n_adm = 0
     max_excess = -math.inf
-    for d in range(k + 1, max_depth):
+    for d in range(1, max_depth):
         parent = masses[d]
         child = masses[d + 1].reshape(parent.size, -1)
         flags = _interior_flags(ls.level(d))
@@ -174,8 +168,8 @@ def singularity_certificate(h: HarmonicSpec, max_depth: int,
         if n_mask:
             max_excess = max(max_excess, mx - ceiling)
     passed = all(r.ok for r in records) and all(
-        r.max_coeff <= math.sqrt(float(CEILING_SUP_SQ)) + tol for r in records if r.n_admissible)
-    return CertificateReport(k, max_depth, SINGULARITY_GAP, records, n_adm,
+        r.max_coeff <= math.sqrt(float(CEILING_SUP_SQ)) + 1e-12 for r in records if r.n_admissible)
+    return CertificateReport(max_depth, SINGULARITY_GAP, records, n_adm,
                              max_excess if n_adm else 0.0, passed)
 
 
@@ -202,22 +196,21 @@ class DivergenceReport:
 
 
 def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
-                         seed: int = 0, tol: float = 1e-9) -> DivergenceReport:
+                         seed: int = 0) -> DivergenceReport:
     """Accumulate 1 - coefficient along uniformly sampled addresses.
 
-    Along each address the partial sum over depths k+1..N must dominate
-    delta times the number of interior-letter steps in k+2..N; cells of
-    zero mass contribute a full unit.  All addresses advance together, one
-    depth at a time.
+    Along each address the partial sum over depths 1..N must dominate
+    delta times the number of interior-letter steps in 2..N, up to 1e-9;
+    cells of zero mass contribute a full unit.  All addresses advance
+    together, one depth at a time.
     """
     ls = h.ls
-    k = h.pin_level
-    if max_depth < k + 2:
-        raise DomainError("divergence needs max_depth >= pin_level + 2")
+    if max_depth < 2:
+        raise DomainError("divergence needs max_depth >= 2")
     if n_samples < 1:
         raise DomainError(f"divergence needs n_samples >= 1, got {n_samples}")
-    masses = _float_masses(h, range(k, max_depth + 1))
-    total = float(masses[k].sum())
+    masses = _float_masses(h, range(max_depth + 1))
+    total = float(masses[0].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else math.inf
 
     counts = [cell_count(ls.level(d)) for d in range(1, max_depth + 1)]
@@ -229,14 +222,13 @@ def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
     ap = np.zeros(n_samples, dtype=np.int64)
     for n in range(1, max_depth + 1):
         m = counts[n - 1]
-        if n >= k + 1:
-            parent = masses[n - 1][idx]
-            live = parent > floor
-            children = masses[n][idx[live, None] * m + np.arange(m)]
-            step = np.ones(n_samples)
-            step[live] = 1.0 - _children_coefficients(parent[live], children)
-            div += step
-        if n >= k + 2:
+        parent = masses[n - 1][idx]
+        live = parent > floor
+        children = masses[n][idx[live, None] * m + np.arange(m)]
+        step = np.ones(n_samples)
+        step[live] = 1.0 - _children_coefficients(parent[live], children)
+        div += step
+        if n >= 2:
             ap += _interior_flags(ls.level(n - 1))[letters[:, n - 2]]
         idx = idx * m + letters[:, n - 1]
 
@@ -246,6 +238,6 @@ def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
         total_s = float(div[s])
         bound = delta * int(ap[s])
         samples.append(AddressSample(tuple(int(x) for x in letters[s]), total_s, int(ap[s]),
-                                     bound, total_s >= bound - tol))
+                                     bound, total_s >= bound - 1e-9))
     failures = sum(not x.ok for x in samples)
     return DivergenceReport(n_samples, max_depth, delta, samples, failures, failures == 0)

@@ -22,11 +22,11 @@ costs one interval division, and the brackets are the cross-multiplied,
 all-positive forms L_n B <= X and 5 X <= 6 L_n B.
 
 Magnitude-guided precision ladder.  Precision rises in the doubling order
-start_prec, 2 start_prec, ... and carries over from one level to the next,
-so each LevelRecord.prec is the first rung, at or above the previous
+_START_PREC, 2 _START_PREC, ... and carries over from one level to the
+next, so each LevelRecord.prec is the first rung, at or above the previous
 level's, that certifies the level.  A cheap probe of q = X / (L_{n-1} B) at
-start_prec gives M = mag(q), and refuses a level of more than max_prec bits
-before any precision is raised; the ladder then skips every rung p < M - 2.
+_START_PREC gives M = mag(q), and refuses a level of more than _MAX_PREC
+bits before any precision is raised; the ladder then skips every rung p < M - 2.
 Such a rung cannot decide.  Its enclosure contains q, and its endpoints are
 p-bit floats, distinct for the log profiles (exp of a nonzero rational is
 irrational, so no enclosure built on it is a point).  The probe's lower end
@@ -62,6 +62,20 @@ E_MINUS_1 = math.e - 1.0
 #: bits, eta2 about 1.44 * 2^n (about 6000 in its summability screen), and
 #: more than 2^16 is passed by eta3 from n = 4 on and by eta4 from n = 2.
 _EXP_ARG_MAX_MAG = 1 << 16
+
+#: First and last rungs, in bits, of the realization's precision ladder.
+_START_PREC = 192
+_MAX_PREC = 1 << 22
+
+#: Extra levels past the requested ones over which an offset n0 must keep
+#: the ratio condition.
+_HORIZON_EXTRA = 8
+
+#: Terms of the summability screen run before a realization.
+_SCREEN_TERMS = 12
+
+#: The last screened term must not exceed this for eta to count as summable.
+_SUMMABILITY_THRESHOLD = 0.45
 
 
 # ---- The eta family ------------------------------------------------------
@@ -142,11 +156,11 @@ class EtaFunction:
                 return y1 + (y2 - y1) * (r - r1) / (r2 - r1)
         return Fraction(1)
 
-    def mp_value(self, r, prec: int = 120):
-        """eta(r) as an mpmath float; r may be a Fraction with a huge
+    def mp_value(self, r):
+        """eta(r) as a 120-bit mpmath float; r may be a Fraction with a huge
         denominator."""
         r = Fraction(r)
-        with mpmath.workprec(prec):
+        with mpmath.workprec(120):
             return self._mp_ratio_value(r.numerator, r.denominator)
 
     def _mp_ratio_value(self, num: int, den: int):
@@ -222,18 +236,18 @@ class EtaFunction:
 # ---- Summability ---------------------------------------------------------
 
 
-def summability_report(eta: EtaFunction, n_terms: int = 16,
-                       threshold: float = 0.45, prec: int = 160) -> dict:
-    """Terms eta^{-1}(2^{-n})/eta^{-1}(2^{1-n}) and their partial sums.
+def summability_report(eta: EtaFunction, n_terms: int = 16) -> dict:
+    """Terms eta^{-1}(2^{-n})/eta^{-1}(2^{1-n}) and their partial sums, at
+    160 bits.
 
-    The tail must drop below the threshold and keep decreasing for the
-    realization to make sense; the identity profile eta(r) = r stalls at
-    1/2 and is flagged.
+    The tail must drop below _SUMMABILITY_THRESHOLD and keep decreasing for
+    the realization to make sense; the identity profile eta(r) = r stalls
+    at 1/2 and is flagged.
     """
     logs = []
     terms = []
     partial = []
-    with mpmath.workprec(prec):
+    with mpmath.workprec(160):
         prev = None
         acc = mpmath.mpf(0)
         for n in range(1, n_terms + 1):
@@ -253,10 +267,10 @@ def summability_report(eta: EtaFunction, n_terms: int = 16,
             prev = cur
     tail = terms[max(0, n_terms - 5):]
     decreasing = all(b <= a * (1 + 1e-12) for a, b in zip(tail, tail[1:]))
-    below = terms[-1] <= threshold
+    below = terms[-1] <= _SUMMABILITY_THRESHOLD
     return {"eta": eta.label, "n_terms": n_terms, "terms": terms,
             "log_terms": logs, "partial_sums": partial,
-            "threshold": threshold, "tail_decreasing": decreasing,
+            "threshold": _SUMMABILITY_THRESHOLD, "tail_decreasing": decreasing,
             "below_threshold": below, "summable": decreasing and below}
 
 
@@ -300,14 +314,14 @@ def compose_params(inner: CriterionParams, inner_eta: EtaFunction,
     return CriterionParams((1 + dt) / 2.0, inner.alpha, inner.beta, c_new)
 
 
-def growth_criterion_check(eta: EtaFunction, params: CriterionParams,
-                           n_points: int = 24, ratios=(2.0, 8.0, 64.0, 1024.0),
-                           r_min: float = 1e-8) -> dict:
-    """Sampled check of the growth bound over a geometric grid."""
+def growth_criterion_check(eta: EtaFunction, params: CriterionParams) -> dict:
+    """Sampled check of the growth bound at 24 geometric points R in
+    [1e-8, 1] and the ratios R/r in (2, 8, 64, 1024)."""
     worst = -math.inf
     violations = []
-    for i in range(n_points):
-        big_r = r_min ** (1 - i / (n_points - 1)) if n_points > 1 else 1.0
+    ratios = (2.0, 8.0, 64.0, 1024.0)
+    for i in range(24):
+        big_r = 1e-8 ** (1 - i / 23)
         for rho in ratios:
             r = big_r / rho
             lhs = eta(big_r) / eta(r)
@@ -317,25 +331,29 @@ def growth_criterion_check(eta: EtaFunction, params: CriterionParams,
             worst = max(worst, margin)
             if margin > 1 + 1e-9:
                 violations.append((r, big_r, lhs, rhs))
-    return {"eta": eta.label, "params": params, "n_checked": n_points * len(ratios),
+    return {"eta": eta.label, "params": params, "n_checked": 24 * len(ratios),
             "max_ratio_to_bound": worst, "violations": violations,
             "passed": not violations}
 
 
-def eta_doubling_check(eta: EtaFunction, beta_eta: float, c: float = 4.0,
-                       n_points: int = 40, ratios=(2.0, 16.0, 256.0),
-                       r_min: float = 1e-10) -> dict:
-    """Sampled check of eta(R)/eta(r) <= c (R/r)^beta_eta."""
+#: The constant c of eta_doubling_check's bound c (R/r)^beta_eta.
+_ETA_DOUBLING_C = 4.0
+
+
+def eta_doubling_check(eta: EtaFunction, beta_eta: float) -> dict:
+    """Sampled check of eta(R)/eta(r) <= c (R/r)^beta_eta with c =
+    _ETA_DOUBLING_C, at 40 geometric points r in [1e-10, 1] and the ratios
+    R/r in (2, 16, 256)."""
     violations = []
-    for i in range(n_points):
-        r = r_min ** (1 - i / (n_points - 1)) if n_points > 1 else 1.0
-        for rho in ratios:
+    for i in range(40):
+        r = 1e-10 ** (1 - i / 39)
+        for rho in (2.0, 16.0, 256.0):
             big_r = min(1.0, r * rho)
             lhs = eta(big_r) / eta(r)
-            rhs = c * (big_r / r) ** beta_eta
+            rhs = _ETA_DOUBLING_C * (big_r / r) ** beta_eta
             if lhs > rhs * (1 + 1e-9):
                 violations.append((r, big_r, lhs, rhs))
-    return {"eta": eta.label, "beta_eta": beta_eta, "c": c,
+    return {"eta": eta.label, "beta_eta": beta_eta, "c": _ETA_DOUBLING_C,
             "violations": violations, "passed": not violations}
 
 
@@ -392,10 +410,10 @@ def _iv_ratio_at(eta: EtaFunction, n: int):
         eta.iv_inverse_recip(Fraction(1, 2 ** (n - 1)))
 
 
-def _certify_ge(make_iv, bound: int, start_prec: int, max_prec: int) -> bool:
+def _certify_ge(make_iv, bound: int) -> bool:
     """Whether value >= bound, raising precision until decidable."""
-    prec = start_prec
-    while prec <= max_prec:
+    prec = _START_PREC
+    while prec <= _MAX_PREC:
         with _iv_prec(prec):
             val = make_iv()
             if val.a >= bound:
@@ -403,7 +421,7 @@ def _certify_ge(make_iv, bound: int, start_prec: int, max_prec: int) -> bool:
             if val.b < bound:
                 return False
         prec *= 2
-    raise RealizationError(f"cannot decide comparison at precision {max_prec}")
+    raise RealizationError(f"cannot decide comparison at precision {_MAX_PREC}")
 
 
 def _level_quotient(eta: EtaFunction, n0: int, n: int, big_l: int):
@@ -424,13 +442,11 @@ def _first_useful_rung(eta: EtaFunction, q_probe, prec: int) -> int:
     return prec
 
 
-def _choose_n0(eta: EtaFunction, min_ratio: int, window: int,
-               start_prec: int, max_prec: int) -> int:
+def _choose_n0(eta: EtaFunction, min_ratio: int, window: int) -> int:
     for cand in range(1, 41):
         ok = True
         for n in range(cand, cand + window + 1):
-            if not _certify_ge(lambda n=n: _iv_ratio_at(eta, n),
-                               min_ratio, start_prec, max_prec):
+            if not _certify_ge(lambda n=n: _iv_ratio_at(eta, n), min_ratio):
                 ok = False
                 break
         if ok:
@@ -439,15 +455,13 @@ def _choose_n0(eta: EtaFunction, min_ratio: int, window: int,
 
 
 def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
-                     min_ratio: int = 5, horizon_extra: int = 8,
-                     start_prec: int = 192, max_prec: int = 1 << 22,
-                     summability_terms: int = 12) -> RealizationResult:
+                     min_ratio: int = 5) -> RealizationResult:
     """Compute the level sequence realizing eta, with certified floors.
 
     Raises RealizationError when eta fails the summability screen, when no
     offset makes consecutive inverse values shrink by min_ratio, when a
     computed level falls below the minimum, or, by magnitude before any
-    precision is raised, when a level has more than max_prec bits or an
+    precision is raised, when a level has more than _MAX_PREC bits or an
     inverse would take exp of a number past 2^_EXP_ARG_MAX_MAG.
     """
     if n_levels < 1:
@@ -455,43 +469,42 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
     if n0 is not None and n0 < 1:
         raise DomainError("n0 must be >= 1")
 
-    screen = summability_report(eta, n_terms=summability_terms)
+    screen = summability_report(eta, n_terms=_SCREEN_TERMS)
     if not screen["summable"]:
         raise RealizationError(
             "eta fails the summability screen; partial sums "
             f"{[round(p, 4) for p in screen['partial_sums'][:8]]}, last term "
             f"{screen['terms'][-1]:.4g} above threshold {screen['threshold']}")
 
-    window = n_levels + horizon_extra
+    window = n_levels + _HORIZON_EXTRA
     if n0 is None:
-        n0 = _choose_n0(eta, min_ratio, window, start_prec, max_prec)
+        n0 = _choose_n0(eta, min_ratio, window)
     else:
         for n in range(n0, n0 + window + 1):
-            if not _certify_ge(lambda n=n: _iv_ratio_at(eta, n),
-                               min_ratio, start_prec, max_prec):
+            if not _certify_ge(lambda n=n: _iv_ratio_at(eta, n), min_ratio):
                 raise RealizationError(f"offset n0 = {n0} violates the ratio "
                                        f"condition at n = {n}")
 
     entries = []
     records = []
     big_l = 1
-    prec = start_prec
+    prec = _START_PREC
     for n in range(1, n_levels + 1):
-        with _iv_prec(start_prec):
+        with _iv_prec(_START_PREC):
             probe = _level_quotient(eta, n0, n, big_l)
         q_probe = probe[0]
         # no precision up to the cap decides the floor of a larger number
-        if mpmath.mag(q_probe.b) > max_prec:
-            raise RealizationError(f"level {n} has more than {max_prec} bits; "
+        if mpmath.mag(q_probe.b) > _MAX_PREC:
+            raise RealizationError(f"level {n} has more than {_MAX_PREC} bits; "
                                    "no precision up to the cap certifies it")
         prec = _first_useful_rung(eta, q_probe, prec)
         while True:
-            if prec > max_prec:
+            if prec > _MAX_PREC:
                 raise RealizationError(f"cannot certify level {n} below "
-                                       f"precision {max_prec}")
+                                       f"precision {_MAX_PREC}")
             with _iv_prec(prec):
                 q, recip_x, recip_base = (
-                    probe if prec == start_prec else _level_quotient(eta, n0, n, big_l))
+                    probe if prec == _START_PREC else _level_quotient(eta, n0, n, big_l))
                 lo, hi = _floor_endpoints(q)
                 if lo == hi:
                     l_n = lo
@@ -513,23 +526,22 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
 # ---- Comparability of the realized time scale ----------------------------
 
 
-def comparability_report(eta: EtaFunction, result: RealizationResult,
-                         samples_per_segment: int = 3, prec: int = 320) -> dict:
+def comparability_report(eta: EtaFunction, result: RealizationResult) -> dict:
     """Compare the realized piecewise time scale against r^2 eta(r).
 
     Evaluates ratio(r) = Psi(r) / (r^2 eta(r)) at the knots 1/L_n and at
-    interior sample points, in the log domain, and checks the whole range
-    against the budget [c'/2, max(c, c^2) 2^{n0+1}] built from the ratio
-    infimum of eta and the realized levels.
+    three interior points per segment, in the log domain at 320 bits, and
+    checks the whole range against the budget [c'/2, max(c, c^2) 2^{n0+1}]
+    built from the ratio infimum of eta and the realized levels.
     """
     ls = result.sequence
     entries = ls.entries
     big_n = len(entries)
     n0 = result.n0
 
-    with mpmath.workprec(prec):
+    with mpmath.workprec(320):
         # ratio infimum of eta over the realization window (finite surrogate)
-        invs = [eta.mp_inverse(Fraction(1, 2 ** n), prec=prec)
+        invs = [eta.mp_inverse(Fraction(1, 2 ** n), prec=mpmath.mp.prec)
                 for n in range(big_n + n0 + result_horizon(result))]
         c_eta = min(a / b for a, b in zip(invs, invs[1:]))
         beta_eta = 1.0 / float(mpmath.log(c_eta, 2))
@@ -549,7 +561,7 @@ def comparability_report(eta: EtaFunction, result: RealizationResult,
         # sampled ratios of Psi against r^2 eta(r)
         knot_ratios = []
         sample_ratios = []
-        s1 = samples_per_segment + 1
+        s1 = 4  # three interior points per segment
         ln_t = mpmath.mpf(0)
         l_run = 1
         for l in entries:
@@ -611,8 +623,12 @@ def _knot_identity_exact(entries) -> bool:
 # ---- Slowly decaying profiles -------------------------------------------
 
 
-def slow_decay_eta(psi0, n_max: int = 6, r_min: float = 1e-12,
-                   grid_points: int = 600) -> tuple[EtaFunction, dict]:
+#: Floor and point count of slow_decay_eta's geometric grid on [floor, 1].
+_SLOW_DECAY_R_MIN = 1e-12
+_SLOW_DECAY_GRID = 600
+
+
+def slow_decay_eta(psi0, n_max: int = 6) -> tuple[EtaFunction, dict]:
     """Build a summable piecewise eta dominating psi0(r)/r^2 up to scale.
 
     psi0 is a positive nondecreasing callable on (0, 1].  With
@@ -623,8 +639,8 @@ def slow_decay_eta(psi0, n_max: int = 6, r_min: float = 1e-12,
     """
     if n_max < 1:
         raise DomainError("need at least one knot level")
-    grid = [r_min * (1.0 / r_min) ** (i / (grid_points - 1))
-            for i in range(grid_points)]
+    grid = [_SLOW_DECAY_R_MIN * (1.0 / _SLOW_DECAY_R_MIN) ** (i / (_SLOW_DECAY_GRID - 1))
+            for i in range(_SLOW_DECAY_GRID)]
     env = []
     cur = -math.inf
     for s in grid:
@@ -646,7 +662,7 @@ def slow_decay_eta(psi0, n_max: int = 6, r_min: float = 1e-12,
             s_list.append(1.0)
             continue
         if eta0(grid[0]) > target:
-            raise DomainError(f"grid floor {r_min} too coarse for level {n}")
+            raise DomainError(f"grid floor {_SLOW_DECAY_R_MIN} too coarse for level {n}")
         lo, hi = grid[0], 1.0
         for _ in range(80):
             mid = math.sqrt(lo * hi)

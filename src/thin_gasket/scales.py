@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .errors import DomainError, SequenceError
 from .geometry import ApproximationGraph, _ball_mass_from_hops, geodesic_hops
@@ -29,6 +28,9 @@ from .resistance import ResistanceSolver
 from .sequence import LevelSequence, cell_count, time_factor, walk_exponent
 
 KINDS = ("time", "mass", "resistance")
+
+#: Segments a PiecewiseScale extends to before refusing a smaller s.
+_MAX_SEGMENTS = 200
 
 
 def mass_exponent(l: int) -> float:
@@ -58,7 +60,7 @@ class BetaBundle:
 
 
 def beta_bundle(ls: LevelSequence) -> BetaBundle:
-    entries = ls.materialized()
+    entries = ls.entries
     if not entries:
         raise SequenceError("cannot derive exponents from an empty sequence")
     walks = [walk_exponent(l) for l in entries]
@@ -73,12 +75,11 @@ def beta_bundle(ls: LevelSequence) -> BetaBundle:
 class PiecewiseScale:
     """One of the three scale functions, evaluated exactly per segment."""
 
-    def __init__(self, ls: LevelSequence, kind: str, max_segments: int = 200):
+    def __init__(self, ls: LevelSequence, kind: str):
         if kind not in KINDS:
             raise DomainError(f"kind must be one of {KINDS}")
         self.ls = ls
         self.kind = kind
-        self.max_segments = max_segments
         self.bundle = beta_bundle(ls)
         if kind == "time":
             self.tail_beta = self.bundle.time[0]
@@ -95,8 +96,8 @@ class PiecewiseScale:
 
     def _append_segment(self):
         n = len(self._levels) + 1
-        if n > self.max_segments:
-            raise DomainError(f"scale limited to {self.max_segments} segments")
+        if n > _MAX_SEGMENTS:
+            raise DomainError(f"scale limited to {_MAX_SEGMENTS} segments")
         l = self.ls.level(n)  # raises SequenceError past the sequence
         self._levels.append(l)
         self._Ls.append(self._Ls[-1] * l)
@@ -170,18 +171,19 @@ class PiecewiseScale:
     def __call__(self, s) -> float:
         return float(self.eval(s))
 
-    def log_eval(self, s, prec: int = 120):
-        """Natural log of the value as an mpmath float; safe for values far
-        outside double range."""
-        with mpmath.workprec(prec):
+    def log_eval(self, s):
+        """Natural log of the value as a 120-bit mpmath float; safe for
+        values far outside double range."""
+        with mpmath.workprec(120):
             val = self.eval(s)
             if isinstance(val, Fraction):
                 return mpmath.log(mpmath.mpf(val.numerator)) - \
                     mpmath.log(mpmath.mpf(val.denominator))
             return mpmath.log(mpmath.mpf(val))
 
-    def inverse(self, t, rtol: float = 1e-14):
-        """Rational bisection solve of eval(s) = t; monotonicity is exact."""
+    def inverse(self, t):
+        """Rational bisection solve of eval(s) = t to relative width 1e-14;
+        monotonicity is exact."""
         t = Fraction(t)
         if t <= 0:
             raise DomainError("scale values are positive")
@@ -203,7 +205,7 @@ class PiecewiseScale:
         lo, hi = Fraction(1, self._Ls[n]), Fraction(1, self._Ls[n - 1])
         if self.eval(lo) == t:
             return lo
-        while hi - lo > rtol * lo:
+        while hi - lo > 1e-14 * lo:
             mid = (lo + hi) / 2
             if self.eval(mid) >= t:
                 hi = mid
@@ -238,16 +240,15 @@ def knot_continuity_check(scale: PiecewiseScale, n_segments: int) -> dict:
             "mismatches": mismatches, "passed": not mismatches}
 
 
-def product_identity_check(ls: LevelSequence, n_segments: int = 4,
-                           samples_per_segment: int = 5,
-                           tol: float = 1e-14) -> dict:
-    """Psi = Psi_M * Psi_R: exact on (0, 1], within tol on the tails."""
+def product_identity_check(ls: LevelSequence, n_segments: int = 4) -> dict:
+    """Psi = Psi_M * Psi_R: exact at 5 points per segment of (0, 1], within
+    1e-14 relative on the tails."""
     psi, psi_m, psi_r = scale_triple(ls)
     exact_ok = True
     for n in range(1, n_segments + 1):
         l, ln, _, _, _ = psi.segment_data(n)
-        for j in range(samples_per_segment):
-            s = (1 + Fraction(j * (l - 1), max(samples_per_segment - 1, 1))) / ln
+        for j in range(5):
+            s = (1 + Fraction(j * (l - 1), 4)) / ln
             if psi.eval(s) != psi_m.eval(s) * psi_r.eval(s):
                 exact_ok = False
     tail_err = 0.0
@@ -256,7 +257,7 @@ def product_identity_check(ls: LevelSequence, n_segments: int = 4,
         rhs = float(psi_m.eval(s)) * float(psi_r.eval(s))
         tail_err = max(tail_err, abs(lhs - rhs) / rhs)
     return {"exact_on_segments": exact_ok, "tail_rel_err": tail_err,
-            "passed": exact_ok and tail_err <= tol}
+            "passed": exact_ok and tail_err <= 1e-14}
 
 
 def _sample_pool(scale: PiecewiseScale, n_segments: int, target_points: int = 46):
@@ -281,7 +282,7 @@ def doubling_check(scale: PiecewiseScale, c: Fraction | None = None,
     if c is None:
         c = Fraction(6) if scale.kind == "resistance" else Fraction(81)
     if n_segments is None:
-        n_segments = min(len(scale.ls.materialized()), scale.max_segments)
+        n_segments = min(len(scale.ls.entries), _MAX_SEGMENTS)
     if n_segments < 1:
         raise DomainError(f"doubling checks need n_segments >= 1, got {n_segments}")
     beta_lo, beta_hi = scale.bundle.for_kind(scale.kind)
@@ -315,18 +316,16 @@ def doubling_check(scale: PiecewiseScale, c: Fraction | None = None,
             "passed": not double_viol and not pair_viol}
 
 
-def same_segment_check(scale: PiecewiseScale, n_segments: int,
-                       samples_per_segment: int = 6) -> dict:
+def same_segment_check(scale: PiecewiseScale, n_segments: int) -> dict:
     """Exact same-segment sandwich (2/9)(S/s)^2 <= ratio <= (9/2)(S/s)^2
-    for the time scale."""
+    for the time scale, over all pairs of 6 points per segment."""
     if scale.kind != "time":
         raise DomainError("the same-segment sandwich applies to the time scale")
     lo_c, hi_c = Fraction(2, 9), Fraction(9, 2)
     violations = []
     for n in range(1, n_segments + 1):
         l, ln, _, _, _ = scale.segment_data(n)
-        ss = [(1 + Fraction(j * (l - 1), samples_per_segment - 1)) / ln
-              for j in range(samples_per_segment)]
+        ss = [(1 + Fraction(j * (l - 1), 5)) / ln for j in range(6)]
         vals = [scale.eval(s) for s in ss]
         for i in range(len(ss)):
             for j in range(i + 1, len(ss)):
@@ -338,18 +337,18 @@ def same_segment_check(scale: PiecewiseScale, n_segments: int,
             "passed": not violations}
 
 
-def quadratic_envelope_check(scale: PiecewiseScale, n_segments: int,
-                             samples_per_segment: int = 9) -> dict:
-    """Within segment n, value(u/L_n) / (u^2 value(1/L_n)) lies in [1, 2),
-    and the knot values of value(s)/s^2 never increase with depth."""
+def quadratic_envelope_check(scale: PiecewiseScale, n_segments: int) -> dict:
+    """Within segment n, value(u/L_n) / (u^2 value(1/L_n)) lies in [1, 2)
+    at the 10 points u = 1 + j(l-1)/9, and the knot values of
+    value(s)/s^2 never increase with depth."""
     if scale.kind != "time":
         raise DomainError("the quadratic envelope applies to the time scale")
     violations = []
     for n in range(1, n_segments + 1):
         l, ln, lead, a, b = scale.segment_data(n)
         base = scale.eval(Fraction(1, ln))
-        for j in range(samples_per_segment + 1):
-            u = 1 + Fraction(j * (l - 1), samples_per_segment)
+        for j in range(10):
+            u = 1 + Fraction(j * (l - 1), 9)
             ratio = scale.eval(u / ln) / (u * u * base)
             if not (1 <= ratio < 2):
                 violations.append((n, u))
@@ -364,6 +363,10 @@ def quadratic_envelope_check(scale: PiecewiseScale, n_segments: int,
 
 
 # ---- Resistance/metric/measure comparisons on a graph --------------------
+
+
+#: Shrink factors lambda of the comparison checks' Q(lambda d) bounds.
+_SHRINK_FACTORS = (Fraction(7, 10), Fraction(2, 5), Fraction(3, 20))
 
 
 @dataclass
@@ -409,9 +412,8 @@ def sample_vertex_pairs(g: ApproximationGraph, n_pairs: int, seed: int):
     return out
 
 
-def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
-                      lambdas=(Fraction(7, 10), Fraction(2, 5),
-                               Fraction(3, 20))) -> ComparisonReport:
+def comparison_checks(g: ApproximationGraph, n_pairs: int = 200,
+                      seed: int = 11) -> ComparisonReport:
     """Sampled two-sided comparisons between resistance, the time scale and
     ball masses on a built graph.
 
@@ -422,7 +424,8 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
         1/12  <= (Psi(d)/m(B(x,d))) / Psi_R(d)   <= 16
         2^-14 <= R(x,y) / Psi_R(d)               <= 2^12
 
-    and for each shrink factor lambda (floored at lattice resolution):
+    and for each shrink factor lambda in _SHRINK_FACTORS (floored at lattice
+    resolution):
 
         6^-4 lam^b1 Q(d) <= Q(lam d) <= 6^4 lam^b0 Q(d),
 
@@ -467,8 +470,7 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200, seed: int = 11,
         q_base = pv / mb
         record("time-over-mass-vs-resistance-scale", q_base / float(psi_r.eval(d)))
         record("resistance-vs-resistance-scale", r_val / float(psi_r.eval(d)))
-        for lam in lambdas:
-            lam = Fraction(lam)
+        for lam in _SHRINK_FACTORS:
             lam_floor = Fraction(1, big_l) / d
             if lam < lam_floor:
                 lam = lam_floor

@@ -2,8 +2,8 @@
 
 A gasket approximation is parameterized by a sequence (l_1, l_2, ...) of
 subdivision levels, each at least 5.  Only a finite prefix is stored; queries
-past the prefix are answered by an optional continuation rule ("repeat-last"
-or an explicit table) and rejected otherwise.
+past the prefix repeat its last level under the "repeat-last" continuation
+rule and are rejected otherwise.
 
 Derived per-level quantities:
 
@@ -20,7 +20,7 @@ R_n (resistance scale), T_n = M_n/R_n (time scale).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SequenceError
@@ -28,8 +28,7 @@ from .errors import SequenceError
 MIN_LEVEL = 5
 
 REPEAT_LAST = "repeat-last"
-TABLE = "table"
-_CONTINUATIONS = (None, REPEAT_LAST, TABLE)
+_CONTINUATIONS = (None, REPEAT_LAST)
 
 
 def check_level(l: int) -> int:
@@ -70,23 +69,19 @@ class LevelSequence:
     """A stored prefix of subdivision levels plus a continuation rule.
 
     entries: the prefix (l_1, ..., l_N), every entry >= 5.
-    continuation: None (reject queries past the prefix), "repeat-last",
-        or "table" (consult `table` for entries N+1, N+2, ...).
+    continuation: None (reject queries past the prefix) or "repeat-last"
+        (every level past the prefix is l_N).
     diverging: marks sequences designed with l_n -> infinity (realization
         output); scale builders use it to pick limiting tail exponents.
     """
 
     entries: tuple[int, ...]
     continuation: str | None = None
-    table: tuple[int, ...] = ()
     diverging: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(int(l) for l in self.entries))
-        object.__setattr__(self, "table", tuple(int(l) for l in self.table))
         for l in self.entries:
-            check_level(l)
-        for l in self.table:
             check_level(l)
         if self.continuation not in _CONTINUATIONS:
             raise SequenceError(f"unknown continuation rule {self.continuation!r}")
@@ -103,11 +98,6 @@ class LevelSequence:
             return self.entries[n - 1]
         if self.continuation == REPEAT_LAST:
             return self.entries[-1]
-        if self.continuation == TABLE:
-            j = n - len(self.entries)
-            if j <= len(self.table):
-                return self.table[j - 1]
-            raise SequenceError(f"level {n} past the stored prefix and table")
         raise SequenceError(
             f"level {n} past the stored prefix of length {len(self.entries)}; "
             "set a continuation rule to extend"
@@ -115,10 +105,6 @@ class LevelSequence:
 
     def prefix(self, n: int) -> tuple[int, ...]:
         return tuple(self.level(k) for k in range(1, n + 1))
-
-    def materialized(self) -> tuple[int, ...]:
-        """All explicitly stored levels (prefix plus table)."""
-        return self.entries + self.table
 
     # -- product scales -----------------------------------------------------
 

@@ -30,19 +30,23 @@ _MAX_BLOCK = 5
 # predicted commute time) exceed this; criterion 10 needs about 6.8e8.
 _WORK_BUDGET = 2_000_000_000
 
+# Walkers simulated per chunk, each chunk on its own random stream.
+_CHUNK = 100_000
+
+# A commute check passes when its z-score is within this many stderr.
+_Z_MAX = 4.0
+
 
 @dataclass(frozen=True)
 class WalkConfig:
     trials: int = 100_000
     max_steps: int = 10_000_000
     seed: int = 0
-    chunk: int = 100_000
 
     def __post_init__(self):
-        if self.trials < 1 or self.chunk < 1 or self.max_steps < 1:
-            raise DomainError(f"walks need trials, chunk and max_steps >= 1, "
-                              f"got trials={self.trials}, chunk={self.chunk}, "
-                              f"max_steps={self.max_steps}")
+        if self.trials < 1 or self.max_steps < 1:
+            raise DomainError(f"walks need trials and max_steps >= 1, "
+                              f"got trials={self.trials}, max_steps={self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ def simulate_hitting(g: ApproximationGraph, start: int, target_mask: np.ndarray,
     remaining = cfg.trials
     chunk_idx = 0
     while remaining > 0:
-        m = min(cfg.chunk, remaining)
+        m = min(_CHUNK, remaining)
         rng = stream(cfg.seed, (tag << 32) | chunk_idx)
         steps = np.zeros(m, dtype=np.int64)
         walker = np.arange(m)
@@ -158,8 +162,7 @@ def hitting_time(g: ApproximationGraph, start: int, targets,
 
 
 def commute_time_check(g: ApproximationGraph, x: int | None = None,
-                       y: int | None = None, cfg: WalkConfig = WalkConfig(),
-                       z_max: float = 4.0) -> dict:
+                       y: int | None = None, cfg: WalkConfig = WalkConfig()) -> dict:
     """Empirical commute time x -> y -> x against 6 M_n R_unit(x, y).
 
     The prediction is exact (rational) when x and y are outer corners,
@@ -206,7 +209,7 @@ def commute_time_check(g: ApproximationGraph, x: int | None = None,
             "predicted": predicted,
             "predicted_exact": predicted_exact,
             "z_score": z, "capped": st.capped,
-            "passed": abs(z) <= z_max and st.capped == 0}
+            "passed": abs(z) <= _Z_MAX and st.capped == 0}
 
 
 def exit_time_profile(g: ApproximationGraph, w, radii,

@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thin_gasket.errors import BudgetError, DomainError
-from thin_gasket.geometry import (ApproximationGraph, ball_mass, boundary_cells,
-                                  build_graph, cell_neighborhood, corner,
-                                  euclidean_sq, geodesic_distance,
+from thin_gasket.geometry import (ball_mass, boundary_cells, build_graph,
+                                  cell_neighborhood, euclidean_sq, geodesic_distance,
                                   geodesic_hops, graph_to_json, index_to_word,
                                   interior_letters, is_cell_index, render_svg,
                                   word_to_index, words)
@@ -121,8 +120,11 @@ def test_edges_match_unique_of_cell_sides(ls5, depth):
 
 
 def test_graph_budget(ls5):
-    with pytest.raises(BudgetError):
-        build_graph(ls5, 9, max_corners=1000)
+    # 3 M_5 = 746,496 corner slots fit the budget (depth 5 is built above);
+    # 3 M_6 = 8,957,952 do not
+    for depth in (6, 9):
+        with pytest.raises(BudgetError):
+            build_graph(ls5, depth)
 
 
 def test_vertex_ids_round_trip(ls5):

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thin_gasket.errors import DomainError
 from thin_gasket.forms import base_energy, cell_energies, harmonic_extend
-from thin_gasket.geometry import (boundary_cells, build_graph, interior_letters,
-                                  word_to_index)
+from thin_gasket.geometry import boundary_cells, interior_letters, word_to_index
 from thin_gasket.measures import (MASS_FLOOR_REL, SINGULARITY_GAP,
                                   _children_coefficients, ceiling_below_sup,
                                   children_sum_ceiling, divergence_statistic,
@@ -77,16 +77,16 @@ def test_rational_routes_stay_exact():
     assert type(h.energy(1, route="graph")) is Fraction
     mu = energy_measure(h, 1, route="graph")
     assert _only_fractions(mu.masses) and type(mu.total) is Fraction
-    # a depth-1 pin: the depth-0 measure sums children
-    g1 = build_graph(ls, 1)
-    h1 = harmonic_extend(ls, np.linspace(0.0, 1.0, g1.n_vertices), 2, pin_level=1,
-                         method="cells", precision="rational")
-    mu0 = energy_measure(h1, 0)
-    assert _only_fractions(mu0.masses)
-    assert mu0.total == h1.energy(1)
     for n in (0, 2):
         assert _only_fractions(corner_trace(ls, n))
     assert type(effective_resistance(ls, 1, 3, 11, precision="rational").value) is Fraction
+
+
+def test_negative_depth_is_refused():
+    h = harmonic_extend(LevelSequence((5,)), (1.0, 0.0, 0.0), 1, method="cells")
+    for route in ("matrices", "graph"):
+        with pytest.raises(DomainError):
+            energy_measure(h, -1, route=route)
 
 
 def test_routes_agree_in_float():
@@ -189,10 +189,10 @@ def test_divergence_reproducible():
 def _divergence_by_address(h, max_depth, n_samples, seed, tol=1e-9):
     """Reference: the statistic one address at a time, on float masses
     from the cascade and interior flags from interior_letters."""
-    ls, k = h.ls, h.pin_level
+    ls = h.ls
     masses = {d: cell_energies(h.cell_values(d)) / float(ls.R(d))
-              for d in range(k, max_depth + 1)}
-    total = float(masses[k].sum())
+              for d in range(max_depth + 1)}
+    total = float(masses[0].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else math.inf
     counts = [cell_count(ls.level(d)) for d in range(1, max_depth + 1)]
     interior = {}
@@ -210,17 +210,16 @@ def _divergence_by_address(h, max_depth, n_samples, seed, tol=1e-9):
         for n in range(1, max_depth + 1):
             letter = int(letters[s, n - 1])
             child_idx = idx * counts[n - 1] + letter
-            if n >= k + 1:
-                parent_mass = float(masses[n - 1][idx])
-                if parent_mass <= floor:
-                    div += 1.0
-                else:
-                    m = counts[n - 1]
-                    block = masses[n][idx * m:(idx + 1) * m]
-                    coeff = float(np.sqrt(np.maximum(block, 0.0) / parent_mass).sum()
-                                  / math.sqrt(m))
-                    div += 1.0 - coeff
-            if n >= k + 2 and interior[ls.level(n - 1)][int(letters[s, n - 2])]:
+            parent_mass = float(masses[n - 1][idx])
+            if parent_mass <= floor:
+                div += 1.0
+            else:
+                m = counts[n - 1]
+                block = masses[n][idx * m:(idx + 1) * m]
+                coeff = float(np.sqrt(np.maximum(block, 0.0) / parent_mass).sum()
+                              / math.sqrt(m))
+                div += 1.0 - coeff
+            if n >= 2 and interior[ls.level(n - 1)][int(letters[s, n - 2])]:
                 ap += 1
             idx = child_idx
         bound = SINGULARITY_GAP * ap
@@ -236,22 +235,11 @@ def _divergence_by_address(h, max_depth, n_samples, seed, tol=1e-9):
     ((5,), (1.0, 0.25, 0.0), 6, 200, 11),
     ((9, 58), (0.3, -0.7, 1.0), 2, 200, 4),
     ((5, 6), (1.0, 1.0, 0.0), 4, 200, 3),
-    ((5, 6, 7), "linear-v1", 4, 150, 8),
-    ((5, 6, 7), "split-v1", 4, 150, 8),
 ], ids=["c7-5-7-9-6", "c7-5-5-5-5", "c7-9-8-7-6", "c7-6-6-6-6", "5-d6", "9-58-d2",
-        "5-6-zero-mass", "v1-pin-linear", "v1-pin-zero-mass"])
+        "5-6-zero-mass"])
 def test_divergence_matches_per_address_loop(entries, pin, depth, n_samples, seed):
     ls = LevelSequence(entries, continuation="repeat-last")
-    g1 = build_graph(ls, 1)
-    if pin == "linear-v1":
-        values = np.linspace(-1.0, 1.0, g1.n_vertices)
-        h = harmonic_extend(ls, values, depth, pin_level=1, method="cells")
-    elif pin == "split-v1":
-        # 1 on vertices with a >= L_1 / 2, else 0: cells on one side carry no energy
-        values = (g1.vertices[:, 0] * 2 >= g1.L).astype(np.float64)
-        h = harmonic_extend(ls, values, depth, pin_level=1, method="cells")
-    else:
-        h = harmonic_extend(ls, pin, 0, method="cells")
+    h = harmonic_extend(ls, pin, 0, method="cells")
     rep = divergence_statistic(h, depth, n_samples=n_samples, seed=seed)
     expected = _divergence_by_address(h, depth, n_samples, seed)
     got = [(s.letters, s.divergence_sum, s.ap_count, s.bound, s.ok) for s in rep.samples]

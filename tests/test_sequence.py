@@ -86,17 +86,10 @@ def test_entries_validated():
         LevelSequence((5,), continuation="every-other")
 
 
-def test_table_continuation():
-    ls = LevelSequence((5,), continuation="table", table=(7, 9))
-    assert ls.prefix(3) == (5, 7, 9)
-    with pytest.raises(SequenceError):
-        ls.level(4)
-
-
 def test_diverging_flag_carried():
     ls = LevelSequence((9, 58), continuation="repeat-last", diverging=True)
     assert ls.diverging
-    assert ls.materialized() == (9, 58)
+    assert ls.entries == (9, 58)
 
 
 @given(st.lists(levels, min_size=1, max_size=6))

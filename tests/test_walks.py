@@ -7,6 +7,7 @@ from scipy import sparse
 from thin_gasket.errors import DomainError
 from thin_gasket.geometry import (_padded_neighbor_table, build_graph,
                                   neighborhood_vertex_ids, word_to_index)
+from thin_gasket import walks
 from thin_gasket.rand import stream
 from thin_gasket.sequence import LevelSequence
 from thin_gasket.walks import (WalkConfig, _block_length, commute_time_check,
@@ -92,10 +93,11 @@ def test_walk_config_validation():
 # ---- The block-stepped kernel against a one-step reference -----------------
 
 
-def _reference_hitting(g, start, target_mask, cfg, tag):
+def _reference_hitting(g, start, target_mask, cfg, tag, chunk):
     """One step at a time over a loop-built padded neighbour table, consuming
-    the kernel's draws: per block, one uint16 below 4^k per active walker,
-    read as 2-bit digits low bits first."""
+    the kernel's draws: per chunk of walkers one stream, and per block one
+    uint16 below 4^k per active walker, read as 2-bit digits low bits
+    first."""
     adj = g.adjacency
     nbr = np.zeros((g.n_vertices, 4), dtype=np.int64)
     for v in range(g.n_vertices):
@@ -103,8 +105,8 @@ def _reference_hitting(g, start, target_mask, cfg, tag):
         nbr[v] = [row[j % row.size] for j in range(4)]
     k = _block_length(int(np.count_nonzero(~target_mask)))
     chunks, capped = [], 0
-    for chunk_idx, first in enumerate(range(0, cfg.trials, cfg.chunk)):
-        m = min(cfg.chunk, cfg.trials - first)
+    for chunk_idx, first in enumerate(range(0, cfg.trials, chunk)):
+        m = min(chunk, cfg.trials - first)
         rng = stream(cfg.seed, (tag << 32) | chunk_idx)
         pos = np.full(m, start, dtype=np.int64)
         steps = np.zeros(m, dtype=np.int64)
@@ -140,9 +142,9 @@ def _commute_cases():
     for depth, trials in ((0, 3_000), (1, 2_000), (2, 300)):
         g = _graph((5,), depth)
         q0, q1 = int(g.corner_id(0)), int(g.corner_id(1))
-        cfg = WalkConfig(trials=trials, seed=17, chunk=700)
-        yield f"commute-d{depth}-fwd", g, q0, _mask(g, [q1]), cfg, 1
-        yield f"commute-d{depth}-bwd", g, q1, _mask(g, [q0]), cfg, 2
+        cfg = WalkConfig(trials=trials, seed=17)
+        yield f"commute-d{depth}-fwd", g, q0, _mask(g, [q1]), cfg, 1, 700
+        yield f"commute-d{depth}-bwd", g, q1, _mask(g, [q0]), cfg, 2, 700
 
 
 def _exit_mask(g, w, radius):
@@ -157,30 +159,33 @@ def _cap_cases():
     g = _graph((5,), 2)
     start, mask = _exit_mask(g, ((0, 0), (0, 0)), 1)
     for cap in (1, 7, 13):
-        cfg = WalkConfig(trials=500, max_steps=cap, seed=5, chunk=200)
-        yield f"cap-{cap}", g, start, mask, cfg, 1
+        cfg = WalkConfig(trials=500, max_steps=cap, seed=5)
+        yield f"cap-{cap}", g, start, mask, cfg, 1, 200
 
 
 def _edge_cases():
     g = _graph((5,), 2)
     start, mask = _exit_mask(g, ((0, 0), (0, 0)), 2)
-    yield "exit-radius-2", g, start, mask, WalkConfig(trials=2_000, seed=9), 102
+    yield "exit-radius-2", g, start, mask, WalkConfig(trials=2_000, seed=9), 102, walks._CHUNK
     q1 = int(g.corner_id(1))
-    yield "start-on-target", g, q1, _mask(g, [q1]), WalkConfig(trials=50, seed=4), 1
+    yield "start-on-target", g, q1, _mask(g, [q1]), WalkConfig(trials=50, seed=4), 1, walks._CHUNK
     # a tenth of the vertices as targets: larger free sets, so k = 3 and k = 1
     for depth in (3, 4):
         g = _graph((5,), depth)
         mask = np.random.default_rng(depth).random(g.n_vertices) < 0.1
         mask[0] = False
-        yield f"sparse-targets-d{depth}", g, 0, mask, WalkConfig(trials=1_000, seed=8), 1
+        yield (f"sparse-targets-d{depth}", g, 0, mask, WalkConfig(trials=1_000, seed=8), 1,
+               walks._CHUNK)
 
 
 @pytest.mark.parametrize("case", [*_commute_cases(), *_edge_cases(), *_cap_cases()],
                          ids=lambda case: case[0])
-def test_kernel_matches_one_step_reference(case):
-    _, g, start, mask, cfg, tag = case
+def test_kernel_matches_one_step_reference(case, monkeypatch):
+    _, g, start, mask, cfg, tag, chunk = case
+    # small chunks put several streams into one run
+    monkeypatch.setattr(walks, "_CHUNK", chunk)
     steps, capped = simulate_hitting(g, start, mask, cfg, tag=tag)
-    ref_steps, ref_capped = _reference_hitting(g, start, mask, cfg, tag)
+    ref_steps, ref_capped = _reference_hitting(g, start, mask, cfg, tag, chunk)
     assert steps.dtype == ref_steps.dtype
     assert np.array_equal(steps, ref_steps)
     assert capped == ref_capped
@@ -191,8 +196,9 @@ def test_block_length_keeps_tables_in_budget():
     assert [_block_length(f) for f in free] == [5, 5, 4, 3, 2, 2, 1, 1]
 
 
-def test_cap_cases_split_hits_and_caps():
-    for _, g, start, mask, cfg, tag in _cap_cases():
+def test_cap_cases_split_hits_and_caps(monkeypatch):
+    for _, g, start, mask, cfg, tag, chunk in _cap_cases():
+        monkeypatch.setattr(walks, "_CHUNK", chunk)
         assert _block_length(int(np.count_nonzero(~mask))) == 5
         steps, capped = simulate_hitting(g, start, mask, cfg, tag=tag)
         assert steps.max() == cfg.max_steps
