@@ -271,8 +271,14 @@ class HarmonicSpec:
 
     def energy(self, n: int, route: str = "matrices"):
         """Depth-n energy of the extension (equals the pin energy for any
-        n >= 0)."""
-        vals = self.cell_values(n) if route == "matrices" else self.cell_values_from_graph(n)
+        n >= 0).  route "matrices" runs the cell cascade, "graph" the graph
+        solve."""
+        if route == "matrices":
+            vals = self.cell_values(n)
+        elif route == "graph":
+            vals = self.cell_values_from_graph(n)
+        else:
+            raise DomainError(f"unknown route {route!r}")
         # a float64 sum over the Fraction R_n divides as floats
         return cell_energies(vals).sum() / self.ls.R(n)
 

@@ -8,14 +8,22 @@ R_n(q_j, q_k) = 2/3 at every depth, in O(1) with no solve.
 
 Cells meet only at their corners and all cells at one depth are
 translates of a single model cell, so V_{n-1} separates the depth-n graph
-into identical pieces; the solver eliminates them level by level with one
-factor of the model cell's interior block per distinct level, carries the
-sources to the corners and extends the potential back with the closed-form
-harmonic matrices (forms.matrix_stack), and solves the closed-form
-R_n * TRIANGLE_FORM system left on the outer corners.  The size of an exact
-query is bounded only by build_graph's corner budget.  The sparse LU of
-linalg.pinned_solve and the dense Fraction Schur complement of linalg are
-its oracles in the tests.
+into identical pieces, and the network inside a depth-k cell traces onto
+its corners as (R_n / R_k) * TRIANGLE_FORM.  A pair query expands only the
+cells on the addresses of x and y, one chain of at most n cells per point
+(a vertex new at depth j lies inside exactly one depth-(j-1) cell), and
+keeps every other cell at every depth implicit as that exact trace.  On
+this address-local network the solver eliminates the chains level by
+level with one factor of the model cell's interior block per distinct
+level, carries the sources to the corners and extends the potential back
+along the chains with the closed-form harmonic matrices
+(forms.matrix_stack), and solves the closed-form R_n * TRIANGLE_FORM
+system left on the outer corners.  The float route's one refinement pass
+takes its residual on the same local network.  A query does
+O(sum_k |I_k|) work and holds no array over the graph's vertices; the size
+of an exact query is bounded only by build_graph's corner budget.  The
+sparse LU of linalg.pinned_solve and the dense Fraction Schur complement
+of linalg are its oracles in the tests.
 
 The level-by-level reduction (corner_trace) survives only as the closed
 form's oracle: it folds the graph onto its corners through Schur
@@ -32,14 +40,15 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse import csgraph
 
 from . import linalg
 from .errors import DomainError, SolveError
 from .forms import (TRIANGLE_FORM, _depth_one_graph, matrix_stack, matrix_stack_exact,
                     one_subdivision_trace)
-from .geometry import ApproximationGraph, _corner_numerators, build_graph
+from .geometry import CORNER_OFFSETS, ApproximationGraph, boundary_cells, build_graph
 from .sequence import LevelSequence
 
 
@@ -114,18 +123,18 @@ def effective_resistance(ls: LevelSequence, n: int, x: int, y: int,
     exact in rational precision; in float precision with the relative
     residual of its refined potential."""
     g = graph if graph is not None else build_graph(ls, n)
+    if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
+        raise DomainError("vertex id out of range")
     if x == y:
         zero = Fraction(0) if precision == "rational" else 0.0
         return ResistanceResult(zero, precision == "rational", "trivial", 0.0, x, y)
-    if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
-        raise DomainError("vertex id out of range")
     solver = ResistanceSolver(g)
     if precision == "rational":
-        u = solver._solve(solver._source(x, y, Fraction(1)))
-        return ResistanceResult(ls.R(n) * (u[x] - u[y]), True, "rational", 0.0, x, y)
-    b, u = solver.potential(x, y)
-    residual = float(np.linalg.norm(solver.residual(b, u)) / np.linalg.norm(b))
-    return ResistanceResult(float(ls.R(n)) * float(u[x] - u[y]), False, "elimination",
+        net, _, u = solver._potential(x, y, Fraction(1))
+        return ResistanceResult(ls.R(n) * (u[net.x] - u[net.y]), True, "rational", 0.0, x, y)
+    net, b, u = solver._potential(x, y, 1.0)
+    residual = float(np.linalg.norm(solver._residual(net, b, u)) / np.linalg.norm(b))
+    return ResistanceResult(float(ls.R(n)) * float(u[net.x] - u[net.y]), False, "elimination",
                             residual, x, y)
 
 
@@ -159,8 +168,10 @@ class _ModelCell(NamedTuple):
     harmonic: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """K_II^-1 rhs for an (|I|, k) float array."""
-        return cho_solve_banded((self.chol, False), rhs, check_finite=False)
+        """K_II^-1 rhs for an (|I|, k) float array; LAPACK's banded solve
+        called directly, as a query's few small solves are dominated by
+        scipy's wrapper checks."""
+        return dpbtrs(self.chol, rhs)[0]
 
 
 @lru_cache(maxsize=None)
@@ -229,110 +240,176 @@ def _exact_model_cell(l: int) -> _ExactCell:
     return _ExactCell(stack[_stack_rows(l)[model.interior]].T, lower, diag)
 
 
+class _Network(NamedTuple):
+    """The address-local network of one pair, on local vertex ids.
+
+    Local ids 0, 1, 2 are the outer corners q0, q1, q2, then come the
+    interior vertices of the cells on the two addresses, level by level.
+    levels: per level k with such cells, finest first, the (m, |I|)
+    interior and (m, 3) corner local ids of its m <= 2 cells, l_k and c_k;
+    triangles, conductance: the (t, 3) corner local ids of every cell left
+    implicit, the children off the addresses of the cells on them, and the
+    factor c_k of its trace c_k * TRIANGLE_FORM;
+    x, y: the pair's local ids; n_vertices: the number of local ids.
+    """
+
+    levels: list
+    triangles: np.ndarray
+    conductance: np.ndarray
+    x: int
+    y: int
+    n_vertices: int
+
+
 class ResistanceSolver:
-    """Unit-resistance queries on one graph by cell-by-cell elimination.
+    """Unit-resistance queries on one graph by cell-by-cell elimination
+    along the addresses of the pair.
 
     Depth-(k-1) cells meet only at their corners and are translates of one
     model l_k-subdivision network, so V_{k-1} cuts the vertices new at
-    depth k into identical pieces.  A solve eliminates the vertices new at
-    depth n, then those new at depth n-1, and so on down to the outer
-    corners, batched over the cells of a level: each cell with a source
-    gets its particular solution from one factor of the model cell's K_II
-    per distinct level, and its source moves to its corners through the
-    closed-form harmonic rows H_I.  Each step leaves r_l times the coarser
-    Laplacian, so what remains is R_n * TRIANGLE_FORM on the outer corners,
-    grounded at q0 and solved in closed form; the back-substitution then
-    extends the potential level by level through H_I and adds the
-    particular solutions.  The source's dtype picks the arithmetic: float64
-    with the banded Cholesky factor (a query makes one solve and one
-    refinement pass with the residual from the edge form), or Fractions
-    with an exact banded L D L^T (exact, so no refinement).  free holds
-    the non-ground vertex ids.
+    depth k into identical pieces, and the network inside any depth-k cell
+    traces onto its corners as c_k * TRIANGLE_FORM, c_k = R_n / R_k.  A
+    vertex new at depth j lies inside exactly one depth-(j-1) cell, so the
+    source e_x - e_y touches only the cells on the addresses of x and y:
+    one chain of at most n cells per point.  A query builds the network
+    that keeps those cells expanded and every other cell at every depth
+    implicit as its exact trace (the children off the addresses of the
+    cells on them), which is the trace of the depth-n network onto the
+    chain vertices; a query does O(sum_k |I_k|) work, not O(V).
+
+    The solve eliminates the chain cells' interiors level by level, finest
+    first: each gets its particular solution from one factor of the model
+    cell's K_II per distinct level, and its source moves to its corners
+    through the closed-form harmonic rows H_I.  What remains is
+    R_n * TRIANGLE_FORM on the outer corners, grounded at q0 and solved in
+    closed form; the back-substitution extends the potential along the
+    chains through H_I and adds the particular solutions.  The source's
+    dtype picks the arithmetic: float64 with the banded Cholesky factor and
+    one refinement pass, whose residual b - L u on the chain vertices sums
+    the conductance-weighted edge differences of the expanded cells'
+    children (in exact arithmetic the full-graph residual of the potential
+    that is harmonic inside every implicit cell); or Fractions with an
+    exact banded L D L^T (exact, so no refinement).  free holds the
+    non-ground vertex ids.
     """
 
     def __init__(self, g: ApproximationGraph):
         ls, n = g.ls, g.level
         self.graph = g
-        self.ground = int(g.boundary[0])
         mask = np.ones(g.n_vertices, dtype=bool)
-        mask[self.ground] = False
+        mask[g.boundary[0]] = False  # the ground q0
         self.free = np.flatnonzero(mask)
-        # L = B^T B with B the edge incidence matrix: the residual sums edge
-        # differences, free of the eps * deg * |u| cancellation of L u
-        e = g.edges
-        self.incidence = sparse.csr_matrix(
-            (np.tile([1.0, -1.0], g.n_edges), (np.repeat(np.arange(g.n_edges), 2), e.ravel())),
-            shape=(g.n_edges, g.n_vertices))
         self.corner_scale = ls.R(n)
-        # per level k, finest first: the (M_{k-1}, |I|) interior and
-        # (M_{k-1}, 3) corner vertex ids of the depth-(k-1) cells, the level,
-        # and c_k = R_n / R_k, the factor the finer eliminations leave on
-        # the level-k Laplacian
-        self.levels = []
-        for k in range(n, 0, -1):
-            l = ls.level(k)
-            corners = _corner_numerators(ls, k - 1) * (g.L // ls.L(k - 1))
-            inner = _depth_one_graph(l).vertices[_model_cell(l).interior] * (g.L // ls.L(k))
-            self.levels.append((g.vertex_ids(corners[:, :1, :] + inner[None, :, :]),
-                                g.vertex_ids(corners), l, ls.R(n) / ls.R(k)))
+        # per level k, coarsest first, in lattice units of the depth-n graph:
+        # the side of a depth-(k-1) cell and of its children, l_k, c_k, the
+        # model interior's offsets and the children's origins in the cell
+        self._levels = []
+        for k in range(1, n + 1):
+            l, child = ls.level(k), g.L // ls.L(k)
+            inner = _depth_one_graph(l).vertices[_model_cell(l).interior] * child
+            letters = np.asarray(boundary_cells(l), dtype=np.int64) * child
+            self._levels.append((g.L // ls.L(k - 1), child, l, ls.R(n) / ls.R(k),
+                                 inner, letters))
 
-    def _source(self, x: int, y: int, one) -> np.ndarray:
-        """e_x - e_y off the ground in units of one: 1.0 for a float solve,
-        Fraction(1) for an exact one."""
-        b = np.zeros(self.graph.n_vertices, dtype=np.asarray(one).dtype)
-        b[x] += one
-        b[y] -= one
-        b[self.ground] = 0
-        return b
+    def _network(self, x: int, y: int) -> _Network:
+        """The address-local network of the pair; DomainError unless both
+        ids lie in [0, V)."""
+        g = self.graph
+        if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
+            raise DomainError(f"vertex ids ({x}, {y}) outside [0, {g.n_vertices})")
+        pts = g.vertices[[x, y]]
+        # per level k, the origins of the depth-(k-1) cells on the addresses:
+        # a point off the grid of depth-(k-1) corners lies in exactly one of
+        # them, whose origin rounds the point down to that grid
+        chains, coords = [], [g.L * CORNER_OFFSETS]
+        for size, _, _, _, inner, _ in self._levels:
+            o = pts[(pts % size).any(axis=1)] // size * size
+            if len(o) == 2 and (o[0] == o[1]).all():
+                o = o[:1]
+            chains.append(o)
+            coords.append((o[:, None, :] + inner).reshape(-1, 2))
+        encode = np.array([g.L + 1, 1])
+        codes = np.concatenate(coords) @ encode
+        order = np.argsort(codes)
 
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        """u with L u = b off the ground and u = 0 at the ground: in float64,
-        or exactly for an object array of Fractions."""
+        def local(c):
+            return order[np.searchsorted(codes[order], c @ encode)]
+
+        levels, tris, conductance = [], [], []
+        start = 3
+        for k, (o, (size, child, l, scale, inner, letters)) in enumerate(
+                zip(chains, self._levels), start=1):
+            if not o.size:
+                continue
+            ids = np.arange(start, start + o.shape[0] * inner.shape[0]).reshape(o.shape[0], -1)
+            start += ids.size
+            levels.append((ids, local(o[:, None, :] + size * CORNER_OFFSETS), l, scale))
+            kids = (o[:, None, :] + letters).reshape(-1, 2)
+            if k < len(chains):  # the children on the addresses are expanded
+                kids = kids[~(kids[:, None, :] == chains[k]).all(axis=2).any(axis=1)]
+            tris.append(kids[:, None, :] + child * CORNER_OFFSETS)
+            conductance.append(np.full(kids.shape[0], float(scale)))
+        if not levels:
+            # both points are outer corners: the root cell stays implicit
+            tris.append(g.L * CORNER_OFFSETS[None])
+            conductance.append(np.array([float(self.corner_scale)]))
+        ends = local(pts)
+        return _Network(levels[::-1], local(np.concatenate(tris)), np.concatenate(conductance),
+                        int(ends[0]), int(ends[1]), start)
+
+    def _eliminate(self, net: _Network, b: np.ndarray) -> np.ndarray:
+        """u with L u = b off the ground and u = 0 at the ground on the
+        local network: in float64, or exactly for an object array of
+        Fractions."""
         exact = b.dtype == object
         b = b.copy()
         particular = []
-        for interior, corners, l, scale in self.levels:
+        for inner, corners, l, scale in net.levels:
             cell = _exact_model_cell(l) if exact else _model_cell(l)
-            b_i = b[interior]
-            # a cell with no source has no particular solution
-            active = np.flatnonzero(b_i.any(axis=1))
-            if active.size == b_i.shape[0]:
-                active = slice(None)  # views, not copies, of whole tables
-            b_a = b_i[active]
-            z = cell.solve(b_a.T).T / (scale if exact else float(scale))
-            np.add.at(b, corners[active], np.einsum("mi,ji->mj", b_a, cell.harmonic))
-            particular.append((cell, active, z))
+            b_i = b[inner]
+            z = cell.solve(b_i.T).T / (scale if exact else float(scale))
+            np.add.at(b, corners, np.einsum("mi,ji->mj", b_i, cell.harmonic))
+            particular.append((inner, corners, cell, z))
         u = np.zeros_like(b)
         scale = self.corner_scale if exact else float(self.corner_scale)
-        _, q1, q2 = self.graph.boundary
-        u[q1] = (2 * b[q1] + b[q2]) / (3 * scale)
-        u[q2] = (b[q1] + 2 * b[q2]) / (3 * scale)
-        for (interior, corners, _, _), (cell, active, z) in zip(reversed(self.levels),
-                                                                reversed(particular)):
-            u_i = np.einsum("mj,ji->mi", u[corners], cell.harmonic)
-            u_i[active] += z
-            u[interior] = u_i
+        u[1] = (2 * b[1] + b[2]) / (3 * scale)
+        u[2] = (b[1] + 2 * b[2]) / (3 * scale)
+        for inner, corners, cell, z in reversed(particular):
+            u[inner] = np.einsum("mj,ji->mi", u[corners], cell.harmonic) + z
         return u
 
-    def residual(self, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """b - L u off the ground, with L u = B^T (B u) from the edge form."""
-        r = b - self.incidence.T @ (self.incidence @ u)
-        r[self.ground] = 0.0
+    @staticmethod
+    def _residual(net: _Network, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """b - L u off the ground on the local network, with L u summed from
+        conductance-weighted edge differences, free of the eps * deg * |u|
+        cancellation of a matrix product."""
+        t = u[net.triangles]
+        d01, d02, d12 = t[:, 0] - t[:, 1], t[:, 0] - t[:, 2], t[:, 1] - t[:, 2]
+        flow = net.conductance[:, None] * np.stack([d01 + d02, d12 - d01, -d02 - d12], axis=1)
+        r = b - np.bincount(net.triangles.ravel(), flow.ravel(), minlength=b.size)
+        r[0] = 0.0
         return r
 
-    def potential(self, x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-        """The float source b = e_x - e_y off the ground and the potential u
-        with L u = b there, after one refinement pass; SolveError if
-        u[x] < u[y]."""
-        b = self._source(x, y, 1.0)
-        u = self._solve(b)
-        u = u + self._solve(self.residual(b, u))
-        if u[x] < u[y]:
-            raise SolveError(f"negative resistance {u[x] - u[y]} for pair ({x}, {y})")
-        return b, u
+    def _potential(self, x: int, y: int, one) -> tuple:
+        """The local network, the source b = e_x - e_y off the ground in
+        units of one and the potential u with L u = b there: exact for
+        one = Fraction(1); in float64 for one = 1.0, after one refinement
+        pass, with SolveError if u[x] < u[y]."""
+        net = self._network(x, y)
+        b = np.zeros(net.n_vertices, dtype=np.asarray(one).dtype)
+        b[net.x] += one
+        b[net.y] -= one
+        b[0] = 0  # the ground q0
+        u = self._eliminate(net, b)
+        if b.dtype != object:
+            u = u + self._eliminate(net, self._residual(net, b, u))
+            if u[net.x] < u[net.y]:
+                raise SolveError(f"negative resistance {u[net.x] - u[net.y]} "
+                                 f"for pair ({x}, {y})")
+        return net, b, u
 
     def unit_resistance(self, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
-        u = self.potential(x, y)[1]
-        return float(u[x] - u[y])
+        """u[x] - u[y] for a unit current from x to y; DomainError unless
+        both ids lie in [0, V)."""
+        net, _, u = self._potential(x, y, 1.0)
+        return float(u[net.x] - u[net.y])

@@ -190,6 +190,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["realize", "--eta", "eta3"],  # exp of a number past 2^65536: a hang
     ["realize", "--eta", "eta4"],  # the same: an OverflowError in mpmath
     ["resistance", "--depth", "-1"],  # a negative depth
+    # equal ids past the 21-vertex graph: no zero resistance
+    ["resistance", "--seq", "5", "--depth", "1", "--x", "999", "--y", "999"],
     ["realize", "--n0", "0"],  # 2^-n0 is no level scale
     ["realize", "--n0", "-2"],
     # dense Fraction elimination on 795 vertices: past the 400-vertex limit
@@ -200,7 +202,7 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
-        "resistance-depth", "realize-n0-zero", "realize-n0-negative",
+        "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
         "extend-rational-size", "certify-cascade-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     code, err = run_process([*argv, "--out", tmp_path])

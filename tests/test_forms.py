@@ -130,6 +130,12 @@ def test_routes_agree_on_floats(ls576):
         h.energy(2, route="graph"), rel=1e-12)
 
 
+def test_energy_refuses_an_unknown_route(ls5):
+    h = harmonic_extend(ls5, (1.0, 0.0, 0.0), 1, method="cells")
+    with pytest.raises(DomainError):
+        h.energy(1, route="bogus")
+
+
 def test_extension_bounded_by_pin_range(ls5):
     h = harmonic_extend(ls5, (1.0, 0.0, 0.0), 2, method="direct")
     _, values = h.extend(2)

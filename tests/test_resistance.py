@@ -288,3 +288,54 @@ def test_model_cell_of_a_long_level_stays_banded():
     assert peak < 50e6
     assert _model_cell(3001).chol.shape[0] <= 5
     assert abs(float(g.ls.R(1)) * solver.unit_resistance(0, g.n_vertices - 1) - 2 / 3) < 1e-11
+
+
+def test_unit_resistance_refuses_ids_out_of_range(ls5):
+    g = build_graph(ls5, 1)
+    solver = ResistanceSolver(g)
+    for x, y in ((-1, 5), (21, 5), (5, -1), (5, 21), (21, 21)):
+        with pytest.raises(DomainError):
+            solver.unit_resistance(x, y)
+    # equal ids are range-checked before the x == y shortcut
+    for precision in ("float", "rational"):
+        with pytest.raises(DomainError):
+            effective_resistance(ls5, 1, 999, 999, graph=g, precision=precision)
+
+
+# ---- Address-local queries -----------------------------------------------
+
+
+def test_refinement_reaches_the_exact_value_on_a_long_level():
+    # one unrefined float pass is 1e-12 to 3.8e-12 off here, so this fails
+    # if the local refinement is dropped or wrong
+    ls = LevelSequence((3001,))
+    g = build_graph(ls, 1)
+    for x, y in _sample_pairs(g, 5, seed=3)[3:]:
+        exact = effective_resistance(ls, 1, x, y, graph=g, precision="rational").value
+        approx = effective_resistance(ls, 1, x, y, graph=g)
+        assert abs(approx.value - exact) <= 1e-14 * exact
+
+
+def test_query_memory_is_address_local(ls5):
+    # one float64 array over the V = 407,181 vertices would be 3.3 MB
+    g = build_graph(ls5, 5)
+    solver = ResistanceSolver(g)
+    x, y = _sample_pairs(g, 5, seed=5)[3:]
+    solver.unit_resistance(*x)
+    tracemalloc.start()
+    try:
+        value = solver.unit_resistance(*y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert value > 0
+
+
+def test_exact_query_at_full_depth(ls5):
+    g = build_graph(ls5, 5)
+    x, y = _sample_pairs(g, 4, seed=5)[3]
+    exact = effective_resistance(ls5, 5, x, y, graph=g, precision="rational")
+    approx = effective_resistance(ls5, 5, x, y, graph=g)
+    assert type(exact.value) is Fraction
+    assert abs(approx.value - exact.value) <= 1e-12 * exact.value
