@@ -30,7 +30,7 @@ import numpy as np
 
 from . import acceptance
 from .errors import GasketError
-from .forms import harmonic_extend, harmonic_matrix
+from .forms import check_precision, harmonic_extend, harmonic_matrix
 from .geometry import (boundary_cells, build_graph, graph_to_json, render_svg,
                        words)
 from .measures import divergence_statistic, energy_measure, singularity_certificate
@@ -77,6 +77,9 @@ class RunConfig:
                 vals[key] = _parse_int(key, raw)
             elif key == "diverging":
                 vals[key] = raw.strip().lower() in ("true", "1", "yes")
+            elif key == "precision":
+                vals[key] = raw.strip()
+                check_precision(vals[key])
             else:
                 vals[key] = raw.strip()
         return dataclasses.replace(base, **vals)

@@ -9,11 +9,15 @@ per-cell products of the one-subdivision harmonic matrices.  Those
 matrices come from closed forms over 6l + 1; elimination on the depth-1
 graph is kept only as their oracle.
 
-Both precisions run the same numpy code: rational values are numpy object
-arrays of Fractions, float values float64 arrays, and precision picks only
-the dtype, the matrix stack and the graph solver.  The one-subdivision
-trace is a Schur complement of linalg; folded level by level, it is the
-oracle of the closed-form corner resistance.
+Exact routes run on integers.  The level-l matrices are integer numerators
+over 6l + 1 (_numerator_stack), so the depth-d cell values of a rational pin
+are Python-int numerators over one common denominator: the lcm of the pin's
+denominators times the product of 6 l_k + 1 over k <= d.  The rational
+cascade multiplies those numerators level by level; Fractions are built
+only where a caller receives them (cell_values, energy).  The float cascade
+runs the same products on the float64 stack.  The one-subdivision trace is
+a Schur complement of linalg; folded level by level, it is the oracle of
+the closed-form corner resistance.
 """
 
 from __future__ import annotations
@@ -171,19 +175,29 @@ class HarmonicMatrix:
 
 
 @lru_cache(maxsize=None)
+def _numerator_stack(l: int) -> np.ndarray:
+    """Int64 (m, 3, 3) numerators over 6l+1 of the level-l matrices, in
+    boundary_cells(l) order, from the closed forms; O(l)."""
+    check_level(l)
+    stack = np.array([_cell_numerators(l, i) for i in boundary_cells(l)], dtype=np.int64)
+    stack.flags.writeable = False  # shared by every caller through the cache
+    return stack
+
+
+@lru_cache(maxsize=None)
 def matrix_stack_exact(l: int):
     """All one-subdivision matrices of level l as Fraction tuples, in
-    boundary_cells(l) order, from the closed forms over 6l+1; O(l)."""
-    check_level(l)
+    boundary_cells(l) order."""
     q = 6 * l + 1
-    return tuple(tuple(tuple(Fraction(x, q) for x in row) for row in _cell_numerators(l, i))
-                 for i in boundary_cells(l))
+    return tuple(tuple(tuple(Fraction(x, q) for x in row) for row in mat.tolist())
+                 for mat in _numerator_stack(l))
 
 
 @lru_cache(maxsize=None)
 def matrix_stack(l: int) -> np.ndarray:
-    """Float (m, 3, 3) stack of the level-l one-subdivision matrices."""
-    return np.array([[[float(x) for x in row] for row in mat] for mat in matrix_stack_exact(l)])
+    """Float (m, 3, 3) stack of the level-l one-subdivision matrices; each
+    entry is the correctly rounded quotient, as float(Fraction) gives it."""
+    return _numerator_stack(l) / (6 * l + 1)
 
 
 def harmonic_matrix(l: int, i) -> HarmonicMatrix:
@@ -211,32 +225,57 @@ class HarmonicSpec:
         self.pin = pin
         self.precision = precision
         self._materialized: dict[int, tuple[ApproximationGraph, object]] = {}
-        dtype = object if precision == "rational" else np.float64
+        self._cell_values: dict[int, np.ndarray] = {}
         # the depth-0 cell lists its corners as (q0, q1, q2)
-        self._cell_values: dict[int, object] = {0: np.array([pin], dtype=dtype)}
+        if precision == "rational":
+            row, den = linalg.over_common_denominator(pin)
+            self._numerators = {0: (np.array([row], dtype=object), den)}
+        else:
+            self._cell_values[0] = np.array([pin], dtype=np.float64)
 
     # -- matrix-cascade route
 
-    def cell_values(self, d: int):
-        """Corner values of every depth-d cell via matrix products, shape
-        (M_d, 3); an object array of Fractions in rational mode.  Refuses
-        with BudgetError, before any product, a depth past 2^27 corner
-        slots."""
+    def _check_cascade_depth(self, d: int) -> None:
+        """Refuse a negative depth, and a depth past 2^27 corner slots before
+        any product."""
         if d < 0:
             raise DomainError(f"depth must be nonnegative, got {d}")
-        if d in self._cell_values:
-            return self._cell_values[d]
         slots = 3 * self.ls.M(d)
         if slots > _CASCADE_SLOTS:
             raise BudgetError(f"the cell cascade to depth {d} needs {slots} corner slots (> "
                               f"budget {_CASCADE_SLOTS}; {slots * 8 / 2**30:.1f} GiB as float64)")
-        prev = self.cell_values(d - 1)
-        l = self.ls.level(d)
+
+    def cell_numerators(self, d: int):
+        """Exact depth-d corner values as (num, den) with values num / den:
+        num an (M_d, 3) object array of Python ints, den the lcm of the pin
+        denominators times the product of 6 l_k + 1 over k <= d.  Rational
+        precision only; the budget of cell_values applies."""
+        if self.precision != "rational":
+            raise DomainError("cell numerators exist in rational precision only")
+        if d not in self._numerators:
+            self._check_cascade_depth(d)
+            num, den = self.cell_numerators(d - 1)
+            l = self.ls.level(d)
+            stack = _numerator_stack(l).astype(object)
+            self._numerators[d] = (np.einsum("mij,wj->wmi", stack, num).reshape(-1, 3),
+                                   den * (6 * l + 1))
+        return self._numerators[d]
+
+    def cell_values(self, d: int):
+        """Corner values of every depth-d cell via matrix products, shape
+        (M_d, 3); an object array of Fractions in rational mode, built from
+        cell_numerators.  Refuses with BudgetError, before any product, a
+        depth past 2^27 corner slots."""
+        if d in self._cell_values:
+            return self._cell_values[d]
         if self.precision == "rational":
-            stack = np.array(matrix_stack_exact(l), dtype=object)
+            num, den = self.cell_numerators(d)
+            out = np.array([Fraction(x, den) for x in num.ravel()],
+                           dtype=object).reshape(num.shape)
         else:
-            stack = matrix_stack(l)
-        out = np.einsum("mij,wj->wmi", stack, prev).reshape(-1, 3)
+            self._check_cascade_depth(d)
+            prev = self.cell_values(d - 1)
+            out = np.einsum("mij,wj->wmi", matrix_stack(self.ls.level(d)), prev).reshape(-1, 3)
         self._cell_values[d] = out
         return out
 
@@ -244,8 +283,8 @@ class HarmonicSpec:
 
     def extend(self, n: int):
         """Materialize values on V_n by a pinned Laplacian solve: dense
-        Fraction elimination in rational precision, a sparse LU in float.
-        Returns (graph, values); cached per depth."""
+        fraction-free elimination in rational precision, a sparse LU in
+        float.  Returns (graph, values); cached per depth."""
         if n < 0:
             raise DomainError(f"depth must be nonnegative, got {n}")
         if n in self._materialized:
@@ -274,6 +313,11 @@ class HarmonicSpec:
         n >= 0).  route "matrices" runs the cell cascade, "graph" the graph
         solve."""
         if route == "matrices":
+            if self.precision == "rational":
+                num, den = self.cell_numerators(n)
+                r = self.ls.R(n)
+                return Fraction(cell_energies(num).sum() * r.denominator,
+                                den * den * r.numerator)
             vals = self.cell_values(n)
         elif route == "graph":
             vals = self.cell_values_from_graph(n)
@@ -283,6 +327,12 @@ class HarmonicSpec:
         return cell_energies(vals).sum() / self.ls.R(n)
 
 
+def check_precision(precision: str) -> None:
+    """Refuse any precision but "rational" and "float"."""
+    if precision not in ("rational", "float"):
+        raise DomainError(f"unknown precision {precision!r}; use 'rational' or 'float'")
+
+
 def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "direct",
                     precision: str = "float") -> HarmonicSpec:
     """Harmonic extension of the corner pin (u(q0), u(q1), u(q2)),
@@ -290,9 +340,11 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "direct",
 
     The pin may be any sequence of three values (tuple, list or array).
     method picks the route that materializes depth `depth`: "cells" runs
-    the matrix cascade (HarmonicSpec.cell_values), "direct" the graph solve
-    (HarmonicSpec.extend); either route stays available afterwards.
+    the matrix cascade (cell numerators in rational precision, values in
+    float), "direct" the graph solve (HarmonicSpec.extend); either route
+    stays available afterwards.
     """
+    check_precision(precision)
     if method not in ("cells", "direct"):
         raise DomainError(f"unknown extension method {method!r}; use 'cells' or 'direct'")
     if depth < 0:
@@ -301,10 +353,12 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "direct",
         raise DomainError(f"pin has {len(pin)} values; a corner pin has 3")
     convert = Fraction if precision == "rational" else float
     h = HarmonicSpec(ls, tuple(convert(v) for v in pin), precision)
-    if method == "cells":
-        h.cell_values(depth)
-    else:
+    if method == "direct":
         h.extend(depth)
+    elif precision == "rational":
+        h.cell_numerators(depth)
+    else:
+        h.cell_values(depth)
     return h
 
 
@@ -330,6 +384,7 @@ def one_subdivision_trace(l: int, trace=TRIANGLE_FORM, precision: str = "rationa
     one-subdivision network whose every cell carries the 3x3 form `trace`
     (unit conductances by default).  Exact, as an object array, in rational
     precision; a float trace is snapped back by _project_trace."""
+    check_precision(precision)
     g = _depth_one_graph(l)
     t = np.asarray(trace, dtype=object if precision == "rational" else np.float64)
     lap = np.zeros((g.n_vertices, g.n_vertices), dtype=t.dtype)
@@ -346,8 +401,11 @@ def extension_ratio_check(l: int, seed: int = 7, precision: str = "rational") ->
 
     Checks the 3x3 trace matrix against r_l times the triangle form and the
     energy ratio for the corner basis plus _RATIO_RANDOM_PINS random pins.
-    Exact in rational mode; float mode reports the maximum relative error.
+    Exact in rational mode, where each pin is snapped to a Fraction and the
+    ratio is compared by cross-multiplied integers; float mode reports the
+    maximum relative error.
     """
+    check_precision(precision)
     r = resistance_ratio(l)
     rng = stream(seed, l)
     pins = [np.eye(3)[j] for j in range(3)]
@@ -358,14 +416,18 @@ def extension_ratio_check(l: int, seed: int = 7, precision: str = "rational") ->
         s = one_subdivision_trace(l)
         target = [[r * x for x in row] for row in TRIANGLE_FORM]
         trace_equal = np.array_equal(s, target)
+        # s = sn / sden and u = v / uden: quad(u) / E0(u) == r iff
+        # quad(v) * r.den == E0(v) * r.num * sden, in integers
+        sn, sden = linalg.over_common_denominator(s.ravel())
         ratios_equal = True
         for p in pins:
-            u = [Fraction(x).limit_denominator(10**12) for x in p]
-            e0 = base_energy(u)
+            v, _ = linalg.over_common_denominator(
+                [Fraction(x).limit_denominator(10**12) for x in p])
+            e0 = base_energy(v)
             if e0 == 0:
                 continue
-            quad = sum(u[a] * s[a][b] * u[b] for a in range(3) for b in range(3))
-            if quad / e0 != r:
+            quad = sum(v[a] * sn[3 * a + b] * v[b] for a in range(3) for b in range(3))
+            if quad * r.denominator != e0 * r.numerator * sden:
                 ratios_equal = False
         report.update(exact_equal=bool(trace_equal and ratios_equal),
                       trace_equal=bool(trace_equal), passed=bool(trace_equal and ratios_equal))

@@ -9,7 +9,7 @@ and metric comparisons are exact integer arithmetic.  The graph metric
 Sizes are budgeted in corner slots, 3 M_n: build_graph refuses more than
 MAX_CORNERS = 6e6 (about 100 MB of working arrays; (5,) builds to depth 5,
 3 M_5 = 746,496), and the cell cascade behind energy measures
-(forms.HarmonicSpec.cell_values) more than 2^27.  Dense exact Fraction
+(forms.HarmonicSpec.cell_values) more than 2^27.  Dense exact
 solves on a graph (rational harmonic extension by the graph route) stop at
 linalg.RATIONAL_SIZE_LIMIT = 400 vertices; exact pair resistances, by
 cell-by-cell elimination, are bounded only by MAX_CORNERS.  A CellMeasure

@@ -1,26 +1,31 @@
 """Linear-algebra backends: dense exact rational elimination and sparse
 float solves.
 
-The rational path does dense Gaussian elimination over Fraction entries
-and is reserved for small systems: the graph route of exact harmonic
-extension (rational extend and --route graph, acceptance criterion 6's
-oracle) and the one-subdivision oracles.  Its Schur complement is the kept
-rows of the Laplacian applied to exact harmonic extensions of unit pins,
-returned as a numpy object array of Fractions; it is the test oracle of
-the exact resistance elimination, which lives in resistance and does not
-use this path.  RATIONAL_SIZE_LIMIT bounds every dense exact solve: graphs
-of more than 400 vertices and systems of more than 400 unknowns are
-refused with a SolveError, since the cost of dense elimination grows with
-the size cubed times the cost of ever longer numerators.  The float path
-assembles sparse graph Laplacians and solves pinned systems either by
-direct LU with at most MAX_REFINE rounds of iterative refinement (default)
-or by Jacobi-preconditioned conjugate gradients (method="cg"), both to the
-relative residual SOLVE_RTOL.  pinned_solve runs the graph route of
-harmonic extension and is the oracle of the float resistance solver.
+The rational path is fraction-free Gaussian elimination and is reserved
+for small systems: the graph route of exact harmonic extension (rational
+extend and --route graph, acceptance criterion 6's oracle) and the
+one-subdivision oracles.  It scales each row of the system to integers by
+the lcm of its denominators, eliminates by integer row combinations kept
+primitive (each updated row divided by the gcd of its entries), and builds
+Fractions only in the back-substitution of the solution.  Its Schur
+complement is the kept rows of the Laplacian applied to exact harmonic
+extensions of unit pins, returned as a numpy object array of Fractions; it
+is the test oracle of the exact resistance elimination, which lives in
+resistance and does not use this path.  RATIONAL_SIZE_LIMIT bounds every
+dense exact solve: graphs of more than 400 vertices and systems of more
+than 400 unknowns are refused with a SolveError, since the cost of dense
+elimination grows with the size cubed times the cost of ever longer
+integers.  The float path assembles sparse graph Laplacians and solves
+pinned systems either by direct LU with at most MAX_REFINE rounds of
+iterative refinement (default) or by Jacobi-preconditioned conjugate
+gradients (method="cg"), both to the relative residual SOLVE_RTOL.
+pinned_solve runs the graph route of harmonic extension and is the oracle
+of the float resistance solver.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -39,53 +44,78 @@ SOLVE_RTOL = 1e-12
 MAX_REFINE = 4
 
 
+def over_common_denominator(values):
+    """Ints and Fractions (any re-iterable collection) as (numerators, den):
+    Python ints over the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _integer_row(row) -> dict:
+    """The nonzero entries of a row of rationals, keyed by column, scaled to
+    integers by the lcm of their denominators and divided by their gcd."""
+    nz = {j: x if isinstance(x, (int, Fraction)) else Fraction(x)
+          for j, x in enumerate(row) if x}
+    nums, _ = over_common_denominator(nz.values())
+    c = math.gcd(*nums) or 1
+    return {j: x // c for j, x in zip(nz, nums)}
+
+
 def rational_solve(a, b):
-    """Solve A x = B exactly over Fractions.
+    """Solve A x = B exactly.
 
     a: list of rows (each a list of Fraction/int), square.
     b: list of rows, each a list (multiple right-hand sides allowed).
-    Returns the solution as a list of rows of Fractions.  Gaussian
-    elimination, then back-substitution on the right-hand sides; each row
-    operation touches only the pivot row's nonzero entries, so a sparse
-    Laplacian costs far less than n^3.
+    Returns the solution as a list of rows of Fractions.  Fraction-free
+    Gaussian elimination on the integer-scaled rows of [A | B], then
+    back-substitution in Fractions on the solution only.  Rows are kept as
+    their nonzero entries, so a sparse Laplacian costs far less than n^3.
     """
     n = len(a)
     if n > RATIONAL_SIZE_LIMIT:
         raise SolveError(f"rational solve limited to {RATIONAL_SIZE_LIMIT} unknowns, got {n}")
     m = len(b[0]) if n else 0
-    aug = [[Fraction(x) for x in row_a] + [Fraction(x) for x in row_b]
-           for row_a, row_b in zip(a, b)]
-    # per pivot row, its nonzero columns right of the pivot among the unknowns
-    upper = []
+    rows = [_integer_row(list(row_a) + list(row_b)) for row_a, row_b in zip(a, b)]
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if col in rows[r]), None)
         if piv is None:
             raise SolveError("singular rational system")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        inv = 1 / prow[col]
-        nz = [j for j in range(col + 1, n + m) if prow[j] != 0]
-        for j in nz:
-            prow[j] *= inv
-        upper.append([j for j in nz if j < n])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        tail = [(j, x) for j, x in rows[col].items() if j != col]
         for r in range(col + 1, n):
-            f = aug[r][col]
-            if f != 0:
-                row = aug[r]
-                for j in nz:
-                    row[j] -= f * prow[j]
+            row = rows[r]
+            f = row.pop(col, 0)
+            if not f:
+                continue
+            # row <- (p row - f prow) / g: the pivot column cancels
+            g = math.gcd(p, f)
+            pg, fg = p // g, f // g
+            if pg != 1:
+                for j in row:
+                    row[j] *= pg
+            for j, x in tail:
+                y = row.get(j, 0) - fg * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            c = math.gcd(*row.values())
+            if c > 1:
+                for j in row:
+                    row[j] //= c
+    x = [None] * n
     for col in range(n - 1, -1, -1):
-        prow = aug[col]
-        for j in upper[col]:
-            f, done = prow[j], aug[j]
-            for c in range(n, n + m):
-                prow[c] -= f * done[c]
-    return [row[n:] for row in aug]
+        row = rows[col]
+        upper = [(j, v) for j, v in row.items() if col < j < n]
+        sol = []
+        for k in range(m):
+            # sum the row in integers over the solved entries' common denominator
+            nums, den = over_common_denominator([x[j][k] for j, _ in upper])
+            s = row.get(n + k, 0) * den - sum(v * t for (_, v), t in zip(upper, nums))
+            sol.append(Fraction(s, row[col] * den))
+        x[col] = sol
+    return x
 
 
 def laplacian(adjacency: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -165,26 +195,22 @@ def pinned_solve(lap: sparse.csr_matrix, pinned: np.ndarray, pin_values: np.ndar
 
 
 def rational_pinned_solve(lap_dense, pinned, pin_values):
-    """Exact Dirichlet solve on a dense Fraction Laplacian.
+    """Exact Dirichlet solve on a dense rational Laplacian.
 
-    lap_dense: list of rows of Fractions; pin_values: list of rows (P x K).
+    lap_dense: rows of Fractions or ints; pin_values: list of rows (P x K).
     Returns full V x K nested list of Fractions.
     """
-    v = len(lap_dense)
+    lap = [list(row) for row in lap_dense]
+    v = len(lap)
     pinned = list(pinned)
     pinned_set = set(pinned)
     free = [i for i in range(v) if i not in pinned_set]
     k = len(pin_values[0])
-    a = [[lap_dense[i][j] for j in free] for i in free]
+    a = [[lap[i][j] for j in free] for i in free]
     b = []
     for i in free:
-        row = []
-        for col in range(k):
-            s = Fraction(0)
-            for pj, pv in zip(pinned, pin_values):
-                s -= lap_dense[i][pj] * pv[col]
-            row.append(s)
-        b.append(row)
+        links = [(lap[i][pj], pv) for pj, pv in zip(pinned, pin_values) if lap[i][pj]]
+        b.append([-sum(w * pv[col] for w, pv in links) for col in range(k)])
     x = rational_solve(a, b) if free else []
     out = [[Fraction(0)] * k for _ in range(v)]
     for pj, pv in zip(pinned, pin_values):
@@ -218,7 +244,9 @@ def schur_complement(lap_dense, keep):
     keep = list(keep)
     units = [[Fraction(int(i == j)) for j in keep] for i in keep]
     ext = np.array(rational_pinned_solve(lap_dense, keep, units), dtype=object)
-    return np.array([lap_dense[i] for i in keep], dtype=object) @ ext
+    kept = np.array([list(lap_dense[i]) for i in keep], dtype=object)
+    links = kept.any(axis=0)  # the columns the kept rows touch
+    return kept[:, links] @ ext[links]
 
 
 def schur_complement_float(lap: np.ndarray, keep) -> np.ndarray:

@@ -13,7 +13,10 @@ accumulates 1 - coefficient along sampled addresses.
 A measure is plain arrays: CellMeasure holds the per-cell masses in word
 enumeration order and their total, nothing else.  Masses follow the
 precision of the harmonic function: an object array of Fractions, exact at
-every depth, or a float64 array.  Both statistics read energy_measure's
+every depth, or a float64 array.  Exact masses on the matrices route come
+from the cascade's integer numerators over their common denominator D_d:
+E0 is summed per cell in integers, and each mass is the one Fraction
+E0 / (D_d^2 R_d).  Both statistics read energy_measure's
 masses as float64 and run on whole arrays: the certificate over every cell
 of a depth, the divergence statistic over all sampled addresses one depth
 at a time, both through the one kernel _children_coefficients.  The masses
@@ -78,6 +81,13 @@ def energy_measure(h: HarmonicSpec, depth: int, route: str = "matrices") -> Cell
     exact Fractions when h carries rational precision.
     """
     if route == "matrices":
+        if h.precision == "rational":
+            num, den = h.cell_numerators(depth)
+            r = h.ls.R(depth)
+            scale = den * den * r.numerator
+            masses = np.array([Fraction(e * r.denominator, scale) for e in cell_energies(num)],
+                              dtype=object)
+            return CellMeasure(h.ls, depth, masses)
         vals = h.cell_values(depth)
     elif route == "graph":
         vals = h.cell_values_from_graph(depth)

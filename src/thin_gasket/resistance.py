@@ -46,8 +46,8 @@ from scipy.sparse import csgraph
 
 from . import linalg
 from .errors import DomainError, SolveError
-from .forms import (TRIANGLE_FORM, _depth_one_graph, matrix_stack, matrix_stack_exact,
-                    one_subdivision_trace)
+from .forms import (TRIANGLE_FORM, _depth_one_graph, check_precision, matrix_stack,
+                    matrix_stack_exact, one_subdivision_trace)
 from .geometry import CORNER_OFFSETS, ApproximationGraph, boundary_cells, build_graph
 from .sequence import LevelSequence
 
@@ -76,6 +76,7 @@ def corner_resistance(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
     trace of the depth-n network onto the outer corners is R_n times the
     triangle form, whose corner pairs have unit resistance 2/3 / R_n.
     """
+    check_precision(precision)
     if j not in (0, 1, 2) or k not in (0, 1, 2):
         raise DomainError(f"corner indices must be 0, 1 or 2, got {j} and {k}")
     if j == k:
@@ -92,6 +93,7 @@ def corner_trace(ls: LevelSequence, n: int, precision: str = "rational"):
     """Trace of the unit-conductance depth-n network onto (q0, q1, q2) by
     folding one-subdivision networks level by level; an object array of
     Fractions in rational precision."""
+    check_precision(precision)
     trace = np.array([[Fraction(t) for t in row] for row in TRIANGLE_FORM],
                      dtype=object if precision == "rational" else np.float64)
     for k in range(n, 0, -1):
@@ -122,6 +124,7 @@ def effective_resistance(ls: LevelSequence, n: int, x: int, y: int,
     """R_n(x, y) between vertex ids of the depth-n graph by ResistanceSolver:
     exact in rational precision; in float precision with the relative
     residual of its refined potential."""
+    check_precision(precision)
     g = graph if graph is not None else build_graph(ls, n)
     if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
         raise DomainError("vertex id out of range")

@@ -194,17 +194,22 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["resistance", "--seq", "5", "--depth", "1", "--x", "999", "--y", "999"],
     ["realize", "--n0", "0"],  # 2^-n0 is no level scale
     ["realize", "--n0", "-2"],
-    # dense Fraction elimination on 795 vertices: past the 400-vertex limit
+    # dense exact elimination on 795 vertices: past the 400-vertex limit
     ["extend", "--seq", "8", "--depth", "2", "--precision", "rational"],
     ["certify", "--seq", "58", "--max-depth", "4"],  # a 19 GiB cell cascade
+    # a config file naming no precision the routes know: no silent float run
+    ["energy", "--config", "BAD_PRECISION_CONFIG", "--pin", "1,0,0"],
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
         "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
-        "extend-rational-size", "certify-cascade-budget"])
+        "extend-rational-size", "certify-cascade-budget", "config-precision"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
+    config = tmp_path / "bad-precision.cfg"
+    config.write_text("seq=5\ndepth=1\nprecision=exact\n")
+    argv = [config if a == "BAD_PRECISION_CONFIG" else a for a in argv]
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1
     assert err.startswith("error:")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thin_gasket import linalg
+from thin_gasket import forms, linalg
 from thin_gasket.errors import BudgetError, DomainError
 from thin_gasket.forms import (TRIANGLE_FORM, _depth_one_graph, base_energy,
                                discrete_form, extension_ratio_check,
@@ -65,10 +65,11 @@ def test_interior_matrices_share_far_corner_weight():
 
 
 def test_float_stack_matches_exact():
-    for l in (5, 9):
+    # numerators / (6l+1) in float64 round exactly as float(Fraction) does
+    for l in [*range(5, 61), 3001]:
         exact = np.array([[[float(x) for x in row] for row in m]
                           for m in matrix_stack_exact(l)])
-        assert np.max(np.abs(matrix_stack(l) - exact)) == 0.0
+        assert np.array_equal(matrix_stack(l), exact), l
 
 
 def test_harmonic_matrix_rejects_non_letter():
@@ -217,3 +218,103 @@ def test_large_level_stack_certifies_itself():
         t = np.array(TRIANGLE_FORM, dtype=np.int64)
         total = np.einsum("ija,jk,ikb->ab", nums, t, nums)
         assert np.array_equal(total, 9 * q * t)
+
+
+# ---- Integer cascade against the Fraction einsum -------------------------
+
+
+def _fraction_cascade(ls, pin, depth):
+    """Depth-`depth` cell values as Fraction products of the Fraction matrix
+    stacks, level by level: the route the integer cascade replaced."""
+    values = np.array([pin], dtype=object)
+    for d in range(1, depth + 1):
+        stack = np.array(matrix_stack_exact(ls.level(d)), dtype=object)
+        values = np.einsum("mij,wj->wmi", stack, values).reshape(-1, 3)
+    return values
+
+
+ORACLE_PINS = [
+    (Fraction(-3), Fraction(1, 2), Fraction(7, 3)),  # negative, non-unit denominators
+    (Fraction(2, 5), Fraction(2, 5), Fraction(2, 5)),  # zero energy
+    (Fraction(0), Fraction(-1, 6), Fraction(0)),
+    (Fraction(1), Fraction(2, 3), Fraction(1, 9)),
+]
+
+
+@pytest.mark.parametrize("seq", [(5, 6, 5), (9, 58), (5, 7, 6, 12)])
+@pytest.mark.parametrize("pin", ORACLE_PINS, ids=["negative", "constant", "one-sixth",
+                                                  "thirds-ninths"])
+def test_integer_cascade_equals_fraction_einsum(seq, pin):
+    # depths 0-3, as far as the sequence defines levels
+    ls = LevelSequence(seq)
+    h = harmonic_extend(ls, pin, 0, method="cells", precision="rational")
+    for depth in range(min(3, len(seq)) + 1):
+        values = h.cell_values(depth)
+        assert all(type(x) is Fraction for x in values.ravel())
+        assert np.array_equal(values, _fraction_cascade(ls, pin, depth))
+        energy = h.energy(depth)
+        assert type(energy) is Fraction and energy == base_energy(pin)
+
+
+def test_rational_cells_method_builds_no_fractions(ls5):
+    pin = (Fraction(1, 3), Fraction(0), Fraction(-2))
+    h = harmonic_extend(ls5, pin, 2, method="cells", precision="rational")
+    assert h._cell_values == {}
+    num, den = h.cell_numerators(2)
+    assert den == 3 * 31 * 31
+    assert all(type(x) is int for x in num.ravel())
+    assert np.array_equal(h.cell_values(2), _fraction_cascade(ls5, pin, 2))
+
+
+def test_rational_cascade_refuses_past_its_budget(ls5):
+    h = harmonic_extend(ls5, (1, 0, 0), 0, method="cells", precision="rational")
+    with pytest.raises(BudgetError):
+        h.cell_values(8)
+    with pytest.raises(BudgetError):
+        h.energy(8)
+    assert sorted(h._numerators) == [0]  # refused before any product
+
+
+def test_cell_numerators_are_rational_only(ls5):
+    h = harmonic_extend(ls5, (1.0, 0.0, 0.0), 1, method="cells")
+    with pytest.raises(DomainError):
+        h.cell_numerators(1)
+
+
+# ---- The integer ratio comparison is not vacuous -------------------------
+
+
+def test_ratio_check_fails_on_a_perturbed_trace(monkeypatch):
+    real = forms.one_subdivision_trace
+
+    def perturbed(l, *args, **kwargs):
+        t = real(l, *args, **kwargs).copy()
+        eps = Fraction(1, 10**6)
+        t[0, 1] += eps
+        t[1, 0] += eps
+        return t
+
+    assert extension_ratio_check(5, seed=3)["passed"]
+    monkeypatch.setattr(forms, "one_subdivision_trace", perturbed)
+    report = extension_ratio_check(5, seed=3)
+    assert report["passed"] is False
+    assert report["trace_equal"] is False
+
+
+# ---- Unknown precisions --------------------------------------------------
+
+
+def test_harmonic_extend_refuses_an_unknown_precision(ls5):
+    for precision in ("Rational", "exact"):
+        with pytest.raises(DomainError):
+            harmonic_extend(ls5, (1, 0, 0), 1, method="cells", precision=precision)
+
+
+def test_one_subdivision_trace_refuses_an_unknown_precision():
+    with pytest.raises(DomainError):
+        one_subdivision_trace(5, precision="exact")
+
+
+def test_extension_ratio_check_refuses_an_unknown_precision():
+    with pytest.raises(DomainError):
+        extension_ratio_check(5, precision="exact")

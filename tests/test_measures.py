@@ -246,3 +246,19 @@ def test_divergence_matches_per_address_loop(entries, pin, depth, n_samples, see
     assert got == expected
     assert rep.n_failures == sum(not e[4] for e in expected)
     assert rep.passed == (rep.n_failures == 0)
+
+
+@pytest.mark.parametrize("seq,pin", [
+    ((5, 6, 5), (Fraction(-3), Fraction(1, 2), Fraction(7, 3))),
+    ((9, 58), (Fraction(2, 5), Fraction(2, 5), Fraction(2, 5))),
+    ((5, 7, 6, 12), (Fraction(1), Fraction(2, 3), Fraction(1, 9))),
+])
+def test_rational_masses_equal_fraction_cell_energies(seq, pin):
+    # the integer masses against E0 of the Fraction cell values over R_d
+    h = _rational_extension(seq, pin, 0)
+    for depth in range(min(3, len(seq)) + 1):
+        mu = energy_measure(h, depth)
+        oracle = cell_energies(h.cell_values(depth)) / h.ls.R(depth)
+        assert all(type(x) is Fraction for x in mu.masses)
+        assert np.array_equal(mu.masses, oracle)
+        assert type(mu.total) is Fraction and mu.total == base_energy(pin)

@@ -339,3 +339,19 @@ def test_exact_query_at_full_depth(ls5):
     approx = effective_resistance(ls5, 5, x, y, graph=g)
     assert type(exact.value) is Fraction
     assert abs(approx.value - exact.value) <= 1e-12 * exact.value
+
+
+def test_corner_routes_refuse_an_unknown_precision(ls5):
+    for depth in (0, 1):
+        with pytest.raises(DomainError):
+            corner_trace(ls5, depth, precision="exact")
+    with pytest.raises(DomainError):
+        corner_resistance(ls5, 1, precision="exact")
+    with pytest.raises(DomainError):
+        corner_resistance_by_reduction(ls5, 1, precision="exact")
+
+
+def test_effective_resistance_refuses_an_unknown_precision(ls5):
+    for x, y in ((3, 11), (3, 3)):
+        with pytest.raises(DomainError):
+            effective_resistance(ls5, 1, x, y, precision="exact")
