@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .errors import GasketError
+from .errors import BudgetError, GasketError
 from .forms import check_precision, harmonic_extend, harmonic_matrix
 from .geometry import (boundary_cells, build_graph, graph_to_json, render_svg,
                        words)
@@ -44,6 +44,11 @@ from .sequence import LevelSequence
 from .walks import WalkConfig, commute_time_check
 
 OUT_ENV = "THIN_GASKET_OUT"
+
+#: Largest l whose full listing `matrices` writes: its 3l - 3 matrices of
+#: nine Fraction strings took 2.8 s and 210 MB peak at l = 10^4 on 2 vCPUs,
+#: and grow linearly in l.  One --index is O(1) at any l.
+MATRICES_MAX_L = 10_000
 
 
 # ---- Configuration -------------------------------------------------------
@@ -281,6 +286,9 @@ def cmd_matrices(cfg: RunConfig, args) -> int:
         i = tuple(_parse_int("index entry", t) for t in args.index.split(","))
         mats = [harmonic_matrix(l, i)]
     else:
+        if l > MATRICES_MAX_L:
+            raise BudgetError(f"the full listing for level {l} holds {3 * l - 3} matrices "
+                              f"(l > budget {MATRICES_MAX_L}); pick one with --index")
         mats = [harmonic_matrix(l, i) for i in boundary_cells(l)]
     payload = [{"index": list(m.index), "exact": True,
                 "entries": [[str(x) for x in row] for row in m.entries]}

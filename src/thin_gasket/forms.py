@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetError, DomainError
-from .geometry import ApproximationGraph, _letter_index, boundary_cells, build_graph
+from .geometry import ApproximationGraph, boundary_cells, build_graph, is_cell_index
 from .rand import stream
 from .sequence import LevelSequence, check_level, resistance_ratio
 
@@ -201,12 +201,15 @@ def matrix_stack(l: int) -> np.ndarray:
 
 
 def harmonic_matrix(l: int, i) -> HarmonicMatrix:
-    """The exact one-subdivision matrix for cell index i of level l."""
+    """The exact one-subdivision matrix for cell index i of level l, from
+    its closed form in O(1)."""
+    check_level(l)
     i = tuple(i)
-    pos = _letter_index(l).get(i)
-    if pos is None:
+    if len(i) != 2 or not is_cell_index(l, i):
         raise DomainError(f"{i} is not a cell index of level {l}")
-    return HarmonicMatrix(l, i, matrix_stack_exact(l)[pos])
+    q = 6 * l + 1
+    return HarmonicMatrix(l, i, tuple(tuple(Fraction(x, q) for x in row)
+                                      for row in _cell_numerators(l, i)))
 
 
 # ---- Harmonic extension --------------------------------------------------

@@ -367,14 +367,15 @@ def neighborhood_vertex_ids(g: ApproximationGraph, w, k: int) -> np.ndarray:
 
 class CellMeasure:
     """Per-cell masses on depth-`depth` cells, in word enumeration order: a
-    float64 array, or an object array of Fractions.  total is their sum."""
+    float64 array, or an object array of Fractions.  total is their sum,
+    summed here unless the caller passes it."""
 
-    def __init__(self, ls, depth, masses):
+    def __init__(self, ls, depth, masses, total=None):
         self.ls = ls
         self.depth = depth
         self.masses = masses
         # item() gives a Python float, or the Fraction of an object array
-        self.total = masses.sum(keepdims=True).item()
+        self.total = masses.sum(keepdims=True).item() if total is None else total
 
 
 @dataclass(frozen=True)
@@ -397,23 +398,26 @@ def ball_mass(g: ApproximationGraph, x: int, s) -> BallMass:
     s = Fraction(s)
     if s <= 0:
         raise DomainError("ball radius must be positive")
-    return _ball_mass_from_hops(g, geodesic_hops(g, [x])[0], s)
+    return _ball_mass_from_hop_range(g, _cell_hop_range(g, geodesic_hops(g, [x])[0]), s)
 
 
-def _ball_mass_from_hops(g: ApproximationGraph, hops: np.ndarray, s: Fraction) -> BallMass:
-    """ball_mass for a positive radius s about the centre whose (V,) BFS hop
-    counts are given, so balls of several radii about one centre share one
-    search."""
+def _cell_hop_range(g: ApproximationGraph, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least and greatest hop count over each cell's corners, from the (V,)
+    BFS hop counts of one centre, so balls of several radii about it share
+    one search and one pass over the cells."""
+    h0, h1, h2 = hops[g.cells.T]
+    return np.minimum(np.minimum(h0, h1), h2), np.maximum(np.maximum(h0, h1), h2)
+
+
+def _ball_mass_from_hop_range(g: ApproximationGraph, hop_range, s: Fraction) -> BallMass:
+    """ball_mass for a positive radius s from the centre's _cell_hop_range."""
     thr = s * g.L
     # strict: hop < thr  <=>  hop <= (num - 1) // den
     cut = (thr.numerator - 1) // thr.denominator
-    cell_hops = hops[g.cells]  # (M, 3)
-    outer_mask = cell_hops.min(axis=1) <= cut
-    inner_mask = cell_hops.max(axis=1) <= cut
+    n_outer = int(np.count_nonzero(hop_range[0] <= cut))
+    n_inner = int(np.count_nonzero(hop_range[1] <= cut))
     M = g.n_cells
-    outer = Fraction(int(outer_mask.sum()), M)
-    inner = Fraction(int(inner_mask.sum()), M)
-    return BallMass(outer, inner, s, int(outer_mask.sum()), int(inner_mask.sum()))
+    return BallMass(Fraction(n_outer, M), Fraction(n_inner, M), s, n_outer, n_inner)
 
 
 # ---- Export --------------------------------------------------------------

@@ -85,9 +85,12 @@ def energy_measure(h: HarmonicSpec, depth: int, route: str = "matrices") -> Cell
             num, den = h.cell_numerators(depth)
             r = h.ls.R(depth)
             scale = den * den * r.numerator
-            masses = np.array([Fraction(e * r.denominator, scale) for e in cell_energies(num)],
+            energies = cell_energies(num)
+            masses = np.array([Fraction(e * r.denominator, scale) for e in energies],
                               dtype=object)
-            return CellMeasure(h.ls, depth, masses)
+            # one Fraction from the integer sum over the one denominator
+            total = Fraction(sum(energies) * r.denominator, scale)
+            return CellMeasure(h.ls, depth, masses, total)
         vals = h.cell_values(depth)
     elif route == "graph":
         vals = h.cell_values_from_graph(depth)

@@ -17,9 +17,21 @@ values, so it encloses the reciprocals B = 1/eta^{-1}(2^{-n0}) and
 X = 1/eta^{-1}(2^{-n-n0}) directly.  For the log profiles that is
 exp(x) - e + 1 at the last iterate (x = 1/y, then x <- exp(x) - e + 1), with
 no division at all when y is a power of 1/2; for piecewise eta it is the
-exact reciprocal of the knot interpolant.  Then l_n = floor(X / (L_{n-1} B))
-costs one interval division, and the brackets are the cross-multiplied,
-all-positive forms L_n B <= X and 5 X <= 6 L_n B.
+exact reciprocal of the knot interpolant.  At y = 2^-m the first iterate is
+exp of the point 2^m, enclosed at precision p from one squaring chain: e
+rounded down at wp = p + m + _EXP_CHAIN_GUARD bits and squared m times with
+truncation to wp bits gives a_m <= exp(2^m).  Each of those 1 + m roundings
+leaves exact / rounded < 1 + 2^{1-wp} and enters a_m raised to at most 2^m,
+the powers summing to 2^{m+1} - 1, so
+exp(2^m) < a_m (1 + 2^{1-wp})^{2^{m+1}} <= a_m exp(2^{m+2-wp})
+<= a_m (1 + 2^{m+3-wp}); both ends are then rounded outward to p bits.
+Arguments that are not such points (the later iterates) go through iv.exp.
+
+Floors and brackets.  With S the enclosure of L_{n-1} B, the floor
+l_n = floor(X / (L_{n-1} B)) is decided by one integer floor division,
+f = floor(X.a / S.b), and one cross-multiplication, X.b < (f + 1) S.a, which
+puts the upper quotient X.b / S.a below f + 1 as well.  The brackets are
+the cross-multiplied, all-positive forms L_n B <= X and 5 X <= 6 L_n B.
 
 Magnitude-guided precision ladder.  Precision rises in the doubling order
 _START_PREC, 2 _START_PREC, ... and carries over from one level to the
@@ -27,13 +39,14 @@ next, so each LevelRecord.prec is the first rung, at or above the previous
 level's, that certifies the level.  A cheap probe of q = X / (L_{n-1} B) at
 _START_PREC gives M = mag(q), and refuses a level of more than _MAX_PREC
 bits before any precision is raised; the ladder then skips every rung p < M - 2.
-Such a rung cannot decide.  Its enclosure contains q, and its endpoints are
-p-bit floats, distinct for the log profiles (exp of a nonzero rational is
-irrational, so no enclosure built on it is a point).  The probe's lower end
-gives q >= 2^{M-1}.  Were the floors equal, both endpoints would exceed
-q - 1 >= 2^{M-2}, where p-bit floats are multiples of 2^{M-1-p} >= 4, so
-they would differ by at least 4 > 1, a contradiction.  Piecewise eta may
-give an exact point enclosure, so its ladder skips nothing.
+Such a rung cannot decide.  The ends of its enclosure of X are p-bit
+floats, distinct for the log profiles (exp of a nonzero rational is
+irrational, so no enclosure built on it is a point), so
+X.b - X.a > 2^{-p} X.a and the quotients X.a / S.b <= q <= X.b / S.a differ
+by more than 2^{-p} X.a / S.b.  The probe's lower end gives q >= 2^{M-1}.
+Were the floors equal, X.a / S.b >= floor(q) >= 2^{M-1}, so the quotients
+would differ by more than 2^{M-1-p} >= 4 > 1, a contradiction.  Piecewise
+eta may give an exact point enclosure, so its ladder skips nothing.
 
 The comparability report works on integers of level size only: the knot
 identity is checked per level, ln T_n is a running sum of per-level logs,
@@ -50,6 +63,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import mpf_e, normalize, round_ceiling, round_floor
 
 from .errors import DomainError, RealizationError
 from .sequence import MIN_LEVEL, LevelSequence, time_factor
@@ -62,6 +76,11 @@ E_MINUS_1 = math.e - 1.0
 #: bits, eta2 about 1.44 * 2^n (about 6000 in its summability screen), and
 #: more than 2^16 is passed by eta3 from n = 4 on and by eta4 from n = 2.
 _EXP_ARG_MAX_MAG = 1 << 16
+
+#: Guard bits of the squaring chain that encloses exp(2^m): its relative
+#: error bound 2^(m+3-wp) is then 2^-45 of an ulp at the iv precision, so
+#: the outward rounding lands on the ends iv.exp gives.
+_EXP_CHAIN_GUARD = 48
 
 #: First and last rungs, in bits, of the realization's precision ladder.
 _START_PREC = 192
@@ -229,8 +248,32 @@ class EtaFunction:
             if mpmath.mag(x.b) > _EXP_ARG_MAX_MAG:
                 raise RealizationError(f"{self.label} inverse needs exp of a number "
                                        f"past 2^{_EXP_ARG_MAX_MAG}")
-            x = iv.exp(x) - e_iv + 1
+            lo, hi = x._mpi_
+            # a point 2^m (the first iterate at y = 2^-m) is a normalized
+            # mantissa of 1
+            if lo == hi and lo[1] == 1 and lo[2] >= 0:
+                x = _iv_exp_pow2(lo[2]) - e_iv + 1
+            else:
+                x = iv.exp(x) - e_iv + 1
         return x
+
+
+def _iv_exp_pow2(m: int):
+    """Enclosure of exp(2^m) at the current iv precision from one squaring
+    chain (module docstring, "Reciprocal enclosures")."""
+    prec = iv.prec
+    wp = prec + m + _EXP_CHAIN_GUARD
+    _, man, exp, _ = mpf_e(wp, round_floor)
+    for _ in range(m):
+        man *= man
+        exp += exp
+        shift = man.bit_length() - wp
+        if shift > 0:
+            man >>= shift
+            exp += shift
+    upper = man + (man >> (wp - m - 3)) + 1
+    return iv.make_mpf((normalize(0, man, exp, man.bit_length(), prec, round_floor),
+                        normalize(0, upper, exp, upper.bit_length(), prec, round_ceiling)))
 
 
 # ---- Summability ---------------------------------------------------------
@@ -393,17 +436,6 @@ def _iv_prec(prec: int):
         iv.prec = saved
 
 
-def _floor_endpoints(v) -> tuple[int, int]:
-    """Floors of both endpoints of an interval, by integer shifts."""
-    floors = []
-    for sign, man, exp, _ in v._mpi_:
-        if man == 0 and exp != 0:
-            raise RealizationError("non-finite interval endpoint")
-        man = -man if sign else man
-        floors.append(man << exp if exp >= 0 else man >> -exp)
-    return floors[0], floors[1]
-
-
 def _iv_ratio_at(eta: EtaFunction, n: int):
     """Interval for eta^{-1}(2^{1-n})/eta^{-1}(2^{-n})."""
     return eta.iv_inverse_recip(Fraction(1, 2 ** n)) / \
@@ -424,13 +456,33 @@ def _certify_ge(make_iv, bound: int) -> bool:
     raise RealizationError(f"cannot decide comparison at precision {_MAX_PREC}")
 
 
-def _level_quotient(eta: EtaFunction, n0: int, n: int, big_l: int):
-    """Enclosures (q, X, B) at the current iv precision, with
-    B = 1/eta^{-1}(2^{-n0}), X = 1/eta^{-1}(2^{-n-n0}) and
-    q = X / (L_{n-1} B), whose floor is l_n."""
+def _level_enclosures(eta: EtaFunction, n0: int, n: int, big_l: int):
+    """Enclosures (X, L_{n-1} B, B) at the current iv precision, with
+    B = 1/eta^{-1}(2^{-n0}) and X = 1/eta^{-1}(2^{-n-n0}); l_n is the
+    floor of X / (L_{n-1} B)."""
     recip_base = eta.iv_inverse_recip(Fraction(1, 2 ** n0))
     recip_x = eta.iv_inverse_recip(Fraction(1, 2 ** (n + n0)))
-    return recip_x / (iv.mpf(big_l) * recip_base), recip_x, recip_base
+    return recip_x, iv.mpf(big_l) * recip_base, recip_base
+
+
+def _level_floor(recip_x, scaled) -> tuple[int, bool]:
+    """(f, decided) for the positive enclosures recip_x of X and scaled of
+    L_{n-1} B: f = floor(recip_x.a / scaled.b) from one integer floor
+    division, and decided whether recip_x.b / scaled.a has the same floor,
+    by the cross-multiplication recip_x.b < (f + 1) scaled.a.  When decided,
+    f is the floor of X / (L_{n-1} B)."""
+    (_, xa_man, xa_exp, _), (_, xb_man, xb_exp, _) = recip_x._mpi_
+    (_, sa_man, sa_exp, _), (_, sb_man, sb_exp, _) = scaled._mpi_
+    shift = xa_exp - sb_exp
+    if shift >= 0:
+        f = (xa_man << shift) // sb_man
+    else:
+        f = xa_man // (sb_man << -shift)
+    bound = (f + 1) * sa_man
+    shift = xb_exp - sa_exp
+    if shift >= 0:
+        return f, xb_man << shift < bound
+    return f, xb_man < bound << -shift
 
 
 def _first_useful_rung(eta: EtaFunction, q_probe, prec: int) -> int:
@@ -491,8 +543,8 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
     prec = _START_PREC
     for n in range(1, n_levels + 1):
         with _iv_prec(_START_PREC):
-            probe = _level_quotient(eta, n0, n, big_l)
-        q_probe = probe[0]
+            probe = _level_enclosures(eta, n0, n, big_l)
+            q_probe = probe[0] / probe[1]
         # no precision up to the cap decides the floor of a larger number
         if mpmath.mag(q_probe.b) > _MAX_PREC:
             raise RealizationError(f"level {n} has more than {_MAX_PREC} bits; "
@@ -503,12 +555,12 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
                 raise RealizationError(f"cannot certify level {n} below "
                                        f"precision {_MAX_PREC}")
             with _iv_prec(prec):
-                q, recip_x, recip_base = (
-                    probe if prec == _START_PREC else _level_quotient(eta, n0, n, big_l))
-                lo, hi = _floor_endpoints(q)
-                if lo == hi:
-                    l_n = lo
-                    scaled = iv.mpf(big_l * l_n) * recip_base
+                recip_x, scaled, recip_base = (
+                    probe if prec == _START_PREC else _level_enclosures(eta, n0, n, big_l))
+                l_n, decided = _level_floor(recip_x, scaled)
+                if decided:
+                    next_l = big_l * l_n
+                    scaled = iv.mpf(next_l) * recip_base
                     if scaled.b <= recip_x.a and (5 * recip_x).b <= (6 * scaled).a:
                         break
             prec *= 2
@@ -518,7 +570,7 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
                 "eta decays too slowly at this offset")
         entries.append(l_n)
         records.append(LevelRecord(n, l_n, prec, True))
-        big_l *= l_n
+        big_l = next_l
     seq = LevelSequence(tuple(entries), diverging=True)
     return RealizationResult(eta.label, n0, n_levels, seq, records, True, min_ratio)
 

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import DomainError, SequenceError
-from .geometry import ApproximationGraph, _ball_mass_from_hops, geodesic_hops
+from .geometry import ApproximationGraph, _ball_mass_from_hop_range, _cell_hop_range
 from .rand import stream
 from .resistance import ResistanceSolver
 from .sequence import LevelSequence, cell_count, time_factor, walk_exponent
@@ -459,11 +461,14 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200,
 
     floor_count = 0
     big_l = ls.L(n)
+    # csgraph searches a float64 graph: convert once, not once per pair
+    adj = g.adjacency.astype(np.float64)
     for x, y in pairs:
-        hops = geodesic_hops(g, x)[0]
+        hops = csgraph.dijkstra(adj, directed=True, unweighted=True, indices=x)
+        hop_range = _cell_hop_range(g, hops)
         d = Fraction(int(hops[y]), big_l)
         r_val = float(scale_r) * solver.unit_resistance(x, y)
-        mb = float(_ball_mass_from_hops(g, hops, d).outer)
+        mb = float(_ball_mass_from_hop_range(g, hop_range, d).outer)
         pv = float(psi.eval(d))
         record("resistance-mass-time", r_val * mb / pv)
         record("mass-vs-mass-scale", mb / float(psi_m.eval(d)))
@@ -476,7 +481,7 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200,
                 lam = lam_floor
                 floor_count += 1
             sd = lam * d
-            q = float(psi.eval(sd)) / float(_ball_mass_from_hops(g, hops, sd).outer)
+            q = float(psi.eval(sd)) / float(_ball_mass_from_hop_range(g, hop_range, sd).outer)
             lamf = float(lam)
             record("shrink-lower", q / (lamf ** b1 * q_base))
             record("shrink-upper", q / (lamf ** b0 * q_base))

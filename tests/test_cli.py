@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -199,13 +200,15 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["certify", "--seq", "58", "--max-depth", "4"],  # a 19 GiB cell cascade
     # a config file naming no precision the routes know: no silent float run
     ["energy", "--config", "BAD_PRECISION_CONFIG", "--pin", "1,0,0"],
+    ["matrices", "--l", "10001"],  # a full listing past MATRICES_MAX_L
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
         "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
-        "extend-rational-size", "certify-cascade-budget", "config-precision"])
+        "extend-rational-size", "certify-cascade-budget", "config-precision",
+        "matrices-l-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     config = tmp_path / "bad-precision.cfg"
     config.write_text("seq=5\ndepth=1\nprecision=exact\n")
@@ -303,6 +306,52 @@ def _assert_clean_exit(argv):
     assert "Traceback" not in err, (argv, err)
 
 
+# one non-trivial argv per verb: depth >= 1 and flags off their defaults,
+# where the derandomized draws above start from --seq 5 --depth 0
+_VERB_EXAMPLES = {
+    "build": ["build", "--seq", "5,7,6", "--depth", "2", "--diverging"],
+    "certify": ["certify", "--seq", "6,5", "--depth", "1", "--pin", "1,1/2,0",
+                "--max-depth", "2"],
+    "compare": ["compare", "--eta", "eta1", "--n", "5", "--depth", "1"],
+    "diverge": ["diverge", "--seq", "5,6", "--depth", "1", "--pin", "0,1,1/3",
+                "--max-depth", "2", "--samples", "7", "--seed", "3"],
+    "dm": ["dm", "--seq", "6,5", "--depth", "2", "--pairs", "9", "--seed", "4"],
+    "doubling": ["doubling", "--seq", "7,5", "--depth", "1", "--kind", "resistance",
+                 "--segments", "3"],
+    "energy": ["energy", "--seq", "5,6", "--depth", "2", "--pin", "1/2,0,1",
+               "--route", "graph", "--precision", "rational"],
+    "extend": ["extend", "--seq", "6", "--depth", "1", "--pin", "0,1,1/3",
+               "--precision", "rational"],
+    "matrices": ["matrices", "--l", "12", "--depth", "1"],
+    "measure": ["measure", "--seq", "5,7", "--depth", "2", "--pin", "1,0,2/3",
+                "--route", "graph", "--precision", "rational"],
+    "psi": ["psi", "--seq", "5,7,6", "--depth", "1", "--kind", "mass", "--s", "1/40",
+            "--invert", "1/3", "--segments", "3"],
+    "realize": ["realize", "--eta", "eta1", "--n", "6", "--n0", "2", "--min-ratio", "6",
+                "--depth", "1"],
+    "render": ["render", "--seq", "6,5", "--depth", "2", "--size", "120"],
+    "resistance": ["resistance", "--seq", "6,5", "--depth", "2", "--x", "3", "--y", "17",
+                   "--precision", "rational"],
+    "slowdecay": ["slowdecay", "--power", "3.0", "--n-max", "7", "--depth", "1"],
+    "verify-all": ["verify-all", "--only", "1,4", "--depth", "1"],
+    "walk": ["walk", "--seq", "5", "--depth", "1", "--trials", "40", "--max-steps", "5000",
+             "--x", "0", "--y", "7", "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_FLAGS))
+def test_cli_verb_example_never_ends_in_traceback(verb, tmp_path, capsys):
+    """The same assertions on each verb's explicit argv, run in-process."""
+    argv = _VERB_EXAMPLES[verb]
+    try:
+        code = run([*argv, "--out", tmp_path])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+
+
 @st.composite
 def _resistance_pair_argv(draw):
     seq = draw(st.sampled_from(["5", "6,5", "9"]))
@@ -381,6 +430,15 @@ def test_measure_csv(tmp_path, capsys):
     assert len(lines) == 13
     by_word = {row.split(",")[1]: row.split(",")[2] for row in lines[1:]}
     assert by_word["2.0"] == "6/31"
+
+
+def test_matrices_index_at_huge_level_is_constant_time(tmp_path, capsys):
+    t0 = time.perf_counter()
+    rc = run(["matrices", "--l", 10 ** 7, "--index", "0,0", "--out", tmp_path])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    [mat] = json.loads((tmp_path / f"matrices-l{10 ** 7}.json").read_text())["matrices"]
+    assert mat["entries"][1] == ["59999992/60000001", "5/60000001", "4/60000001"]
 
 
 def test_matrices_single_index(tmp_path, capsys):

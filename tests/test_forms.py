@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from thin_gasket.forms import (TRIANGLE_FORM, _depth_one_graph, base_energy,
                                harmonic_extend, harmonic_matrix, matrix_stack,
                                matrix_stack_by_elimination, matrix_stack_exact,
                                one_subdivision_trace)
-from thin_gasket.geometry import build_graph, interior_letters
+from thin_gasket.geometry import boundary_cells, build_graph, interior_letters
 from thin_gasket.sequence import LevelSequence, resistance_ratio
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
@@ -75,6 +76,20 @@ def test_float_stack_matches_exact():
 def test_harmonic_matrix_rejects_non_letter():
     with pytest.raises(DomainError):
         harmonic_matrix(5, (1, 1))
+    with pytest.raises(DomainError):
+        harmonic_matrix(5, (2, 0, 0))
+
+
+@pytest.mark.parametrize("l", [5, 6, 9, 14])
+def test_harmonic_matrix_matches_the_stack(l):
+    """The one-cell closed form answers exactly the cells of the stack, in
+    boundary_cells order, and refuses every other index of the triangle."""
+    cells = boundary_cells(l)
+    assert [harmonic_matrix(l, i).entries for i in cells] == list(matrix_stack_exact(l))
+    for i in itertools.product(range(-1, l + 1), repeat=2):
+        if i not in cells:
+            with pytest.raises(DomainError):
+                harmonic_matrix(l, i)
 
 
 @pytest.mark.parametrize("l", range(5, 17))

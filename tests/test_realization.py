@@ -3,7 +3,9 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from mpmath import iv
 
 from thin_gasket import realization
 from thin_gasket.errors import DomainError, RealizationError
@@ -137,18 +139,81 @@ def test_skipped_rungs_cannot_decide_the_floor():
     assert [r.prec for r in res.records[:13]] == [r["prec"] for r in golden["records"]]
     for n in range(10, 15):
         big_l = math.prod(res.entries[:n - 1])
+        l_n = res.entries[n - 1]
         with realization._iv_prec(start):
-            probe, _, _ = realization._level_quotient(eta, res.n0, n, big_l)
+            x, s, _ = realization._level_enclosures(eta, res.n0, n, big_l)
+            probe = x / s
         prec = start
         while prec < realization._first_useful_rung(eta, probe, start):
             with realization._iv_prec(prec):
-                q, _, _ = realization._level_quotient(eta, res.n0, n, big_l)
-            lo, hi = realization._floor_endpoints(q)
-            assert lo < hi
-            assert lo <= res.entries[n - 1] <= hi
+                x, s, _ = realization._level_enclosures(eta, res.n0, n, big_l)
+            lo, decided = realization._level_floor(x, s)
+            assert not decided
+            # l_n lies between the floors of X.a / S.b and X.b / S.a
+            assert lo <= l_n
+            assert l_n * _exact(s.a) <= _exact(x.b)
             prec *= 2
         # every level skips at least one rung, and certifies past them
         assert start < prec <= res.records[n - 1].prec
+
+
+def _exact(v) -> Fraction:
+    """The exact value of a point interval end, an mpf (sign, man, exp, bc)."""
+    sign, man, exp, _ = v._mpi_[0]
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _floor_endpoints(v) -> tuple[int, int]:
+    """Floors of both ends of an interval, by integer shifts."""
+    floors = []
+    for sign, man, exp, _ in v._mpi_:
+        man = -man if sign else man
+        floors.append(man << exp if exp >= 0 else man >> -exp)
+    return floors[0], floors[1]
+
+
+#: LevelRecord.prec of realize_sequence(eta1, 17), as the interval-quotient
+#: floors and iv.exp enclosures gave them.
+ETA1_PRECS_17 = [192] * 7 + [192 << k for k in range(1, 11)]
+
+
+def test_one_division_floor_agrees_with_interval_quotient(monkeypatch):
+    """At every rung the eta1 ladder evaluates over 17 levels, the floor
+    decision equals the one read off both ends of the interval quotient
+    X / S at the rung's precision."""
+    rungs = []
+    level_floor = realization._level_floor
+
+    def checked(x, s):
+        f, decided = level_floor(x, s)
+        lo, hi = _floor_endpoints(x / s)
+        rungs.append(iv.prec)
+        assert lo <= f <= hi
+        assert decided == (lo == hi)
+        return f, decided
+
+    monkeypatch.setattr(realization, "_level_floor", checked)
+    res = realize_sequence(EtaFunction.elementary(), 17)
+    assert [r.prec for r in res.records] == ETA1_PRECS_17
+    assert len(rungs) >= 17 and max(rungs) == 196608
+
+
+@pytest.mark.parametrize("prec", [192, 384, 1536, 6144])
+def test_exp_chain_matches_iv_exp(prec):
+    """The squaring-chain enclosure of exp(2^m) contains exp(2^m) at four
+    times the precision and has iv.exp's endpoints; no case differs by an
+    ulp."""
+    differing = []
+    with realization._iv_prec(prec):
+        for m in range(21):
+            chain = realization._iv_exp_pow2(m)
+            with mpmath.workprec(4 * prec):
+                ref = mpmath.exp(mpmath.mpf(2) ** m)
+                assert mpmath.mpf(chain._mpi_[0]) <= ref <= mpmath.mpf(chain._mpi_[1])
+            if chain._mpi_ != iv.exp(iv.mpf(2 ** m))._mpi_:
+                differing.append(m)
+    assert differing == []
 
 
 def test_growth_criterion_elementary():
