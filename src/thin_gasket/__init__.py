@@ -11,10 +11,9 @@ walk diagnostics.
 
 from .errors import (BudgetError, DomainError, GasketError, RealizationError,
                      SequenceError, SolveError)
-from .forms import (DiscreteForm, HarmonicMatrix, HarmonicSpec, base_energy,
-                    discrete_form, extension_ratio_check, harmonic_extend,
-                    harmonic_matrix, matrix_stack, matrix_stack_exact,
-                    one_subdivision_trace)
+from .forms import (HarmonicMatrix, HarmonicSpec, base_energy,
+                    extension_ratio_check, harmonic_extend, harmonic_matrix,
+                    matrix_stack, matrix_stack_exact, one_subdivision_trace)
 from .geometry import (ApproximationGraph, BallMass, CellMeasure, ball_mass,
                        boundary_cells, build_graph, cell_neighborhood,
                        euclidean_sq, geodesic_distance, geodesic_hops,

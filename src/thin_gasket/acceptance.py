@@ -20,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .forms import (base_energy, extension_ratio_check, harmonic_extend,
-                    matrix_stack_by_elimination, matrix_stack_exact)
+from .forms import (base_energy, cell_energies, extension_ratio_check,
+                    harmonic_extend, matrix_stack_by_elimination,
+                    matrix_stack_exact)
 from .geometry import (boundary_cells, build_graph, cell_neighborhood,
                        geodesic_hops, words)
 from .measures import (ceiling_below_sup, divergence_statistic,
@@ -184,8 +185,7 @@ def _c6():
     for pin in pins:
         h = harmonic_extend(ls, pin, 3, method="cells", precision="rational")
         total = base_energy(list(pin))
-        by_depth = {d: energy_measure(h, d, route="matrices").masses
-                    for d in range(4)}
+        by_depth = {d: energy_measure(h, d).masses for d in range(4)}
         for d in range(4):
             if sum(by_depth[d], Fraction(0)) != total:
                 return False, f"total mass != pin energy at depth {d}"
@@ -196,9 +196,10 @@ def _c6():
                 if sum(child[p * m:(p + 1) * m], Fraction(0)) != pm:
                     return False, f"additivity failure at depth {d}, parent {p}"
         hf = harmonic_extend(ls, tuple(float(x) for x in pin), 3,
-                             method="direct", precision="float")
-        a = np.asarray(energy_measure(hf, 3, route="matrices").masses, float)
-        b = np.asarray(energy_measure(hf, 3, route="graph").masses, float)
+                             method="cells", precision="float")
+        a = energy_measure(hf, 3).masses
+        # the oracle: masses off a sparse LU solve on the depth-3 graph
+        b = cell_energies(hf.cell_values_from_graph(3)) / float(ls.R(3))
         worst = max(worst, float(np.max(np.abs(a - b))))
         if worst > 1e-12:
             return False, f"matrix/graph route disagree by {worst:.2e}"

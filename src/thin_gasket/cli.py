@@ -232,13 +232,11 @@ def cmd_render(cfg: RunConfig, args) -> int:
 
 def cmd_energy(cfg: RunConfig, args) -> int:
     pin = _parse_pin(args.pin, cfg.precision)
-    method = "cells" if args.route == "matrices" else "direct"
-    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method=method,
+    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method="cells",
                         precision=cfg.precision)
-    value = h.energy(cfg.depth, route=args.route)
+    value = h.energy(cfg.depth)
     report = {"seq": list(cfg.seq), "depth": cfg.depth, "pin": [str(p) for p in pin],
-              "route": args.route, "precision": cfg.precision,
-              "energy": _value_str(value)}
+              "precision": cfg.precision, "energy": _value_str(value)}
     path = _write_json(_out_path(cfg, f"energy-{_seq_tag(cfg)}-d{cfg.depth}.json"),
                        report)
     print(f"extension energy at depth {cfg.depth}: {_value_str(value)} -> {path}")
@@ -247,8 +245,8 @@ def cmd_energy(cfg: RunConfig, args) -> int:
 
 def cmd_extend(cfg: RunConfig, args) -> int:
     pin = _parse_pin(args.pin, cfg.precision)
-    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method="direct",
-                        precision=cfg.precision)
+    # the cascade runs inside extend, after build_graph's budget check
+    h = harmonic_extend(cfg.sequence(), pin, 0, method="cells", precision=cfg.precision)
     g, values = h.extend(cfg.depth)
     rows = [(int(a), int(b), _value_str(v))
             for (a, b), v in zip(g.vertices, values)]
@@ -303,7 +301,7 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     pin = _parse_pin(args.pin, cfg.precision)
     h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method="cells",
                         precision=cfg.precision)
-    mu = energy_measure(h, cfg.depth, route=args.route)
+    mu = energy_measure(h, cfg.depth)
     # a generator, so csv.writer streams the rows instead of holding them all
     rows = ((idx, _word_tag(w), _value_str(mu.masses[idx]))
             for idx, w in enumerate(words(h.ls, cfg.depth)))
@@ -315,6 +313,8 @@ def cmd_measure(cfg: RunConfig, args) -> int:
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
+    if cfg.precision == "rational":
+        raise GasketError("certify runs in float precision only; it has no exact route")
     pin = _parse_pin(args.pin, "float")
     h = harmonic_extend(cfg.sequence(), pin, 0, method="cells", precision="float")
     rep = singularity_certificate(h, args.max_depth)
@@ -332,6 +332,8 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 
 def cmd_diverge(cfg: RunConfig, args) -> int:
+    if cfg.precision == "rational":
+        raise GasketError("diverge runs in float precision only; it has no exact route")
     pin = _parse_pin(args.pin, "float")
     h = harmonic_extend(cfg.sequence(), pin, 0, method="cells", precision="float")
     rep = divergence_statistic(h, args.max_depth, n_samples=args.samples,
@@ -538,7 +540,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("energy", parents=[common])
     sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.add_argument("--route", choices=("matrices", "graph"), default="matrices")
     sp.set_defaults(fn=cmd_energy)
 
     sp = sub.add_parser("extend", parents=[common])
@@ -559,7 +560,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("measure", parents=[common])
     sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.add_argument("--route", choices=("matrices", "graph"), default="matrices")
     sp.set_defaults(fn=cmd_measure)
 
     sp = sub.add_parser("certify", parents=[common])

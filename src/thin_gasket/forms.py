@@ -3,21 +3,23 @@
 The base form on corner triples is E0(u) = sum over unordered corner pairs
 of (u_j - u_k)^2.  The depth-n form is (1/R_n) times the sum of E0 over all
 cell corner triples.  Harmonic extension pins the outer corner values
-(u(q0), u(q1), u(q2)) and minimizes the depth-n form; two independent
-routes are provided: a pinned Laplacian solve on the depth-n graph, and
-per-cell products of the one-subdivision harmonic matrices.  Those
-matrices come from closed forms over 6l + 1; elimination on the depth-1
-graph is kept only as their oracle.
+(u(q0), u(q1), u(q2)) and minimizes the depth-n form.  One route computes
+it: the cell cascade, per-cell products of the one-subdivision harmonic
+matrices, whose depth-n corner values give the energy, the energy measure
+and, scattered onto the graph's cells, the values on V_n.  Those matrices
+come from closed forms over 6l + 1.  Pinned Laplacian solves are kept only
+as oracles: elimination on the depth-1 graph for the matrices, and a solve
+on the depth-n graph (HarmonicSpec.cell_values_from_graph) for the cascade.
 
 Exact routes run on integers.  The level-l matrices are integer numerators
 over 6l + 1 (_numerator_stack), so the depth-d cell values of a rational pin
 are Python-int numerators over one common denominator: the lcm of the pin's
 denominators times the product of 6 l_k + 1 over k <= d.  The rational
 cascade multiplies those numerators level by level; Fractions are built
-only where a caller receives them (cell_values, energy).  The float cascade
-runs the same products on the float64 stack.  The one-subdivision trace is
-a Schur complement of linalg; folded level by level, it is the oracle of
-the closed-form corner resistance.
+only where a caller receives them (cell_values, extend, energy).  The
+float cascade runs the same products on the float64 stack.  The
+one-subdivision trace is a Schur complement of linalg; folded level by
+level, it is the oracle of the closed-form corner resistance.
 """
 
 from __future__ import annotations
@@ -58,28 +60,6 @@ def cell_energies(values: np.ndarray) -> np.ndarray:
     d02 = values[:, 0] - values[:, 2]
     d12 = values[:, 1] - values[:, 2]
     return d01 * d01 + d02 * d02 + d12 * d12
-
-
-@dataclass
-class DiscreteForm:
-    """The depth-n energy form (1/R_n) sum of per-cell base energies."""
-
-    graph: ApproximationGraph
-    scale: Fraction  # R_n
-
-    @property
-    def depth(self) -> int:
-        return self.graph.level
-
-    def energy(self, u: np.ndarray) -> float:
-        vals = np.asarray(u, dtype=np.float64)[self.graph.cells]
-        return float(cell_energies(vals).sum() / self.scale)
-
-
-def discrete_form(ls: LevelSequence, n: int,
-                  graph: ApproximationGraph | None = None) -> DiscreteForm:
-    g = graph if graph is not None else build_graph(ls, n)
-    return DiscreteForm(g, ls.R(n))
 
 
 # ---- One-subdivision harmonic matrices -----------------------------------
@@ -282,17 +262,36 @@ class HarmonicSpec:
         self._cell_values[d] = out
         return out
 
-    # -- graph-solve route
+    # -- vertex values
 
     def extend(self, n: int):
-        """Materialize values on V_n by a pinned Laplacian solve: dense
-        fraction-free elimination in rational precision, a sparse LU in
-        float.  Returns (graph, values); cached per depth."""
-        if n < 0:
-            raise DomainError(f"depth must be nonnegative, got {n}")
+        """Materialize values on V_n by scattering the depth-n cell cascade
+        onto the graph's cell corners; cells that share a vertex give it one
+        value.  Rational values are Fractions of the integer numerators over
+        their common denominator, float values float64.  The graph is built
+        first, so its MAX_CORNERS budget refuses before any product.
+        Returns (graph, values); cached per depth."""
         if n in self._materialized:
             return self._materialized[n]
         g = build_graph(self.ls, n)
+        if self.precision == "rational":
+            num, den = self.cell_numerators(n)
+            vertex_num = np.empty(g.n_vertices, dtype=object)
+            vertex_num[g.cells] = num
+            values = np.array([Fraction(x, den) for x in vertex_num], dtype=object)
+        else:
+            values = np.empty(g.n_vertices)
+            values[g.cells] = self.cell_values(n)
+        self._materialized[n] = (g, values)
+        return g, values
+
+    def cell_values_from_graph(self, d: int):
+        """Corner values of depth-d cells read off a pinned Laplacian solve
+        on the depth-d graph: dense fraction-free elimination in rational
+        precision (refused past linalg.RATIONAL_SIZE_LIMIT vertices), a
+        sparse LU in float.  The cascade's independent oracle, for tests and
+        acceptance; no production route calls it."""
+        g = build_graph(self.ls, d)
         if self.precision == "rational":
             lap = linalg.dense_rational_laplacian(g.adjacency)
             full = linalg.rational_pinned_solve(lap, [int(p) for p in g.boundary],
@@ -301,33 +300,20 @@ class HarmonicSpec:
         else:
             values, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), g.boundary,
                                             np.array(self.pin))
-        self._materialized[n] = (g, values)
-        return g, values
-
-    def cell_values_from_graph(self, d: int):
-        """Corner values of depth-d cells read off a depth-d solve."""
-        g, values = self.extend(d)
-        return np.asarray(values)[g.corner_ids_at_depth(d)]
+        return values[g.cells]
 
     # -- energies
 
-    def energy(self, n: int, route: str = "matrices"):
-        """Depth-n energy of the extension (equals the pin energy for any
-        n >= 0).  route "matrices" runs the cell cascade, "graph" the graph
-        solve."""
-        if route == "matrices":
-            if self.precision == "rational":
-                num, den = self.cell_numerators(n)
-                r = self.ls.R(n)
-                return Fraction(cell_energies(num).sum() * r.denominator,
-                                den * den * r.numerator)
-            vals = self.cell_values(n)
-        elif route == "graph":
-            vals = self.cell_values_from_graph(n)
-        else:
-            raise DomainError(f"unknown route {route!r}")
+    def energy(self, n: int):
+        """Depth-n energy of the extension, from the cell cascade (equals
+        the pin energy for any n >= 0)."""
+        if self.precision == "rational":
+            num, den = self.cell_numerators(n)
+            r = self.ls.R(n)
+            return Fraction(cell_energies(num).sum() * r.denominator,
+                            den * den * r.numerator)
         # a float64 sum over the Fraction R_n divides as floats
-        return cell_energies(vals).sum() / self.ls.R(n)
+        return cell_energies(self.cell_values(n)).sum() / self.ls.R(n)
 
 
 def check_precision(precision: str) -> None:
@@ -336,29 +322,25 @@ def check_precision(precision: str) -> None:
         raise DomainError(f"unknown precision {precision!r}; use 'rational' or 'float'")
 
 
-def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "direct",
+def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "cells",
                     precision: str = "float") -> HarmonicSpec:
     """Harmonic extension of the corner pin (u(q0), u(q1), u(q2)),
-    materialized to V_depth.
+    materialized to depth `depth` by the cell cascade: cell numerators in
+    rational precision, cell values in float.
 
     The pin may be any sequence of three values (tuple, list or array).
-    method picks the route that materializes depth `depth`: "cells" runs
-    the matrix cascade (cell numerators in rational precision, values in
-    float), "direct" the graph solve (HarmonicSpec.extend); either route
-    stays available afterwards.
+    method names the route; "cells", the cascade, is the only one.
     """
     check_precision(precision)
-    if method not in ("cells", "direct"):
-        raise DomainError(f"unknown extension method {method!r}; use 'cells' or 'direct'")
+    if method != "cells":
+        raise DomainError(f"unknown extension method {method!r}; use 'cells'")
     if depth < 0:
         raise DomainError(f"target depth must be nonnegative, got {depth}")
     if len(pin) != 3:
         raise DomainError(f"pin has {len(pin)} values; a corner pin has 3")
     convert = Fraction if precision == "rational" else float
     h = HarmonicSpec(ls, tuple(convert(v) for v in pin), precision)
-    if method == "direct":
-        h.extend(depth)
-    elif precision == "rational":
+    if precision == "rational":
         h.cell_numerators(depth)
     else:
         h.cell_values(depth)

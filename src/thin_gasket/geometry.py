@@ -9,10 +9,10 @@ and metric comparisons are exact integer arithmetic.  The graph metric
 Sizes are budgeted in corner slots, 3 M_n: build_graph refuses more than
 MAX_CORNERS = 6e6 (about 100 MB of working arrays; (5,) builds to depth 5,
 3 M_5 = 746,496), and the cell cascade behind energy measures
-(forms.HarmonicSpec.cell_values) more than 2^27.  Dense exact
-solves on a graph (rational harmonic extension by the graph route) stop at
-linalg.RATIONAL_SIZE_LIMIT = 400 vertices; exact pair resistances, by
-cell-by-cell elimination, are bounded only by MAX_CORNERS.  A CellMeasure
+(forms.HarmonicSpec.cell_values) more than 2^27.  Harmonic extension on
+V_n (forms.HarmonicSpec.extend) scatters that cascade onto the cells, so it
+reaches MAX_CORNERS in both precisions; exact pair resistances, by
+cell-by-cell elimination, are bounded only by MAX_CORNERS too.  A CellMeasure
 is plain arrays: per-cell masses in word enumeration order and their total.
 """
 
@@ -209,14 +209,6 @@ class ApproximationGraph:
     def cells_of_vertex(self, v: int) -> np.ndarray:
         inc = self.vertex_cells
         return inc.indices[inc.indptr[v]: inc.indptr[v + 1]]
-
-    def corner_ids_at_depth(self, d: int) -> np.ndarray:
-        """Vertex ids of all depth-d cell corners, shape (M_d, 3)."""
-        if not 0 <= d <= self.level:
-            raise DomainError(f"depth {d} outside [0, {self.level}]")
-        coords = _corner_numerators(self.ls, d)
-        coords = coords * (self.L // self.ls.L(d))
-        return self.vertex_ids(coords)
 
     def word(self, idx: int) -> tuple:
         return index_to_word(self.ls, self.level, idx)

@@ -1,26 +1,27 @@
 """Linear-algebra backends: dense exact rational elimination and sparse
 float solves.
 
-The rational path is fraction-free Gaussian elimination and is reserved
-for small systems: the graph route of exact harmonic extension (rational
-extend and --route graph, acceptance criterion 6's oracle) and the
-one-subdivision oracles.  It scales each row of the system to integers by
-the lcm of its denominators, eliminates by integer row combinations kept
-primitive (each updated row divided by the gcd of its entries), and builds
-Fractions only in the back-substitution of the solution.  Its Schur
-complement is the kept rows of the Laplacian applied to exact harmonic
-extensions of unit pins, returned as a numpy object array of Fractions; it
-is the test oracle of the exact resistance elimination, which lives in
-resistance and does not use this path.  RATIONAL_SIZE_LIMIT bounds every
-dense exact solve: graphs of more than 400 vertices and systems of more
-than 400 unknowns are refused with a SolveError, since the cost of dense
-elimination grows with the size cubed times the cost of ever longer
-integers.  The float path assembles sparse graph Laplacians and solves
-pinned systems either by direct LU with at most MAX_REFINE rounds of
-iterative refinement (default) or by Jacobi-preconditioned conjugate
-gradients (method="cg"), both to the relative residual SOLVE_RTOL.
-pinned_solve runs the graph route of harmonic extension and is the oracle
-of the float resistance solver.
+Every solve here is an oracle: harmonic extension runs the cell cascade of
+forms, and exact resistances run their own elimination in resistance.  The
+rational path is fraction-free Gaussian elimination for small systems: the
+graph oracle of exact harmonic extension (HarmonicSpec.cell_values_from_graph)
+and the one-subdivision oracles of forms.  It scales each row of the system
+to integers by the lcm of its denominators, eliminates by integer row
+combinations kept primitive (each updated row divided by the gcd of its
+entries), and builds Fractions only in the back-substitution of the
+solution.  Its Schur complement is the kept rows of the Laplacian applied to
+exact harmonic extensions of unit pins, returned as a numpy object array of
+Fractions; it is also the test oracle of the exact resistance elimination.
+RATIONAL_SIZE_LIMIT guards these oracles only: graphs of more than 400
+vertices and systems of more than 400 unknowns are refused with a
+SolveError, since the cost of dense elimination grows with the size cubed
+times the cost of ever longer integers.  The float path assembles sparse
+graph Laplacians and solves pinned systems either by direct LU with at most
+MAX_REFINE rounds of iterative refinement (default) or by
+Jacobi-preconditioned conjugate gradients (method="cg"), both to the
+relative residual SOLVE_RTOL.  pinned_solve is the float oracle of the cell
+cascade (cell_values_from_graph, extension_ratio_check) and of the float
+resistance solver.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from scipy.sparse import linalg as spla
 
 from .errors import SolveError
 
+#: Vertices and unknowns a dense exact oracle solve accepts.
 RATIONAL_SIZE_LIMIT = 400
 
 #: Relative residual pinned_solve aims for; it refuses a final one above 1e-9.

@@ -11,17 +11,17 @@ certificate checks that bound cell by cell and the divergence statistic
 accumulates 1 - coefficient along sampled addresses.
 
 A measure is plain arrays: CellMeasure holds the per-cell masses in word
-enumeration order and their total, nothing else.  Masses follow the
-precision of the harmonic function: an object array of Fractions, exact at
-every depth, or a float64 array.  Exact masses on the matrices route come
-from the cascade's integer numerators over their common denominator D_d:
-E0 is summed per cell in integers, and each mass is the one Fraction
-E0 / (D_d^2 R_d).  Both statistics read energy_measure's
-masses as float64 and run on whole arrays: the certificate over every cell
-of a depth, the divergence statistic over all sampled addresses one depth
-at a time, both through the one kernel _children_coefficients.  The masses
-come from the cell cascade, so the cascade's size budget
-(HarmonicSpec.cell_values) bounds the depths they reach.
+enumeration order and their total, nothing else.  Masses come from the cell
+cascade, the one route of harmonic extension, and follow the precision of
+the harmonic function: an object array of Fractions, exact at every depth,
+or a float64 array.  Exact masses come from the cascade's integer
+numerators over their common denominator D_d: E0 is summed per cell in
+integers, and each mass is the one Fraction E0 / (D_d^2 R_d).  Both
+statistics read energy_measure's masses as float64 and run on whole arrays:
+the certificate over every cell of a depth, the divergence statistic over
+all sampled addresses one depth at a time, both through the one kernel
+_children_coefficients.  The cascade's size budget (HarmonicSpec.cell_values)
+bounds the depths they reach.
 """
 
 from __future__ import annotations
@@ -73,31 +73,23 @@ def ceiling_below_sup(l: int) -> bool:
 # ---- Energy measures -----------------------------------------------------
 
 
-def energy_measure(h: HarmonicSpec, depth: int, route: str = "matrices") -> CellMeasure:
-    """Energy measure of h on depth-`depth` cells.
+def energy_measure(h: HarmonicSpec, depth: int) -> CellMeasure:
+    """Energy measure of h on depth-`depth` cells, from the cell cascade.
 
-    route "matrices" uses per-cell matrix products, "graph" reads corner
-    values off a pinned Laplacian solve.  Masses are an object array of
-    exact Fractions when h carries rational precision.
+    Masses are an object array of exact Fractions when h carries rational
+    precision, float64 otherwise.
     """
-    if route == "matrices":
-        if h.precision == "rational":
-            num, den = h.cell_numerators(depth)
-            r = h.ls.R(depth)
-            scale = den * den * r.numerator
-            energies = cell_energies(num)
-            masses = np.array([Fraction(e * r.denominator, scale) for e in energies],
-                              dtype=object)
-            # one Fraction from the integer sum over the one denominator
-            total = Fraction(sum(energies) * r.denominator, scale)
-            return CellMeasure(h.ls, depth, masses, total)
-        vals = h.cell_values(depth)
-    elif route == "graph":
-        vals = h.cell_values_from_graph(depth)
-    else:
-        raise DomainError(f"unknown route {route!r}")
-    # R_d as float(R_d) for float64 values, as the Fraction for object arrays
-    masses = cell_energies(vals) / np.asarray(h.ls.R(depth), dtype=vals.dtype)
+    if h.precision == "rational":
+        num, den = h.cell_numerators(depth)
+        r = h.ls.R(depth)
+        scale = den * den * r.numerator
+        energies = cell_energies(num)
+        masses = np.array([Fraction(e * r.denominator, scale) for e in energies],
+                          dtype=object)
+        # one Fraction from the integer sum over the one denominator
+        total = Fraction(sum(energies) * r.denominator, scale)
+        return CellMeasure(h.ls, depth, masses, total)
+    masses = cell_energies(h.cell_values(depth)) / float(h.ls.R(depth))
     return CellMeasure(h.ls, depth, masses)
 
 

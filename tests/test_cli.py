@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import thin_gasket
 from thin_gasket.cli import RunConfig, load_config, main, make_parser
 from thin_gasket.errors import GasketError
+from thin_gasket.forms import base_energy, harmonic_extend
 from thin_gasket.geometry import build_graph
 from thin_gasket.sequence import LevelSequence
 
@@ -108,12 +111,18 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("verb", ["energy", "extend", "resistance"])
-def test_method_flag_is_a_usage_error(verb, capsys):
-    # one route per query: --route alone picks energy's route, --precision
-    # resistance's, and extend always runs the graph solve
+@pytest.mark.parametrize("argv", [
+    ["energy", "--method", "direct"],
+    ["extend", "--method", "direct"],
+    ["resistance", "--method", "direct"],
+    ["energy", "--route", "graph"],
+    ["measure", "--route", "graph"],
+], ids=["energy", "extend", "resistance", "energy-route", "measure-route"])
+def test_method_flag_is_a_usage_error(argv, capsys):
+    # one route per query: energy, measure and extend run the cell cascade,
+    # and --precision alone picks resistance's route
     with pytest.raises(SystemExit) as exc:
-        run([verb, "--method", "direct"])
+        run(argv)
     assert exc.value.code == 2
 
 
@@ -127,11 +136,11 @@ _COMMON_OPTIONS = {
 _VERB_OPTIONS = {
     "build": {},
     "render": {"--size": None},
-    "energy": {"--pin": None, "--route": ("matrices", "graph")},
+    "energy": {"--pin": None},
     "extend": {"--pin": None},
     "resistance": {"--corners": None, "--x": None, "--y": None},
     "matrices": {"--l": None, "--index": None},
-    "measure": {"--pin": None, "--route": ("matrices", "graph")},
+    "measure": {"--pin": None},
     "certify": {"--pin": None, "--max-depth": None},
     "diverge": {"--pin": None, "--max-depth": None, "--samples": None},
     "psi": {"--kind": ("time", "mass", "resistance", "all"), "--s": None,
@@ -195,9 +204,12 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["resistance", "--seq", "5", "--depth", "1", "--x", "999", "--y", "999"],
     ["realize", "--n0", "0"],  # 2^-n0 is no level scale
     ["realize", "--n0", "-2"],
-    # dense exact elimination on 795 vertices: past the 400-vertex limit
-    ["extend", "--seq", "8", "--depth", "2", "--precision", "rational"],
+    # exact extend past build_graph's budget: 2.5e9 corner slots
+    ["extend", "--seq", "58", "--depth", "4", "--precision", "rational"],
     ["certify", "--seq", "58", "--max-depth", "4"],  # a 19 GiB cell cascade
+    # float-only statistics: no silent float run under --precision rational
+    ["certify", "--seq", "5,6,7,5", "--max-depth", "3", "--precision", "rational"],
+    ["diverge", "--seq", "5,6", "--max-depth", "3", "--precision", "rational"],
     # a config file naming no precision the routes know: no silent float run
     ["energy", "--config", "BAD_PRECISION_CONFIG", "--pin", "1,0,0"],
     ["matrices", "--l", "10001"],  # a full listing past MATRICES_MAX_L
@@ -207,8 +219,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
-        "extend-rational-size", "certify-cascade-budget", "config-precision",
-        "matrices-l-budget"])
+        "extend-rational-size", "certify-cascade-budget", "certify-rational",
+        "diverge-rational", "config-precision", "matrices-l-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     config = tmp_path / "bad-precision.cfg"
     config.write_text("seq=5\ndepth=1\nprecision=exact\n")
@@ -239,14 +251,12 @@ _ETA = st.tuples(st.sampled_from(["eta1", "eta2", "eta3", "eta4", "eta0", "x"]),
 _VERB_FLAGS = {
     "build": st.just([]),
     "render": st.sampled_from([-1.0, 0.0, 40.0]).map(lambda v: ["--size", v]),
-    "energy": st.tuples(_PIN, st.sampled_from(["matrices", "graph"])).map(
-        lambda t: ["--pin", t[0], "--route", t[1]]),
+    "energy": _PIN.map(lambda p: ["--pin", p]),
     "extend": _PIN.map(lambda p: ["--pin", p]),
     "resistance": _int_list(-1, 3, ["0", "x", "0,,1"]).map(lambda c: ["--corners", c]),
     "matrices": st.tuples(st.integers(4, 9), _int_list(0, 8, ["x"])).map(
         lambda t: ["--l", t[0], "--index", t[1]]),
-    "measure": st.tuples(_PIN, st.sampled_from(["matrices", "graph"])).map(
-        lambda t: ["--pin", t[0], "--route", t[1]]),
+    "measure": _PIN.map(lambda p: ["--pin", p]),
     "certify": st.tuples(_PIN, _SMALL).map(lambda t: ["--pin", t[0], "--max-depth", t[1]]),
     "diverge": st.tuples(_PIN, _SMALL, st.integers(-1, 20)).map(
         lambda t: ["--pin", t[0], "--max-depth", t[1], "--samples", t[2]]),
@@ -319,12 +329,12 @@ _VERB_EXAMPLES = {
     "doubling": ["doubling", "--seq", "7,5", "--depth", "1", "--kind", "resistance",
                  "--segments", "3"],
     "energy": ["energy", "--seq", "5,6", "--depth", "2", "--pin", "1/2,0,1",
-               "--route", "graph", "--precision", "rational"],
+               "--precision", "rational"],
     "extend": ["extend", "--seq", "6", "--depth", "1", "--pin", "0,1,1/3",
                "--precision", "rational"],
     "matrices": ["matrices", "--l", "12", "--depth", "1"],
     "measure": ["measure", "--seq", "5,7", "--depth", "2", "--pin", "1,0,2/3",
-                "--route", "graph", "--precision", "rational"],
+                "--precision", "rational"],
     "psi": ["psi", "--seq", "5,7,6", "--depth", "1", "--kind", "mass", "--s", "1/40",
             "--invert", "1/3", "--segments", "3"],
     "realize": ["realize", "--eta", "eta1", "--n", "6", "--n0", "2", "--min-ratio", "6",
@@ -432,6 +442,25 @@ def test_measure_csv(tmp_path, capsys):
     assert by_word["2.0"] == "6/31"
 
 
+def test_rational_extend_past_the_dense_solve_limit(tmp_path, capsys):
+    # 795 vertices, past the 400 the dense exact solve accepts
+    rc = run(["extend", "--seq", "8", "--depth", "2", "--pin", "1,2/3,1/9",
+              "--precision", "rational", "--out", tmp_path])
+    assert rc == 0
+    ls = LevelSequence((8,), continuation="repeat-last")
+    g = build_graph(ls, 2)
+    with (tmp_path / "extend-8-d2.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == g.n_vertices == 795
+    assert [[int(r["a"]), int(r["b"])] for r in rows] == g.vertices.tolist()
+    values = np.array([Fraction(r["value"]) for r in rows], dtype=object)
+    pin = (Fraction(1), Fraction(2, 3), Fraction(1, 9))
+    energy = sum(base_energy(corners) for corners in values[g.cells]) / ls.R(2)
+    assert energy == base_energy(pin)
+    oracle = harmonic_extend(ls, [float(p) for p in pin], 0).cell_values_from_graph(2)
+    assert np.max(np.abs(values[g.cells].astype(np.float64) - oracle)) <= 1e-12
+
+
 def test_matrices_index_at_huge_level_is_constant_time(tmp_path, capsys):
     t0 = time.perf_counter()
     rc = run(["matrices", "--l", 10 ** 7, "--index", "0,0", "--out", tmp_path])
@@ -513,8 +542,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("argv,name", [
     ("measure --seq 5,6 --depth 2 --pin 1,2/3,1/9", "measure-5-6-d2.csv"),
-    ("measure --seq 5,6 --depth 1 --pin 1,2/3,1/9 --route graph", "measure-5-6-d1.csv"),
-    ("energy --seq 5,6 --depth 1 --pin 1,2/3,1/9 --route graph", "energy-5-6-d1.json"),
+    ("measure --seq 5,6 --depth 1 --pin 1,2/3,1/9", "measure-5-6-d1.csv"),
+    ("energy --seq 5,6 --depth 1 --pin 1,2/3,1/9", "energy-5-6-d1.json"),
     ("extend --seq 5 --depth 1 --pin 1,2/3,1/9", "extend-5-d1.csv"),
     ("resistance --seq 5,7,6,12 --depth 3", "resistance-5-7-6-12-d3.json"),
     ("resistance --seq 5 --depth 1 --x 3 --y 11", "resistance-5-d1.json"),

@@ -72,11 +72,9 @@ def test_rational_routes_stay_exact():
         assert type(h.energy(d)) is Fraction
         mu = energy_measure(h, d)
         assert _only_fractions(mu.masses) and type(mu.total) is Fraction
-    # the graph route, on the depth-1 graph
+    # the values on V_2, and the graph oracle on the depth-1 graph
+    assert _only_fractions(h.extend(2)[1])
     assert _only_fractions(h.cell_values_from_graph(1))
-    assert type(h.energy(1, route="graph")) is Fraction
-    mu = energy_measure(h, 1, route="graph")
-    assert _only_fractions(mu.masses) and type(mu.total) is Fraction
     for n in (0, 2):
         assert _only_fractions(corner_trace(ls, n))
     assert type(effective_resistance(ls, 1, 3, 11, precision="rational").value) is Fraction
@@ -84,17 +82,18 @@ def test_rational_routes_stay_exact():
 
 def test_negative_depth_is_refused():
     h = harmonic_extend(LevelSequence((5,)), (1.0, 0.0, 0.0), 1, method="cells")
-    for route in ("matrices", "graph"):
-        with pytest.raises(DomainError):
-            energy_measure(h, -1, route=route)
+    with pytest.raises(DomainError):
+        energy_measure(h, -1)
+    with pytest.raises(DomainError):
+        h.extend(-1)
 
 
 def test_routes_agree_in_float():
     ls = LevelSequence((5, 7), continuation="repeat-last")
-    h = harmonic_extend(ls, (1.0, 0.25, 0.0), 2, method="direct")
-    a = energy_measure(h, 2, route="matrices")
-    b = energy_measure(h, 2, route="graph")
-    assert np.max(np.abs(np.asarray(a.masses) - np.asarray(b.masses))) < 1e-12
+    h = harmonic_extend(ls, (1.0, 0.25, 0.0), 2, method="cells")
+    masses = energy_measure(h, 2).masses
+    oracle = cell_energies(h.cell_values_from_graph(2)) / float(ls.R(2))
+    assert np.max(np.abs(masses - oracle)) < 1e-12
 
 
 # ---- Concentration ceiling ----------------------------------------------
