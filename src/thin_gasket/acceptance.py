@@ -23,7 +23,7 @@ from .errors import DomainError
 from .forms import (base_energy, cell_energies, extension_ratio_check,
                     harmonic_extend, matrix_stack_by_elimination,
                     matrix_stack_exact)
-from .geometry import (boundary_cells, build_graph, cell_neighborhood,
+from .geometry import (_cell_hops, boundary_cells, build_graph,
                        geodesic_hops, words)
 from .measures import (ceiling_below_sup, divergence_statistic,
                        energy_measure, singularity_certificate)
@@ -160,8 +160,12 @@ def _c5():
             g = build_graph(ls, depth)
             l_n = ls.level(depth)
             for w in words(ls, depth):
+                # sizes at every radius from one BFS of radius l_n
+                hops = _cell_hops(g, w, (l_n,))
+                sizes = np.cumsum(np.bincount(hops[hops <= l_n].astype(np.int64),
+                                              minlength=l_n + 1))
                 for k in range(l_n + 1):
-                    size = len(cell_neighborhood(g, w, k))
+                    size = int(sizes[k])
                     if not 2 * k + 1 <= size <= max(6 * k, 1):
                         return False, (f"size {size} at radius {k} of {w}, "
                                        f"{entries} depth {depth}")

@@ -25,6 +25,7 @@ level, it is the oracle of the closed-form corner resistance.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,6 +47,10 @@ _CASCADE_SLOTS = 1 << 27
 
 #: Random pins extension_ratio_check adds to the three corner-basis pins.
 _RATIO_RANDOM_PINS = 100
+
+#: Largest denominator of the rational extension_ratio_check snaps a pin
+#: coordinate to.
+_SNAP_DENOMINATOR = 10 ** 12
 
 
 def base_energy(u):
@@ -381,14 +386,43 @@ def one_subdivision_trace(l: int, trace=TRIANGLE_FORM, precision: str = "rationa
     return _project_trace(linalg.schur_complement_float(lap, keep))
 
 
+def _snap(x: float) -> tuple[int, int]:
+    """(p, q) with q > 0: the rational p/q closest to the float x among
+    denominators q <= _SNAP_DENOMINATOR, in lowest terms.  The same pair as
+    Fraction(x).limit_denominator(_SNAP_DENOMINATOR), ties included, found on
+    integers: the continued fraction of x's exact ratio runs until the next
+    convergent's denominator would pass the bound, and the last convergent
+    then meets the largest admissible semiconvergent, winning a tie."""
+    n, d = float(x).as_integer_ratio()
+    if d <= _SNAP_DENOMINATOR:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > _SNAP_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (_SNAP_DENOMINATOR - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p/q - n/d|, multiplied through by d q q1 > 0
+    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+        return p1, q1
+    return p, q
+
+
 def extension_ratio_check(l: int, seed: int = 7, precision: str = "rational") -> dict:
     """Verify that minimal one-subdivision extension energy is r_l * E0.
 
     Checks the 3x3 trace matrix against r_l times the triangle form and the
     energy ratio for the corner basis plus _RATIO_RANDOM_PINS random pins.
-    Exact in rational mode, where each pin is snapped to a Fraction and the
-    ratio is compared by cross-multiplied integers; float mode reports the
-    maximum relative error.
+    Exact in rational mode, where each pin coordinate is snapped to the
+    nearest rational of denominator at most _SNAP_DENOMINATOR (_snap, the
+    integer pair Fraction.limit_denominator would give) and the ratio is
+    compared by cross-multiplied integers over the pin's common
+    denominator; float mode reports the maximum relative error.
     """
     check_precision(precision)
     r = resistance_ratio(l)
@@ -406,8 +440,9 @@ def extension_ratio_check(l: int, seed: int = 7, precision: str = "rational") ->
         sn, sden = linalg.over_common_denominator(s.ravel())
         ratios_equal = True
         for p in pins:
-            v, _ = linalg.over_common_denominator(
-                [Fraction(x).limit_denominator(10**12) for x in p])
+            snapped = [_snap(x) for x in p]
+            den = math.lcm(*(q for _, q in snapped))
+            v = [a * (den // q) for a, q in snapped]
             e0 = base_energy(v)
             if e0 == 0:
                 continue

@@ -140,6 +140,7 @@ class ApproximationGraph:
         self._adj = None
         self._nbr = None
         self._vertex_cells = None
+        self._cell_adj = None
 
     # -- sizes
 
@@ -205,6 +206,15 @@ class ApproximationGraph:
             inc.sort_indices()
             self._vertex_cells = inc
         return self._vertex_cells
+
+    @property
+    def _cell_adjacency(self) -> sparse.csr_matrix:
+        """Cells sharing a vertex (M x M, the diagonal included), in the
+        float64 CSR form csgraph takes without a copy."""
+        if self._cell_adj is None:
+            inc = self.vertex_cells
+            self._cell_adj = (inc.T @ inc).tocsr().astype(np.float64)
+        return self._cell_adj
 
     def cells_of_vertex(self, v: int) -> np.ndarray:
         inc = self.vertex_cells
@@ -313,45 +323,45 @@ def euclidean_sq(g: ApproximationGraph, x: int, y: int) -> Fraction:
 # ---- Cell neighborhoods --------------------------------------------------
 
 
+def _cell_hops(g: ApproximationGraph, w, radii) -> np.ndarray:
+    """Hop counts from cell w to every cell in the share-a-vertex adjacency,
+    by one BFS that stops past the largest radius, or at 0 for no radii
+    (np.inf beyond it).
+
+    Each radius k must satisfy 0 <= k <= l_n, and w must be a depth-n word.
+    The depth-0 graph's one cell is at hop 0 for any w.
+    """
+    n = g.level
+    radii = list(radii)
+    if n == 0:
+        if any(k != 0 for k in radii):
+            raise DomainError("depth-0 graph has a single cell; k must be 0")
+        return np.zeros(1)
+    l_n = g.ls.level(n)
+    for k in radii:
+        if not 0 <= k <= l_n:
+            raise DomainError(f"neighborhood radius {k} outside [0, {l_n}]")
+    start = word_to_index(g.ls, w)
+    if len(tuple(w)) != n:
+        raise DomainError(f"word depth {len(tuple(w))} != graph depth {n}")
+    return csgraph.dijkstra(g._cell_adjacency, directed=True, unweighted=True,
+                            indices=start, limit=max(radii, default=0))
+
+
 def cell_neighborhood(g: ApproximationGraph, w, k: int) -> list:
     """Words of all cells within k hops of w in the share-a-vertex adjacency.
 
     k must satisfy 0 <= k <= l_n.  The result includes w itself and is
-    sorted in word enumeration order.
+    sorted in word enumeration order.  The hops come from one BFS over the
+    graph's cached cell adjacency (_cell_hops).
     """
-    n = g.level
-    if n == 0:
-        if k != 0:
-            raise DomainError("depth-0 graph has a single cell; k must be 0")
-        return [tuple()]
-    l_n = g.ls.level(n)
-    if not 0 <= k <= l_n:
-        raise DomainError(f"neighborhood radius {k} outside [0, {l_n}]")
-    start = word_to_index(g.ls, w)
-    if len(tuple(w)) != n:
-        raise DomainError(f"word depth {len(tuple(w))} != graph depth {n}")
-    seen = {start}
-    frontier = [start]
-    for _ in range(k):
-        nxt = []
-        for c in frontier:
-            for v in g.cells[c]:
-                for c2 in g.cells_of_vertex(int(v)):
-                    c2 = int(c2)
-                    if c2 not in seen:
-                        seen.add(c2)
-                        nxt.append(c2)
-        frontier = nxt
-        if not frontier:
-            break
-    return [g.word(i) for i in sorted(seen)]
+    hops = _cell_hops(g, w, (k,))
+    return [g.word(int(i)) for i in np.flatnonzero(hops <= k)]
 
 
 def neighborhood_vertex_ids(g: ApproximationGraph, w, k: int) -> np.ndarray:
     """Vertex ids of the closed union of the k-hop cell neighborhood of w."""
-    cells = cell_neighborhood(g, w, k)
-    idx = [word_to_index(g.ls, c) for c in cells]
-    return np.unique(g.cells[idx].ravel())
+    return np.unique(g.cells[_cell_hops(g, w, (k,)) <= k].ravel())
 
 
 # ---- Measures ------------------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import (ApproximationGraph, cell_neighborhood,
-                       neighborhood_vertex_ids, word_to_index)
+from .geometry import ApproximationGraph, _cell_hops, word_to_index
 from .rand import stream
 from .resistance import ResistanceSolver, corner_resistance
 
@@ -223,14 +222,17 @@ def exit_time_profile(g: ApproximationGraph, w, radii,
     """
     idx = word_to_index(g.ls, w)
     start = int(g.cells[idx][0])
+    radii = list(radii)
+    hops = _cell_hops(g, w, radii)  # one BFS serves every radius
     out = []
     for k in radii:
         if k == 0:
             out.append({"k": 0, "mean": 0.0, "stderr": 0.0, "trials": 0,
                         "capped": 0, "n_cells": 1, "note": "by definition"})
             continue
-        n_cells = len(cell_neighborhood(g, w, k))
-        inside = neighborhood_vertex_ids(g, w, k)
+        within = hops <= k
+        n_cells = int(within.sum())
+        inside = np.unique(g.cells[within].ravel())
         mask = np.ones(g.n_vertices, dtype=bool)
         mask[inside] = False  # targets are the vertices outside the union
         if not mask.any():

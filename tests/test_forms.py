@@ -14,6 +14,7 @@ from thin_gasket.forms import (TRIANGLE_FORM, _depth_one_graph, base_energy,
                                matrix_stack_by_elimination, matrix_stack_exact,
                                one_subdivision_trace)
 from thin_gasket.geometry import boundary_cells, build_graph, interior_letters
+from thin_gasket.rand import stream
 from thin_gasket.sequence import LevelSequence, resistance_ratio
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
@@ -325,6 +326,45 @@ def test_ratio_check_fails_on_a_perturbed_trace(monkeypatch):
     report = extension_ratio_check(5, seed=3)
     assert report["passed"] is False
     assert report["trace_equal"] is False
+
+
+# ---- Pin snaps -----------------------------------------------------------
+
+
+def _limit_denominator_pair(x, max_den=10**12) -> tuple[int, int]:
+    f = Fraction(x).limit_denominator(max_den)
+    return f.numerator, f.denominator
+
+
+def test_snap_equals_limit_denominator_on_criterion_one_pins():
+    for l in range(5, 13):
+        rng = stream(7, l)
+        pins = [np.eye(3)[j] for j in range(3)]
+        pins += [rng.uniform(-1.0, 1.0, size=3) for _ in range(forms._RATIO_RANDOM_PINS)]
+        for p in pins:
+            for x in p:
+                assert forms._snap(x) == _limit_denominator_pair(x)
+
+
+def test_snap_edge_values():
+    xs = [0.0, -0.0, 1.0, -1.0, -0.3, -1e-13, -2.5e-7, 5e-13, 1e-300, 1e300,
+          1 / 3, -2 / 3, 1e12 + 0.5]
+    # dyadic floats: small denominators come back as they are, those past
+    # the bound are snapped
+    xs += [s * k / 2 ** j for j in range(0, 64, 3) for k in (1, 3, 5, 1023)
+           for s in (1, -1)]
+    for x in xs:
+        assert forms._snap(x) == _limit_denominator_pair(x)
+
+
+@pytest.mark.parametrize("max_den", [1, 2, 3, 10, 97])
+def test_snap_breaks_ties_like_limit_denominator(monkeypatch, max_den):
+    """Halves and other midpoints between candidates tie; the convergent
+    wins, as in Fraction.limit_denominator."""
+    monkeypatch.setattr(forms, "_SNAP_DENOMINATOR", max_den)
+    xs = [s * k / 2 ** j for j in range(1, 12) for k in range(1, 40, 2) for s in (1, -1)]
+    for x in xs:
+        assert forms._snap(x) == _limit_denominator_pair(x, max_den)
 
 
 # ---- Unknown precisions --------------------------------------------------

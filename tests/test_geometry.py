@@ -11,7 +11,8 @@ from thin_gasket.errors import BudgetError, DomainError
 from thin_gasket.geometry import (ball_mass, boundary_cells, build_graph,
                                   cell_neighborhood, euclidean_sq, geodesic_distance,
                                   geodesic_hops, graph_to_json, index_to_word,
-                                  interior_letters, is_cell_index, render_svg,
+                                  interior_letters, is_cell_index,
+                                  neighborhood_vertex_ids, render_svg,
                                   word_to_index, words)
 from thin_gasket.sequence import LevelSequence
 
@@ -182,10 +183,57 @@ def test_neighborhood_size_bounds(seq, depth):
                 assert len(hood) <= 4
 
 
+def _neighborhood_by_set_bfs(g, w, k) -> list:
+    """Cell indices within k hops of w, by a set BFS over the cells of each
+    frontier cell's corners."""
+    start = word_to_index(g.ls, w)
+    seen = {start}
+    frontier = [start]
+    for _ in range(k):
+        nxt = []
+        for c in frontier:
+            for v in g.cells[c]:
+                for c2 in g.cells_of_vertex(int(v)):
+                    if int(c2) not in seen:
+                        seen.add(int(c2))
+                        nxt.append(int(c2))
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("seq", [(5,), (5, 6), (6, 5)])
+def test_neighborhoods_match_set_bfs(seq):
+    ls = LevelSequence(seq, continuation="repeat-last")
+    g = build_graph(ls, 2)
+    for w in words(ls, 2):
+        for k in range(ls.level(2) + 1):
+            cells = _neighborhood_by_set_bfs(g, w, k)
+            assert cell_neighborhood(g, w, k) == [g.word(i) for i in cells]
+            assert np.array_equal(neighborhood_vertex_ids(g, w, k),
+                                  np.unique(g.cells[cells].ravel()))
+
+
 def test_neighborhood_rejects_radius_past_level(ls5):
     g = build_graph(ls5, 1)
     with pytest.raises(DomainError):
         cell_neighborhood(g, ((0, 0),), 6)
+
+
+def test_neighborhood_rejects_bad_radii_and_words(ls5):
+    g = build_graph(ls5, 2)
+    w = ((0, 0), (0, 1))
+    for bad in (-1, 6):
+        with pytest.raises(DomainError, match="radius"):
+            cell_neighborhood(g, w, bad)
+        with pytest.raises(DomainError, match="radius"):
+            neighborhood_vertex_ids(g, w, bad)
+    with pytest.raises(DomainError, match="word depth"):
+        cell_neighborhood(g, w[:1], 1)
+    g0 = build_graph(ls5, 0)
+    assert cell_neighborhood(g0, (), 0) == [()]
+    assert list(neighborhood_vertex_ids(g0, (), 0)) == [0, 1, 2]
+    with pytest.raises(DomainError, match="single cell"):
+        cell_neighborhood(g0, (), 1)
 
 
 # ---- Masses --------------------------------------------------------------

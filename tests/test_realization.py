@@ -3,8 +3,12 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import random
+
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import iv
 
 from thin_gasket import realization
@@ -87,6 +91,12 @@ def test_offset_below_one_rejected():
 # ---- Closed forms of the comparability report ----------------------------
 
 
+def _psi_factor(l: int, j: int, s1: int) -> tuple[int, int]:
+    """T_n Psi(u/L_n) = (1 + A(u-1))(1 + B(u-1)) at u = 1 + j(l-1)/s1, with
+    A = (3l-4)/(l-1) and B = (6l-8)/(9(l-1)), as an unreduced pair."""
+    return (s1 + j * (3 * l - 4)) * (9 * s1 + j * (6 * l - 8)), 9 * s1 * s1
+
+
 @pytest.mark.parametrize("l", [*range(5, 41), *GOLDEN_LEVELS[:4]])
 def test_psi_factor_and_sample_point_closed_forms(l):
     s1 = 4
@@ -95,9 +105,54 @@ def test_psi_factor_and_sample_point_closed_forms(l):
     for big_l in (l, 58 * l):
         for j in range(1, s1):
             u = 1 + Fraction(j * (l - 1), s1)
-            assert Fraction(*realization._psi_factor(l, j, s1)) == \
+            assert Fraction(*_psi_factor(l, j, s1)) == \
                 (1 + a * (u - 1)) * (1 + b * (u - 1))
             assert Fraction(*realization._sample_point(l, j, s1, big_l)) == u / big_l
+
+
+def _ratios_by_products(eta, entries) -> tuple[list, list]:
+    """Knot and sample ratios Psi / (r^2 eta(r)) of comparability_report,
+    with ln T_n summed from time_factor Fractions and ln Psi taken of the
+    level-size product _psi_factor, at the report's 320 bits."""
+    def ln_ratio(num, den):
+        return mpmath.log(mpmath.mpf(num)) - mpmath.log(mpmath.mpf(den))
+
+    knots, samples = [], []
+    s1 = 4
+    with mpmath.workprec(320):
+        ln_t = mpmath.mpf(0)
+        l_run = 1
+        for l in entries:
+            tf = time_factor(l)
+            ln_t += ln_ratio(tf.numerator, tf.denominator)
+            l_run *= l
+            ln_l = mpmath.log(mpmath.mpf(l_run))
+            eta_val = eta._mp_ratio_value(1, l_run)
+            knots.append(float(mpmath.exp(ln_t + mpmath.log(eta_val) - 2 * ln_l)))
+            for j in range(1, s1):
+                ln_psi = ln_ratio(*_psi_factor(l, j, s1)) - ln_t
+                r_num, r_den = realization._sample_point(l, j, s1, l_run)
+                eta_r = eta._mp_ratio_value(r_num, r_den)
+                samples.append(float(mpmath.exp(2 * ln_ratio(r_num, r_den)
+                                                + mpmath.log(eta_r) - ln_psi)))
+    return knots, samples
+
+
+@pytest.mark.parametrize("profile", ["slow-decay", "eta1"])
+def test_log_domain_report_matches_integer_products(profile):
+    """Per-level factor logs give the report the same floats as the logs of
+    the level-size products."""
+    if profile == "slow-decay":
+        eta, _ = slow_decay_eta(lambda r: r ** 2.5, n_max=12)
+        res = realize_sequence(eta, 3)
+    else:
+        eta = EtaFunction.elementary()
+        res = realize_sequence(eta, 9)
+    rep = comparability_report(eta, res)
+    knots, samples = _ratios_by_products(eta, res.entries)
+    assert rep["knot_ratios"] == knots
+    assert rep["ratio_min"] == min(knots + samples)
+    assert rep["ratio_max"] == max(knots + samples)
 
 
 def _knot_identity_cumulative(entries, tf) -> bool:
@@ -197,6 +252,87 @@ def test_one_division_floor_agrees_with_interval_quotient(monkeypatch):
     res = realize_sequence(EtaFunction.elementary(), 17)
     assert [r.prec for r in res.records] == ETA1_PRECS_17
     assert len(rungs) >= 17 and max(rungs) == 196608
+
+
+def _level_floor_by_builtin(recip_x, scaled) -> tuple[int, bool]:
+    """_level_floor with the builtin floor division."""
+    (_, xa_man, xa_exp, _), (_, xb_man, xb_exp, _) = recip_x._mpi_
+    (_, sa_man, sa_exp, _), (_, sb_man, sb_exp, _) = scaled._mpi_
+    shift = xa_exp - sb_exp
+    if shift >= 0:
+        f = (xa_man << shift) // sb_man
+    else:
+        f = xa_man // (sb_man << -shift)
+    bound = (f + 1) * sa_man
+    shift = xb_exp - sa_exp
+    if shift >= 0:
+        return f, xb_man << shift < bound
+    return f, xb_man < bound << -shift
+
+
+def test_level_floor_matches_builtin_division(monkeypatch):
+    """On every enclosure the eta1 ladder builds over 17 levels, the
+    recursive division gives the builtin's floor and decision."""
+    sizes = []
+    level_floor = realization._level_floor
+
+    def checked(x, s):
+        got = level_floor(x, s)
+        assert got == _level_floor_by_builtin(x, s)
+        sizes.append(got[0].bit_length())
+        return got
+
+    monkeypatch.setattr(realization, "_level_floor", checked)
+    res = realize_sequence(EtaFunction.elementary(), 17)
+    assert [r.prec for r in res.records] == ETA1_PRECS_17
+    # the top levels take the recursion, not the builtin
+    assert max(sizes) > 16 * realization._DIV_LIMIT
+
+
+# ---- Recursive division --------------------------------------------------
+
+
+def _bits(top: int):
+    """Bit lengths up to top, with extra weight around the division cutoff
+    and near the top."""
+    limit = realization._DIV_LIMIT
+    return st.one_of(st.integers(1, top), st.integers(limit - 64, limit + 64),
+                     st.integers(top // 2, top))
+
+
+@given(_bits(1 << 17), _bits(1 << 17), st.integers(0, 2 ** 32 - 1))
+def test_floor_div_equals_builtin(b_bits, q_bits, seed):
+    rng = random.Random(seed)
+    b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+    a = rng.getrandbits(b_bits + q_bits)
+    assert realization._floor_div(a, b) == a // b
+
+
+@pytest.mark.parametrize("b_bits,q_bits", [
+    (4001, 4001), (4001, 50_000), (9001, 9000), (12_345, 40_000),
+    ((1 << 17) + 1, (1 << 17) - 3), (1 << 17, 1 << 17)])
+def test_floor_div_edge_cases(monkeypatch, b_bits, q_bits):
+    """Exact multiples and their neighbours, b = 1 and powers of two, a < b,
+    and odd bit lengths, which pad the divisor inside the recursion."""
+    calls = []
+    div2n1n = realization._div2n1n
+
+    def counted(a, b, n):
+        calls.append(n)
+        return div2n1n(a, b, n)
+
+    monkeypatch.setattr(realization, "_div2n1n", counted)
+    rng = random.Random(b_bits ^ q_bits)
+    b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+    q = rng.getrandbits(q_bits) | 1 << (q_bits - 1)
+    for a in (q * b, q * b - 1, q * b + 1, q * b + b - 1, b - 1, 0):
+        assert realization._floor_div(a, b) == a // b
+    # the recursion starts on the whole divisor, padded when b_bits is odd
+    assert b_bits in calls
+    for k in (0, 1, 4000, 4001, b_bits):
+        for a in (q << k, (q << k) - 1, q):
+            assert realization._floor_div(a, 1 << k) == a >> k
+    assert realization._floor_div(q * b, 1) == q * b
 
 
 @pytest.mark.parametrize("prec", [192, 384, 1536, 6144])
