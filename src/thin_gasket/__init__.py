@@ -14,20 +14,17 @@ from .errors import (BudgetError, DomainError, GasketError, RealizationError,
 from .forms import (HarmonicMatrix, HarmonicSpec, base_energy,
                     extension_ratio_check, harmonic_extend, harmonic_matrix,
                     matrix_stack, matrix_stack_exact, one_subdivision_trace)
-from .geometry import (ApproximationGraph, BallMass, CellMeasure, ball_mass,
-                       boundary_cells, build_graph, cell_neighborhood,
-                       euclidean_sq, geodesic_distance, geodesic_hops,
-                       graph_to_json, index_to_word, interior_letters,
-                       is_cell_index, neighborhood_vertex_ids, render_svg,
-                       word_to_index, words)
+from .geometry import (ApproximationGraph, CellMeasure, boundary_cells,
+                       build_graph, geodesic_hops, graph_to_json,
+                       index_to_word, interior_letters, is_cell_index,
+                       neighborhood_vertex_ids, render_svg, word_to_index,
+                       words)
 from .measures import (AddressSample, CertificateReport, DivergenceReport,
                        SINGULARITY_GAP, children_sum_ceiling,
                        divergence_statistic, energy_measure,
                        singularity_certificate)
-from .realization import (CriterionParams, EtaFunction, RealizationResult,
-                          comparability_report, compose_params,
-                          elementary_params, eta_doubling_check,
-                          growth_criterion_check, realize_sequence,
+from .realization import (EtaFunction, RealizationResult,
+                          comparability_report, realize_sequence,
                           slow_decay_eta, summability_report)
 from .resistance import (ResistanceResult, ResistanceSolver, corner_resistance,
                          corner_trace, effective_resistance)
@@ -36,10 +33,10 @@ from .scales import (BetaBundle, PiecewiseScale, beta_bundle, build_scale,
                      mass_exponent, product_identity_check,
                      quadratic_envelope_check, resistance_exponent,
                      same_segment_check, scale_triple)
-from .sequence import (LevelSequence, cell_count, harmonic_weight,
-                       resistance_ratio, time_factor, walk_exponent)
+from .sequence import (LevelSequence, cell_count, resistance_ratio,
+                       time_factor, walk_exponent)
 from .walks import (HittingStats, WalkConfig, commute_time_check,
-                    exit_time_profile, hitting_time)
+                    exit_time_profile)
 
 __version__ = "0.1.0"
 

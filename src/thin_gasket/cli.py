@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import numbers
 import os
 import sys
@@ -115,8 +116,12 @@ def _parse_seq(text) -> tuple[int, ...]:
 
 
 def load_config(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GasketError(f"cannot read config file {path}: {exc}") from None
     items = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -351,6 +356,9 @@ def cmd_diverge(cfg: RunConfig, args) -> int:
 
 
 def cmd_psi(cfg: RunConfig, args) -> int:
+    if args.segments < 0:
+        raise GasketError(f"psi lists knots 0..segments and needs segments >= 0, "
+                          f"got {args.segments}")
     ls = cfg.sequence()
     kinds = ("time", "mass", "resistance") if args.kind == "all" else (args.kind,)
     payload = {"seq": list(cfg.seq), "kinds": {}}
@@ -462,6 +470,8 @@ def cmd_compare(cfg: RunConfig, args) -> int:
 
 def cmd_slowdecay(cfg: RunConfig, args) -> int:
     power = args.power
+    if not math.isfinite(power):
+        raise GasketError(f"--power must be finite, got {power}")
 
     def psi0(r: float) -> float:
         return r ** power

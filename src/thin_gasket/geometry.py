@@ -19,7 +19,6 @@ is plain arrays: per-cell masses in word enumeration order and their total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -216,10 +215,6 @@ class ApproximationGraph:
             self._cell_adj = (inc.T @ inc).tocsr().astype(np.float64)
         return self._cell_adj
 
-    def cells_of_vertex(self, v: int) -> np.ndarray:
-        inc = self.vertex_cells
-        return inc.indices[inc.indptr[v]: inc.indptr[v + 1]]
-
     def word(self, idx: int) -> tuple:
         return index_to_word(self.ls, self.level, idx)
 
@@ -305,21 +300,6 @@ def geodesic_hops(g: ApproximationGraph, sources) -> np.ndarray:
     return d
 
 
-def geodesic_distance(g: ApproximationGraph, x: int, y: int) -> Fraction:
-    """Graph distance between vertices: hops / L_n, exact."""
-    hops = geodesic_hops(g, [x])[0, y]
-    if not np.isfinite(hops):
-        raise DomainError("vertices are not connected")  # never for valid graphs
-    return Fraction(int(hops), g.L)
-
-
-def euclidean_sq(g: ApproximationGraph, x: int, y: int) -> Fraction:
-    """Exact squared Euclidean distance via the triangular quadratic form."""
-    da = int(g.vertices[x, 0]) - int(g.vertices[y, 0])
-    db = int(g.vertices[x, 1]) - int(g.vertices[y, 1])
-    return Fraction(da * da + da * db + db * db, g.L * g.L)
-
-
 # ---- Cell neighborhoods --------------------------------------------------
 
 
@@ -348,17 +328,6 @@ def _cell_hops(g: ApproximationGraph, w, radii) -> np.ndarray:
                             indices=start, limit=max(radii, default=0))
 
 
-def cell_neighborhood(g: ApproximationGraph, w, k: int) -> list:
-    """Words of all cells within k hops of w in the share-a-vertex adjacency.
-
-    k must satisfy 0 <= k <= l_n.  The result includes w itself and is
-    sorted in word enumeration order.  The hops come from one BFS over the
-    graph's cached cell adjacency (_cell_hops).
-    """
-    hops = _cell_hops(g, w, (k,))
-    return [g.word(int(i)) for i in np.flatnonzero(hops <= k)]
-
-
 def neighborhood_vertex_ids(g: ApproximationGraph, w, k: int) -> np.ndarray:
     """Vertex ids of the closed union of the k-hop cell neighborhood of w."""
     return np.unique(g.cells[_cell_hops(g, w, (k,)) <= k].ravel())
@@ -380,46 +349,22 @@ class CellMeasure:
         self.total = masses.sum(keepdims=True).item() if total is None else total
 
 
-@dataclass(frozen=True)
-class BallMass:
-    """Outer/inner cell-cover mass bracketing the measure of a metric ball."""
-
-    outer: Fraction
-    inner: Fraction
-    radius: Fraction
-    cells_outer: int
-    cells_inner: int
-
-
-def ball_mass(g: ApproximationGraph, x: int, s) -> BallMass:
-    """Bracket m(B(x, s)) by depth-n cell covers of the open graph ball.
-
-    outer: cells with at least one corner at distance < s from x;
-    inner: cells with all three corners at distance < s.
-    """
-    s = Fraction(s)
-    if s <= 0:
-        raise DomainError("ball radius must be positive")
-    return _ball_mass_from_hop_range(g, _cell_hop_range(g, geodesic_hops(g, [x])[0]), s)
-
-
-def _cell_hop_range(g: ApproximationGraph, hops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least and greatest hop count over each cell's corners, from the (V,)
-    BFS hop counts of one centre, so balls of several radii about it share
-    one search and one pass over the cells."""
+def _cell_least_hops(g: ApproximationGraph, hops: np.ndarray) -> np.ndarray:
+    """Least hop count over each cell's corners, from the (V,) BFS hop
+    counts of one centre, so balls of several radii about it share one
+    search and one pass over the cells."""
     h0, h1, h2 = hops[g.cells.T]
-    return np.minimum(np.minimum(h0, h1), h2), np.maximum(np.maximum(h0, h1), h2)
+    return np.minimum(np.minimum(h0, h1), h2)
 
 
-def _ball_mass_from_hop_range(g: ApproximationGraph, hop_range, s: Fraction) -> BallMass:
-    """ball_mass for a positive radius s from the centre's _cell_hop_range."""
+def _outer_ball_mass(g: ApproximationGraph, least_hops: np.ndarray, s: Fraction) -> Fraction:
+    """Mass of the depth-n cells with a corner at graph distance < s from
+    the centre of least_hops (_cell_least_hops), for a positive radius s:
+    the outer cell cover of the open ball B(x, s)."""
     thr = s * g.L
     # strict: hop < thr  <=>  hop <= (num - 1) // den
     cut = (thr.numerator - 1) // thr.denominator
-    n_outer = int(np.count_nonzero(hop_range[0] <= cut))
-    n_inner = int(np.count_nonzero(hop_range[1] <= cut))
-    M = g.n_cells
-    return BallMass(Fraction(n_outer, M), Fraction(n_inner, M), s, n_outer, n_inner)
+    return Fraction(int(np.count_nonzero(least_hops <= cut)), g.n_cells)
 
 
 # ---- Export --------------------------------------------------------------

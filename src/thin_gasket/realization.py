@@ -52,6 +52,19 @@ Were the floors equal, X.a / S.b >= floor(q) >= 2^{M-1}, so the quotients
 would differ by more than 2^{M-1-p} >= 4 > 1, a contradiction.  Piecewise
 eta may give an exact point enclosure, so its ladder skips nothing.
 
+Offsets and the cap.  The level-(k-1) bracket L_{k-1} B <= X_{k-1} gives
+l_k >= floor(X_k / X_{k-1}), the window ratio at n = n0 + k, so a ratio
+whose lower end reaches 2^_MAX_PREC shows level k past the cap, and the
+window scan refuses the run there: the later terms, each an exp(2^n), and
+the levels before k are never computed.  With a given n0 any refusal
+stands, since the full scan and the levels would refuse too.  While n0 is
+being chosen the scan refuses only for the log profiles, whose ratios
+increase with n: with f(x) = e^x - e + 1, c = e - 1 and v = f^{k-1}(2^n),
+f(2a) - 2 f(a) = (e^a - 1)^2 + c - 1 > 0 and f(a) >= a >= 1 give
+ratio(n + 1) >= f(2v)/f(v) >= e^v + c > f(v) >= ratio(n).  A candidate
+whose ratio at n passed min_ratio then passes its whole window and is the
+offset chosen.
+
 In the comparability report, ln T_n and ln Psi are sums of the logs of
 the per-level factors (6l+1), (l-1), 3, (s1 + j(3l-4)) and (9 s1 + j(6l-8)),
 so no level-size product is formed only to be logged.  The knot identity is
@@ -66,6 +79,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 from mpmath import iv
@@ -73,8 +87,6 @@ from mpmath.libmp import mpf_e, normalize, round_ceiling, round_floor
 
 from .errors import DomainError, RealizationError
 from .sequence import MIN_LEVEL, LevelSequence, time_factor
-
-E_MINUS_1 = math.e - 1.0
 
 #: Largest magnitude, in bits, of an argument the inverses pass to exp.
 #: mpmath reduces x modulo log 2 at about mag(x) extra bits (0.24 s at 1e5
@@ -108,10 +120,6 @@ _SUMMABILITY_THRESHOLD = 0.45
 
 
 # ---- The eta family ------------------------------------------------------
-
-
-def _eta1_float(r: float) -> float:
-    return 1.0 / math.log(E_MINUS_1 + 1.0 / r)
 
 
 class EtaFunction:
@@ -167,14 +175,9 @@ class EtaFunction:
             raise DomainError("eta is defined for r > 0")
         if r >= 1:
             return 1.0
-        if self.kind in ("elementary", "iterated"):
-            if r < 1e-300:
-                return float(self.mp_value(r))
-            v = r
-            for _ in range(self.k):
-                v = _eta1_float(v)
-            return v
-        return float(self._piecewise_value(Fraction(r)))
+        r = Fraction(r)
+        with mpmath.workprec(120):
+            return float(self._mp_ratio_value(r.numerator, r.denominator))
 
     def _piecewise_value(self, r: Fraction) -> Fraction:
         ks = self.knots
@@ -184,13 +187,6 @@ class EtaFunction:
             if r <= r2:
                 return y1 + (y2 - y1) * (r - r1) / (r2 - r1)
         return Fraction(1)
-
-    def mp_value(self, r):
-        """eta(r) as a 120-bit mpmath float; r may be a Fraction with a huge
-        denominator."""
-        r = Fraction(r)
-        with mpmath.workprec(120):
-            return self._mp_ratio_value(r.numerator, r.denominator)
 
     def _mp_ratio_value(self, num: int, den: int):
         """eta(num/den) at the working precision, for positive integers
@@ -208,17 +204,6 @@ class EtaFunction:
 
     # -- inverses
 
-    def inverse(self, y) -> float:
-        y = float(y)
-        if not 0 < y <= 1:
-            raise DomainError("eta values lie in (0, 1]")
-        if self.kind in ("elementary", "iterated"):
-            r = float(self.mp_inverse(y))
-            if r == 0.0:
-                raise DomainError(f"eta^-1({y}) lies below double range")
-            return r
-        return float(self._piecewise_inverse(Fraction(y)))
-
     def _piecewise_inverse(self, y: Fraction) -> Fraction:
         ks = self.knots
         if y < ks[0][1]:
@@ -228,21 +213,21 @@ class EtaFunction:
                 return r1 + (r2 - r1) * (y - y1) / (y2 - y1)
         return Fraction(1)
 
-    def mp_inverse(self, y, prec: int = 120):
-        with mpmath.workprec(prec):
-            y = Fraction(y)
-            if self.kind in ("elementary", "iterated"):
-                v = mpmath.mpf(y.numerator) / mpmath.mpf(y.denominator)
-                for _ in range(self.k):
-                    x = 1 / v
-                    if mpmath.mag(x) > _EXP_ARG_MAX_MAG:
-                        raise RealizationError(
-                            f"{self.label} inverse at {y} needs exp of a number "
-                            f"past 2^{_EXP_ARG_MAX_MAG}")
-                    v = 1 / (mpmath.exp(x) - mpmath.e + 1)
-                return v
-            v = self._piecewise_inverse(y)
-            return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+    def mp_inverse(self, y):
+        """eta^{-1}(y) at the working precision, for a rational y in (0, 1]."""
+        y = Fraction(y)
+        if self.kind in ("elementary", "iterated"):
+            v = mpmath.mpf(y.numerator) / mpmath.mpf(y.denominator)
+            for _ in range(self.k):
+                x = 1 / v
+                if mpmath.mag(x) > _EXP_ARG_MAX_MAG:
+                    raise RealizationError(
+                        f"{self.label} inverse at {y} needs exp of a number "
+                        f"past 2^{_EXP_ARG_MAX_MAG}")
+                v = 1 / (mpmath.exp(x) - mpmath.e + 1)
+            return v
+        v = self._piecewise_inverse(y)
+        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
 
     def iv_inverse_recip(self, y: Fraction):
         """Certified interval enclosure of 1/eta^{-1}(y) at the current iv
@@ -304,9 +289,9 @@ def summability_report(eta: EtaFunction, n_terms: int = 16) -> dict:
         prev = None
         acc = mpmath.mpf(0)
         for n in range(1, n_terms + 1):
-            cur = eta.mp_inverse(Fraction(1, 2 ** n), prec=mpmath.mp.prec)
+            cur = eta.mp_inverse(Fraction(1, 2 ** n))
             if prev is None:
-                prev = eta.mp_inverse(Fraction(1), prec=mpmath.mp.prec)
+                prev = eta.mp_inverse(Fraction(1))
             t = cur / prev
             acc += t
             try:
@@ -325,89 +310,6 @@ def summability_report(eta: EtaFunction, n_terms: int = 16) -> dict:
             "log_terms": logs, "partial_sums": partial,
             "threshold": _SUMMABILITY_THRESHOLD, "tail_decreasing": decreasing,
             "below_threshold": below, "summable": decreasing and below}
-
-
-# ---- Growth criterion ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriterionParams:
-    """Constants (delta, alpha, beta, c) in the growth bound
-
-    eta(R)/eta(r) <= 1 + delta + c (R/r)^beta / log(e-1+1/R)^alpha."""
-
-    delta: float
-    alpha: float
-    beta: float
-    c: float
-
-
-def elementary_params(beta: float) -> CriterionParams:
-    """The elementary profile satisfies the bound with delta 0, alpha 1
-    and c = 1/(e beta) for any beta > 0."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    return CriterionParams(0.0, 1.0, beta, 1.0 / (math.e * beta))
-
-
-def compose_params(inner: CriterionParams, inner_eta: EtaFunction,
-                   outer: CriterionParams) -> CriterionParams:
-    """Parameters certified for outer_eta composed with inner_eta, given
-    that the outer profile satisfies the bound with beta = 1.
-
-    The new delta is (1 + outer.delta)/2; alpha and beta carry over from
-    the inner profile."""
-    if abs(outer.beta - 1.0) > 1e-12:
-        raise DomainError("composition requires outer beta = 1")
-    d, c = inner.delta, inner.c
-    dt, at, ct = outer.delta, outer.alpha, outer.c
-    r_t = inner_eta.inverse(math.exp(-((2 * ct * (1 + d) / (1 - dt)) ** (1.0 / at))))
-    log_term = math.log(E_MINUS_1 + 1.0 / r_t)
-    c_new = ct * (1 + d) * log_term ** inner.alpha + ct * c
-    return CriterionParams((1 + dt) / 2.0, inner.alpha, inner.beta, c_new)
-
-
-def growth_criterion_check(eta: EtaFunction, params: CriterionParams) -> dict:
-    """Sampled check of the growth bound at 24 geometric points R in
-    [1e-8, 1] and the ratios R/r in (2, 8, 64, 1024)."""
-    worst = -math.inf
-    violations = []
-    ratios = (2.0, 8.0, 64.0, 1024.0)
-    for i in range(24):
-        big_r = 1e-8 ** (1 - i / 23)
-        for rho in ratios:
-            r = big_r / rho
-            lhs = eta(big_r) / eta(r)
-            rhs = 1 + params.delta + params.c * rho ** params.beta / \
-                math.log(E_MINUS_1 + 1 / big_r) ** params.alpha
-            margin = lhs / rhs
-            worst = max(worst, margin)
-            if margin > 1 + 1e-9:
-                violations.append((r, big_r, lhs, rhs))
-    return {"eta": eta.label, "params": params, "n_checked": 24 * len(ratios),
-            "max_ratio_to_bound": worst, "violations": violations,
-            "passed": not violations}
-
-
-#: The constant c of eta_doubling_check's bound c (R/r)^beta_eta.
-_ETA_DOUBLING_C = 4.0
-
-
-def eta_doubling_check(eta: EtaFunction, beta_eta: float) -> dict:
-    """Sampled check of eta(R)/eta(r) <= c (R/r)^beta_eta with c =
-    _ETA_DOUBLING_C, at 40 geometric points r in [1e-10, 1] and the ratios
-    R/r in (2, 16, 256)."""
-    violations = []
-    for i in range(40):
-        r = 1e-10 ** (1 - i / 39)
-        for rho in (2.0, 16.0, 256.0):
-            big_r = min(1.0, r * rho)
-            lhs = eta(big_r) / eta(r)
-            rhs = _ETA_DOUBLING_C * (big_r / r) ** beta_eta
-            if lhs > rhs * (1 + 1e-9):
-                violations.append((r, big_r, lhs, rhs))
-    return {"eta": eta.label, "beta_eta": beta_eta, "c": _ETA_DOUBLING_C,
-            "violations": violations, "passed": not violations}
 
 
 # ---- Realization ---------------------------------------------------------
@@ -452,16 +354,18 @@ def _iv_ratio_at(eta: EtaFunction, n: int):
         eta.iv_inverse_recip(Fraction(1, 2 ** (n - 1)))
 
 
-def _certify_ge(make_iv, bound: int) -> bool:
-    """Whether value >= bound, raising precision until decidable."""
+def _certified_lower_end(make_iv, bound: int):
+    """The lower end of the first enclosure, precision rising, that decides
+    value >= bound: returned when the value is at least bound, None when it
+    is below."""
     prec = _START_PREC
     while prec <= _MAX_PREC:
         with _iv_prec(prec):
             val = make_iv()
             if val.a >= bound:
-                return True
+                return val.a
             if val.b < bound:
-                return False
+                return None
         prec *= 2
     raise RealizationError(f"cannot decide comparison at precision {_MAX_PREC}")
 
@@ -567,16 +471,23 @@ def _first_useful_rung(eta: EtaFunction, q_probe, prec: int) -> int:
     return prec
 
 
-def _choose_n0(eta: EtaFunction, min_ratio: int, window: int) -> int:
-    for cand in range(1, 41):
-        ok = True
-        for n in range(cand, cand + window + 1):
-            if not _certify_ge(lambda n=n: _iv_ratio_at(eta, n), min_ratio):
-                ok = False
-                break
-        if ok:
-            return cand
-    raise RealizationError("no admissible offset n0 found below 41")
+def _window_failure(eta: EtaFunction, n0: int, n_levels: int, min_ratio: int,
+                    refuse_past_cap: bool) -> int | None:
+    """The first n of n0's window, n0 <= n <= n0 + n_levels + _HORIZON_EXTRA,
+    whose ratio is not certified >= min_ratio, or None.
+
+    With refuse_past_cap, a ratio at n = n0 + k, 1 <= k <= n_levels, that
+    passes and whose lower end reaches 2^_MAX_PREC raises RealizationError:
+    level k is past the cap (module docstring, "Offsets and the cap")."""
+    for n in range(n0, n0 + n_levels + _HORIZON_EXTRA + 1):
+        low = _certified_lower_end(partial(_iv_ratio_at, eta, n), min_ratio)
+        if low is None:
+            return n
+        if refuse_past_cap and 1 <= n - n0 <= n_levels and mpmath.mag(low) > _MAX_PREC:
+            raise RealizationError(f"level {n - n0} has more than {_MAX_PREC} bits: it "
+                                   f"is at least the ratio at n = {n}; no precision up "
+                                   "to the cap certifies it")
+    return None
 
 
 def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
@@ -587,7 +498,10 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
     offset makes consecutive inverse values shrink by min_ratio, when a
     computed level falls below the minimum, or, by magnitude before any
     precision is raised, when a level has more than _MAX_PREC bits or an
-    inverse would take exp of a number past 2^_EXP_ARG_MAX_MAG.
+    inverse would take exp of a number past 2^_EXP_ARG_MAX_MAG.  With a
+    given n0, or for the log profiles, a level past the cap is refused while
+    the offset's window is scanned, before the window's later terms or any
+    level is computed.
     """
     if n_levels < 1:
         raise DomainError("need at least one level")
@@ -601,14 +515,18 @@ def realize_sequence(eta: EtaFunction, n_levels: int, n0: int | None = None,
             f"{[round(p, 4) for p in screen['partial_sums'][:8]]}, last term "
             f"{screen['terms'][-1]:.4g} above threshold {screen['threshold']}")
 
-    window = n_levels + _HORIZON_EXTRA
     if n0 is None:
-        n0 = _choose_n0(eta, min_ratio, window)
+        # only the log profiles' ratios are known to increase with n
+        refuse = eta.kind != "piecewise"
+        n0 = next((cand for cand in range(1, 41)
+                   if _window_failure(eta, cand, n_levels, min_ratio, refuse) is None), None)
+        if n0 is None:
+            raise RealizationError("no admissible offset n0 found below 41")
     else:
-        for n in range(n0, n0 + window + 1):
-            if not _certify_ge(lambda n=n: _iv_ratio_at(eta, n), min_ratio):
-                raise RealizationError(f"offset n0 = {n0} violates the ratio "
-                                       f"condition at n = {n}")
+        n = _window_failure(eta, n0, n_levels, min_ratio, True)
+        if n is not None:
+            raise RealizationError(f"offset n0 = {n0} violates the ratio "
+                                   f"condition at n = {n}")
 
     entries = []
     records = []
@@ -666,7 +584,7 @@ def comparability_report(eta: EtaFunction, result: RealizationResult) -> dict:
 
     with mpmath.workprec(320):
         # ratio infimum of eta over the realization window (finite surrogate)
-        invs = [eta.mp_inverse(Fraction(1, 2 ** n), prec=mpmath.mp.prec)
+        invs = [eta.mp_inverse(Fraction(1, 2 ** n))
                 for n in range(big_n + n0 + result_horizon(result))]
         c_eta = min(a / b for a, b in zip(invs, invs[1:]))
         beta_eta = 1.0 / float(mpmath.log(c_eta, 2))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from .errors import DomainError, SequenceError
-from .geometry import ApproximationGraph, _ball_mass_from_hop_range, _cell_hop_range
+from .geometry import ApproximationGraph, _cell_least_hops, _outer_ball_mass
 from .rand import stream
 from .resistance import ResistanceSolver
 from .sequence import LevelSequence, cell_count, time_factor, walk_exponent
@@ -465,10 +465,10 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200,
     adj = g.adjacency.astype(np.float64)
     for x, y in pairs:
         hops = csgraph.dijkstra(adj, directed=True, unweighted=True, indices=x)
-        hop_range = _cell_hop_range(g, hops)
+        least_hops = _cell_least_hops(g, hops)
         d = Fraction(int(hops[y]), big_l)
         r_val = float(scale_r) * solver.unit_resistance(x, y)
-        mb = float(_ball_mass_from_hop_range(g, hop_range, d).outer)
+        mb = float(_outer_ball_mass(g, least_hops, d))
         pv = float(psi.eval(d))
         record("resistance-mass-time", r_val * mb / pv)
         record("mass-vs-mass-scale", mb / float(psi_m.eval(d)))
@@ -481,7 +481,7 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200,
                 lam = lam_floor
                 floor_count += 1
             sd = lam * d
-            q = float(psi.eval(sd)) / float(_ball_mass_from_hop_range(g, hop_range, sd).outer)
+            q = float(psi.eval(sd)) / float(_outer_ball_mass(g, least_hops, sd))
             lamf = float(lam)
             record("shrink-lower", q / (lamf ** b1 * q_base))
             record("shrink-upper", q / (lamf ** b0 * q_base))

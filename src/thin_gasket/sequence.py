@@ -9,7 +9,6 @@ Derived per-level quantities:
 
     cell_count(l)        = 3l - 3        boundary cells of one subdivision
     resistance_ratio(l)  = 9/(6l + 1)    energy contraction of one subdivision
-    harmonic_weight(l)   = 1/(6l + 1)    unit step of subdivision harmonics
     time_factor(l)       = cell_count(l)/resistance_ratio(l)
                          = 2l^2 - (5/3)l - 1/3
 
@@ -45,11 +44,6 @@ def cell_count(l: int) -> int:
 def resistance_ratio(l: int) -> Fraction:
     """Exact energy contraction ratio r_l = 9/(6l+1) of one subdivision."""
     return Fraction(9, 6 * check_level(l) + 1)
-
-
-def harmonic_weight(l: int) -> Fraction:
-    """The unit a_l = r_l/9 = 1/(6l+1) in which subdivision harmonics are expressed."""
-    return Fraction(1, 6 * check_level(l) + 1)
 
 
 def time_factor(l: int) -> Fraction:

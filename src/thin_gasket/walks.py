@@ -146,20 +146,6 @@ def _stats(steps: np.ndarray, capped: int) -> HittingStats:
                         int(steps.min()), int(steps.max()))
 
 
-def hitting_time(g: ApproximationGraph, start: int, targets,
-                 cfg: WalkConfig = WalkConfig()) -> HittingStats:
-    ids = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    if ids.size == 0:
-        raise DomainError("hitting time needs at least one target vertex")
-    if ids.min() < 0 or ids.max() >= g.n_vertices:
-        raise DomainError(f"target vertices must lie in [0, {g.n_vertices}), "
-                          f"got {ids.min()}..{ids.max()}")
-    mask = np.zeros(g.n_vertices, dtype=bool)
-    mask[ids] = True
-    steps, capped = simulate_hitting(g, start, mask, cfg, tag=1)
-    return _stats(steps, capped)
-
-
 def commute_time_check(g: ApproximationGraph, x: int | None = None,
                        y: int | None = None, cfg: WalkConfig = WalkConfig()) -> dict:
     """Empirical commute time x -> y -> x against 6 M_n R_unit(x, y).

@@ -213,6 +213,20 @@ def test_domain_error_exits_1(tmp_path, capsys):
     # a config file naming no precision the routes know: no silent float run
     ["energy", "--config", "BAD_PRECISION_CONFIG", "--pin", "1,0,0"],
     ["matrices", "--l", "10001"],  # a full listing past MATRICES_MAX_L
+    # config files that cannot be read as UTF-8 text
+    ["energy", "--config", "MISSING_CONFIG"],
+    ["energy", "--config", "DIRECTORY_CONFIG"],
+    ["energy", "--config", "LATIN1_CONFIG"],
+    # non-finite powers would be written as the non-JSON Infinity and NaN
+    ["slowdecay", "--power", "inf"],
+    ["slowdecay", "--power", "nan"],
+    ["psi", "--segments", "-1"],  # empty knot lists
+    # level 22 is past the precision cap: refused while the window is scanned,
+    # not after minutes of levels 18-21 or of exp(2^n) for every n <= N + 9
+    ["realize", "--n", "200"],
+    ["realize", "--n", "100000"],
+    ["compare", "--n", "2000"],
+    ["diverge", "--samples", "100000000"],  # an 8.9 GiB children index
 ], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
         "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
@@ -220,11 +234,18 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
         "extend-rational-size", "certify-cascade-budget", "certify-rational",
-        "diverge-rational", "config-precision", "matrices-l-budget"])
+        "diverge-rational", "config-precision", "matrices-l-budget", "config-missing",
+        "config-directory", "config-latin1", "slowdecay-power-inf", "slowdecay-power-nan",
+        "psi-segments", "realize-n200", "realize-n100000", "compare-n2000",
+        "diverge-samples-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     config = tmp_path / "bad-precision.cfg"
     config.write_text("seq=5\ndepth=1\nprecision=exact\n")
-    argv = [config if a == "BAD_PRECISION_CONFIG" else a for a in argv]
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("seq=5  # r\u00e9glage\n".encode("latin-1"))
+    files = {"BAD_PRECISION_CONFIG": config, "MISSING_CONFIG": tmp_path / "missing.cfg",
+             "DIRECTORY_CONFIG": tmp_path, "LATIN1_CONFIG": latin1}
+    argv = [files.get(a, a) for a in argv]
     code, err = run_process([*argv, "--out", tmp_path])
     assert code == 1
     assert err.startswith("error:")

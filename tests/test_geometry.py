@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thin_gasket.errors import BudgetError, DomainError
-from thin_gasket.geometry import (ball_mass, boundary_cells, build_graph,
-                                  cell_neighborhood, euclidean_sq, geodesic_distance,
-                                  geodesic_hops, graph_to_json, index_to_word,
-                                  interior_letters, is_cell_index,
-                                  neighborhood_vertex_ids, render_svg,
-                                  word_to_index, words)
+from thin_gasket.geometry import (_cell_hops, _cell_least_hops, _outer_ball_mass,
+                                  boundary_cells, build_graph, geodesic_hops,
+                                  graph_to_json, index_to_word, interior_letters,
+                                  is_cell_index, neighborhood_vertex_ids,
+                                  render_svg, word_to_index, words)
 from thin_gasket.sequence import LevelSequence
 
 
@@ -84,6 +83,11 @@ def test_depth_two_graph_frozen_counts(ls5):
     assert (g.n_vertices, g.n_cells, g.n_edges) == (237, 144, 432)
 
 
+def _cells_of_vertex(g, v: int) -> np.ndarray:
+    inc = g.vertex_cells
+    return inc.indices[inc.indptr[v]: inc.indptr[v + 1]]
+
+
 @pytest.mark.parametrize("seq,depth", [((5,), 1), ((5,), 2), ((7,), 1),
                                        ((5, 6), 2)])
 def test_cell_incidence_structure(seq, depth):
@@ -96,7 +100,7 @@ def test_cell_incidence_structure(seq, depth):
     assert counts.sum() == 3 * g.n_cells
     pair_seen = collections.Counter()
     for v in range(g.n_vertices):
-        for a, b in itertools.combinations(sorted(g.cells_of_vertex(v)), 2):
+        for a, b in itertools.combinations(sorted(_cells_of_vertex(g, v)), 2):
             pair_seen[(a, b)] += 1
     assert not pair_seen or max(pair_seen.values()) == 1
 
@@ -149,8 +153,10 @@ def test_corner_to_corner_distance_is_one(ls5):
     for depth in (1, 2):
         g = build_graph(ls5, depth)
         x, y = int(g.corner_id(0)), int(g.corner_id(1))
-        assert geodesic_distance(g, x, y) == 1
-        assert euclidean_sq(g, x, y) == 1
+        # hops / L_n = 1, and the triangular quadratic form gives 1 = L_n^2 / L_n^2
+        assert geodesic_hops(g, [x])[0, y] == g.L
+        da, db = (int(t) for t in g.vertices[x] - g.vertices[y])
+        assert da * da + da * db + db * db == g.L ** 2
 
 
 @pytest.mark.parametrize("seq,depth", [((5,), 2), ((5, 7), 2)])
@@ -174,10 +180,10 @@ def test_neighborhood_size_bounds(seq, depth):
     g = build_graph(ls, depth)
     l_n = ls.level(depth)
     for w in words(ls, depth):
+        hops = _cell_hops(g, w, range(l_n + 1))
         for k in range(l_n + 1):
-            hood = cell_neighborhood(g, w, k)
-            assert w in hood
-            assert hood == sorted(hood)
+            hood = np.flatnonzero(hops <= k)
+            assert word_to_index(ls, w) in hood
             assert 2 * k + 1 <= len(hood) <= max(6 * k, 1)
             if k == 1:
                 assert len(hood) <= 4
@@ -193,7 +199,7 @@ def _neighborhood_by_set_bfs(g, w, k) -> list:
         nxt = []
         for c in frontier:
             for v in g.cells[c]:
-                for c2 in g.cells_of_vertex(int(v)):
+                for c2 in _cells_of_vertex(g, int(v)):
                     if int(c2) not in seen:
                         seen.add(int(c2))
                         nxt.append(int(c2))
@@ -208,7 +214,7 @@ def test_neighborhoods_match_set_bfs(seq):
     for w in words(ls, 2):
         for k in range(ls.level(2) + 1):
             cells = _neighborhood_by_set_bfs(g, w, k)
-            assert cell_neighborhood(g, w, k) == [g.word(i) for i in cells]
+            assert list(np.flatnonzero(_cell_hops(g, w, (k,)) <= k)) == cells
             assert np.array_equal(neighborhood_vertex_ids(g, w, k),
                                   np.unique(g.cells[cells].ravel()))
 
@@ -216,7 +222,7 @@ def test_neighborhoods_match_set_bfs(seq):
 def test_neighborhood_rejects_radius_past_level(ls5):
     g = build_graph(ls5, 1)
     with pytest.raises(DomainError):
-        cell_neighborhood(g, ((0, 0),), 6)
+        neighborhood_vertex_ids(g, ((0, 0),), 6)
 
 
 def test_neighborhood_rejects_bad_radii_and_words(ls5):
@@ -224,30 +230,34 @@ def test_neighborhood_rejects_bad_radii_and_words(ls5):
     w = ((0, 0), (0, 1))
     for bad in (-1, 6):
         with pytest.raises(DomainError, match="radius"):
-            cell_neighborhood(g, w, bad)
-        with pytest.raises(DomainError, match="radius"):
             neighborhood_vertex_ids(g, w, bad)
+        with pytest.raises(DomainError, match="radius"):
+            _cell_hops(g, w, (1, bad))
     with pytest.raises(DomainError, match="word depth"):
-        cell_neighborhood(g, w[:1], 1)
+        neighborhood_vertex_ids(g, w[:1], 1)
     g0 = build_graph(ls5, 0)
-    assert cell_neighborhood(g0, (), 0) == [()]
+    assert list(_cell_hops(g0, (), (0,))) == [0]
     assert list(neighborhood_vertex_ids(g0, (), 0)) == [0, 1, 2]
     with pytest.raises(DomainError, match="single cell"):
-        cell_neighborhood(g0, (), 1)
+        neighborhood_vertex_ids(g0, (), 1)
 
 
 # ---- Masses --------------------------------------------------------------
 
 
 def test_ball_mass_brackets(ls5):
+    """The outer cover of B(x, s) against a BFS count of the cells with a
+    corner at fewer than s L_n hops."""
     g = build_graph(ls5, 2)
     x = int(g.corner_id(0))
-    full = ball_mass(g, x, 2)
-    assert full.inner == full.outer == 1
-    fifth = ball_mass(g, x, Fraction(1, 5))
-    assert 0 < fifth.inner <= fifth.outer < 1
-    with pytest.raises(DomainError):
-        ball_mass(g, x, 0)
+    hops = geodesic_hops(g, [x])[0]
+    least = _cell_least_hops(g, hops)
+    assert _outer_ball_mass(g, least, Fraction(2)) == 1
+    fifth = _outer_ball_mass(g, least, Fraction(1, 5))
+    assert 0 < fifth < 1
+    for s in (Fraction(1, 25), Fraction(1, 5), Fraction(3, 25), Fraction(7, 50)):
+        near = [c for c in range(g.n_cells) if min(hops[g.cells[c]]) < s * g.L]
+        assert _outer_ball_mass(g, least, s) == Fraction(len(near), g.n_cells)
 
 
 # ---- Export --------------------------------------------------------------

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thin_gasket.errors import DomainError
+from thin_gasket import measures
+from thin_gasket.errors import BudgetError, DomainError
 from thin_gasket.forms import base_energy, cell_energies, harmonic_extend
 from thin_gasket.geometry import boundary_cells, interior_letters, word_to_index
 from thin_gasket.measures import (MASS_FLOOR_REL, SINGULARITY_GAP,
@@ -173,6 +174,24 @@ def test_divergence_statistic():
         assert len(s.letters) == 4
         assert s.divergence_sum >= s.bound - 1e-12
         assert s.bound == pytest.approx(rep.delta * s.ap_count, rel=1e-12)
+
+
+def test_divergence_budget_refuses_before_the_cascade(monkeypatch):
+    """n_samples times the largest child count past DIVERGENCE_MAX_ENTRIES
+    is a BudgetError raised before any mass or index array is built; at the
+    cap the statistic runs."""
+    ls = LevelSequence((5, 58), continuation="repeat-last")
+    h = harmonic_extend(ls, (1.0, 0.0, 0.0), 0, method="cells")
+    at_cap = measures.DIVERGENCE_MAX_ENTRIES // cell_count(58)
+    assert divergence_statistic(h, 2, n_samples=at_cap, seed=1).n_samples == at_cap
+
+    def no_cascade(*args):
+        raise AssertionError("masses built for a refused run")
+
+    monkeypatch.setattr(measures, "_float_masses", no_cascade)
+    for n_samples in (at_cap + 1, 10 ** 8):
+        with pytest.raises(BudgetError, match="budget"):
+            divergence_statistic(h, 2, n_samples=n_samples)
 
 
 def test_divergence_reproducible():

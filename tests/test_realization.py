@@ -14,11 +14,8 @@ from mpmath import iv
 from thin_gasket import realization
 from thin_gasket.errors import DomainError, RealizationError
 from thin_gasket.realization import (EtaFunction, comparability_report,
-                                     compose_params, elementary_params,
-                                     eta_doubling_check,
-                                     growth_criterion_check, realize_sequence,
-                                     result_horizon, slow_decay_eta,
-                                     summability_report)
+                                     realize_sequence, result_horizon,
+                                     slow_decay_eta, summability_report)
 from thin_gasket.sequence import time_factor
 
 GOLDEN_LEVELS = (9, 58, 3001, 8888829, 78962962144297)
@@ -31,16 +28,34 @@ def test_elementary_eta_values():
     r = 0.01
     assert eta(r) == pytest.approx(1 / math.log(math.e - 1 + 1 / r), rel=1e-14)
     y = eta(0.37)
-    assert eta.inverse(y) == pytest.approx(0.37, rel=1e-12)
+    with mpmath.workprec(120):
+        assert float(eta.mp_inverse(y)) == pytest.approx(0.37, rel=1e-12)
 
 
 def test_log_profile_inverse_below_double_range():
-    # eta^-1 of both lies below the smallest positive double
-    with pytest.raises(DomainError):
-        EtaFunction.iterated(2).inverse(0.05)
-    with pytest.raises(DomainError):
-        EtaFunction.elementary().inverse(0.001)
-    assert 0 < EtaFunction.elementary().inverse(0.01) < 1e-40
+    # eta^-1 of the first two lies below the smallest positive double
+    for eta, y in ((EtaFunction.iterated(2), 0.05), (EtaFunction.elementary(), 0.001)):
+        assert 0 < eta.mp_inverse(y) < 1e-320
+    assert 0 < EtaFunction.elementary().mp_inverse(0.01) < 1e-40
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-12, 0.01, 0.37, 0.999])
+def test_eta_call_is_the_mp_value(r):
+    """eta(r) is the 120-bit value of every kind rounded to a double: the
+    closed form for the log profiles, the exact interpolant for piecewise
+    knots."""
+    eta1, eta2 = EtaFunction.elementary(), EtaFunction.iterated(2)
+    with mpmath.workprec(200):
+        v1 = 1 / mpmath.log(mpmath.e - 1 + 1 / mpmath.mpf(r))
+        v2 = 1 / mpmath.log(mpmath.e - 1 + 1 / v1)
+    assert eta1(r) == pytest.approx(float(v1), rel=1e-15)
+    assert eta2(r) == pytest.approx(float(v2), rel=1e-15)
+    pw = EtaFunction.piecewise([(Fraction(1, 10 ** 300), Fraction(1, 7)), (1, 1)])
+    assert pw(r) == pytest.approx(float(pw._piecewise_value(Fraction(r))), rel=1e-15)
+    assert eta1(1.0) == eta1(2.0) == pw(1.0) == 1.0
+    for eta in (eta1, eta2, pw):
+        with pytest.raises(DomainError):
+            eta(0.0)
 
 
 def test_realized_sequence_golden_prefix():
@@ -79,6 +94,33 @@ def test_comparability_report():
     assert lo < rep["ratio_min"] <= rep["ratio_max"] < hi
     ratios = rep["knot_ratios"]
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize("kwargs,level", [
+    ({"n_levels": 22}, 22),
+    ({"n_levels": 200}, 22),
+    ({"n_levels": 100_000}, 22),
+    ({"n_levels": 100_000, "min_ratio": 7}, 21),  # n0 = 2
+    ({"n_levels": 100_000, "n0": 3}, 20),
+], ids=["n22", "n200", "n100000", "min-ratio-7", "n0-3"])
+def test_level_past_the_cap_is_refused_in_the_window(kwargs, level):
+    # a full window scan would take exp(2^n) for every n up to N + n0 + 8
+    with pytest.raises(RealizationError, match=f"level {level} has more than"):
+        realize_sequence(EtaFunction.elementary(), **kwargs)
+
+
+def test_window_ratios_bound_the_levels():
+    """The ratio at n0 + k bounds l_k below, and the log profiles' ratios
+    increase with n (module docstring, "Offsets and the cap")."""
+    eta = EtaFunction.elementary()
+    res = realize_sequence(eta, 9)
+    with realization._iv_prec(192):
+        for k, l_k in enumerate(res.entries, 1):
+            assert l_k >= int(mpmath.floor(realization._iv_ratio_at(eta, res.n0 + k).a))
+        for profile, n_max in ((eta, 24), (EtaFunction.iterated(2), 12),
+                               (EtaFunction.iterated(3), 3)):
+            ratios = [realization._iv_ratio_at(profile, n) for n in range(1, n_max + 1)]
+            assert all(a.b < b.a for a, b in zip(ratios, ratios[1:]))
 
 
 def test_offset_below_one_rejected():
@@ -352,31 +394,14 @@ def test_exp_chain_matches_iv_exp(prec):
     assert differing == []
 
 
-def test_growth_criterion_elementary():
-    eta = EtaFunction.elementary()
-    params = elementary_params(1.0)
-    assert (params.delta, params.alpha, params.beta) == (0.0, 1.0, 1.0)
-    assert params.c == pytest.approx(1 / math.e, rel=1e-12)
-    rep = growth_criterion_check(eta, params)
-    assert rep["passed"]
-    assert rep["violations"] == []
-
-
-def test_composition_slows_decay():
-    p1 = elementary_params(1.0)
-    eta1 = EtaFunction.elementary()
-    p2 = compose_params(p1, eta1, p1)
-    assert p2.delta == pytest.approx(0.5, rel=1e-12)
-    assert p2.c == pytest.approx(0.903124, abs=1e-6)
-    eta2 = EtaFunction.iterated(2)
-    rep = growth_criterion_check(eta2, p2)
-    assert rep["passed"]
-
-
 def test_eta_doubling():
+    # eta1(R)/eta1(r) <= 4 (R/r) at 40 geometric points r in [1e-10, 1]
     eta = EtaFunction.elementary()
-    rep = eta_doubling_check(eta, 1.0)
-    assert rep["passed"]
+    for i in range(40):
+        r = 1e-10 ** (1 - i / 39)
+        for rho in (2.0, 16.0, 256.0):
+            big_r = min(1.0, r * rho)
+            assert eta(big_r) / eta(r) <= 4.0 * (big_r / r) * (1 + 1e-9)
 
 
 def test_summability_of_elementary():

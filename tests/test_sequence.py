@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from thin_gasket.errors import SequenceError
 from thin_gasket.sequence import (LevelSequence, cell_count, check_level,
-                                  harmonic_weight, resistance_ratio,
-                                  time_factor, walk_exponent)
+                                  resistance_ratio, time_factor, walk_exponent)
 
 levels = st.integers(min_value=5, max_value=60)
 
@@ -27,7 +26,6 @@ def test_check_level_rejects(bad):
 def test_level_5_constants():
     assert cell_count(5) == 12
     assert resistance_ratio(5) == Fraction(9, 31)
-    assert harmonic_weight(5) == Fraction(1, 31)
     assert time_factor(5) == Fraction(124, 3)
 
 
@@ -36,7 +34,6 @@ def test_per_level_identities(l):
     # m = 3l - 3 cells, r = 9/(6l+1), t = m/r
     assert cell_count(l) == 3 * l - 3
     assert resistance_ratio(l) == Fraction(9, 6 * l + 1)
-    assert harmonic_weight(l) == Fraction(1, 6 * l + 1)
     assert time_factor(l) == Fraction(cell_count(l)) / resistance_ratio(l)
     assert time_factor(l) == 2 * l * l - Fraction(5, 3) * l - Fraction(1, 3)
 

