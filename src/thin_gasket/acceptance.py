@@ -108,11 +108,8 @@ def _c3():
     worst = 0.0
     for entries in seqs:
         ls = LevelSequence(entries, continuation="repeat-last")
-        # the dense rational reduction is quadratic-with-big-numerators in
-        # the level; fall back to the float reduction past level 12
-        precision = "rational" if max(entries) <= 12 else "float"
         for n in range(4):
-            value = float(corner_resistance_by_reduction(ls, n, precision=precision))
+            value = float(corner_resistance_by_reduction(ls, n))
             err = abs(value - 2.0 / 3.0)
             worst = max(worst, err)
             if err > 1e-9:

@@ -51,6 +51,9 @@ OUT_ENV = "THIN_GASKET_OUT"
 #: and grow linearly in l.  One --index is O(1) at any l.
 MATRICES_MAX_L = 10_000
 
+#: The words a config file's diverging= may hold; any other is refused.
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
 
 # ---- Configuration -------------------------------------------------------
 
@@ -82,7 +85,11 @@ class RunConfig:
             elif key in ("depth", "seed", "trials"):
                 vals[key] = _parse_int(key, raw)
             elif key == "diverging":
-                vals[key] = raw.strip().lower() in ("true", "1", "yes")
+                word = raw.strip().lower()
+                if word not in _BOOLEANS:
+                    raise GasketError(f"diverging must be true, false, 1, 0, yes or no, "
+                                      f"got {raw!r}")
+                vals[key] = _BOOLEANS[word]
             elif key == "precision":
                 vals[key] = raw.strip()
                 check_precision(vals[key])
@@ -326,7 +333,7 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     payload = {"seq": list(cfg.seq), "pin": [repr(p) for p in pin],
                "max_depth": rep.max_depth, "gap": rep.gap,
                "n_admissible": rep.n_admissible, "max_excess": rep.max_excess,
-               "records": [dataclasses.asdict(r) for r in rep.records],
+               "records": [vars(r) for r in rep.records],
                "passed": rep.passed}
     path = _write_json(
         _out_path(cfg, f"certify-{_seq_tag(cfg)}-d{args.max_depth}.json"), payload)
@@ -346,7 +353,7 @@ def cmd_diverge(cfg: RunConfig, args) -> int:
     payload = {"seq": list(cfg.seq), "max_depth": rep.max_depth,
                "delta": rep.delta, "n_samples": rep.n_samples,
                "n_failures": rep.n_failures, "passed": rep.passed,
-               "samples": [dataclasses.asdict(s) for s in rep.samples]}
+               "samples": [vars(s) for s in rep.samples]}
     path = _write_json(
         _out_path(cfg, f"diverge-{_seq_tag(cfg)}-d{args.max_depth}.json"), payload)
     verdict = "PASS" if rep.passed else "FAIL"
@@ -421,7 +428,7 @@ def cmd_dm(cfg: RunConfig, args) -> int:
     rep = comparison_checks(g, n_pairs=args.pairs, seed=cfg.seed)
     payload = {"seq": list(cfg.seq), "depth": rep.depth, "n_pairs": rep.n_pairs,
                "lambda_floor_count": rep.lambda_floor_count,
-               "stats": [dataclasses.asdict(s) for s in rep.stats],
+               "stats": [vars(s) for s in rep.stats],
                "passed": rep.passed}
     path = _write_json(_out_path(cfg, f"dm-{_seq_tag(cfg)}-d{cfg.depth}.json"),
                        payload)

@@ -18,8 +18,10 @@ denominators times the product of 6 l_k + 1 over k <= d.  The rational
 cascade multiplies those numerators level by level; Fractions are built
 only where a caller receives them (cell_values, extend, energy).  The
 float cascade runs the same products on the float64 stack.  The
-one-subdivision trace is a Schur complement of linalg; folded level by
-level, it is the oracle of the closed-form corner resistance.
+one-subdivision trace is an exact Schur complement of linalg, taken with
+the depth-1 vertices in reverse Cuthill-McKee order; folded level by level,
+it is the oracle of the closed-form corner resistance.  It has no float
+route.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from . import linalg
 from .errors import BudgetError, DomainError
@@ -355,35 +358,22 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "cells",
 # ---- One-subdivision ratio check ----------------------------------------
 
 
-def _project_trace(t: np.ndarray) -> np.ndarray:
-    """Snap a float 3x3 trace back to a symmetric zero-row-sum matrix.
+def one_subdivision_trace(l: int, trace=TRIANGLE_FORM):
+    """Exact trace (Schur complement), as an object array, onto the three
+    outer corners (q0, q1, q2) of the level-l one-subdivision network whose
+    every cell carries the 3x3 form `trace` (unit conductances by default).
 
-    Float noise off that manifold feeds the constant mode of the next
-    assembly, the one direction a fold amplifies instead of attenuating.
-    """
-    c01 = -(t[0, 1] + t[1, 0]) / 2.0
-    c02 = -(t[0, 2] + t[2, 0]) / 2.0
-    c12 = -(t[1, 2] + t[2, 1]) / 2.0
-    return np.array([[c01 + c02, -c01, -c02],
-                     [-c01, c01 + c12, -c12],
-                     [-c02, -c12, c02 + c12]])
-
-
-def one_subdivision_trace(l: int, trace=TRIANGLE_FORM, precision: str = "rational"):
-    """Trace (Schur complement) onto the three outer corners of the level-l
-    one-subdivision network whose every cell carries the 3x3 form `trace`
-    (unit conductances by default).  Exact, as an object array, in rational
-    precision; a float trace is snapped back by _project_trace."""
-    check_precision(precision)
+    The vertices are eliminated in reverse Cuthill-McKee order: the ring of
+    cells then stays a narrow band, where lexicographic order fills in."""
     g = _depth_one_graph(l)
-    t = np.asarray(trace, dtype=object if precision == "rational" else np.float64)
-    lap = np.zeros((g.n_vertices, g.n_vertices), dtype=t.dtype)
-    for cell in g.cells:
+    perm = csgraph.reverse_cuthill_mckee(g.adjacency)
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size, dtype=perm.dtype)
+    t = np.asarray(trace, dtype=object)
+    lap = np.zeros((g.n_vertices, g.n_vertices), dtype=object)
+    for cell in pos[g.cells]:
         lap[np.ix_(cell, cell)] += t
-    keep = [int(v) for v in g.boundary]
-    if precision == "rational":
-        return linalg.schur_complement(lap, keep)
-    return _project_trace(linalg.schur_complement_float(lap, keep))
+    return linalg.schur_complement(lap, [int(pos[v]) for v in g.boundary])
 
 
 def _snap(x: float) -> tuple[int, int]:

@@ -9,9 +9,13 @@ and the one-subdivision oracles of forms.  It scales each row of the system
 to integers by the lcm of its denominators, eliminates by integer row
 combinations kept primitive (each updated row divided by the gcd of its
 entries), and builds Fractions only in the back-substitution of the
-solution.  Its Schur complement is the kept rows of the Laplacian applied to
-exact harmonic extensions of unit pins, returned as a numpy object array of
-Fractions; it is also the test oracle of the exact resistance elimination.
+solution.  It eliminates the unknowns in index order, so a caller that
+wants little fill-in numbers them first (forms orders the depth-1 ring by
+reverse Cuthill-McKee).  Its Schur complement is the kept rows of the
+Laplacian applied to exact harmonic extensions of unit pins, returned as a
+numpy object array of Fractions.  It is the one-subdivision trace of forms,
+whose fold checks the closed-form corner resistance, and the test oracle of
+the exact resistance elimination; there is no float Schur complement.
 RATIONAL_SIZE_LIMIT guards these oracles only: graphs of more than 400
 vertices and systems of more than 400 unknowns are refused with a
 SolveError, since the cost of dense elimination grows with the size cubed
@@ -31,7 +35,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse import linalg as spla
 
 from .errors import SolveError
@@ -249,22 +252,3 @@ def schur_complement(lap_dense, keep):
     kept = np.array([list(lap_dense[i]) for i in keep], dtype=object)
     links = kept.any(axis=0)  # the columns the kept rows touch
     return kept[:, links] @ ext[links]
-
-
-def schur_complement_float(lap: np.ndarray, keep) -> np.ndarray:
-    """Float Schur complement onto kept indices (dense numpy)."""
-    v = lap.shape[0]
-    keep = np.asarray(keep, dtype=np.int64)
-    mask = np.zeros(v, dtype=bool)
-    mask[keep] = True
-    drop = np.where(~mask)[0]
-    if drop.size == 0:
-        return lap[np.ix_(keep, keep)].copy()
-    a = lap[np.ix_(drop, drop)]
-    b = lap[np.ix_(drop, keep)]
-    lu = lu_factor(a)
-    x = lu_solve(lu, b)
-    # two refinement passes keep folded traces near machine precision
-    for _ in range(2):
-        x += lu_solve(lu, b - a @ x)
-    return lap[np.ix_(keep, keep)] - lap[np.ix_(keep, drop)] @ x

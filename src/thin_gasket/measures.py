@@ -60,7 +60,7 @@ MASS_FLOOR_REL = 1e-20
 #: runs: the children index of one depth holds that many int64 entries, and
 #: a run keeps one Python record per address.  At the cap, 174,762
 #: addresses on (5,) at depth 3, this function took 1.2 s and 167 MB peak,
-#: and the `diverge` verb, which writes every record, 8.1 s and 412 MB, on
+#: and the `diverge` verb, which writes every record, 5.0 s and 385 MB, on
 #: 2 vCPUs; 200 addresses on (9, 58, 3001) (1.8e6 entries) fit.
 DIVERGENCE_MAX_ENTRIES = 1 << 21
 

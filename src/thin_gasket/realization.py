@@ -125,13 +125,16 @@ _SUMMABILITY_THRESHOLD = 0.45
 class EtaFunction:
     """A space-time profile eta: (0, 1] -> (0, 1], increasing, eta(1) = 1.
 
-    Kinds: "elementary" is 1/log(e-1+1/r); "iterated" composes it k times;
-    "piecewise" interpolates exact rational knots linearly.  Every kind
-    has a certified interval enclosure of 1/eta^{-1}.
+    Kinds: "iterated" composes the log profile 1/log(e-1+1/r) k >= 1 times
+    (k = 1 is the elementary profile); "piecewise" interpolates exact
+    rational knots linearly.  Every kind has a certified interval enclosure
+    of 1/eta^{-1}.
     """
 
     def __init__(self, kind: str, k: int = 1, knots=None,
                  label: str | None = None):
+        if not isinstance(k, int) or k < 1:
+            raise DomainError(f"iterate count k must be an integer >= 1, got {k!r}")
         self.kind = kind
         self.k = k
         self.knots = None
@@ -145,7 +148,7 @@ class EtaFunction:
             if ks[-1][0] != 1 or ks[-1][1] != 1:
                 raise DomainError("piecewise eta must end at the knot (1, 1)")
             self.knots = ks
-        elif kind not in ("elementary", "iterated"):
+        elif kind != "iterated":
             raise DomainError(f"unknown eta kind {kind!r}")
         self.label = label or kind
 
@@ -153,15 +156,11 @@ class EtaFunction:
 
     @classmethod
     def elementary(cls) -> "EtaFunction":
-        return cls("elementary", k=1, label="log-profile")
+        return cls.iterated(1)
 
     @classmethod
     def iterated(cls, k: int) -> "EtaFunction":
-        if k < 1:
-            raise DomainError("iterate count must be >= 1")
-        if k == 1:
-            return cls.elementary()
-        return cls("iterated", k=k, label=f"log-profile^{k}")
+        return cls("iterated", k=k, label="log-profile" if k == 1 else f"log-profile^{k}")
 
     @classmethod
     def piecewise(cls, knots, label: str = "piecewise") -> "EtaFunction":
@@ -193,7 +192,7 @@ class EtaFunction:
         num and den that need not be coprime; den may be huge."""
         if num >= den:
             return mpmath.mpf(1)
-        if self.kind in ("elementary", "iterated"):
+        if self.kind == "iterated":
             inv_r = mpmath.mpf(den) / mpmath.mpf(num)
             v = 1 / mpmath.log(mpmath.e - 1 + inv_r)
             for _ in range(self.k - 1):
@@ -216,7 +215,7 @@ class EtaFunction:
     def mp_inverse(self, y):
         """eta^{-1}(y) at the working precision, for a rational y in (0, 1]."""
         y = Fraction(y)
-        if self.kind in ("elementary", "iterated"):
+        if self.kind == "iterated":
             v = mpmath.mpf(y.numerator) / mpmath.mpf(y.denominator)
             for _ in range(self.k):
                 x = 1 / v

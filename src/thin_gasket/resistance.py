@@ -26,9 +26,9 @@ sparse LU of linalg.pinned_solve and the dense Fraction Schur complement
 of linalg are its oracles in the tests.
 
 The level-by-level reduction (corner_trace) survives only as the closed
-form's oracle: it folds the graph onto its corners through Schur
-complements of one-subdivision networks, which is valid because all cells
-at one depth are translates of a single model cell.
+form's oracle, exact only: it folds the graph onto its corners through
+exact Schur complements of one-subdivision networks, which is valid
+because all cells at one depth are translates of a single model cell.
 """
 
 from __future__ import annotations
@@ -89,30 +89,25 @@ def corner_resistance(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
     return ResistanceResult(value, precision == "rational", "reduction", 0.0, j, k)
 
 
-def corner_trace(ls: LevelSequence, n: int, precision: str = "rational"):
-    """Trace of the unit-conductance depth-n network onto (q0, q1, q2) by
-    folding one-subdivision networks level by level; an object array of
-    Fractions in rational precision."""
-    check_precision(precision)
-    trace = np.array([[Fraction(t) for t in row] for row in TRIANGLE_FORM],
-                     dtype=object if precision == "rational" else np.float64)
+def corner_trace(ls: LevelSequence, n: int):
+    """Exact trace of the unit-conductance depth-n network onto (q0, q1, q2),
+    an object array of Fractions, by folding one-subdivision networks level
+    by level."""
+    trace = np.array([[Fraction(t) for t in row] for row in TRIANGLE_FORM], dtype=object)
     for k in range(n, 0, -1):
-        trace = one_subdivision_trace(ls.level(k), trace, precision)
+        trace = one_subdivision_trace(ls.level(k), trace)
     return trace
 
 
-def corner_resistance_by_reduction(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
-                                   precision: str = "rational"):
-    """R_n(q_j, q_k) from the folded corner trace: the oracle of
-    corner_resistance's closed form, exact (a Fraction) in rational mode.
-    It refuses the arguments that corner_resistance refuses."""
-    corner_resistance(ls, n, j, k, precision)
-    t = corner_trace(ls, n, precision)
+def corner_resistance_by_reduction(ls: LevelSequence, n: int, j: int = 0, k: int = 1):
+    """R_n(q_j, q_k), a Fraction, from the folded corner trace: the oracle of
+    corner_resistance's closed form.  It refuses the arguments that
+    corner_resistance refuses."""
+    corner_resistance(ls, n, j, k)
+    t = corner_trace(ls, n)
     m = 3 - j - k
     # conductances -t on a triangle: the edge jk in parallel with jm, mk in series
-    unit = 1 / (-t[j][k] + t[j][m] * t[k][m] / (-t[j][m] - t[k][m]))
-    # a Fraction times a float unit is float(R_n) * unit
-    return ls.R(n) * unit
+    return ls.R(n) / (-t[j][k] + t[j][m] * t[k][m] / (-t[j][m] - t[k][m]))
 
 
 # ---- General pairs -------------------------------------------------------

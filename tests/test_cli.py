@@ -58,6 +58,22 @@ def test_config_comments_and_unknown_keys(tmp_path):
         RunConfig.from_items({"bogus": "1"})
 
 
+@pytest.mark.parametrize("raw, value", [("true", True), ("Yes", True), ("1", True),
+                                        ("false", False), ("NO", False), ("0", False)])
+def test_config_diverging_reads_six_words(tmp_path, raw, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seq=9,58\ndiverging={raw}\n")
+    assert RunConfig.from_items(load_config(path)).diverging is value
+
+
+@pytest.mark.parametrize("raw", ["maybe", "", "2", "on"])
+def test_config_diverging_refuses_other_values(tmp_path, raw):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"seq=9,58\ndiverging={raw}\n")
+    with pytest.raises(GasketError, match="diverging must be"):
+        RunConfig.from_items(load_config(path))
+
+
 def test_flags_override_config(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("seq=5,7,6\ndepth=3\n")
@@ -212,6 +228,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["diverge", "--seq", "5,6", "--max-depth", "3", "--precision", "rational"],
     # a config file naming no precision the routes know: no silent float run
     ["energy", "--config", "BAD_PRECISION_CONFIG", "--pin", "1,0,0"],
+    # a diverging= value that is neither true nor false: no silent False
+    ["build", "--config", "BAD_DIVERGING_CONFIG"],
     ["matrices", "--l", "10001"],  # a full listing past MATRICES_MAX_L
     # config files that cannot be read as UTF-8 text
     ["energy", "--config", "MISSING_CONFIG"],
@@ -234,16 +252,20 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
         "extend-rational-size", "certify-cascade-budget", "certify-rational",
-        "diverge-rational", "config-precision", "matrices-l-budget", "config-missing",
-        "config-directory", "config-latin1", "slowdecay-power-inf", "slowdecay-power-nan",
+        "diverge-rational", "config-precision", "config-diverging", "matrices-l-budget",
+        "config-missing", "config-directory", "config-latin1", "slowdecay-power-inf",
+        "slowdecay-power-nan",
         "psi-segments", "realize-n200", "realize-n100000", "compare-n2000",
         "diverge-samples-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     config = tmp_path / "bad-precision.cfg"
     config.write_text("seq=5\ndepth=1\nprecision=exact\n")
+    diverging = tmp_path / "bad-diverging.cfg"
+    diverging.write_text("seq=5\ndepth=1\ndiverging=maybe\n")
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes("seq=5  # r\u00e9glage\n".encode("latin-1"))
-    files = {"BAD_PRECISION_CONFIG": config, "MISSING_CONFIG": tmp_path / "missing.cfg",
+    files = {"BAD_PRECISION_CONFIG": config, "BAD_DIVERGING_CONFIG": diverging,
+             "MISSING_CONFIG": tmp_path / "missing.cfg",
              "DIRECTORY_CONFIG": tmp_path, "LATIN1_CONFIG": latin1}
     argv = [files.get(a, a) for a in argv]
     code, err = run_process([*argv, "--out", tmp_path])

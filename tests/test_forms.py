@@ -111,6 +111,29 @@ def test_one_subdivision_trace_is_scaled_triangle(l):
             assert trace[j][k] == expected
 
 
+# symmetric with zero row sums, and not a multiple of the triangle form
+_SKEWED_FORM = ((Fraction(3), Fraction(-1), Fraction(-2)),
+                (Fraction(-1), Fraction(5, 2), Fraction(-3, 2)),
+                (Fraction(-2), Fraction(-3, 2), Fraction(7, 2)))
+
+
+def _lexicographic_trace(l, trace):
+    """The exact trace eliminated in the depth-1 graph's own vertex order."""
+    g = _depth_one_graph(l)
+    lap = np.zeros((g.n_vertices, g.n_vertices), dtype=object)
+    for cell in g.cells:
+        lap[np.ix_(cell, cell)] += np.array(trace, dtype=object)
+    return linalg.schur_complement(lap, [int(v) for v in g.boundary])
+
+
+@pytest.mark.parametrize("l", range(5, 13))
+@pytest.mark.parametrize("trace", [TRIANGLE_FORM, _SKEWED_FORM], ids=["triangle", "skewed"])
+def test_band_ordered_trace_equals_lexicographic_elimination(l, trace):
+    banded = one_subdivision_trace(l, trace)
+    assert np.array_equal(banded, _lexicographic_trace(l, trace))
+    assert all(type(x) is Fraction for x in banded.ravel())
+
+
 def test_extension_ratio_check_both_precisions():
     exact = extension_ratio_check(5, seed=3, precision="rational")
     assert exact["passed"]
@@ -374,11 +397,6 @@ def test_harmonic_extend_refuses_an_unknown_precision(ls5):
     for precision in ("Rational", "exact"):
         with pytest.raises(DomainError):
             harmonic_extend(ls5, (1, 0, 0), 1, method="cells", precision=precision)
-
-
-def test_one_subdivision_trace_refuses_an_unknown_precision():
-    with pytest.raises(DomainError):
-        one_subdivision_trace(5, precision="exact")
 
 
 def test_extension_ratio_check_refuses_an_unknown_precision():

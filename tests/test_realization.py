@@ -427,6 +427,22 @@ def test_unknown_eta_kind_rejected(kind):
         EtaFunction(kind)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_iterate_count_below_one_rejected(k):
+    # k = 0 once paired the identity inverse with the k = 1 profile
+    with pytest.raises(DomainError, match="iterate count"):
+        EtaFunction("iterated", k=k)
+    with pytest.raises(DomainError, match="iterate count"):
+        EtaFunction.iterated(k)
+
+
+def test_elementary_is_the_first_iterate():
+    eta = EtaFunction.elementary()
+    assert (eta.kind, eta.k, eta.label) == ("iterated", 1, "log-profile")
+    y = Fraction(1, 8)
+    assert eta(float(eta.mp_inverse(y))) == pytest.approx(0.125, rel=1e-12)
+
+
 def test_slow_decay_profile():
     eta, rep = slow_decay_eta(lambda r: r ** 2.5, n_max=6)
     assert rep["passed"]

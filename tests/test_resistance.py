@@ -59,7 +59,7 @@ def test_ring_reduce_renormalizes_triangle():
     # one fold of the scaled triangle reproduces the scaling by r_l
     from thin_gasket.sequence import resistance_ratio
     for l in (5, 8):
-        folded = one_subdivision_trace(l, TRIANGLE, precision="rational")
+        folded = one_subdivision_trace(l, TRIANGLE)
         r = resistance_ratio(l)
         for j in range(3):
             for k in range(3):
@@ -77,9 +77,8 @@ def test_reduction_oracle_matches_closed_form():
     for entries in ((5,), (9, 58)):
         ls = LevelSequence(entries, continuation="repeat-last")
         for depth in range(4):
-            closed = corner_resistance(ls, depth, precision="float").value
-            fold = corner_resistance_by_reduction(ls, depth, precision="float")
-            assert abs(fold - closed) < 1e-12
+            fold = corner_resistance_by_reduction(ls, depth)
+            assert type(fold) is Fraction and fold == Fraction(2, 3)
     # the closed form is O(1) in depth and level size
     t0 = time.perf_counter()
     assert corner_resistance(LevelSequence((9, 58, 3001)), 3).value == Fraction(2, 3)
@@ -342,13 +341,8 @@ def test_exact_query_at_full_depth(ls5):
 
 
 def test_corner_routes_refuse_an_unknown_precision(ls5):
-    for depth in (0, 1):
-        with pytest.raises(DomainError):
-            corner_trace(ls5, depth, precision="exact")
     with pytest.raises(DomainError):
         corner_resistance(ls5, 1, precision="exact")
-    with pytest.raises(DomainError):
-        corner_resistance_by_reduction(ls5, 1, precision="exact")
 
 
 def test_effective_resistance_refuses_an_unknown_precision(ls5):
