@@ -217,6 +217,8 @@ class HarmonicSpec:
         self.precision = precision
         self._materialized: dict[int, tuple[ApproximationGraph, object]] = {}
         self._cell_values: dict[int, np.ndarray] = {}
+        # read-only float energy masses by depth, filled by measures.energy_measure
+        self._masses: dict[int, np.ndarray] = {}
         # the depth-0 cell lists its corners as (q0, q1, q2)
         if precision == "rational":
             row, den = linalg.over_common_denominator(pin)

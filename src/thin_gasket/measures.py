@@ -16,7 +16,10 @@ cascade, the one route of harmonic extension, and follow the precision of
 the harmonic function: an object array of Fractions, exact at every depth,
 or a float64 array.  Exact masses come from the cascade's integer
 numerators over their common denominator D_d: E0 is summed per cell in
-integers, and each mass is the one Fraction E0 / (D_d^2 R_d).  Both
+integers, and each mass is the one Fraction E0 / (D_d^2 R_d).  Float masses
+are computed once per depth per harmonic function: energy_measure caches
+them on the HarmonicSpec as read-only arrays, so the measure, the
+certificate and the divergence statistic of one h share them.  Both
 statistics read energy_measure's masses as float64 and run on whole arrays:
 the certificate over every cell of a depth, the divergence statistic over
 all sampled addresses one depth at a time, both through the one kernel
@@ -85,7 +88,8 @@ def energy_measure(h: HarmonicSpec, depth: int) -> CellMeasure:
     """Energy measure of h on depth-`depth` cells, from the cell cascade.
 
     Masses are an object array of exact Fractions when h carries rational
-    precision, float64 otherwise.
+    precision, float64 otherwise; float masses are computed once per depth
+    and cached on h as a read-only array.
     """
     if h.precision == "rational":
         num, den = h.cell_numerators(depth)
@@ -97,7 +101,11 @@ def energy_measure(h: HarmonicSpec, depth: int) -> CellMeasure:
         # one Fraction from the integer sum over the one denominator
         total = Fraction(sum(energies) * r.denominator, scale)
         return CellMeasure(h.ls, depth, masses, total)
-    masses = cell_energies(h.cell_values(depth)) / float(h.ls.R(depth))
+    masses = h._masses.get(depth)
+    if masses is None:
+        masses = cell_energies(h.cell_values(depth)) / float(h.ls.R(depth))
+        masses.flags.writeable = False
+        h._masses[depth] = masses
     return CellMeasure(h.ls, depth, masses)
 
 

@@ -206,13 +206,30 @@ def test_float_extend_is_the_rounded_exact_extension():
     assert np.max(np.abs(approx - exact.astype(np.float64))) <= 1e-15
 
 
-def test_cg_matches_direct(ls5):
-    g = build_graph(ls5, 2)
-    lap = linalg.laplacian(g.adjacency)
+def test_cg_matches_direct(ls5, monkeypatch):
+    # at depth 2 the incomplete LU is nearly exact; at depth 4 (33,930
+    # unknowns) preconditioned cg iterates, and still matches the direct LU
+    cg = linalg.spla.cg
+    steps = []
+
+    def counted_cg(a, b, **kwargs):
+        steps.append(0)
+
+        def count(_):
+            steps[-1] += 1
+
+        return cg(a, b, callback=count, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "cg", counted_cg)
     pin = np.array([1.0, 2.0, -1.0])
-    vd, _ = linalg.pinned_solve(lap, g.boundary, pin, method="direct")
-    vc, _ = linalg.pinned_solve(lap, g.boundary, pin, method="cg")
-    assert np.max(np.abs(vd - vc)) < 1e-9
+    for depth in (2, 4):
+        g = build_graph(ls5, depth)
+        lap = linalg.laplacian(g.adjacency)
+        vd, res_d = linalg.pinned_solve(lap, g.boundary, pin, method="direct")
+        vc, res_c = linalg.pinned_solve(lap, g.boundary, pin, method="cg")
+        assert np.max(np.abs(vd - vc)) <= 1e-9
+        assert res_d <= 1e-10 and res_c <= 1e-10
+    assert len(steps) == 2 and steps[-1] > 1
 
 
 def test_extension_method_is_cells(ls5):

@@ -3,8 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scipy import sparse
+
 from thin_gasket import linalg
 from thin_gasket.errors import SolveError
+from thin_gasket.geometry import build_graph
+from thin_gasket.sequence import LevelSequence
 
 
 def _sparse_system(seed, n, m, rational):
@@ -62,3 +66,20 @@ def test_rational_solve_keeps_its_size_limit():
     n = linalg.RATIONAL_SIZE_LIMIT + 1
     with pytest.raises(SolveError):
         linalg.rational_solve([[0] * n for _ in range(n)], [[0]] * n)
+
+
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_inconsistent_singular_system_is_refused(method):
+    """Two disjoint copies of the (5,) depth-1 graph, the corners of the
+    first pinned and a unit injection on the second: the second block is a
+    free Laplacian, singular, and its source does not sum to zero, so there
+    is no solution.  Both routes end in SolveError from the final residual
+    check (preconditioned cg reports convergence here), not in a number."""
+    g = build_graph(LevelSequence((5,)), 1)
+    v = g.n_vertices
+    lap = linalg.laplacian(sparse.block_diag([g.adjacency, g.adjacency]).tocsr())
+    injection = np.zeros(2 * v)
+    injection[v + 3] = 1.0
+    with pytest.raises(SolveError, match="above tolerance") as err:
+        linalg.pinned_solve(lap, g.boundary, np.zeros(3), injection=injection, method=method)
+    assert err.value.residual > 1e-9

@@ -280,3 +280,30 @@ def test_rational_masses_equal_fraction_cell_energies(seq, pin):
         assert all(type(x) is Fraction for x in mu.masses)
         assert np.array_equal(mu.masses, oracle)
         assert type(mu.total) is Fraction and mu.total == base_energy(pin)
+
+
+def test_float_masses_are_cached_read_only():
+    h = harmonic_extend(LevelSequence((5, 6), continuation="repeat-last"),
+                        (1.0, 0.3, -0.5), 0)
+    first = energy_measure(h, 3).masses
+    assert energy_measure(h, 3).masses is first
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+
+
+def test_statistics_agree_on_fresh_and_cached_masses(monkeypatch):
+    ls = LevelSequence((5, 6, 7), continuation="repeat-last")
+    pin = (1.0, 0.3, -0.5)
+    cert = singularity_certificate(harmonic_extend(ls, pin, 0), 4)
+    div = divergence_statistic(harmonic_extend(ls, pin, 0), 4, n_samples=40, seed=3)
+    warm = harmonic_extend(ls, pin, 0)
+    for d in range(5):
+        energy_measure(warm, d)
+
+    def no_energies(values):
+        raise AssertionError("masses recomputed")
+
+    # a warm h reads its masses from the cache alone
+    monkeypatch.setattr(measures, "cell_energies", no_energies)
+    assert singularity_certificate(warm, 4) == cert
+    assert divergence_statistic(warm, 4, n_samples=40, seed=3) == div
