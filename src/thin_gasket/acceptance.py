@@ -69,7 +69,7 @@ def _run(number: int, name: str, budget: float | None, body) -> CriterionResult:
 def _c1():
     worst = 0.0
     for l in range(5, 13):
-        exact = extension_ratio_check(l, seed=7, precision="rational")
+        exact = extension_ratio_check(l, precision="rational")
         if not exact["passed"]:
             return False, f"rational ratio mismatch at l={l}"
         approx = extension_ratio_check(l, seed=7, precision="float")
@@ -184,7 +184,7 @@ def _c6():
             (Fraction(1), Fraction(2, 3), Fraction(1, 9)))
     worst = 0.0
     for pin in pins:
-        h = harmonic_extend(ls, pin, 3, method="cells", precision="rational")
+        h = harmonic_extend(ls, pin, 3, precision="rational")
         total = base_energy(list(pin))
         by_depth = {d: energy_measure(h, d).masses for d in range(4)}
         for d in range(4):
@@ -196,8 +196,7 @@ def _c6():
             for p, pm in enumerate(by_depth[d - 1]):
                 if sum(child[p * m:(p + 1) * m], Fraction(0)) != pm:
                     return False, f"additivity failure at depth {d}, parent {p}"
-        hf = harmonic_extend(ls, tuple(float(x) for x in pin), 3,
-                             method="cells", precision="float")
+        hf = harmonic_extend(ls, tuple(float(x) for x in pin), 3, precision="float")
         a = energy_measure(hf, 3).masses
         # the oracle: masses off a sparse LU solve on the depth-3 graph
         b = cell_energies(hf.cell_values_from_graph(3)) / float(ls.R(3))
@@ -224,15 +223,14 @@ def _c7():
         pins = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
         pins += [tuple(rng.uniform(-1.0, 1.0, size=3)) for _ in range(50)]
         for pin in pins:
-            h = harmonic_extend(ls, pin, 0, method="cells", precision="float")
+            h = harmonic_extend(ls, pin, 0, precision="float")
             rep = singularity_certificate(h, 4)
             if not rep.passed:
                 return False, (f"coefficient above ceiling for {entries}, "
                                f"excess {rep.max_excess:.2e}")
             n_admissible += rep.n_admissible
             worst = max(worst, rep.max_excess)
-        hb = harmonic_extend(ls, (1.0, 0.0, 0.0), 0, method="cells",
-                             precision="float")
+        hb = harmonic_extend(ls, (1.0, 0.0, 0.0), 0, precision="float")
         div = divergence_statistic(hb, 4, n_samples=200, seed=29)
         if not div.passed:
             return False, (f"divergence below delta bound on "

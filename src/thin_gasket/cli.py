@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Subcommands cover graph construction and rendering, harmonic extension,
+Verbs cover graph construction and rendering, harmonic extension,
 resistance, extension matrices, energy measures, the concentration
 certificate and divergence statistic, scale-function checks, level
 realization, slowly decaying profiles, random walks, and the acceptance
-suite.  Outputs are deterministic for a fixed configuration: JSON for
-machine reports, CSV for tables, SVG for figures.
+suite.  One table, VERBS, declares each verb's handler, its own flags and
+whether it runs in float only (certify, diverge, dm, walk: precision
+rational is refused).  Outputs are deterministic for a fixed
+configuration: JSON for machine reports, CSV for tables, SVG for figures.
 
 Configuration comes from an optional key=value file (--config) overridden
 by flags; the THIN_GASKET_OUT environment variable supplies the default
@@ -144,14 +146,13 @@ def resolve_config(args) -> RunConfig:
     items = {}
     if getattr(args, "config", None):
         items.update(load_config(args.config))
-    for key in ("seq", "continuation", "diverging", "depth", "seed",
-                "precision", "trials", "out"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for field in dataclasses.fields(RunConfig):
+        val = getattr(args, field.name, None)
         if val is not None:
-            items[key] = val
+            items[field.name] = val
     if getattr(args, "out", None) is None and OUT_ENV in os.environ:
         items["out"] = os.environ[OUT_ENV]
-    return RunConfig.from_items({k: v for k, v in items.items()})
+    return RunConfig.from_items(items)
 
 
 # ---- Output helpers ------------------------------------------------------
@@ -201,17 +202,25 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return Path(cfg.out) / name
 
 
-def _parse_pin(text: str, precision: str):
+def _extension(cfg: RunConfig, text: str, depth: int):
+    """The harmonic extension of the --pin text, three comma-separated
+    fractions, to `depth`: exact in rational precision, doubles otherwise."""
     parts = [tok.strip() for tok in text.split(",")]
     if len(parts) != 3:
         raise GasketError("pin must be three comma-separated corner values")
-    values = tuple(_parse_fraction("pin value", tok) for tok in parts)
-    if precision == "rational":
-        return values
-    try:
-        return tuple(float(v) for v in values)
-    except OverflowError:
-        raise GasketError(f"float pin values must fit a double, got {text!r}") from None
+    pin = tuple(_parse_fraction("pin value", tok) for tok in parts)
+    if cfg.precision != "rational":
+        try:
+            pin = tuple(float(v) for v in pin)
+        except OverflowError:
+            raise GasketError(f"float pin values must fit a double, got {text!r}") from None
+    return harmonic_extend(cfg.sequence(), pin, depth, precision=cfg.precision)
+
+
+def _verdict(ok, text: str, path: Path) -> int:
+    """Print a check's [PASS] or [FAIL] line; its exit code."""
+    print(f"[{'PASS' if ok else 'FAIL'}] {text} -> {path}")
+    return 0 if ok else 1
 
 
 def _value_str(x) -> str:
@@ -243,11 +252,9 @@ def cmd_render(cfg: RunConfig, args) -> int:
 
 
 def cmd_energy(cfg: RunConfig, args) -> int:
-    pin = _parse_pin(args.pin, cfg.precision)
-    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method="cells",
-                        precision=cfg.precision)
+    h = _extension(cfg, args.pin, cfg.depth)
     value = h.energy(cfg.depth)
-    report = {"seq": list(cfg.seq), "depth": cfg.depth, "pin": [str(p) for p in pin],
+    report = {"seq": list(cfg.seq), "depth": cfg.depth, "pin": [str(p) for p in h.pin],
               "precision": cfg.precision, "energy": _value_str(value)}
     path = _write_json(_out_path(cfg, f"energy-{_seq_tag(cfg)}-d{cfg.depth}.json"),
                        report)
@@ -256,9 +263,8 @@ def cmd_energy(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
-    pin = _parse_pin(args.pin, cfg.precision)
     # the cascade runs inside extend, after build_graph's budget check
-    h = harmonic_extend(cfg.sequence(), pin, 0, method="cells", precision=cfg.precision)
+    h = _extension(cfg, args.pin, 0)
     g, values = h.extend(cfg.depth)
     rows = [(int(a), int(b), _value_str(v))
             for (a, b), v in zip(g.vertices, values)]
@@ -310,9 +316,7 @@ def cmd_matrices(cfg: RunConfig, args) -> int:
 
 
 def cmd_measure(cfg: RunConfig, args) -> int:
-    pin = _parse_pin(args.pin, cfg.precision)
-    h = harmonic_extend(cfg.sequence(), pin, cfg.depth, method="cells",
-                        precision=cfg.precision)
+    h = _extension(cfg, args.pin, cfg.depth)
     mu = energy_measure(h, cfg.depth)
     # a generator, so csv.writer streams the rows instead of holding them all
     rows = ((idx, _word_tag(w), _value_str(mu.masses[idx]))
@@ -325,41 +329,30 @@ def cmd_measure(cfg: RunConfig, args) -> int:
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
-    if cfg.precision == "rational":
-        raise GasketError("certify runs in float precision only; it has no exact route")
-    pin = _parse_pin(args.pin, "float")
-    h = harmonic_extend(cfg.sequence(), pin, 0, method="cells", precision="float")
+    h = _extension(cfg, args.pin, 0)
     rep = singularity_certificate(h, args.max_depth)
-    payload = {"seq": list(cfg.seq), "pin": [repr(p) for p in pin],
+    payload = {"seq": list(cfg.seq), "pin": [repr(p) for p in h.pin],
                "max_depth": rep.max_depth, "gap": rep.gap,
                "n_admissible": rep.n_admissible, "max_excess": rep.max_excess,
                "records": [vars(r) for r in rep.records],
                "passed": rep.passed}
     path = _write_json(
         _out_path(cfg, f"certify-{_seq_tag(cfg)}-d{args.max_depth}.json"), payload)
-    verdict = "PASS" if rep.passed else "FAIL"
-    print(f"[{verdict}] concentration certificate: {rep.n_admissible} admissible "
-          f"cells, max excess {rep.max_excess:.2e} -> {path}")
-    return 0 if rep.passed else 1
+    return _verdict(rep.passed, f"concentration certificate: {rep.n_admissible} "
+                    f"admissible cells, max excess {rep.max_excess:.2e}", path)
 
 
 def cmd_diverge(cfg: RunConfig, args) -> int:
-    if cfg.precision == "rational":
-        raise GasketError("diverge runs in float precision only; it has no exact route")
-    pin = _parse_pin(args.pin, "float")
-    h = harmonic_extend(cfg.sequence(), pin, 0, method="cells", precision="float")
-    rep = divergence_statistic(h, args.max_depth, n_samples=args.samples,
-                               seed=cfg.seed)
+    rep = divergence_statistic(_extension(cfg, args.pin, 0), args.max_depth,
+                               n_samples=args.samples, seed=cfg.seed)
     payload = {"seq": list(cfg.seq), "max_depth": rep.max_depth,
                "delta": rep.delta, "n_samples": rep.n_samples,
                "n_failures": rep.n_failures, "passed": rep.passed,
                "samples": [vars(s) for s in rep.samples]}
     path = _write_json(
         _out_path(cfg, f"diverge-{_seq_tag(cfg)}-d{args.max_depth}.json"), payload)
-    verdict = "PASS" if rep.passed else "FAIL"
-    print(f"[{verdict}] divergence statistic on {rep.n_samples} addresses, "
-          f"{rep.n_failures} failures -> {path}")
-    return 0 if rep.passed else 1
+    return _verdict(rep.passed, f"divergence statistic on {rep.n_samples} addresses, "
+                    f"{rep.n_failures} failures", path)
 
 
 def cmd_psi(cfg: RunConfig, args) -> int:
@@ -418,9 +411,7 @@ def cmd_doubling(cfg: RunConfig, args) -> int:
         ok = ok and all(c["passed"] for c in checks.values())
     payload["passed"] = ok
     path = _write_json(_out_path(cfg, f"doubling-{_seq_tag(cfg)}.json"), payload)
-    print(f"[{'PASS' if ok else 'FAIL'}] scale checks for kinds "
-          f"{', '.join(kinds)} -> {path}")
-    return 0 if ok else 1
+    return _verdict(ok, f"scale checks for kinds {', '.join(kinds)}", path)
 
 
 def cmd_dm(cfg: RunConfig, args) -> int:
@@ -432,9 +423,7 @@ def cmd_dm(cfg: RunConfig, args) -> int:
                "passed": rep.passed}
     path = _write_json(_out_path(cfg, f"dm-{_seq_tag(cfg)}-d{cfg.depth}.json"),
                        payload)
-    verdict = "PASS" if rep.passed else "FAIL"
-    print(f"[{verdict}] comparison bounds on {rep.n_pairs} pairs -> {path}")
-    return 0 if rep.passed else 1
+    return _verdict(rep.passed, f"comparison bounds on {rep.n_pairs} pairs", path)
 
 
 def _eta_from_name(name: str) -> EtaFunction:
@@ -458,9 +447,8 @@ def cmd_realize(cfg: RunConfig, args) -> int:
     finally:
         sys.set_int_max_str_digits(digit_limit)
     head = ", ".join(str(l) for l in res.entries[:3])
-    print(f"[{'PASS' if res.certified else 'FAIL'}] {args.n} levels from "
-          f"{args.eta}: n0={res.n0}, levels {head}, ... -> {path}")
-    return 0 if res.certified else 1
+    return _verdict(res.certified, f"{args.n} levels from {args.eta}: n0={res.n0}, "
+                    f"levels {head}, ...", path)
 
 
 def cmd_compare(cfg: RunConfig, args) -> int:
@@ -468,11 +456,9 @@ def cmd_compare(cfg: RunConfig, args) -> int:
     res = realize_sequence(eta, args.n)
     rep = comparability_report(eta, res)
     path = _write_json(_out_path(cfg, f"compare-{args.eta}-n{args.n}.json"), rep)
-    verdict = "PASS" if rep["passed"] else "FAIL"
-    print(f"[{verdict}] ratio range [{rep['ratio_min']:.4f}, "
-          f"{rep['ratio_max']:.4f}] against budget "
-          f"({rep['budget'][0]:.4f}, {rep['budget'][1]:.1f}) -> {path}")
-    return 0 if rep["passed"] else 1
+    return _verdict(rep["passed"], f"ratio range [{rep['ratio_min']:.4f}, "
+                    f"{rep['ratio_max']:.4f}] against budget "
+                    f"({rep['budget'][0]:.4f}, {rep['budget'][1]:.1f})", path)
 
 
 def cmd_slowdecay(cfg: RunConfig, args) -> int:
@@ -487,10 +473,9 @@ def cmd_slowdecay(cfg: RunConfig, args) -> int:
     summ = summability_report(eta, n_terms=args.n_max)
     payload = {"power": power, "report": rep, "summable": summ["summable"]}
     path = _write_json(_out_path(cfg, f"slowdecay-p{power}.json"), payload)
-    ok = rep["passed"] and summ["summable"]
-    print(f"[{'PASS' if ok else 'FAIL'}] slow-decay profile from r^{power}: "
-          f"{args.n_max} knot levels, summable={summ['summable']} -> {path}")
-    return 0 if ok else 1
+    return _verdict(rep["passed"] and summ["summable"],
+                    f"slow-decay profile from r^{power}: {args.n_max} knot levels, "
+                    f"summable={summ['summable']}", path)
 
 
 def cmd_walk(cfg: RunConfig, args) -> int:
@@ -507,10 +492,8 @@ def cmd_walk(cfg: RunConfig, args) -> int:
     ]
     path = _write_csv(_out_path(cfg, f"walk-{_seq_tag(cfg)}-d{cfg.depth}.csv"),
                       ("metric", "value"), rows)
-    verdict = "PASS" if rep["passed"] else "FAIL"
-    print(f"[{verdict}] commute {rep['empirical_mean']:.3f} vs "
-          f"{rep['predicted']:.3f} (z {rep['z_score']:+.2f}) -> {path}")
-    return 0 if rep["passed"] else 1
+    return _verdict(rep["passed"], f"commute {rep['empirical_mean']:.3f} vs "
+                    f"{rep['predicted']:.3f} (z {rep['z_score']:+.2f})", path)
 
 
 def cmd_verify_all(cfg: RunConfig, args) -> int:
@@ -525,7 +508,50 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
     return 0 if payload["passed"] else 1
 
 
-# ---- Parser --------------------------------------------------------------
+# ---- Verb table and parser -----------------------------------------------
+
+
+# Flags that more than one verb takes: (option string, add_argument keywords).
+_PIN = (("--pin", dict(type=str, default="1,0,0")),)
+_MAX_DEPTH = (("--max-depth", dict(type=int, default=3)),)
+_KIND = (("--kind", dict(choices=("time", "mass", "resistance", "all"), default="all")),)
+_XY = (("--x", dict(type=int, default=None)), ("--y", dict(type=int, default=None)))
+_ETA_N = (("--eta", dict(type=str, default="eta1")), ("--n", dict(type=int, default=8)))
+
+#: verb -> (handler, the verb's own flags, float only).  A float-only verb
+#: has no exact route: precision rational, from a flag or a config file, is
+#: refused before any work.
+VERBS = {
+    "build": (cmd_build, (), False),
+    "render": (cmd_render, (("--size", dict(type=float, default=600.0)),), False),
+    "energy": (cmd_energy, _PIN, False),
+    "extend": (cmd_extend, _PIN, False),
+    "resistance": (cmd_resistance,
+                   (("--corners", dict(type=str, default="0,1")), *_XY), False),
+    "matrices": (cmd_matrices, (
+        ("--l", dict(type=int, required=True)),
+        ("--index", dict(type=str, default=None, help="single cell index i1,i2"))), False),
+    "measure": (cmd_measure, _PIN, False),
+    "certify": (cmd_certify, (*_PIN, *_MAX_DEPTH), True),
+    "diverge": (cmd_diverge,
+                (*_PIN, *_MAX_DEPTH, ("--samples", dict(type=int, default=200))), True),
+    "psi": (cmd_psi, (
+        *_KIND,
+        ("--s", dict(type=str, default=None, help="evaluation point as a fraction, e.g. 1/5")),
+        ("--invert", dict(type=str, default=None, help="value whose preimage to compute")),
+        ("--segments", dict(type=int, default=4))), False),
+    "doubling": (cmd_doubling, (*_KIND, ("--segments", dict(type=int, default=5))), False),
+    "dm": (cmd_dm, (("--pairs", dict(type=int, default=200)),), True),
+    "realize": (cmd_realize, (*_ETA_N, ("--n0", dict(type=int, default=None)),
+                              ("--min-ratio", dict(type=int, default=5))), False),
+    "compare": (cmd_compare, _ETA_N, False),
+    "slowdecay": (cmd_slowdecay, (("--power", dict(type=float, default=2.5)),
+                                  ("--n-max", dict(type=int, default=6))), False),
+    "walk": (cmd_walk, (("--max-steps", dict(type=int, default=10_000_000)), *_XY), True),
+    "verify-all": (cmd_verify_all, (
+        ("--only", dict(type=str, default=None, help="comma-separated criterion numbers")),),
+        False),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -548,105 +574,22 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="thin-gasket",
                                 description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="verb", required=True)
-
-    sub.add_parser("build", parents=[common]).set_defaults(fn=cmd_build)
-
-    sp = sub.add_parser("render", parents=[common])
-    sp.add_argument("--size", type=float, default=600.0)
-    sp.set_defaults(fn=cmd_render)
-
-    sp = sub.add_parser("energy", parents=[common])
-    sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.set_defaults(fn=cmd_energy)
-
-    sp = sub.add_parser("extend", parents=[common])
-    sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.set_defaults(fn=cmd_extend)
-
-    sp = sub.add_parser("resistance", parents=[common])
-    sp.add_argument("--corners", type=str, default="0,1")
-    sp.add_argument("--x", type=int, default=None)
-    sp.add_argument("--y", type=int, default=None)
-    sp.set_defaults(fn=cmd_resistance)
-
-    sp = sub.add_parser("matrices", parents=[common])
-    sp.add_argument("--l", type=int, required=True)
-    sp.add_argument("--index", type=str, default=None,
-                    help="single cell index i1,i2")
-    sp.set_defaults(fn=cmd_matrices)
-
-    sp = sub.add_parser("measure", parents=[common])
-    sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.set_defaults(fn=cmd_measure)
-
-    sp = sub.add_parser("certify", parents=[common])
-    sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.add_argument("--max-depth", type=int, default=3)
-    sp.set_defaults(fn=cmd_certify)
-
-    sp = sub.add_parser("diverge", parents=[common])
-    sp.add_argument("--pin", type=str, default="1,0,0")
-    sp.add_argument("--max-depth", type=int, default=3)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.set_defaults(fn=cmd_diverge)
-
-    sp = sub.add_parser("psi", parents=[common])
-    sp.add_argument("--kind", choices=("time", "mass", "resistance", "all"),
-                    default="all")
-    sp.add_argument("--s", type=str, default=None,
-                    help="evaluation point as a fraction, e.g. 1/5")
-    sp.add_argument("--invert", type=str, default=None,
-                    help="value whose preimage to compute")
-    sp.add_argument("--segments", type=int, default=4)
-    sp.set_defaults(fn=cmd_psi)
-
-    sp = sub.add_parser("doubling", parents=[common])
-    sp.add_argument("--kind", choices=("time", "mass", "resistance", "all"),
-                    default="all")
-    sp.add_argument("--segments", type=int, default=5)
-    sp.set_defaults(fn=cmd_doubling)
-
-    sp = sub.add_parser("dm", parents=[common])
-    sp.add_argument("--pairs", type=int, default=200)
-    sp.set_defaults(fn=cmd_dm)
-
-    sp = sub.add_parser("realize", parents=[common])
-    sp.add_argument("--eta", type=str, default="eta1")
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--n0", type=int, default=None)
-    sp.add_argument("--min-ratio", type=int, default=5)
-    sp.set_defaults(fn=cmd_realize)
-
-    sp = sub.add_parser("compare", parents=[common])
-    sp.add_argument("--eta", type=str, default="eta1")
-    sp.add_argument("--n", type=int, default=8)
-    sp.set_defaults(fn=cmd_compare)
-
-    sp = sub.add_parser("slowdecay", parents=[common])
-    sp.add_argument("--power", type=float, default=2.5)
-    sp.add_argument("--n-max", type=int, default=6)
-    sp.set_defaults(fn=cmd_slowdecay)
-
-    sp = sub.add_parser("walk", parents=[common])
-    sp.add_argument("--max-steps", type=int, default=10_000_000)
-    sp.add_argument("--x", type=int, default=None)
-    sp.add_argument("--y", type=int, default=None)
-    sp.set_defaults(fn=cmd_walk)
-
-    sp = sub.add_parser("verify-all", parents=[common])
-    sp.add_argument("--only", type=str, default=None,
-                    help="comma-separated criterion numbers")
-    sp.set_defaults(fn=cmd_verify_all)
-
+    for verb, (_, flags, _) in VERBS.items():
+        sp = sub.add_parser(verb, parents=[common])
+        for option, kwargs in flags:
+            sp.add_argument(option, **kwargs)
     return p
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    handler, _, float_only = VERBS[args.verb]
     try:
         cfg = resolve_config(args)
-        return args.fn(cfg, args)
+        if float_only and cfg.precision == "rational":
+            raise GasketError(f"{args.verb} runs in float precision only; "
+                              "it has no exact route")
+        return handler(cfg, args)
     except GasketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

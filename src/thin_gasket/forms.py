@@ -27,7 +27,6 @@ route.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,10 +49,6 @@ _CASCADE_SLOTS = 1 << 27
 
 #: Random pins extension_ratio_check adds to the three corner-basis pins.
 _RATIO_RANDOM_PINS = 100
-
-#: Largest denominator of the rational extension_ratio_check snaps a pin
-#: coordinate to.
-_SNAP_DENOMINATOR = 10 ** 12
 
 
 def base_energy(u):
@@ -378,72 +373,25 @@ def one_subdivision_trace(l: int, trace=TRIANGLE_FORM):
     return linalg.schur_complement(lap, [int(pos[v]) for v in g.boundary])
 
 
-def _snap(x: float) -> tuple[int, int]:
-    """(p, q) with q > 0: the rational p/q closest to the float x among
-    denominators q <= _SNAP_DENOMINATOR, in lowest terms.  The same pair as
-    Fraction(x).limit_denominator(_SNAP_DENOMINATOR), ties included, found on
-    integers: the continued fraction of x's exact ratio runs until the next
-    convergent's denominator would pass the bound, and the last convergent
-    then meets the largest admissible semiconvergent, winning a tie."""
-    n, d = float(x).as_integer_ratio()
-    if d <= _SNAP_DENOMINATOR:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = n, d
-    while True:
-        a = num // den
-        q2 = q0 + a * q1
-        if q2 > _SNAP_DENOMINATOR:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
-    k = (_SNAP_DENOMINATOR - q0) // q1
-    p, q = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - n/d| <= |p/q - n/d|, multiplied through by d q q1 > 0
-    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
-        return p1, q1
-    return p, q
-
-
 def extension_ratio_check(l: int, seed: int = 7, precision: str = "rational") -> dict:
     """Verify that minimal one-subdivision extension energy is r_l * E0.
 
-    Checks the 3x3 trace matrix against r_l times the triangle form and the
-    energy ratio for the corner basis plus _RATIO_RANDOM_PINS random pins.
-    Exact in rational mode, where each pin coordinate is snapped to the
-    nearest rational of denominator at most _SNAP_DENOMINATOR (_snap, the
-    integer pair Fraction.limit_denominator would give) and the ratio is
-    compared by cross-multiplied integers over the pin's common
-    denominator; float mode reports the maximum relative error.
+    Rational mode checks the 3x3 trace matrix against r_l times the triangle
+    form exactly; equality gives quad(v) == r_l * E0(v) for every pin v.
+    Float mode solves for the corner basis plus _RATIO_RANDOM_PINS random
+    pins and reports the maximum relative error of the energy ratio.
     """
     check_precision(precision)
     r = resistance_ratio(l)
-    rng = stream(seed, l)
-    pins = [np.eye(3)[j] for j in range(3)]
-    pins += [rng.uniform(-1.0, 1.0, size=3) for _ in range(_RATIO_RANDOM_PINS)]
-
-    report = {"l": l, "expected": r, "n_pins": len(pins), "precision": precision}
+    report = {"l": l, "expected": r, "precision": precision}
     if precision == "rational":
-        s = one_subdivision_trace(l)
-        target = [[r * x for x in row] for row in TRIANGLE_FORM]
-        trace_equal = np.array_equal(s, target)
-        # s = sn / sden and u = v / uden: quad(u) / E0(u) == r iff
-        # quad(v) * r.den == E0(v) * r.num * sden, in integers
-        sn, sden = linalg.over_common_denominator(s.ravel())
-        ratios_equal = True
-        for p in pins:
-            snapped = [_snap(x) for x in p]
-            den = math.lcm(*(q for _, q in snapped))
-            v = [a * (den // q) for a, q in snapped]
-            e0 = base_energy(v)
-            if e0 == 0:
-                continue
-            quad = sum(v[a] * sn[3 * a + b] * v[b] for a in range(3) for b in range(3))
-            if quad * r.denominator != e0 * r.numerator * sden:
-                ratios_equal = False
-        report.update(exact_equal=bool(trace_equal and ratios_equal),
-                      trace_equal=bool(trace_equal), passed=bool(trace_equal and ratios_equal))
+        trace_equal = np.array_equal(one_subdivision_trace(l),
+                                     [[r * x for x in row] for row in TRIANGLE_FORM])
+        report.update(trace_equal=bool(trace_equal), passed=bool(trace_equal))
     else:
+        rng = stream(seed, l)
+        pins = [np.eye(3)[j] for j in range(3)]
+        pins += [rng.uniform(-1.0, 1.0, size=3) for _ in range(_RATIO_RANDOM_PINS)]
         g = _depth_one_graph(l)
         lap = linalg.laplacian(g.adjacency)
         pin_matrix = np.stack(pins, axis=1)
@@ -457,5 +405,5 @@ def extension_ratio_check(l: int, seed: int = 7, precision: str = "rational") ->
                 continue
             e1 = float(cell_energies(u[g.cells]).sum())
             worst = max(worst, abs(e1 / e0 - rf) / rf)
-        report.update(max_rel_err=worst, passed=bool(worst < 1e-10))
+        report.update(n_pins=len(pins), max_rel_err=worst, passed=bool(worst < 1e-10))
     return report

@@ -147,7 +147,8 @@ def pinned_solve(lap: sparse.csr_matrix, pinned: np.ndarray, pin_values: np.ndar
     preconditioned by one symmetric-mode incomplete LU (spilu) shared by all
     of them.  Both raise SolveError when the true relative residual of the
     answer is above 1e-9, as it is for an inconsistent singular system, and
-    cg also when it does not converge.
+    cg also when it does not converge, and, with no residual, when the
+    factorization finds the reduced matrix exactly singular.
     """
     v = lap.shape[0]
     pinned = np.asarray(pinned, dtype=np.int64)
@@ -173,7 +174,10 @@ def pinned_solve(lap: sparse.csr_matrix, pinned: np.ndarray, pin_values: np.ndar
     bnorm[bnorm == 0] = 1.0
 
     if method == "direct":
-        lu = spla.splu(a)
+        try:
+            lu = spla.splu(a)
+        except RuntimeError:  # "Factor is exactly singular"
+            raise SolveError("pinned solve: the reduced matrix is exactly singular") from None
         x = lu.solve(b)
         # the residual of each iterate, the returned one included, once
         for refined in range(MAX_REFINE + 1):
@@ -185,8 +189,11 @@ def pinned_solve(lap: sparse.csr_matrix, pinned: np.ndarray, pin_values: np.ndar
         res = float(np.max(res))
     elif method == "cg":
         # one symmetric-mode incomplete LU for all K right-hand sides
-        ilu = spla.spilu(a, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
-                         options=dict(SymmetricMode=True))
+        try:
+            ilu = spla.spilu(a, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
+                             options=dict(SymmetricMode=True))
+        except RuntimeError:  # "matrix is singular"
+            raise SolveError("pinned solve: the reduced matrix is exactly singular") from None
         precond = spla.LinearOperator(a.shape, matvec=ilu.solve)
         x = np.empty_like(b)
         worst = 0.0

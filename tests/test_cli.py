@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thin_gasket
+from thin_gasket import cli
 from thin_gasket.cli import RunConfig, load_config, main, make_parser
 from thin_gasket.errors import GasketError
 from thin_gasket.forms import base_energy, harmonic_extend
@@ -186,6 +187,15 @@ def test_parser_surface():
         assert _options(sp) == expected, verb
 
 
+def test_readme_lists_every_verb():
+    """The README's "Command line" verb block names the verbs of cli.VERBS,
+    in order, so a verb added to the table cannot go undocumented."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    assert block.split() == list(cli.VERBS)
+
+
 def test_domain_error_exits_1(tmp_path, capsys):
     rc = run(["build", "--seq", "4", "--depth", "1", "--out", tmp_path])
     assert rc == 1
@@ -223,9 +233,12 @@ def test_domain_error_exits_1(tmp_path, capsys):
     # exact extend past build_graph's budget: 2.5e9 corner slots
     ["extend", "--seq", "58", "--depth", "4", "--precision", "rational"],
     ["certify", "--seq", "58", "--max-depth", "4"],  # a 19 GiB cell cascade
-    # float-only statistics: no silent float run under --precision rational
+    # float-only verbs: no silent float run under --precision rational
     ["certify", "--seq", "5,6,7,5", "--max-depth", "3", "--precision", "rational"],
     ["diverge", "--seq", "5,6", "--max-depth", "3", "--precision", "rational"],
+    ["dm", "--seq", "5", "--depth", "1", "--precision", "rational"],
+    ["walk", "--seq", "5", "--depth", "1", "--trials", "100", "--precision", "rational"],
+    ["dm", "--config", "RATIONAL_CONFIG"],  # the same from a config file
     # a config file naming no precision the routes know: no silent float run
     ["energy", "--config", "BAD_PRECISION_CONFIG", "--pin", "1,0,0"],
     # a diverging= value that is neither true nor false: no silent False
@@ -252,7 +265,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
         "extend-rational-size", "certify-cascade-budget", "certify-rational",
-        "diverge-rational", "config-precision", "config-diverging", "matrices-l-budget",
+        "diverge-rational", "dm-rational", "walk-rational", "dm-config-rational",
+        "config-precision", "config-diverging", "matrices-l-budget",
         "config-missing", "config-directory", "config-latin1", "slowdecay-power-inf",
         "slowdecay-power-nan",
         "psi-segments", "realize-n200", "realize-n100000", "compare-n2000",
@@ -262,9 +276,12 @@ def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     config.write_text("seq=5\ndepth=1\nprecision=exact\n")
     diverging = tmp_path / "bad-diverging.cfg"
     diverging.write_text("seq=5\ndepth=1\ndiverging=maybe\n")
+    rational = tmp_path / "rational.cfg"
+    rational.write_text("seq=5\ndepth=1\nprecision=rational\n")
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes("seq=5  # r\u00e9glage\n".encode("latin-1"))
     files = {"BAD_PRECISION_CONFIG": config, "BAD_DIVERGING_CONFIG": diverging,
+             "RATIONAL_CONFIG": rational,
              "MISSING_CONFIG": tmp_path / "missing.cfg",
              "DIRECTORY_CONFIG": tmp_path, "LATIN1_CONFIG": latin1}
     argv = [files.get(a, a) for a in argv]

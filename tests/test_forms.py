@@ -14,7 +14,6 @@ from thin_gasket.forms import (TRIANGLE_FORM, _depth_one_graph, base_energy,
                                matrix_stack_by_elimination, matrix_stack_exact,
                                one_subdivision_trace)
 from thin_gasket.geometry import boundary_cells, build_graph, interior_letters
-from thin_gasket.rand import stream
 from thin_gasket.sequence import LevelSequence, resistance_ratio
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
@@ -132,6 +131,14 @@ def test_band_ordered_trace_equals_lexicographic_elimination(l, trace):
     banded = one_subdivision_trace(l, trace)
     assert np.array_equal(banded, _lexicographic_trace(l, trace))
     assert all(type(x) is Fraction for x in banded.ravel())
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=3, max_size=3))
+def test_triangle_form_is_the_base_energy(v):
+    """v^T TRIANGLE_FORM v == E0(v) in integers: with the trace equal to
+    r_l * TRIANGLE_FORM, every pin's energy ratio is exactly r_l."""
+    quad = sum(v[a] * TRIANGLE_FORM[a][b] * v[b] for a in range(3) for b in range(3))
+    assert quad == base_energy(v)
 
 
 def test_extension_ratio_check_both_precisions():
@@ -348,7 +355,7 @@ def test_cell_numerators_are_rational_only(ls5):
         h.cell_numerators(1)
 
 
-# ---- The integer ratio comparison is not vacuous -------------------------
+# ---- The exact trace comparison is not vacuous ---------------------------
 
 
 def test_ratio_check_fails_on_a_perturbed_trace(monkeypatch):
@@ -366,45 +373,6 @@ def test_ratio_check_fails_on_a_perturbed_trace(monkeypatch):
     report = extension_ratio_check(5, seed=3)
     assert report["passed"] is False
     assert report["trace_equal"] is False
-
-
-# ---- Pin snaps -----------------------------------------------------------
-
-
-def _limit_denominator_pair(x, max_den=10**12) -> tuple[int, int]:
-    f = Fraction(x).limit_denominator(max_den)
-    return f.numerator, f.denominator
-
-
-def test_snap_equals_limit_denominator_on_criterion_one_pins():
-    for l in range(5, 13):
-        rng = stream(7, l)
-        pins = [np.eye(3)[j] for j in range(3)]
-        pins += [rng.uniform(-1.0, 1.0, size=3) for _ in range(forms._RATIO_RANDOM_PINS)]
-        for p in pins:
-            for x in p:
-                assert forms._snap(x) == _limit_denominator_pair(x)
-
-
-def test_snap_edge_values():
-    xs = [0.0, -0.0, 1.0, -1.0, -0.3, -1e-13, -2.5e-7, 5e-13, 1e-300, 1e300,
-          1 / 3, -2 / 3, 1e12 + 0.5]
-    # dyadic floats: small denominators come back as they are, those past
-    # the bound are snapped
-    xs += [s * k / 2 ** j for j in range(0, 64, 3) for k in (1, 3, 5, 1023)
-           for s in (1, -1)]
-    for x in xs:
-        assert forms._snap(x) == _limit_denominator_pair(x)
-
-
-@pytest.mark.parametrize("max_den", [1, 2, 3, 10, 97])
-def test_snap_breaks_ties_like_limit_denominator(monkeypatch, max_den):
-    """Halves and other midpoints between candidates tie; the convergent
-    wins, as in Fraction.limit_denominator."""
-    monkeypatch.setattr(forms, "_SNAP_DENOMINATOR", max_den)
-    xs = [s * k / 2 ** j for j in range(1, 12) for k in range(1, 40, 2) for s in (1, -1)]
-    for x in xs:
-        assert forms._snap(x) == _limit_denominator_pair(x, max_den)
 
 
 # ---- Unknown precisions --------------------------------------------------

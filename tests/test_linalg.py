@@ -83,3 +83,15 @@ def test_inconsistent_singular_system_is_refused(method):
     with pytest.raises(SolveError, match="above tolerance") as err:
         linalg.pinned_solve(lap, g.boundary, np.zeros(3), injection=injection, method=method)
     assert err.value.residual > 1e-9
+
+
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_exactly_singular_reduced_matrix_is_refused(method):
+    """A 3-vertex path plus an isolated vertex, pinned at vertex 0: the
+    isolated vertex leaves a zero row in the reduced matrix, where the sparse
+    LU and the incomplete LU stop with scipy's RuntimeError."""
+    adj = sparse.csr_matrix(np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0],
+                                      [0, 0, 0, 0]], dtype=np.float64))
+    with pytest.raises(SolveError, match="exactly singular") as err:
+        linalg.pinned_solve(linalg.laplacian(adj), [0], np.ones(1), method=method)
+    assert err.value.residual is None
