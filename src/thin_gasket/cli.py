@@ -5,8 +5,8 @@ resistance, extension matrices, energy measures, the concentration
 certificate and divergence statistic, scale-function checks, level
 realization, slowly decaying profiles, random walks, and the acceptance
 suite.  One table, VERBS, declares each verb's handler, its own flags and
-whether it runs in float only (certify, diverge, dm, walk: precision
-rational is refused).  Outputs are deterministic for a fixed
+whether it runs in float only (certify, diverge, dm, slowdecay, walk:
+precision rational is refused).  Outputs are deterministic for a fixed
 configuration: JSON for machine reports, CSV for tables, SVG for figures.
 
 Configuration comes from an optional key=value file (--config) overridden
@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from . import acceptance
 from .errors import BudgetError, GasketError
@@ -165,10 +163,6 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, numbers.Real):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
     raise TypeError(f"not serializable: {type(obj).__name__}")
 
 
@@ -546,7 +540,7 @@ VERBS = {
                               ("--min-ratio", dict(type=int, default=5))), False),
     "compare": (cmd_compare, _ETA_N, False),
     "slowdecay": (cmd_slowdecay, (("--power", dict(type=float, default=2.5)),
-                                  ("--n-max", dict(type=int, default=6))), False),
+                                  ("--n-max", dict(type=int, default=6))), True),
     "walk": (cmd_walk, (("--max-steps", dict(type=int, default=10_000_000)), *_XY), True),
     "verify-all": (cmd_verify_all, (
         ("--only", dict(type=str, default=None, help="comma-separated criterion numbers")),),

@@ -11,13 +11,15 @@ come from closed forms over 6l + 1.  Pinned Laplacian solves are kept only
 as oracles: elimination on the depth-1 graph for the matrices, and a solve
 on the depth-n graph (HarmonicSpec.cell_values_from_graph) for the cascade.
 
-Exact routes run on integers.  The level-l matrices are integer numerators
-over 6l + 1 (_numerator_stack), so the depth-d cell values of a rational pin
-are Python-int numerators over one common denominator: the lcm of the pin's
-denominators times the product of 6 l_k + 1 over k <= d.  The rational
-cascade multiplies those numerators level by level; Fractions are built
-only where a caller receives them (cell_values, extend, energy).  The
-float cascade runs the same products on the float64 stack.  The
+One cascade serves both precisions: HarmonicSpec keeps (num, den) per
+depth, values num / den, and cell_numerators is its one step, one einsum
+of the level's matrix stack with the depth above.  The level-l matrices are
+integer numerators over 6l + 1 (_numerator_stack), so a rational num holds
+Python ints over the lcm of the pin's denominators times the product of
+6 l_k + 1 over k <= d; Fractions are built only where a caller receives
+them (cell_values, extend, energy).  A float num is the float64 values and
+den is 1.  HarmonicSpec also owns the float energy masses (float_masses)
+that the measure and both statistics of one h share.  The
 one-subdivision trace is an exact Schur complement of linalg, taken with
 the depth-1 vertices in reverse Cuthill-McKee order; folded level by level,
 it is the oracle of the closed-form corner resistance.  It has no float
@@ -211,61 +213,51 @@ class HarmonicSpec:
         self.pin = pin
         self.precision = precision
         self._materialized: dict[int, tuple[ApproximationGraph, object]] = {}
-        self._cell_values: dict[int, np.ndarray] = {}
-        # read-only float energy masses by depth, filled by measures.energy_measure
+        # read-only float64 energy masses by depth
         self._masses: dict[int, np.ndarray] = {}
-        # the depth-0 cell lists its corners as (q0, q1, q2)
+        # the cell cascade by depth, (num, den) with values num / den; the
+        # depth-0 cell lists its corners as (q0, q1, q2)
         if precision == "rational":
             row, den = linalg.over_common_denominator(pin)
-            self._numerators = {0: (np.array([row], dtype=object), den)}
+            self._cascade = {0: (np.array([row], dtype=object), den)}
         else:
-            self._cell_values[0] = np.array([pin], dtype=np.float64)
+            self._cascade = {0: (np.array([pin], dtype=np.float64), 1)}
 
     # -- matrix-cascade route
 
-    def _check_cascade_depth(self, d: int) -> None:
-        """Refuse a negative depth, and a depth past 2^27 corner slots before
-        any product."""
-        if d < 0:
-            raise DomainError(f"depth must be nonnegative, got {d}")
-        slots = 3 * self.ls.M(d)
-        if slots > _CASCADE_SLOTS:
-            raise BudgetError(f"the cell cascade to depth {d} needs {slots} corner slots (> "
-                              f"budget {_CASCADE_SLOTS}; {slots * 8 / 2**30:.1f} GiB as float64)")
-
     def cell_numerators(self, d: int):
-        """Exact depth-d corner values as (num, den) with values num / den:
-        num an (M_d, 3) object array of Python ints, den the lcm of the pin
-        denominators times the product of 6 l_k + 1 over k <= d.  Rational
-        precision only; the budget of cell_values applies."""
-        if self.precision != "rational":
-            raise DomainError("cell numerators exist in rational precision only")
-        if d not in self._numerators:
-            self._check_cascade_depth(d)
+        """Depth-d corner values as (num, den), shape (M_d, 3), with values
+        num / den.  Rational: num an object array of Python ints, den the lcm
+        of the pin denominators times the product of 6 l_k + 1 over k <= d.
+        Float: num the float64 values, den 1.  Refuses with BudgetError,
+        before any product, a depth past 2^27 corner slots."""
+        if d not in self._cascade:
+            if d < 0:
+                raise DomainError(f"depth must be nonnegative, got {d}")
+            slots = 3 * self.ls.M(d)
+            if slots > _CASCADE_SLOTS:
+                raise BudgetError(f"the cell cascade to depth {d} needs {slots} corner slots "
+                                  f"(> budget {_CASCADE_SLOTS}; "
+                                  f"{slots * 8 / 2**30:.1f} GiB as float64)")
             num, den = self.cell_numerators(d - 1)
             l = self.ls.level(d)
-            stack = _numerator_stack(l).astype(object)
-            self._numerators[d] = (np.einsum("mij,wj->wmi", stack, num).reshape(-1, 3),
-                                   den * (6 * l + 1))
-        return self._numerators[d]
+            stack, q = ((_numerator_stack(l).astype(object), 6 * l + 1)
+                        if self.precision == "rational" else (matrix_stack(l), 1))
+            self._cascade[d] = (np.einsum("mij,wj->wmi", stack, num).reshape(-1, 3), den * q)
+        return self._cascade[d]
+
+    def _values(self, num: np.ndarray, den: int) -> np.ndarray:
+        """num / den: num itself in float precision, Fractions in rational."""
+        if self.precision != "rational":
+            return num
+        return np.array([Fraction(x, den) for x in num.ravel()],
+                        dtype=object).reshape(num.shape)
 
     def cell_values(self, d: int):
-        """Corner values of every depth-d cell via matrix products, shape
-        (M_d, 3); an object array of Fractions in rational mode, built from
-        cell_numerators.  Refuses with BudgetError, before any product, a
-        depth past 2^27 corner slots."""
-        if d in self._cell_values:
-            return self._cell_values[d]
-        if self.precision == "rational":
-            num, den = self.cell_numerators(d)
-            out = np.array([Fraction(x, den) for x in num.ravel()],
-                           dtype=object).reshape(num.shape)
-        else:
-            self._check_cascade_depth(d)
-            prev = self.cell_values(d - 1)
-            out = np.einsum("mij,wj->wmi", matrix_stack(self.ls.level(d)), prev).reshape(-1, 3)
-        self._cell_values[d] = out
-        return out
+        """Corner values of every depth-d cell, shape (M_d, 3): the cascade's
+        float64 array itself, or Fractions built from cell_numerators in
+        rational precision.  The budget of cell_numerators applies."""
+        return self._values(*self.cell_numerators(d))
 
     # -- vertex values
 
@@ -279,16 +271,11 @@ class HarmonicSpec:
         if n in self._materialized:
             return self._materialized[n]
         g = build_graph(self.ls, n)
-        if self.precision == "rational":
-            num, den = self.cell_numerators(n)
-            vertex_num = np.empty(g.n_vertices, dtype=object)
-            vertex_num[g.cells] = num
-            values = np.array([Fraction(x, den) for x in vertex_num], dtype=object)
-        else:
-            values = np.empty(g.n_vertices)
-            values[g.cells] = self.cell_values(n)
-        self._materialized[n] = (g, values)
-        return g, values
+        num, den = self.cell_numerators(n)
+        vertex_num = np.empty(g.n_vertices, dtype=num.dtype)
+        vertex_num[g.cells] = num
+        self._materialized[n] = (g, self._values(vertex_num, den))
+        return self._materialized[n]
 
     def cell_values_from_graph(self, d: int):
         """Corner values of depth-d cells read off a pinned Laplacian solve
@@ -312,13 +299,30 @@ class HarmonicSpec:
     def energy(self, n: int):
         """Depth-n energy of the extension, from the cell cascade (equals
         the pin energy for any n >= 0)."""
+        num, den = self.cell_numerators(n)
+        total = cell_energies(num).sum()
+        r = self.ls.R(n)
         if self.precision == "rational":
-            num, den = self.cell_numerators(n)
-            r = self.ls.R(n)
-            return Fraction(cell_energies(num).sum() * r.denominator,
-                            den * den * r.numerator)
+            return Fraction(total * r.denominator, den * den * r.numerator)
         # a float64 sum over the Fraction R_n divides as floats
-        return cell_energies(self.cell_values(n)).sum() / self.ls.R(n)
+        return total / r
+
+    def float_masses(self, d: int) -> np.ndarray:
+        """Read-only float64 energy masses E0 / R_d of the depth-d cells, once
+        per depth; in rational precision the exact masses, correctly rounded."""
+        if d not in self._masses:
+            num, den = self.cell_numerators(d)
+            r = self.ls.R(d)
+            energies = cell_energies(num)
+            if self.precision == "rational":
+                scale = den * den * r.numerator
+                # int / int true division rounds correctly, as float(Fraction)
+                masses = np.array([e * r.denominator / scale for e in energies], dtype=np.float64)
+            else:
+                masses = energies / float(r)
+            masses.flags.writeable = False
+            self._masses[d] = masses
+        return self._masses[d]
 
 
 def check_precision(precision: str) -> None:
@@ -330,8 +334,7 @@ def check_precision(precision: str) -> None:
 def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "cells",
                     precision: str = "float") -> HarmonicSpec:
     """Harmonic extension of the corner pin (u(q0), u(q1), u(q2)),
-    materialized to depth `depth` by the cell cascade: cell numerators in
-    rational precision, cell values in float.
+    materialized to depth `depth` by the cell cascade (cell_numerators).
 
     The pin may be any sequence of three values (tuple, list or array).
     method names the route; "cells", the cascade, is the only one.
@@ -345,10 +348,7 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "cells",
         raise DomainError(f"pin has {len(pin)} values; a corner pin has 3")
     convert = Fraction if precision == "rational" else float
     h = HarmonicSpec(ls, tuple(convert(v) for v in pin), precision)
-    if precision == "rational":
-        h.cell_numerators(depth)
-    else:
-        h.cell_values(depth)
+    h.cell_numerators(depth)
     return h
 
 

@@ -9,9 +9,9 @@ and metric comparisons are exact integer arithmetic.  The graph metric
 Sizes are budgeted in corner slots, 3 M_n: build_graph refuses more than
 MAX_CORNERS = 6e6 (about 100 MB of working arrays; (5,) builds to depth 5,
 3 M_5 = 746,496), and the cell cascade behind energy measures
-(forms.HarmonicSpec.cell_values) more than 2^27.  Harmonic extension on
-V_n (forms.HarmonicSpec.extend) scatters that cascade onto the cells, so it
-reaches MAX_CORNERS in both precisions; exact pair resistances, by
+(forms.HarmonicSpec.cell_numerators) more than 2^27.  Harmonic extension
+on V_n (forms.HarmonicSpec.extend) scatters that cascade onto the cells, so
+it reaches MAX_CORNERS in both precisions; exact pair resistances, by
 cell-by-cell elimination, are bounded only by MAX_CORNERS too.  A CellMeasure
 is plain arrays: per-cell masses in word enumeration order and their total.
 """

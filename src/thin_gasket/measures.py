@@ -13,18 +13,16 @@ accumulates 1 - coefficient along sampled addresses.
 A measure is plain arrays: CellMeasure holds the per-cell masses in word
 enumeration order and their total, nothing else.  Masses come from the cell
 cascade, the one route of harmonic extension, and follow the precision of
-the harmonic function: an object array of Fractions, exact at every depth,
-or a float64 array.  Exact masses come from the cascade's integer
-numerators over their common denominator D_d: E0 is summed per cell in
-integers, and each mass is the one Fraction E0 / (D_d^2 R_d).  Float masses
-are computed once per depth per harmonic function: energy_measure caches
-them on the HarmonicSpec as read-only arrays, so the measure, the
-certificate and the divergence statistic of one h share them.  Both
-statistics read energy_measure's masses as float64 and run on whole arrays:
-the certificate over every cell of a depth, the divergence statistic over
-all sampled addresses one depth at a time, both through the one kernel
-_children_coefficients.  The cascade's size budget (HarmonicSpec.cell_values)
-bounds the depths they reach.
+the harmonic function.  Exact masses are one Fraction E0 / (D_d^2 R_d) per
+cell, E0 summed in integers from the cascade's numerators over their common
+denominator D_d.  Float masses are HarmonicSpec.float_masses: computed once
+per depth and kept on h read-only, correctly rounded from the exact masses
+for a rational h, so the measure, the certificate and the divergence
+statistic of one h share them.  Both statistics run on whole arrays: the
+certificate over every cell of a depth, the divergence statistic over all
+sampled addresses one depth at a time, both through the one kernel
+_children_coefficients.  The cascade's size budget
+(HarmonicSpec.cell_numerators) bounds the depths they reach.
 """
 
 from __future__ import annotations
@@ -88,30 +86,16 @@ def energy_measure(h: HarmonicSpec, depth: int) -> CellMeasure:
     """Energy measure of h on depth-`depth` cells, from the cell cascade.
 
     Masses are an object array of exact Fractions when h carries rational
-    precision, float64 otherwise; float masses are computed once per depth
-    and cached on h as a read-only array.
+    precision, otherwise h.float_masses(depth), read-only float64.
     """
     if h.precision == "rational":
         num, den = h.cell_numerators(depth)
         r = h.ls.R(depth)
         scale = den * den * r.numerator
-        energies = cell_energies(num)
-        masses = np.array([Fraction(e * r.denominator, scale) for e in energies],
+        masses = np.array([Fraction(e * r.denominator, scale) for e in cell_energies(num)],
                           dtype=object)
-        # one Fraction from the integer sum over the one denominator
-        total = Fraction(sum(energies) * r.denominator, scale)
-        return CellMeasure(h.ls, depth, masses, total)
-    masses = h._masses.get(depth)
-    if masses is None:
-        masses = cell_energies(h.cell_values(depth)) / float(h.ls.R(depth))
-        masses.flags.writeable = False
-        h._masses[depth] = masses
-    return CellMeasure(h.ls, depth, masses)
-
-
-def _float_masses(h: HarmonicSpec, depths) -> dict:
-    """energy_measure's masses as float64 arrays, by depth."""
-    return {d: np.asarray(energy_measure(h, d).masses, dtype=np.float64) for d in depths}
+        return CellMeasure(h.ls, depth, masses, h.energy(depth))
+    return CellMeasure(h.ls, depth, h.float_masses(depth))
 
 
 def _children_coefficients(parent: np.ndarray, children: np.ndarray) -> np.ndarray:
@@ -165,7 +149,7 @@ def singularity_certificate(h: HarmonicSpec, max_depth: int) -> CertificateRepor
     ls = h.ls
     if max_depth < 2:
         raise DomainError("certificate needs max_depth >= 2")
-    masses = _float_masses(h, range(max_depth + 1))
+    masses = [h.float_masses(d) for d in range(max_depth + 1)]
     total = float(masses[0].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else math.inf
 
@@ -234,7 +218,7 @@ def divergence_statistic(h: HarmonicSpec, max_depth: int, n_samples: int = 200,
     if n_samples * max(counts) > DIVERGENCE_MAX_ENTRIES:
         raise BudgetError(f"{n_samples} addresses with up to {max(counts)} children "
                           f"each exceed the budget of {DIVERGENCE_MAX_ENTRIES} entries")
-    masses = _float_masses(h, range(max_depth + 1))
+    masses = [h.float_masses(d) for d in range(max_depth + 1)]
     total = float(masses[0].sum())
     floor = MASS_FLOOR_REL * total if total > 0 else math.inf
 

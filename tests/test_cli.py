@@ -196,6 +196,24 @@ def test_readme_lists_every_verb():
     assert block.split() == list(cli.VERBS)
 
 
+def test_float_only_verbs_refuse_rational_before_their_handler(tmp_path, monkeypatch,
+                                                              capsys):
+    """Every verb VERBS marks float only exits 1 under --precision rational,
+    in-process, and its handler never starts."""
+    float_only = [verb for verb, (_, _, only) in cli.VERBS.items() if only]
+    assert float_only == ["certify", "diverge", "dm", "slowdecay", "walk"]
+
+    def no_work(cfg, args):
+        raise AssertionError("a float-only handler ran under precision rational")
+
+    for verb in float_only:
+        _, flags, only = cli.VERBS[verb]
+        monkeypatch.setitem(cli.VERBS, verb, (no_work, flags, only))
+        assert run([verb, "--precision", "rational", "--out", tmp_path]) == 1
+        assert "runs in float precision only" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_domain_error_exits_1(tmp_path, capsys):
     rc = run(["build", "--seq", "4", "--depth", "1", "--out", tmp_path])
     assert rc == 1
@@ -238,6 +256,7 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["diverge", "--seq", "5,6", "--max-depth", "3", "--precision", "rational"],
     ["dm", "--seq", "5", "--depth", "1", "--precision", "rational"],
     ["walk", "--seq", "5", "--depth", "1", "--trials", "100", "--precision", "rational"],
+    ["slowdecay", "--power", "3.0", "--precision", "rational"],
     ["dm", "--config", "RATIONAL_CONFIG"],  # the same from a config file
     # a config file naming no precision the routes know: no silent float run
     ["energy", "--config", "BAD_PRECISION_CONFIG", "--pin", "1,0,0"],
@@ -265,7 +284,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
         "extend-rational-size", "certify-cascade-budget", "certify-rational",
-        "diverge-rational", "dm-rational", "walk-rational", "dm-config-rational",
+        "diverge-rational", "dm-rational", "walk-rational", "slowdecay-rational",
+        "dm-config-rational",
         "config-precision", "config-diverging", "matrices-l-budget",
         "config-missing", "config-directory", "config-latin1", "slowdecay-power-inf",
         "slowdecay-power-nan",

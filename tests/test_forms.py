@@ -268,7 +268,7 @@ def test_cell_cascade_refuses_past_its_budget(ls5):
     h = harmonic_extend(ls5, (1.0, 0.0, 0.0), 0, method="cells")
     with pytest.raises(BudgetError):
         h.cell_values(8)
-    assert sorted(h._cell_values) == [0]  # refused before any product
+    assert sorted(h._cascade) == [0]  # refused before any product
 
 
 def test_large_level_stack_certifies_itself():
@@ -333,11 +333,15 @@ def test_integer_cascade_equals_fraction_einsum(seq, pin):
 def test_rational_cells_method_builds_no_fractions(ls5):
     pin = (Fraction(1, 3), Fraction(0), Fraction(-2))
     h = harmonic_extend(ls5, pin, 2, method="cells", precision="rational")
-    assert h._cell_values == {}
     num, den = h.cell_numerators(2)
     assert den == 3 * 31 * 31
-    assert all(type(x) is int for x in num.ravel())
+
+    def cached_ints_only():
+        return all(type(x) is int for num, _ in h._cascade.values() for x in num.ravel())
+
+    assert sorted(h._cascade) == [0, 1, 2] and cached_ints_only()
     assert np.array_equal(h.cell_values(2), _fraction_cascade(ls5, pin, 2))
+    assert cached_ints_only()  # the Fractions of cell_values are not cached
 
 
 def test_rational_cascade_refuses_past_its_budget(ls5):
@@ -346,13 +350,16 @@ def test_rational_cascade_refuses_past_its_budget(ls5):
         h.cell_values(8)
     with pytest.raises(BudgetError):
         h.energy(8)
-    assert sorted(h._numerators) == [0]  # refused before any product
+    assert sorted(h._cascade) == [0]  # refused before any product
 
 
-def test_cell_numerators_are_rational_only(ls5):
+def test_float_cell_numerators_are_the_cell_values(ls5):
+    # one cascade: a float step divides by nothing and copies nothing
     h = harmonic_extend(ls5, (1.0, 0.0, 0.0), 1, method="cells")
-    with pytest.raises(DomainError):
-        h.cell_numerators(1)
+    for d in (1, 2):
+        num, den = h.cell_numerators(d)
+        assert den == 1 and num.dtype == np.float64
+        assert h.cell_values(d) is num
 
 
 # ---- The exact trace comparison is not vacuous ---------------------------

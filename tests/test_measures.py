@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thin_gasket import measures
+from thin_gasket import forms, measures
 from thin_gasket.errors import BudgetError, DomainError
 from thin_gasket.forms import base_energy, cell_energies, harmonic_extend
 from thin_gasket.geometry import boundary_cells, interior_letters, word_to_index
@@ -188,7 +188,7 @@ def test_divergence_budget_refuses_before_the_cascade(monkeypatch):
     def no_cascade(*args):
         raise AssertionError("masses built for a refused run")
 
-    monkeypatch.setattr(measures, "_float_masses", no_cascade)
+    monkeypatch.setattr(forms.HarmonicSpec, "float_masses", no_cascade)
     for n_samples in (at_cap + 1, 10 ** 8):
         with pytest.raises(BudgetError, match="budget"):
             divergence_statistic(h, 2, n_samples=n_samples)
@@ -304,6 +304,28 @@ def test_statistics_agree_on_fresh_and_cached_masses(monkeypatch):
         raise AssertionError("masses recomputed")
 
     # a warm h reads its masses from the cache alone
-    monkeypatch.setattr(measures, "cell_energies", no_energies)
+    monkeypatch.setattr(forms, "cell_energies", no_energies)
     assert singularity_certificate(warm, 4) == cert
     assert divergence_statistic(warm, 4, n_samples=40, seed=3) == div
+
+
+@pytest.mark.parametrize("pin", [
+    (Fraction(-3), Fraction(1, 2), Fraction(7, 3)),
+    (Fraction(2, 5), Fraction(2, 5), Fraction(2, 5)),  # zero energy: every cell zero-mass
+    (Fraction(0), Fraction(-1, 6), Fraction(0)),
+], ids=["negative", "constant", "one-sixth"])
+def test_statistics_of_a_rational_h_read_its_rounded_exact_masses(pin):
+    ls = LevelSequence((5, 6, 5, 7))
+    hr = harmonic_extend(ls, pin, 0, precision="rational")
+    hf = harmonic_extend(ls, tuple(float(v) for v in pin), 0)
+    for d in range(5):
+        masses = hr.float_masses(d)
+        assert masses.dtype == np.float64 and hr.float_masses(d) is masses
+        assert masses.tolist() == [float(m) for m in energy_measure(hr, d).masses]
+        with pytest.raises(ValueError):
+            masses[0] = 1.0
+    exact, approx = singularity_certificate(hr, 4), singularity_certificate(hf, 4)
+    assert exact.passed and exact.n_admissible == approx.n_admissible
+    for a, b in zip(exact.records, approx.records, strict=True):
+        assert (a.n_admissible, a.n_zero_mass) == (b.n_admissible, b.n_zero_mass)
+        assert abs(a.max_coeff - b.max_coeff) <= 1e-12
