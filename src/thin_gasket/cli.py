@@ -1,18 +1,18 @@
 """Command-line entry point.
 
-Verbs cover graph construction and rendering, harmonic extension,
-resistance, extension matrices, energy measures, the concentration
-certificate and divergence statistic, scale-function checks, level
-realization, slowly decaying profiles, random walks, and the acceptance
-suite.  One table, VERBS, declares each verb's handler, its own flags and
-whether it runs in float only (certify, diverge, dm, slowdecay, walk:
+Verbs cover graph construction and rendering, harmonic extension, resistance,
+extension matrices, energy measures, the concentration certificate and
+divergence statistic, scale-function checks, level realization, slowly
+decaying profiles, random walks, and the acceptance suite.  One table, VERBS,
+declares each verb's handler, the flags it reads (any other is a usage error)
+and whether it runs in float only (certify, diverge, dm, slowdecay, walk:
 precision rational is refused).  Outputs are deterministic for a fixed
 configuration: JSON for machine reports, CSV for tables, SVG for figures.
 
 Configuration comes from an optional key=value file (--config) overridden
-by flags; the THIN_GASKET_OUT environment variable supplies the default
-output directory.  Exit codes: 0 success, 1 failed check or domain error,
-2 usage error.
+by flags; a verb ignores the keys it does not read.  The THIN_GASKET_OUT
+environment variable supplies the default output directory.  Exit codes:
+0 success, 1 failed check or domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -271,14 +271,15 @@ def cmd_extend(cfg: RunConfig, args) -> int:
 def cmd_resistance(cfg: RunConfig, args) -> int:
     ls = cfg.sequence()
     if args.x is not None or args.y is not None:
-        if args.x is None or args.y is None:
-            raise GasketError("--x and --y must be given together")
+        if args.x is None or args.y is None or args.corners is not None:
+            raise GasketError("--x and --y must be given together, and without --corners")
         res = effective_resistance(ls, cfg.depth, args.x, args.y,
                                    precision=cfg.precision)
     else:
-        corners = [_parse_int("corner", t) for t in args.corners.split(",")]
+        text = "0,1" if args.corners is None else args.corners
+        corners = [_parse_int("corner", t) for t in text.split(",")]
         if len(corners) != 2:
-            raise GasketError(f"--corners takes two indices j,k, got {args.corners!r}")
+            raise GasketError(f"--corners takes two indices j,k, got {text!r}")
         j, k = corners
         res = corner_resistance(ls, cfg.depth, j, k, precision=cfg.precision)
     report = {"seq": list(cfg.seq), "depth": cfg.depth, "x": res.x, "y": res.y,
@@ -506,42 +507,57 @@ def cmd_verify_all(cfg: RunConfig, args) -> int:
 
 
 # Flags that more than one verb takes: (option string, add_argument keywords).
+_SEQ = (("--seq", dict(type=str, default=None,
+                       help="comma-separated subdivision levels, e.g. 5,7,6")),
+        ("--continuation", dict(choices=("none", "repeat-last"), default=None)))
+_DIVERGING = (("--diverging", dict(action="store_const", const="true", default=None,
+                                   help="mark the sequence as diverging")),)
+_DEPTH = (("--depth", dict(type=int, default=None)),)
+_SEED = (("--seed", dict(type=int, default=None)),)
+_PRECISION = (("--precision", dict(choices=("rational", "float"), default=None)),)
+_OUT_CONFIG = (("--out", dict(type=str, default=None,
+                              help=f"output directory (default: ${OUT_ENV} or .)")),
+               ("--config", dict(type=str, default=None, help="key=value configuration file")))
 _PIN = (("--pin", dict(type=str, default="1,0,0")),)
 _MAX_DEPTH = (("--max-depth", dict(type=int, default=3)),)
 _KIND = (("--kind", dict(choices=("time", "mass", "resistance", "all"), default="all")),)
 _XY = (("--x", dict(type=int, default=None)), ("--y", dict(type=int, default=None)))
 _ETA_N = (("--eta", dict(type=str, default="eta1")), ("--n", dict(type=int, default=8)))
 
-#: verb -> (handler, the verb's own flags, float only).  A float-only verb
-#: has no exact route: precision rational, from a flag or a config file, is
-#: refused before any work.
+#: verb -> (handler, the flags it reads besides --out and --config, float
+#: only).  A float-only verb has no exact route: precision rational, from a
+#: flag or a config file, is refused before any work.
 VERBS = {
-    "build": (cmd_build, (), False),
-    "render": (cmd_render, (("--size", dict(type=float, default=600.0)),), False),
-    "energy": (cmd_energy, _PIN, False),
-    "extend": (cmd_extend, _PIN, False),
-    "resistance": (cmd_resistance,
-                   (("--corners", dict(type=str, default="0,1")), *_XY), False),
+    "build": (cmd_build, (*_SEQ, *_DEPTH), False),
+    "render": (cmd_render, (*_SEQ, *_DEPTH, ("--size", dict(type=float, default=600.0))), False),
+    "energy": (cmd_energy, (*_SEQ, *_DEPTH, *_PRECISION, *_PIN), False),
+    "extend": (cmd_extend, (*_SEQ, *_DEPTH, *_PRECISION, *_PIN), False),
+    "resistance": (cmd_resistance, (*_SEQ, *_DEPTH, *_PRECISION,
+                                    ("--corners", dict(type=str, default=None)), *_XY), False),
     "matrices": (cmd_matrices, (
         ("--l", dict(type=int, required=True)),
         ("--index", dict(type=str, default=None, help="single cell index i1,i2"))), False),
-    "measure": (cmd_measure, _PIN, False),
-    "certify": (cmd_certify, (*_PIN, *_MAX_DEPTH), True),
-    "diverge": (cmd_diverge,
-                (*_PIN, *_MAX_DEPTH, ("--samples", dict(type=int, default=200))), True),
+    "measure": (cmd_measure, (*_SEQ, *_DEPTH, *_PRECISION, *_PIN), False),
+    "certify": (cmd_certify, (*_SEQ, *_PRECISION, *_PIN, *_MAX_DEPTH), True),
+    "diverge": (cmd_diverge, (*_SEQ, *_SEED, *_PRECISION, *_PIN, *_MAX_DEPTH,
+                              ("--samples", dict(type=int, default=200))), True),
     "psi": (cmd_psi, (
-        *_KIND,
+        *_SEQ, *_DIVERGING, *_KIND,
         ("--s", dict(type=str, default=None, help="evaluation point as a fraction, e.g. 1/5")),
         ("--invert", dict(type=str, default=None, help="value whose preimage to compute")),
         ("--segments", dict(type=int, default=4))), False),
-    "doubling": (cmd_doubling, (*_KIND, ("--segments", dict(type=int, default=5))), False),
-    "dm": (cmd_dm, (("--pairs", dict(type=int, default=200)),), True),
+    "doubling": (cmd_doubling, (*_SEQ, *_DIVERGING, *_KIND,
+                                ("--segments", dict(type=int, default=5))), False),
+    "dm": (cmd_dm, (*_SEQ, *_DIVERGING, *_DEPTH, *_SEED, *_PRECISION,
+                    ("--pairs", dict(type=int, default=200))), True),
     "realize": (cmd_realize, (*_ETA_N, ("--n0", dict(type=int, default=None)),
                               ("--min-ratio", dict(type=int, default=5))), False),
     "compare": (cmd_compare, _ETA_N, False),
-    "slowdecay": (cmd_slowdecay, (("--power", dict(type=float, default=2.5)),
+    "slowdecay": (cmd_slowdecay, (*_PRECISION, ("--power", dict(type=float, default=2.5)),
                                   ("--n-max", dict(type=int, default=6))), True),
-    "walk": (cmd_walk, (("--max-steps", dict(type=int, default=10_000_000)), *_XY), True),
+    "walk": (cmd_walk, (*_SEQ, *_DEPTH, *_SEED, *_PRECISION,
+                        ("--trials", dict(type=int, default=None)),
+                        ("--max-steps", dict(type=int, default=10_000_000)), *_XY), True),
     "verify-all": (cmd_verify_all, (
         ("--only", dict(type=str, default=None, help="comma-separated criterion numbers")),),
         False),
@@ -549,28 +565,12 @@ VERBS = {
 
 
 def make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seq", type=str, default=None,
-                        help="comma-separated subdivision levels, e.g. 5,7,6")
-    common.add_argument("--continuation", choices=("none", "repeat-last"),
-                        default=None)
-    common.add_argument("--diverging", action="store_const", const="true",
-                        default=None, help="mark the sequence as diverging")
-    common.add_argument("--depth", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--precision", choices=("rational", "float"), default=None)
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--out", type=str, default=None,
-                        help=f"output directory (default: ${OUT_ENV} or .)")
-    common.add_argument("--config", type=str, default=None,
-                        help="key=value configuration file")
-
     p = argparse.ArgumentParser(prog="thin-gasket",
                                 description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="verb", required=True)
     for verb, (_, flags, _) in VERBS.items():
-        sp = sub.add_parser(verb, parents=[common])
-        for option, kwargs in flags:
+        sp = sub.add_parser(verb)
+        for option, kwargs in (*flags, *_OUT_CONFIG):
             sp.add_argument(option, **kwargs)
     return p
 

@@ -215,22 +215,24 @@ class HarmonicSpec:
         self._materialized: dict[int, tuple[ApproximationGraph, object]] = {}
         # read-only float64 energy masses by depth
         self._masses: dict[int, np.ndarray] = {}
-        # the cell cascade by depth, (num, den) with values num / den; the
-        # depth-0 cell lists its corners as (q0, q1, q2)
+        # the cell cascade by depth, (num, den) with values num / den, each
+        # num read-only; the depth-0 cell lists its corners as (q0, q1, q2)
         if precision == "rational":
             row, den = linalg.over_common_denominator(pin)
-            self._cascade = {0: (np.array([row], dtype=object), den)}
+            num = np.array([row], dtype=object)
         else:
-            self._cascade = {0: (np.array([pin], dtype=np.float64), 1)}
+            num, den = np.array([pin], dtype=np.float64), 1
+        num.flags.writeable = False
+        self._cascade = {0: (num, den)}
 
     # -- matrix-cascade route
 
     def cell_numerators(self, d: int):
         """Depth-d corner values as (num, den), shape (M_d, 3), with values
-        num / den.  Rational: num an object array of Python ints, den the lcm
-        of the pin denominators times the product of 6 l_k + 1 over k <= d.
-        Float: num the float64 values, den 1.  Refuses with BudgetError,
-        before any product, a depth past 2^27 corner slots."""
+        num / den and num read-only.  Rational: num an object array of Python
+        ints, den the lcm of the pin denominators times the product of
+        6 l_k + 1 over k <= d.  Float: num the float64 values, den 1.  Refuses
+        with BudgetError, before any product, a depth past 2^27 corner slots."""
         if d not in self._cascade:
             if d < 0:
                 raise DomainError(f"depth must be nonnegative, got {d}")
@@ -243,7 +245,9 @@ class HarmonicSpec:
             l = self.ls.level(d)
             stack, q = ((_numerator_stack(l).astype(object), 6 * l + 1)
                         if self.precision == "rational" else (matrix_stack(l), 1))
-            self._cascade[d] = (np.einsum("mij,wj->wmi", stack, num).reshape(-1, 3), den * q)
+            cells = np.einsum("mij,wj->wmi", stack, num).reshape(-1, 3)
+            cells.flags.writeable = False  # cell_values hands the float array out itself
+            self._cascade[d] = (cells, den * q)
         return self._cascade[d]
 
     def _values(self, num: np.ndarray, den: int) -> np.ndarray:
@@ -255,8 +259,9 @@ class HarmonicSpec:
 
     def cell_values(self, d: int):
         """Corner values of every depth-d cell, shape (M_d, 3): the cascade's
-        float64 array itself, or Fractions built from cell_numerators in
-        rational precision.  The budget of cell_numerators applies."""
+        read-only float64 array itself, or Fractions built from
+        cell_numerators in rational precision.  The budget of cell_numerators
+        applies."""
         return self._values(*self.cell_numerators(d))
 
     # -- vertex values
@@ -274,7 +279,9 @@ class HarmonicSpec:
         num, den = self.cell_numerators(n)
         vertex_num = np.empty(g.n_vertices, dtype=num.dtype)
         vertex_num[g.cells] = num
-        self._materialized[n] = (g, self._values(vertex_num, den))
+        values = self._values(vertex_num, den)
+        values.flags.writeable = False  # every later call returns this array
+        self._materialized[n] = (g, values)
         return self._materialized[n]
 
     def cell_values_from_graph(self, d: int):

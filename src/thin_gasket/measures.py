@@ -92,9 +92,10 @@ def energy_measure(h: HarmonicSpec, depth: int) -> CellMeasure:
         num, den = h.cell_numerators(depth)
         r = h.ls.R(depth)
         scale = den * den * r.numerator
-        masses = np.array([Fraction(e * r.denominator, scale) for e in cell_energies(num)],
-                          dtype=object)
-        return CellMeasure(h.ls, depth, masses, h.energy(depth))
+        energies = cell_energies(num)
+        masses = np.array([Fraction(e * r.denominator, scale) for e in energies], dtype=object)
+        # the total as h.energy(depth) gives it, without a second pass of E0
+        return CellMeasure(h.ls, depth, masses, Fraction(energies.sum() * r.denominator, scale))
     return CellMeasure(h.ls, depth, h.float_masses(depth))
 
 

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -144,32 +145,41 @@ def test_method_flag_is_a_usage_error(argv, capsys):
 
 
 # Every verb's option strings and their choices (None for free values), so a
-# new knob shows up as a diff here.
-_COMMON_OPTIONS = {
-    "--seq": None, "--continuation": ("none", "repeat-last"), "--diverging": None,
-    "--depth": None, "--seed": None, "--precision": ("rational", "float"),
-    "--trials": None, "--out": None, "--config": None,
-}
+# new knob shows up as a diff here.  A verb takes only the flags it reads,
+# and --out and --config.
+_SEQ = {"--seq": None, "--continuation": ("none", "repeat-last")}
+_PRECISION = {"--precision": ("rational", "float")}
+_KIND = {"--kind": ("time", "mass", "resistance", "all")}
 _VERB_OPTIONS = {
-    "build": {},
-    "render": {"--size": None},
-    "energy": {"--pin": None},
-    "extend": {"--pin": None},
-    "resistance": {"--corners": None, "--x": None, "--y": None},
+    "build": {**_SEQ, "--depth": None},
+    "render": {**_SEQ, "--depth": None, "--size": None},
+    "energy": {**_SEQ, "--depth": None, **_PRECISION, "--pin": None},
+    "extend": {**_SEQ, "--depth": None, **_PRECISION, "--pin": None},
+    "resistance": {**_SEQ, "--depth": None, **_PRECISION, "--corners": None, "--x": None,
+                   "--y": None},
     "matrices": {"--l": None, "--index": None},
-    "measure": {"--pin": None},
-    "certify": {"--pin": None, "--max-depth": None},
-    "diverge": {"--pin": None, "--max-depth": None, "--samples": None},
-    "psi": {"--kind": ("time", "mass", "resistance", "all"), "--s": None,
-            "--invert": None, "--segments": None},
-    "doubling": {"--kind": ("time", "mass", "resistance", "all"), "--segments": None},
-    "dm": {"--pairs": None},
+    "measure": {**_SEQ, "--depth": None, **_PRECISION, "--pin": None},
+    "certify": {**_SEQ, **_PRECISION, "--pin": None, "--max-depth": None},
+    "diverge": {**_SEQ, "--seed": None, **_PRECISION, "--pin": None, "--max-depth": None,
+                "--samples": None},
+    "psi": {**_SEQ, "--diverging": None, **_KIND, "--s": None, "--invert": None,
+            "--segments": None},
+    "doubling": {**_SEQ, "--diverging": None, **_KIND, "--segments": None},
+    "dm": {**_SEQ, "--diverging": None, "--depth": None, "--seed": None, **_PRECISION,
+           "--pairs": None},
     "realize": {"--eta": None, "--n": None, "--n0": None, "--min-ratio": None},
     "compare": {"--eta": None, "--n": None},
-    "slowdecay": {"--power": None, "--n-max": None},
-    "walk": {"--max-steps": None, "--x": None, "--y": None},
+    "slowdecay": {**_PRECISION, "--power": None, "--n-max": None},
+    "walk": {**_SEQ, "--depth": None, "--seed": None, **_PRECISION, "--trials": None,
+             "--max-steps": None, "--x": None, "--y": None},
     "verify-all": {"--only": None},
 }
+
+#: The flags every verb once took, whether it read them or not, with a value
+#: for each.
+_FORMER_COMMON = {"--seq": ["9"], "--continuation": ["none"], "--diverging": [],
+                  "--depth": ["5"], "--seed": ["3"], "--precision": ["float"],
+                  "--trials": ["3"]}
 
 
 def _options(parser):
@@ -177,14 +187,49 @@ def _options(parser):
             for a in parser._actions if a.option_strings}
 
 
+def _subparsers():
+    [sub] = [a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def test_parser_surface():
-    parser = make_parser()
-    assert _options(parser) == {"-h --help": None}
-    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == list(_VERB_OPTIONS)
-    for verb, sp in sub.choices.items():
-        expected = {"-h --help": None, **_COMMON_OPTIONS, **_VERB_OPTIONS[verb]}
+    assert _options(make_parser()) == {"-h --help": None}
+    assert list(_subparsers()) == list(_VERB_OPTIONS)
+    for verb, sp in _subparsers().items():
+        expected = {"-h --help": None, **_VERB_OPTIONS[verb], "--out": None, "--config": None}
         assert _options(sp) == expected, verb
+    assert sum(len(_VERB_OPTIONS[verb]) + 2 for verb in _VERB_OPTIONS) == 115
+
+
+_UNREAD = [(verb, flag) for verb in _VERB_OPTIONS for flag in _FORMER_COMMON
+           if flag not in _VERB_OPTIONS[verb]]
+
+
+@pytest.mark.parametrize("verb,flag", _UNREAD, ids=[" ".join(vf) for vf in _UNREAD])
+def test_unread_former_common_flag_is_a_usage_error(tmp_path, capsys, verb, flag):
+    """A flag the verb does not read exits 2 and writes nothing, where it
+    was once accepted and ignored: certify --depth 5 wrote a depth-3 file."""
+    required = ["--l", "12"] if verb == "matrices" else []
+    with pytest.raises(SystemExit) as exc:
+        run([verb, *required, flag, *_FORMER_COMMON[flag], "--out", tmp_path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_lists_each_verbs_flags():
+    """The README's "Command line" list names, for each verb, the flags its
+    subparser takes besides --out and --config, in the parser's order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = next(par for par in section.split("\n\n") if par.startswith("- `"))
+    listed = {}
+    for item in block.removeprefix("- ").split("\n- "):
+        verb, flags = item.split(":", 1)
+        listed[verb.strip("`")] = re.findall(r"--[\w-]+", flags)
+    parsed = {verb: [o for o in _options(sp) if o not in ("-h --help", "--out", "--config")]
+              for verb, sp in _subparsers().items()}
+    assert listed == parsed
 
 
 def test_readme_lists_every_verb():
@@ -222,6 +267,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["resistance", "--corners", "0,5", "--depth", "1"],  # singular corner system
+    # two pairs named at once: no silent choice of one
+    ["resistance", "--seq", "5", "--depth", "1", "--corners", "0,2", "--x", "3", "--y", "11"],
     ["dm", "--seq", "5", "--depth", "0"],  # more pairs than the graph has
     ["dm", "--seq", "5", "--depth", "1", "--pairs", "0"],  # a vacuous pass
     ["build", "--seq", "5,x", "--depth", "1"],  # malformed level
@@ -277,8 +324,9 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["realize", "--n", "100000"],
     ["compare", "--n", "2000"],
     ["diverge", "--samples", "100000000"],  # an 8.9 GiB children index
-], ids=["corner-index", "dm-pairs", "dm-no-pairs", "seq-parse", "walk-trials",
-        "walk-vertex", "walk-max-steps", "walk-past-cap", "walk-work-budget",
+], ids=["corner-index", "resistance-corners-and-xy", "dm-pairs", "dm-no-pairs",
+        "seq-parse", "walk-trials", "walk-vertex", "walk-max-steps", "walk-past-cap",
+        "walk-work-budget",
         "energy-pin", "psi-s", "psi-invert", "verify-only-parse", "verify-only-range",
         "doubling-segments", "diverge-samples", "render-size", "psi-s-overflow",
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
@@ -365,17 +413,23 @@ def _vertex_count(seq, depth):
 
 @st.composite
 def _cli_argv(draw, verb):
+    """Random flags for `verb`, the shared ones only where its subparser
+    takes them, so no draw ends in a usage error by construction."""
+    takes = _options(_subparsers()[verb])
     argv = [verb, *draw(_VERB_FLAGS[verb])]
     seq = draw(_int_list(5, 9, ["4", "x", "5,,6", "5,y"]))
     depth = draw(st.integers(0, 2))
-    argv += ["--seq", seq, "--depth", depth]
+    if "--seq" in takes:
+        argv += ["--seq", seq]
+    if "--depth" in takes:
+        argv += ["--depth", depth]
     if verb == "resistance" and draw(st.booleans()):
         # vertex ids from -1 to V + 1: both ends one past the graph
         ids = st.integers(-1, _vertex_count(seq, depth) + 1)
         argv += ["--x", draw(ids), "--y", draw(ids)]
-    if draw(st.booleans()):
+    if draw(st.booleans()) and "--diverging" in takes:
         argv.append("--diverging")
-    if draw(st.booleans()):
+    if draw(st.booleans()) and "--precision" in takes:
         argv += ["--precision", draw(st.sampled_from(["float", "rational"]))]
     return argv
 
@@ -384,46 +438,45 @@ def _cli_argv(draw, verb):
 @settings(max_examples=2, derandomize=True)
 @given(data=st.data())
 def test_cli_never_ends_in_traceback(verb, data):
-    """Small random argument sets end in 0, 1 or 2, never a traceback or a
-    hang, for every verb; each case is one child interpreter at a time."""
+    """Small random argument sets end in 0 or 1, never a usage error, a
+    traceback or a hang, for every verb; each case is one child interpreter
+    at a time."""
     _assert_clean_exit(data.draw(_cli_argv(verb), label="argv"))
 
 
 def _assert_clean_exit(argv):
+    # the draws pass only flags the verb takes, so a usage error (2) is a fault
     with tempfile.TemporaryDirectory() as out:
         code, err = run_process([*argv, "--out", out], timeout=120)
-    assert code in (0, 1, 2), (argv, err)
+    assert code in (0, 1), (argv, err)
     assert "Traceback" not in err, (argv, err)
 
 
 # one non-trivial argv per verb: depth >= 1 and flags off their defaults,
 # where the derandomized draws above start from --seq 5 --depth 0
 _VERB_EXAMPLES = {
-    "build": ["build", "--seq", "5,7,6", "--depth", "2", "--diverging"],
-    "certify": ["certify", "--seq", "6,5", "--depth", "1", "--pin", "1,1/2,0",
-                "--max-depth", "2"],
-    "compare": ["compare", "--eta", "eta1", "--n", "5", "--depth", "1"],
-    "diverge": ["diverge", "--seq", "5,6", "--depth", "1", "--pin", "0,1,1/3",
-                "--max-depth", "2", "--samples", "7", "--seed", "3"],
+    "build": ["build", "--seq", "5,7,6", "--depth", "2"],
+    "certify": ["certify", "--seq", "6,5", "--pin", "1,1/2,0", "--max-depth", "2"],
+    "compare": ["compare", "--eta", "eta1", "--n", "5"],
+    "diverge": ["diverge", "--seq", "5,6", "--pin", "0,1,1/3", "--max-depth", "2",
+                "--samples", "7", "--seed", "3"],
     "dm": ["dm", "--seq", "6,5", "--depth", "2", "--pairs", "9", "--seed", "4"],
-    "doubling": ["doubling", "--seq", "7,5", "--depth", "1", "--kind", "resistance",
-                 "--segments", "3"],
+    "doubling": ["doubling", "--seq", "7,5", "--kind", "resistance", "--segments", "3"],
     "energy": ["energy", "--seq", "5,6", "--depth", "2", "--pin", "1/2,0,1",
                "--precision", "rational"],
     "extend": ["extend", "--seq", "6", "--depth", "1", "--pin", "0,1,1/3",
                "--precision", "rational"],
-    "matrices": ["matrices", "--l", "12", "--depth", "1"],
+    "matrices": ["matrices", "--l", "12"],
     "measure": ["measure", "--seq", "5,7", "--depth", "2", "--pin", "1,0,2/3",
                 "--precision", "rational"],
-    "psi": ["psi", "--seq", "5,7,6", "--depth", "1", "--kind", "mass", "--s", "1/40",
-            "--invert", "1/3", "--segments", "3"],
-    "realize": ["realize", "--eta", "eta1", "--n", "6", "--n0", "2", "--min-ratio", "6",
-                "--depth", "1"],
+    "psi": ["psi", "--seq", "5,7,6", "--kind", "mass", "--s", "1/40", "--invert", "1/3",
+            "--segments", "3"],
+    "realize": ["realize", "--eta", "eta1", "--n", "6", "--n0", "2", "--min-ratio", "6"],
     "render": ["render", "--seq", "6,5", "--depth", "2", "--size", "120"],
     "resistance": ["resistance", "--seq", "6,5", "--depth", "2", "--x", "3", "--y", "17",
                    "--precision", "rational"],
-    "slowdecay": ["slowdecay", "--power", "3.0", "--n-max", "7", "--depth", "1"],
-    "verify-all": ["verify-all", "--only", "1,4", "--depth", "1"],
+    "slowdecay": ["slowdecay", "--power", "3.0", "--n-max", "7"],
+    "verify-all": ["verify-all", "--only", "1,4"],
     "walk": ["walk", "--seq", "5", "--depth", "1", "--trials", "40", "--max-steps", "5000",
              "--x", "0", "--y", "7", "--seed", "2"],
 }
@@ -431,14 +484,15 @@ _VERB_EXAMPLES = {
 
 @pytest.mark.parametrize("verb", sorted(_VERB_FLAGS))
 def test_cli_verb_example_never_ends_in_traceback(verb, tmp_path, capsys):
-    """The same assertions on each verb's explicit argv, run in-process."""
+    """Each verb's explicit argv, run in-process, succeeds: a usage error
+    (exit 2) would test nothing past the parser."""
     argv = _VERB_EXAMPLES[verb]
     try:
         code = run([*argv, "--out", tmp_path])
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
-    assert code in (0, 1, 2), (argv, err)
+    assert code == 0, (argv, err)
     assert "Traceback" not in err, (argv, err)
 
 

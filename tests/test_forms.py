@@ -362,6 +362,20 @@ def test_float_cell_numerators_are_the_cell_values(ls5):
         assert h.cell_values(d) is num
 
 
+@pytest.mark.parametrize("precision", ["float", "rational"])
+def test_cached_cascade_arrays_are_read_only(ls5, precision):
+    # a write into a handed-out array once changed every later energy of h:
+    # v[0, 0] = 7.0 on the float depth-1 values moved energy(1) from 2 to 274
+    h = harmonic_extend(ls5, (1, 0, 0), 0, precision=precision)
+    arrays = [h.cell_numerators(d)[0] for d in (0, 1)] + [h.extend(1)[1]]
+    if precision == "float":
+        arrays.append(h.cell_values(1))
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+    assert h.energy(1) == 2
+
+
 # ---- The exact trace comparison is not vacuous ---------------------------
 
 

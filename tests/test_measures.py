@@ -291,6 +291,22 @@ def test_float_masses_are_cached_read_only():
         first[0] = 1.0
 
 
+def test_rational_measure_computes_e0_once_per_depth(monkeypatch):
+    h = _rational_extension((9, 58), (1, Fraction(2, 3), Fraction(1, 9)), 0)
+    totals = {d: h.energy(d) for d in range(3)}
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return cell_energies(values)
+
+    monkeypatch.setattr(forms, "cell_energies", counted)
+    monkeypatch.setattr(measures, "cell_energies", counted)
+    for d in range(3):
+        assert energy_measure(h, d).total == totals[d]
+    assert calls == [h.ls.M(d) for d in range(3)]
+
+
 def test_statistics_agree_on_fresh_and_cached_masses(monkeypatch):
     ls = LevelSequence((5, 6, 7), continuation="repeat-last")
     pin = (1.0, 0.3, -0.5)
