@@ -17,7 +17,9 @@ values, so it encloses the reciprocals B = 1/eta^{-1}(2^{-n0}) and
 X = 1/eta^{-1}(2^{-n-n0}) directly.  For the log profiles that is
 exp(x) - e + 1 at the last iterate (x = 1/y, then x <- exp(x) - e + 1), with
 no division at all when y is a power of 1/2; for piecewise eta it is the
-exact reciprocal of the knot interpolant.  At y = 2^-m the first iterate is
+exact reciprocal of the knot interpolant.  There is no other eta^{-1}: the
+summability screen and the comparability report read the midpoints of the
+same enclosures, at 160 and 320 bits.  At y = 2^-m the first iterate is
 exp of the point 2^m, enclosed at precision p from one squaring chain: e
 rounded down at wp = p + m + _EXP_CHAIN_GUARD bits and squared m times with
 truncation to wp bits gives a_m <= exp(2^m).  Each of those 1 + m roundings
@@ -170,22 +172,13 @@ class EtaFunction:
 
     def __call__(self, r) -> float:
         r = float(r)
-        if r <= 0:
+        if not r > 0:
             raise DomainError("eta is defined for r > 0")
         if r >= 1:
             return 1.0
         r = Fraction(r)
         with mpmath.workprec(120):
             return float(self._mp_ratio_value(r.numerator, r.denominator))
-
-    def _piecewise_value(self, r: Fraction) -> Fraction:
-        ks = self.knots
-        if r < ks[0][0]:
-            raise DomainError(f"r = {float(r)} below the stored knots")
-        for (r1, y1), (r2, y2) in zip(ks, ks[1:]):
-            if r <= r2:
-                return y1 + (y2 - y1) * (r - r1) / (r2 - r1)
-        return Fraction(1)
 
     def _mp_ratio_value(self, num: int, den: int):
         """eta(num/den) at the working precision, for positive integers
@@ -198,41 +191,16 @@ class EtaFunction:
             for _ in range(self.k - 1):
                 v = 1 / mpmath.log(mpmath.e - 1 + 1 / v)
             return v
-        v = self._piecewise_value(Fraction(num, den))
+        v = _interpolate(Fraction(num, den), self.knots, "r")
         return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
 
-    # -- inverses
-
-    def _piecewise_inverse(self, y: Fraction) -> Fraction:
-        ks = self.knots
-        if y < ks[0][1]:
-            raise DomainError(f"y = {float(y)} below the stored knots")
-        for (r1, y1), (r2, y2) in zip(ks, ks[1:]):
-            if y <= y2:
-                return r1 + (r2 - r1) * (y - y1) / (y2 - y1)
-        return Fraction(1)
-
-    def mp_inverse(self, y):
-        """eta^{-1}(y) at the working precision, for a rational y in (0, 1]."""
-        y = Fraction(y)
-        if self.kind == "iterated":
-            v = mpmath.mpf(y.numerator) / mpmath.mpf(y.denominator)
-            for _ in range(self.k):
-                x = 1 / v
-                if mpmath.mag(x) > _EXP_ARG_MAX_MAG:
-                    raise RealizationError(
-                        f"{self.label} inverse at {y} needs exp of a number "
-                        f"past 2^{_EXP_ARG_MAX_MAG}")
-                v = 1 / (mpmath.exp(x) - mpmath.e + 1)
-            return v
-        v = self._piecewise_inverse(y)
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
+    # -- the inverse
 
     def iv_inverse_recip(self, y: Fraction):
         """Certified interval enclosure of 1/eta^{-1}(y) at the current iv
-        precision, for a rational y in (0, 1]."""
+        precision, for a rational y in (0, 1]: the package's one eta^{-1}."""
         if self.kind == "piecewise":
-            r = self._piecewise_inverse(y)
+            r = _interpolate(y, [(b, a) for a, b in self.knots], "y")
             return iv.mpf(r.denominator) / iv.mpf(r.numerator)
         e_iv = iv.exp(iv.mpf(1))
         # 1/eta1^{-1}(v) = exp(1/v) - e + 1: each iterate needs only the
@@ -240,8 +208,8 @@ class EtaFunction:
         x = iv.mpf(y.denominator) / iv.mpf(y.numerator)
         for _ in range(self.k):
             if mpmath.mag(x.b) > _EXP_ARG_MAX_MAG:
-                raise RealizationError(f"{self.label} inverse needs exp of a number "
-                                       f"past 2^{_EXP_ARG_MAX_MAG}")
+                raise RealizationError(f"{self.label} inverse at {y} needs exp of a "
+                                       f"number past 2^{_EXP_ARG_MAX_MAG}")
             lo, hi = x._mpi_
             # a point 2^m (the first iterate at y = 2^-m) is a normalized
             # mantissa of 1
@@ -250,6 +218,17 @@ class EtaFunction:
             else:
                 x = iv.exp(x) - e_iv + 1
         return x
+
+
+def _interpolate(x: Fraction, knots, name: str) -> Fraction:
+    """The linear interpolant through the increasing (x, y) knots at x, 1
+    past the last; eta passes its knots, eta^{-1} the same ones swapped."""
+    if x < knots[0][0]:
+        raise DomainError(f"{name} = {float(x)} below the stored knots")
+    for (x1, y1), (x2, y2) in zip(knots, knots[1:]):
+        if x <= x2:
+            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+    return Fraction(1)
 
 
 def _iv_exp_pow2(m: int):
@@ -274,39 +253,28 @@ def _iv_exp_pow2(m: int):
 
 
 def summability_report(eta: EtaFunction, n_terms: int = 16) -> dict:
-    """Terms eta^{-1}(2^{-n})/eta^{-1}(2^{1-n}) and their partial sums, at
-    160 bits.
+    """Terms eta^{-1}(2^{-n})/eta^{-1}(2^{1-n}), the midpoints of the
+    reciprocal enclosures' ratios, and their partial sums, at 160 bits.
 
     The tail must drop below _SUMMABILITY_THRESHOLD and keep decreasing for
     the realization to make sense; the identity profile eta(r) = r stalls
     at 1/2 and is flagged.
     """
-    logs = []
-    terms = []
-    partial = []
-    with mpmath.workprec(160):
-        prev = None
+    if n_terms < 1:
+        raise DomainError(f"need at least one summability term, got {n_terms}")
+    terms, partial = [], []
+    with _iv_prec(160), mpmath.workprec(160):
+        recips = [eta.iv_inverse_recip(Fraction(1, 2 ** n)) for n in range(n_terms + 1)]
         acc = mpmath.mpf(0)
-        for n in range(1, n_terms + 1):
-            cur = eta.mp_inverse(Fraction(1, 2 ** n))
-            if prev is None:
-                prev = eta.mp_inverse(Fraction(1))
-            t = cur / prev
+        for prev, cur in zip(recips, recips[1:]):
+            t = mpmath.mpf((prev / cur).mid)
             acc += t
-            try:
-                tf = float(t)
-            except OverflowError:
-                tf = 0.0
-            terms.append(tf)
-            lg = mpmath.log(t)
-            logs.append(float(lg) if mpmath.isfinite(lg) else -math.inf)
+            terms.append(float(t))
             partial.append(float(acc))
-            prev = cur
     tail = terms[max(0, n_terms - 5):]
     decreasing = all(b <= a * (1 + 1e-12) for a, b in zip(tail, tail[1:]))
     below = terms[-1] <= _SUMMABILITY_THRESHOLD
-    return {"eta": eta.label, "n_terms": n_terms, "terms": terms,
-            "log_terms": logs, "partial_sums": partial,
+    return {"eta": eta.label, "n_terms": n_terms, "terms": terms, "partial_sums": partial,
             "threshold": _SUMMABILITY_THRESHOLD, "tail_decreasing": decreasing,
             "below_threshold": below, "summable": decreasing and below}
 
@@ -581,14 +549,14 @@ def comparability_report(eta: EtaFunction, result: RealizationResult) -> dict:
     big_n = len(entries)
     n0 = result.n0
 
-    with mpmath.workprec(320):
+    with _iv_prec(320), mpmath.workprec(320):
         # ratio infimum of eta over the realization window (finite surrogate)
-        invs = [eta.mp_inverse(Fraction(1, 2 ** n))
-                for n in range(big_n + n0 + result_horizon(result))]
-        c_eta = min(a / b for a, b in zip(invs, invs[1:]))
+        recips = [eta.iv_inverse_recip(Fraction(1, 2 ** n))
+                  for n in range(big_n + n0 + result_horizon(result))]
+        c_eta = min(mpmath.mpf((b / a).mid) for a, b in zip(recips, recips[1:]))
         beta_eta = 1.0 / float(mpmath.log(c_eta, 2))
 
-        inv_base = invs[n0]
+        inv_base = 1 / mpmath.mpf(recips[n0].mid)
         c_hi = float(2 ** (2 - n0) * ((mpmath.mpf(6) / 5) / inv_base) ** beta_eta)
         prod = mpmath.mpf(1)
         for l in entries:

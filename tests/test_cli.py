@@ -359,6 +359,14 @@ def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("eta,y", [("eta3", "1/16"), ("eta4", "1/4")])
+def test_realize_names_the_first_inverse_past_the_exp_cap(tmp_path, eta, y):
+    # the summability screen's enclosure refuses it, before any level
+    code, err = run_process(["realize", "--eta", eta, "--out", tmp_path])
+    assert code == 1
+    assert f"inverse at {y} needs exp of a number past 2^65536" in err
+
+
 def _int_list(lo, hi, bad):
     good = st.lists(st.integers(lo, hi), min_size=1, max_size=3).map(
         lambda xs: ",".join(map(str, xs)))
@@ -702,8 +710,10 @@ def test_measure_statistics_match_golden_bytes(tmp_path, capsys, argv, name):
 
 
 # Realization files written before levels were certified through reciprocal
-# enclosures and the magnitude-guided precision ladder.  The n = 17 file
-# (229 KB, l_17 has 56,924 digits) is pinned by its sha256 instead.
+# enclosures and the magnitude-guided precision ladder, and a slow-decay file
+# written while the summability screen had an uncertified inverse of its own.
+# The n = 17 file (229 KB, l_17 has 56,924 digits) is pinned by its sha256
+# instead.
 GOLDEN_SHA256 = {
     "realize-eta1-n17.json":
         "984261b90f9d7d606e86a984309fd71de076040ba8624fcfb8aa0580ca0995d3",
@@ -716,6 +726,7 @@ GOLDEN_SHA256 = {
     ("compare --eta eta1 --n 17", "compare-eta1-n17.json"),
     ("compare --eta eta2 --n 2", "compare-eta2-n2.json"),
     ("realize --eta eta1 --n 17", "realize-eta1-n17.json"),
+    ("slowdecay --power 3.0 --n-max 7", "slowdecay-p3.0.json"),
 ])
 def test_realization_outputs_match_golden_bytes(tmp_path, capsys, argv, name):
     assert run([*argv.split(), "--out", tmp_path]) == 0

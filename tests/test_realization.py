@@ -28,15 +28,16 @@ def test_elementary_eta_values():
     r = 0.01
     assert eta(r) == pytest.approx(1 / math.log(math.e - 1 + 1 / r), rel=1e-14)
     y = eta(0.37)
-    with mpmath.workprec(120):
-        assert float(eta.mp_inverse(y)) == pytest.approx(0.37, rel=1e-12)
+    with realization._iv_prec(120):
+        assert float((1 / eta.iv_inverse_recip(Fraction(y))).mid) == \
+            pytest.approx(0.37, rel=1e-12)
 
 
 def test_log_profile_inverse_below_double_range():
     # eta^-1 of the first two lies below the smallest positive double
     for eta, y in ((EtaFunction.iterated(2), 0.05), (EtaFunction.elementary(), 0.001)):
-        assert 0 < eta.mp_inverse(y) < 1e-320
-    assert 0 < EtaFunction.elementary().mp_inverse(0.01) < 1e-40
+        assert 0 < 1 / eta.iv_inverse_recip(Fraction(y)) < 1e-320
+    assert 0 < 1 / EtaFunction.elementary().iv_inverse_recip(Fraction(0.01)) < 1e-40
 
 
 @pytest.mark.parametrize("r", [1e-300, 1e-12, 0.01, 0.37, 0.999])
@@ -50,12 +51,15 @@ def test_eta_call_is_the_mp_value(r):
         v2 = 1 / mpmath.log(mpmath.e - 1 + 1 / v1)
     assert eta1(r) == pytest.approx(float(v1), rel=1e-15)
     assert eta2(r) == pytest.approx(float(v2), rel=1e-15)
-    pw = EtaFunction.piecewise([(Fraction(1, 10 ** 300), Fraction(1, 7)), (1, 1)])
-    assert pw(r) == pytest.approx(float(pw._piecewise_value(Fraction(r))), rel=1e-15)
+    r1, y1 = Fraction(1, 10 ** 300), Fraction(1, 7)
+    pw = EtaFunction.piecewise([(r1, y1), (1, 1)])
+    line = y1 + (1 - y1) * (Fraction(r) - r1) / (1 - r1)
+    assert pw(r) == pytest.approx(float(line), rel=1e-15)
     assert eta1(1.0) == eta1(2.0) == pw(1.0) == 1.0
     for eta in (eta1, eta2, pw):
-        with pytest.raises(DomainError):
-            eta(0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(DomainError, match="eta is defined for r > 0"):
+                eta(bad)
 
 
 def test_realized_sequence_golden_prefix():
@@ -407,6 +411,17 @@ def test_eta_doubling():
 def test_summability_of_elementary():
     rep = summability_report(EtaFunction.elementary())
     assert rep["summable"]
+    # the floats of the 160-bit inverse ratios; terms converted to mpf at 53
+    # bits would move the fifth partial sum in its last bit
+    assert rep["terms"][:4] == [0.1763427624349498, 0.10723881248193373,
+                                0.017749450677685494, 0.00033526932558680184]
+    assert rep["partial_sums"][4] == 0.30166640745530876
+
+
+@pytest.mark.parametrize("n_terms", [0, -2])
+def test_summability_needs_a_term(n_terms):
+    with pytest.raises(DomainError, match="at least one summability term"):
+        summability_report(EtaFunction.elementary(), n_terms)
 
 
 def test_non_summable_eta_rejected():
@@ -440,7 +455,7 @@ def test_elementary_is_the_first_iterate():
     eta = EtaFunction.elementary()
     assert (eta.kind, eta.k, eta.label) == ("iterated", 1, "log-profile")
     y = Fraction(1, 8)
-    assert eta(float(eta.mp_inverse(y))) == pytest.approx(0.125, rel=1e-12)
+    assert eta(float((1 / eta.iv_inverse_recip(y)).mid)) == pytest.approx(0.125, rel=1e-12)
 
 
 def test_slow_decay_profile():
