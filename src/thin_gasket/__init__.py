@@ -11,9 +11,8 @@ walk diagnostics.
 
 from .errors import (BudgetError, DomainError, GasketError, RealizationError,
                      SequenceError, SolveError)
-from .forms import (HarmonicMatrix, HarmonicSpec, base_energy,
-                    extension_ratio_check, harmonic_extend, harmonic_matrix,
-                    matrix_stack, matrix_stack_exact, one_subdivision_trace)
+from .forms import (HarmonicMatrix, HarmonicSpec, base_energy, harmonic_extend,
+                    harmonic_matrix, matrix_stack, matrix_stack_exact)
 from .geometry import (ApproximationGraph, CellMeasure, boundary_cells,
                        build_graph, geodesic_hops, graph_to_json,
                        index_to_word, interior_letters, is_cell_index,
@@ -27,7 +26,7 @@ from .realization import (EtaFunction, RealizationResult,
                           comparability_report, realize_sequence,
                           slow_decay_eta, summability_report)
 from .resistance import (ResistanceResult, ResistanceSolver, corner_resistance,
-                         corner_trace, effective_resistance)
+                         effective_resistance)
 from .scales import (BetaBundle, PiecewiseScale, beta_bundle, build_scale,
                      comparison_checks, doubling_check, knot_continuity_check,
                      mass_exponent, product_identity_check,

@@ -10,9 +10,10 @@ precision rational is refused).  Outputs are deterministic for a fixed
 configuration: JSON for machine reports, CSV for tables, SVG for figures.
 
 Configuration comes from an optional key=value file (--config) overridden
-by flags; a verb ignores the keys it does not read.  The THIN_GASKET_OUT
-environment variable supplies the default output directory.  Exit codes:
-0 success, 1 failed check or domain error, 2 usage error.
+by flags.  Every key of the file is checked, whichever verb runs; a verb
+ignores the keys it does not read.  The THIN_GASKET_OUT environment variable
+supplies the default output directory.  Exit codes: 0 success, 1 failed
+check or domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import acceptance
@@ -51,55 +52,8 @@ OUT_ENV = "THIN_GASKET_OUT"
 #: and grow linearly in l.  One --index is O(1) at any l.
 MATRICES_MAX_L = 10_000
 
-#: The words a config file's diverging= may hold; any other is refused.
-_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
 
 # ---- Configuration -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized run configuration, read from key=value text and flags."""
-
-    seq: tuple[int, ...] = (5,)
-    continuation: str = "repeat-last"
-    diverging: bool = False
-    depth: int = 2
-    seed: int = 0
-    precision: str = "float"
-    trials: int = 100_000
-    out: str = "."
-
-    @classmethod
-    def from_items(cls, items: dict) -> "RunConfig":
-        base = cls()
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(items) - known
-        if unknown:
-            raise GasketError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        vals = {}
-        for key, raw in items.items():
-            if key == "seq":
-                vals[key] = _parse_seq(raw)
-            elif key in ("depth", "seed", "trials"):
-                vals[key] = _parse_int(key, raw)
-            elif key == "diverging":
-                word = raw.strip().lower()
-                if word not in _BOOLEANS:
-                    raise GasketError(f"diverging must be true, false, 1, 0, yes or no, "
-                                      f"got {raw!r}")
-                vals[key] = _BOOLEANS[word]
-            elif key == "precision":
-                vals[key] = raw.strip()
-                check_precision(vals[key])
-            else:
-                vals[key] = raw.strip()
-        return dataclasses.replace(base, **vals)
-
-    def sequence(self) -> LevelSequence:
-        cont = None if self.continuation == "none" else self.continuation
-        return LevelSequence(self.seq, continuation=cont, diverging=self.diverging)
 
 
 def _parse_int(key: str, raw) -> int:
@@ -111,15 +65,52 @@ def _parse_int(key: str, raw) -> int:
 
 def _parse_fraction(key: str, raw) -> Fraction:
     try:
-        return Fraction(raw)
+        value = Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise GasketError(f"{key} must be a fraction such as 1/5, got {raw!r}") from None
+    # the default int-to-str limit, which main lifts: no input past it
+    # reaches the quadratic conversion
+    if max(abs(value.numerator), value.denominator) >= 10 ** 4300:
+        raise GasketError(f"{key} is too large: its numerator or denominator has "
+                          "more than 4300 digits")
+    return value
 
 
 def _parse_seq(text) -> tuple[int, ...]:
-    if isinstance(text, tuple):
-        return text
-    return tuple(_parse_int("seq entry", tok) for tok in str(text).split(",") if tok.strip())
+    return tuple(_parse_int("seq entry", tok) for tok in text.split(",") if tok.strip())
+
+
+def _parse_continuation(raw) -> str | None:
+    word = raw.strip()
+    if word not in ("none", "repeat-last"):
+        raise GasketError(f"unknown continuation rule {word!r}")
+    return None if word == "none" else word
+
+
+def _parse_diverging(raw) -> bool:
+    word = raw.strip().lower()
+    if word not in ("true", "1", "yes", "false", "0", "no"):
+        raise GasketError(f"diverging must be true, false, 1, 0, yes or no, got {raw!r}")
+    return word in ("true", "1", "yes")
+
+
+def _parse_precision(raw) -> str:
+    check_precision(raw.strip())
+    return raw.strip()
+
+
+#: The keys a config file may set: key -> (default, the parser a file's or a
+#: flag's value goes through).
+_SETTINGS = {
+    "seq": ((5,), _parse_seq),
+    "continuation": ("repeat-last", _parse_continuation),
+    "diverging": (False, _parse_diverging),
+    "depth": (2, partial(_parse_int, "depth")),
+    "seed": (0, partial(_parse_int, "seed")),
+    "precision": ("float", _parse_precision),
+    "trials": (100_000, partial(_parse_int, "trials")),
+    "out": (".", str.strip),
+}
 
 
 def load_config(path) -> dict:
@@ -139,18 +130,24 @@ def load_config(path) -> dict:
     return items
 
 
-def resolve_config(args) -> RunConfig:
-    """Merge defaults < config file < environment (out) < flags."""
-    items = {}
-    if getattr(args, "config", None):
-        items.update(load_config(args.config))
-    for field in dataclasses.fields(RunConfig):
-        val = getattr(args, field.name, None)
-        if val is not None:
-            items[field.name] = val
-    if getattr(args, "out", None) is None and OUT_ENV in os.environ:
+def _resolve_settings(args) -> None:
+    """Set each key of _SETTINGS on args: flag > $THIN_GASKET_OUT (out only) >
+    config file > default.  Every key of the file is parsed."""
+    items = load_config(args.config) if args.config else {}
+    unknown = set(items) - set(_SETTINGS)
+    if unknown:
+        raise GasketError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    if args.out is None and OUT_ENV in os.environ:
         items["out"] = os.environ[OUT_ENV]
-    return RunConfig.from_items(items)
+    for key, (default, parse) in _SETTINGS.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            items[key] = flag
+        setattr(args, key, parse(items[key]) if key in items else default)
+
+
+def _sequence(args) -> LevelSequence:
+    return LevelSequence(args.seq, continuation=args.continuation, diverging=args.diverging)
 
 
 # ---- Output helpers ------------------------------------------------------
@@ -188,27 +185,28 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
-def _seq_tag(cfg: RunConfig) -> str:
-    return "-".join(str(l) for l in cfg.seq)
+def _seq_tag(args) -> str:
+    return "-".join(str(l) for l in args.seq)
 
 
-def _out_path(cfg: RunConfig, name: str) -> Path:
-    return Path(cfg.out) / name
+def _out_path(args, name: str) -> Path:
+    return Path(args.out) / name
 
 
-def _extension(cfg: RunConfig, text: str, depth: int):
+def _extension(args, depth: int):
     """The harmonic extension of the --pin text, three comma-separated
     fractions, to `depth`: exact in rational precision, doubles otherwise."""
-    parts = [tok.strip() for tok in text.split(",")]
+    parts = [tok.strip() for tok in args.pin.split(",")]
     if len(parts) != 3:
         raise GasketError("pin must be three comma-separated corner values")
     pin = tuple(_parse_fraction("pin value", tok) for tok in parts)
-    if cfg.precision != "rational":
+    if args.precision != "rational":
         try:
             pin = tuple(float(v) for v in pin)
         except OverflowError:
-            raise GasketError(f"float pin values must fit a double, got {text!r}") from None
-    return harmonic_extend(cfg.sequence(), pin, depth, precision=cfg.precision)
+            raise GasketError(f"float pin values must fit a double, "
+                              f"got {args.pin!r}") from None
+    return harmonic_extend(_sequence(args), pin, depth, precision=args.precision)
 
 
 def _verdict(ok, text: str, path: Path) -> int:
@@ -228,70 +226,70 @@ def _word_tag(word) -> str:
 # ---- Subcommands ---------------------------------------------------------
 
 
-def cmd_build(cfg: RunConfig, args) -> int:
-    g = build_graph(cfg.sequence(), cfg.depth)
-    path = _write_json(_out_path(cfg, f"build-{_seq_tag(cfg)}-d{cfg.depth}.json"),
+def cmd_build(args) -> int:
+    g = build_graph(_sequence(args), args.depth)
+    path = _write_json(_out_path(args, f"build-{_seq_tag(args)}-d{args.depth}.json"),
                        graph_to_json(g))
-    print(f"depth {cfg.depth} graph: {g.n_vertices} vertices, "
+    print(f"depth {args.depth} graph: {g.n_vertices} vertices, "
           f"{g.n_cells} cells, {g.n_edges} edges -> {path}")
     return 0
 
 
-def cmd_render(cfg: RunConfig, args) -> int:
-    g = build_graph(cfg.sequence(), cfg.depth)
+def cmd_render(args) -> int:
+    g = build_graph(_sequence(args), args.depth)
     svg = render_svg(g, size=args.size)
-    path = _write_text(_out_path(cfg, f"render-{_seq_tag(cfg)}-d{cfg.depth}.svg"), svg)
+    path = _write_text(_out_path(args, f"render-{_seq_tag(args)}-d{args.depth}.svg"), svg)
     print(f"rendered {g.n_cells} cells -> {path}")
     return 0
 
 
-def cmd_energy(cfg: RunConfig, args) -> int:
-    h = _extension(cfg, args.pin, cfg.depth)
-    value = h.energy(cfg.depth)
-    report = {"seq": list(cfg.seq), "depth": cfg.depth, "pin": [str(p) for p in h.pin],
-              "precision": cfg.precision, "energy": _value_str(value)}
-    path = _write_json(_out_path(cfg, f"energy-{_seq_tag(cfg)}-d{cfg.depth}.json"),
+def cmd_energy(args) -> int:
+    h = _extension(args, args.depth)
+    value = h.energy(args.depth)
+    report = {"seq": list(args.seq), "depth": args.depth, "pin": [str(p) for p in h.pin],
+              "precision": args.precision, "energy": _value_str(value)}
+    path = _write_json(_out_path(args, f"energy-{_seq_tag(args)}-d{args.depth}.json"),
                        report)
-    print(f"extension energy at depth {cfg.depth}: {_value_str(value)} -> {path}")
+    print(f"extension energy at depth {args.depth}: {_value_str(value)} -> {path}")
     return 0
 
 
-def cmd_extend(cfg: RunConfig, args) -> int:
+def cmd_extend(args) -> int:
     # the cascade runs inside extend, after build_graph's budget check
-    h = _extension(cfg, args.pin, 0)
-    g, values = h.extend(cfg.depth)
+    h = _extension(args, 0)
+    g, values = h.extend(args.depth)
     rows = [(int(a), int(b), _value_str(v))
             for (a, b), v in zip(g.vertices, values)]
-    path = _write_csv(_out_path(cfg, f"extend-{_seq_tag(cfg)}-d{cfg.depth}.csv"),
+    path = _write_csv(_out_path(args, f"extend-{_seq_tag(args)}-d{args.depth}.csv"),
                       ("a", "b", "value"), rows)
     print(f"harmonic extension on {len(rows)} vertices -> {path}")
     return 0
 
 
-def cmd_resistance(cfg: RunConfig, args) -> int:
-    ls = cfg.sequence()
+def cmd_resistance(args) -> int:
+    ls = _sequence(args)
     if args.x is not None or args.y is not None:
         if args.x is None or args.y is None or args.corners is not None:
             raise GasketError("--x and --y must be given together, and without --corners")
-        res = effective_resistance(ls, cfg.depth, args.x, args.y,
-                                   precision=cfg.precision)
+        res = effective_resistance(ls, args.depth, args.x, args.y,
+                                   precision=args.precision)
     else:
         text = "0,1" if args.corners is None else args.corners
         corners = [_parse_int("corner", t) for t in text.split(",")]
         if len(corners) != 2:
             raise GasketError(f"--corners takes two indices j,k, got {text!r}")
         j, k = corners
-        res = corner_resistance(ls, cfg.depth, j, k, precision=cfg.precision)
-    report = {"seq": list(cfg.seq), "depth": cfg.depth, "x": res.x, "y": res.y,
+        res = corner_resistance(ls, args.depth, j, k, precision=args.precision)
+    report = {"seq": list(args.seq), "depth": args.depth, "x": res.x, "y": res.y,
               "method": res.method, "exact": res.exact,
               "value": _value_str(res.value), "residual": res.residual}
     path = _write_json(
-        _out_path(cfg, f"resistance-{_seq_tag(cfg)}-d{cfg.depth}.json"), report)
+        _out_path(args, f"resistance-{_seq_tag(args)}-d{args.depth}.json"), report)
     print(f"resistance({res.x}, {res.y}) = {_value_str(res.value)} -> {path}")
     return 0
 
 
-def cmd_matrices(cfg: RunConfig, args) -> int:
+def cmd_matrices(args) -> int:
     l = args.l
     if args.index:
         i = tuple(_parse_int("index entry", t) for t in args.index.split(","))
@@ -304,59 +302,59 @@ def cmd_matrices(cfg: RunConfig, args) -> int:
     payload = [{"index": list(m.index), "exact": True,
                 "entries": [[str(x) for x in row] for row in m.entries]}
                for m in mats]
-    path = _write_json(_out_path(cfg, f"matrices-l{l}.json"),
+    path = _write_json(_out_path(args, f"matrices-l{l}.json"),
                        {"l": l, "matrices": payload})
     print(f"{len(mats)} extension matrices for level {l} -> {path}")
     return 0
 
 
-def cmd_measure(cfg: RunConfig, args) -> int:
-    h = _extension(cfg, args.pin, cfg.depth)
-    mu = energy_measure(h, cfg.depth)
+def cmd_measure(args) -> int:
+    h = _extension(args, args.depth)
+    mu = energy_measure(h, args.depth)
     # a generator, so csv.writer streams the rows instead of holding them all
     rows = ((idx, _word_tag(w), _value_str(mu.masses[idx]))
-            for idx, w in enumerate(words(h.ls, cfg.depth)))
-    path = _write_csv(_out_path(cfg, f"measure-{_seq_tag(cfg)}-d{cfg.depth}.csv"),
+            for idx, w in enumerate(words(h.ls, args.depth)))
+    path = _write_csv(_out_path(args, f"measure-{_seq_tag(args)}-d{args.depth}.csv"),
                       ("index", "word", "mass"), rows)
     print(f"energy measure on {len(mu.masses)} cells, total {_value_str(mu.total)} "
           f"-> {path}")
     return 0
 
 
-def cmd_certify(cfg: RunConfig, args) -> int:
-    h = _extension(cfg, args.pin, 0)
+def cmd_certify(args) -> int:
+    h = _extension(args, 0)
     rep = singularity_certificate(h, args.max_depth)
-    payload = {"seq": list(cfg.seq), "pin": [repr(p) for p in h.pin],
+    payload = {"seq": list(args.seq), "pin": [repr(p) for p in h.pin],
                "max_depth": rep.max_depth, "gap": rep.gap,
                "n_admissible": rep.n_admissible, "max_excess": rep.max_excess,
                "records": [vars(r) for r in rep.records],
                "passed": rep.passed}
     path = _write_json(
-        _out_path(cfg, f"certify-{_seq_tag(cfg)}-d{args.max_depth}.json"), payload)
+        _out_path(args, f"certify-{_seq_tag(args)}-d{args.max_depth}.json"), payload)
     return _verdict(rep.passed, f"concentration certificate: {rep.n_admissible} "
                     f"admissible cells, max excess {rep.max_excess:.2e}", path)
 
 
-def cmd_diverge(cfg: RunConfig, args) -> int:
-    rep = divergence_statistic(_extension(cfg, args.pin, 0), args.max_depth,
-                               n_samples=args.samples, seed=cfg.seed)
-    payload = {"seq": list(cfg.seq), "max_depth": rep.max_depth,
+def cmd_diverge(args) -> int:
+    rep = divergence_statistic(_extension(args, 0), args.max_depth,
+                               n_samples=args.samples, seed=args.seed)
+    payload = {"seq": list(args.seq), "max_depth": rep.max_depth,
                "delta": rep.delta, "n_samples": rep.n_samples,
                "n_failures": rep.n_failures, "passed": rep.passed,
                "samples": [vars(s) for s in rep.samples]}
     path = _write_json(
-        _out_path(cfg, f"diverge-{_seq_tag(cfg)}-d{args.max_depth}.json"), payload)
+        _out_path(args, f"diverge-{_seq_tag(args)}-d{args.max_depth}.json"), payload)
     return _verdict(rep.passed, f"divergence statistic on {rep.n_samples} addresses, "
                     f"{rep.n_failures} failures", path)
 
 
-def cmd_psi(cfg: RunConfig, args) -> int:
+def cmd_psi(args) -> int:
     if args.segments < 0:
         raise GasketError(f"psi lists knots 0..segments and needs segments >= 0, "
                           f"got {args.segments}")
-    ls = cfg.sequence()
+    ls = _sequence(args)
     kinds = ("time", "mass", "resistance") if args.kind == "all" else (args.kind,)
-    payload = {"seq": list(cfg.seq), "kinds": {}}
+    payload = {"seq": list(args.seq), "kinds": {}}
     for kind in kinds:
         sc = build_scale(ls, kind)
         entry = {}
@@ -374,7 +372,7 @@ def cmd_psi(cfg: RunConfig, args) -> int:
             knots.append({"n": n, "s": str(s_n), "value": str(v_n)})
         entry["knots"] = knots
         payload["kinds"][kind] = entry
-    path = _write_json(_out_path(cfg, f"psi-{_seq_tag(cfg)}.json"), payload)
+    path = _write_json(_out_path(args, f"psi-{_seq_tag(args)}.json"), payload)
     for kind in kinds:
         entry = payload["kinds"][kind]
         bits = [f"{kind}"]
@@ -387,10 +385,10 @@ def cmd_psi(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_doubling(cfg: RunConfig, args) -> int:
-    ls = cfg.sequence()
+def cmd_doubling(args) -> int:
+    ls = _sequence(args)
     kinds = ("time", "mass", "resistance") if args.kind == "all" else (args.kind,)
-    payload = {"seq": list(cfg.seq), "kinds": {}}
+    payload = {"seq": list(args.seq), "kinds": {}}
     ok = True
     for kind in kinds:
         sc = build_scale(ls, kind)
@@ -405,18 +403,18 @@ def cmd_doubling(cfg: RunConfig, args) -> int:
         payload["kinds"][kind] = checks
         ok = ok and all(c["passed"] for c in checks.values())
     payload["passed"] = ok
-    path = _write_json(_out_path(cfg, f"doubling-{_seq_tag(cfg)}.json"), payload)
+    path = _write_json(_out_path(args, f"doubling-{_seq_tag(args)}.json"), payload)
     return _verdict(ok, f"scale checks for kinds {', '.join(kinds)}", path)
 
 
-def cmd_dm(cfg: RunConfig, args) -> int:
-    g = build_graph(cfg.sequence(), cfg.depth)
-    rep = comparison_checks(g, n_pairs=args.pairs, seed=cfg.seed)
-    payload = {"seq": list(cfg.seq), "depth": rep.depth, "n_pairs": rep.n_pairs,
+def cmd_dm(args) -> int:
+    g = build_graph(_sequence(args), args.depth)
+    rep = comparison_checks(g, n_pairs=args.pairs, seed=args.seed)
+    payload = {"seq": list(args.seq), "depth": rep.depth, "n_pairs": rep.n_pairs,
                "lambda_floor_count": rep.lambda_floor_count,
                "stats": [vars(s) for s in rep.stats],
                "passed": rep.passed}
-    path = _write_json(_out_path(cfg, f"dm-{_seq_tag(cfg)}-d{cfg.depth}.json"),
+    path = _write_json(_out_path(args, f"dm-{_seq_tag(args)}-d{args.depth}.json"),
                        payload)
     return _verdict(rep.passed, f"comparison bounds on {rep.n_pairs} pairs", path)
 
@@ -427,36 +425,30 @@ def _eta_from_name(name: str) -> EtaFunction:
     raise GasketError(f"unknown profile {name!r}; use eta1, eta2, ...")
 
 
-def cmd_realize(cfg: RunConfig, args) -> int:
+def cmd_realize(args) -> int:
     eta = _eta_from_name(args.eta)
     res = realize_sequence(eta, args.n, n0=args.n0, min_ratio=args.min_ratio)
-    # levels past n = 13 of eta1 outgrow the default 4300-digit int-to-str limit
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        payload = {"eta": res.eta_label, "n0": res.n0, "certified": res.certified,
-                   "min_ratio": res.min_ratio,
-                   "levels": [str(l) for l in res.entries],
-                   "records": [dataclasses.asdict(r) for r in res.records]}
-        path = _write_json(_out_path(cfg, f"realize-{args.eta}-n{args.n}.json"), payload)
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
+    payload = {"eta": res.eta_label, "n0": res.n0, "certified": res.certified,
+               "min_ratio": res.min_ratio,
+               "levels": [str(l) for l in res.entries],
+               "records": [dataclasses.asdict(r) for r in res.records]}
+    path = _write_json(_out_path(args, f"realize-{args.eta}-n{args.n}.json"), payload)
     head = ", ".join(str(l) for l in res.entries[:3])
     return _verdict(res.certified, f"{args.n} levels from {args.eta}: n0={res.n0}, "
                     f"levels {head}, ...", path)
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
+def cmd_compare(args) -> int:
     eta = _eta_from_name(args.eta)
     res = realize_sequence(eta, args.n)
     rep = comparability_report(eta, res)
-    path = _write_json(_out_path(cfg, f"compare-{args.eta}-n{args.n}.json"), rep)
+    path = _write_json(_out_path(args, f"compare-{args.eta}-n{args.n}.json"), rep)
     return _verdict(rep["passed"], f"ratio range [{rep['ratio_min']:.4f}, "
                     f"{rep['ratio_max']:.4f}] against budget "
                     f"({rep['budget'][0]:.4f}, {rep['budget'][1]:.1f})", path)
 
 
-def cmd_slowdecay(cfg: RunConfig, args) -> int:
+def cmd_slowdecay(args) -> int:
     power = args.power
     if not math.isfinite(power):
         raise GasketError(f"--power must be finite, got {power}")
@@ -467,15 +459,15 @@ def cmd_slowdecay(cfg: RunConfig, args) -> int:
     eta, rep = slow_decay_eta(psi0, n_max=args.n_max)
     summ = summability_report(eta, n_terms=args.n_max)
     payload = {"power": power, "report": rep, "summable": summ["summable"]}
-    path = _write_json(_out_path(cfg, f"slowdecay-p{power}.json"), payload)
+    path = _write_json(_out_path(args, f"slowdecay-p{power}.json"), payload)
     return _verdict(rep["passed"] and summ["summable"],
                     f"slow-decay profile from r^{power}: {args.n_max} knot levels, "
                     f"summable={summ['summable']}", path)
 
 
-def cmd_walk(cfg: RunConfig, args) -> int:
-    g = build_graph(cfg.sequence(), cfg.depth)
-    wc = WalkConfig(trials=cfg.trials, max_steps=args.max_steps, seed=cfg.seed)
+def cmd_walk(args) -> int:
+    g = build_graph(_sequence(args), args.depth)
+    wc = WalkConfig(trials=args.trials, max_steps=args.max_steps, seed=args.seed)
     rep = commute_time_check(g, x=args.x, y=args.y, cfg=wc)
     rows = [
         ("empirical_mean", repr(rep["empirical_mean"])),
@@ -485,19 +477,19 @@ def cmd_walk(cfg: RunConfig, args) -> int:
         ("trials", rep["trials"]),
         ("capped", rep["capped"]),
     ]
-    path = _write_csv(_out_path(cfg, f"walk-{_seq_tag(cfg)}-d{cfg.depth}.csv"),
+    path = _write_csv(_out_path(args, f"walk-{_seq_tag(args)}-d{args.depth}.csv"),
                       ("metric", "value"), rows)
     return _verdict(rep["passed"], f"commute {rep['empirical_mean']:.3f} vs "
                     f"{rep['predicted']:.3f} (z {rep['z_score']:+.2f})", path)
 
 
-def cmd_verify_all(cfg: RunConfig, args) -> int:
+def cmd_verify_all(args) -> int:
     numbers = None
     if args.only:
         numbers = {_parse_int("criterion number", t) for t in args.only.split(",")}
     results = acceptance.run_all(numbers=numbers, out=None)
     payload = acceptance.results_json(results)
-    path = _write_json(_out_path(cfg, "verify-all.json"), payload)
+    path = _write_json(_out_path(args, "verify-all.json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     print(f"verdict -> {path}", file=sys.stderr)
     return 0 if payload["passed"] else 1
@@ -579,11 +571,18 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     handler, _, float_only = VERBS[args.verb]
     try:
-        cfg = resolve_config(args)
-        if float_only and cfg.precision == "rational":
+        _resolve_settings(args)
+        if float_only and args.precision == "rational":
             raise GasketError(f"{args.verb} runs in float precision only; "
                               "it has no exact route")
-        return handler(cfg, args)
+        # exact values and realized levels (l_14 of eta1 has 7116 digits) outgrow
+        # the default 4300-digit int-to-str limit; _parse_fraction keeps inputs within it
+        digit_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return handler(args)
+        finally:
+            sys.set_int_max_str_digits(digit_limit)
     except GasketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

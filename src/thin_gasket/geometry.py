@@ -140,6 +140,7 @@ class ApproximationGraph:
         self._nbr = None
         self._vertex_cells = None
         self._cell_adj = None
+        self._hop_adj = None
 
     # -- sizes
 
@@ -205,6 +206,14 @@ class ApproximationGraph:
             inc.sort_indices()
             self._vertex_cells = inc
         return self._vertex_cells
+
+    @property
+    def _hop_adjacency(self) -> sparse.csr_matrix:
+        """The vertex adjacency in the float64 CSR form csgraph takes without
+        a copy."""
+        if self._hop_adj is None:
+            self._hop_adj = self.adjacency.astype(np.float64)
+        return self._hop_adj
 
     @property
     def _cell_adjacency(self) -> sparse.csr_matrix:
@@ -296,8 +305,7 @@ def build_graph(ls: LevelSequence, n: int) -> ApproximationGraph:
 def geodesic_hops(g: ApproximationGraph, sources) -> np.ndarray:
     """BFS hop counts from the given source vertex ids, shape (S, V)."""
     src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    d = csgraph.dijkstra(g.adjacency, directed=True, unweighted=True, indices=src)
-    return d
+    return csgraph.dijkstra(g._hop_adjacency, directed=True, unweighted=True, indices=src)
 
 
 # ---- Cell neighborhoods --------------------------------------------------

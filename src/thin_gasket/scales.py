@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import DomainError, SequenceError
-from .geometry import ApproximationGraph, _cell_least_hops, _outer_ball_mass
+from .geometry import (ApproximationGraph, _cell_least_hops, _outer_ball_mass,
+                       geodesic_hops)
 from .rand import stream
 from .resistance import ResistanceSolver
 from .sequence import LevelSequence, cell_count, time_factor, walk_exponent
@@ -461,10 +460,8 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200,
 
     floor_count = 0
     big_l = ls.L(n)
-    # csgraph searches a float64 graph: convert once, not once per pair
-    adj = g.adjacency.astype(np.float64)
     for x, y in pairs:
-        hops = csgraph.dijkstra(adj, directed=True, unweighted=True, indices=x)
+        hops = geodesic_hops(g, x)[0]
         least_hops = _cell_least_hops(g, hops)
         d = Fraction(int(hops[y]), big_l)
         r_val = float(scale_r) * solver.unit_resistance(x, y)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import thin_gasket
 from thin_gasket import cli
-from thin_gasket.cli import RunConfig, load_config, main, make_parser
+from thin_gasket.cli import load_config, main, make_parser
 from thin_gasket.errors import GasketError
 from thin_gasket.forms import base_energy, harmonic_extend
 from thin_gasket.geometry import build_graph
@@ -43,12 +43,24 @@ def run_process(argv, timeout=60):
 # ---- Configuration -------------------------------------------------------
 
 
-def test_config_normalized_round_trip(tmp_path):
-    cfg = RunConfig(seq=(5, 7, 6), depth=3, seed=4, precision="rational")
+def _settings(argv):
+    """The eight settings main resolves for argv, by key."""
+    args = make_parser().parse_args([str(a) for a in argv])
+    cli._resolve_settings(args)
+    return {key: getattr(args, key) for key in cli._SETTINGS}
+
+
+def test_config_normalized_round_trip(tmp_path, monkeypatch):
+    monkeypatch.delenv("THIN_GASKET_OUT", raising=False)
+    assert _settings(["build"]) == {
+        "seq": (5,), "continuation": "repeat-last", "diverging": False, "depth": 2,
+        "seed": 0, "precision": "float", "trials": 100_000, "out": "."}
     path = tmp_path / "run.cfg"
-    path.write_text("continuation=repeat-last\ndepth=3\ndiverging=false\nout=.\n"
-                    "precision=rational\nseed=4\nseq=5,7,6\ntrials=100000\n")
-    assert RunConfig.from_items(load_config(path)) == cfg
+    path.write_text("continuation=none\ndepth=3\ndiverging=true\nout= runs \n"
+                    "precision=rational\nseed=4\nseq=5,7,6\ntrials=40\n")
+    assert _settings(["build", "--config", path]) == {
+        "seq": (5, 7, 6), "continuation": None, "diverging": True, "depth": 3,
+        "seed": 4, "precision": "rational", "trials": 40, "out": "runs"}
 
 
 def test_config_comments_and_unknown_keys(tmp_path):
@@ -56,8 +68,9 @@ def test_config_comments_and_unknown_keys(tmp_path):
     path.write_text("# comment\nseq=5,6  # levels\ndepth=2\n")
     items = load_config(path)
     assert items == {"seq": "5,6", "depth": "2"}
-    with pytest.raises(Exception):
-        RunConfig.from_items({"bogus": "1"})
+    path.write_text("bogus=1\nseq=5\n")
+    with pytest.raises(GasketError, match="unknown config keys: bogus"):
+        _settings(["build", "--config", path])
 
 
 @pytest.mark.parametrize("raw, value", [("true", True), ("Yes", True), ("1", True),
@@ -65,7 +78,7 @@ def test_config_comments_and_unknown_keys(tmp_path):
 def test_config_diverging_reads_six_words(tmp_path, raw, value):
     path = tmp_path / "run.cfg"
     path.write_text(f"seq=9,58\ndiverging={raw}\n")
-    assert RunConfig.from_items(load_config(path)).diverging is value
+    assert _settings(["build", "--config", path])["diverging"] is value
 
 
 @pytest.mark.parametrize("raw", ["maybe", "", "2", "on"])
@@ -73,7 +86,17 @@ def test_config_diverging_refuses_other_values(tmp_path, raw):
     path = tmp_path / "run.cfg"
     path.write_text(f"seq=9,58\ndiverging={raw}\n")
     with pytest.raises(GasketError, match="diverging must be"):
-        RunConfig.from_items(load_config(path))
+        _settings(["build", "--config", path])
+
+
+def test_config_continuation_checked_by_every_verb(tmp_path, capsys):
+    # realize builds no level sequence, yet refuses the key as build does
+    path = tmp_path / "run.cfg"
+    path.write_text("continuation=bogus\n")
+    for argv in (["realize", "--n", "2"], ["build"]):
+        assert run([*argv, "--config", path, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == "error: unknown continuation rule 'bogus'\n"
+    assert not any(tmp_path.glob("*.json"))
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -106,15 +129,52 @@ def test_out_precedence_file_env_flag(tmp_path, monkeypatch):
     assert (tmp_path / "flagdir" / "build-5-d0.json").exists()
 
 
-@pytest.mark.parametrize("verb,name", [("doubling", "doubling-9-58.json"),
-                                       ("dm", "dm-9-58-d2.json")])
-def test_diverging_flag_matches_config(tmp_path, verb, name):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seq=9,58\ndiverging=true\n")
-    assert run([verb, "--config", cfg, "--out", tmp_path / "file"]) == 0
-    assert run([verb, "--seq", "9,58", "--diverging", "--out", tmp_path / "flag"]) == 0
-    flag, file = tmp_path / "flag" / name, tmp_path / "file" / name
-    assert flag.read_bytes() == file.read_bytes()
+# (verb, output, the setting as config file lines, the same as flags, other
+# flags, exit code): one verb that reads each of the eight keys, where the
+# setting changes the result
+_SETTING_CASES = [
+    ("doubling", "doubling-9-58.json", "seq=9,58\ndiverging=true",
+     ["--seq", "9,58", "--diverging"], [], 0),
+    ("dm", "dm-9-58-d2.json", "seq=9,58\ndiverging=true", ["--seq", "9,58", "--diverging"],
+     [], 0),
+    ("build", "build-5-7-d1.json", "seq=5,7", ["--seq", "5,7"], ["--depth", "1"], 0),
+    ("build", "build-6-d2.json", "continuation=none", ["--continuation", "none"],
+     ["--seq", "6", "--depth", "2"], 1),
+    ("render", "render-5-d1.svg", "depth=1", ["--depth", "1"], ["--seq", "5", "--size", "90"], 0),
+    ("diverge", "diverge-5-d2.json", "seed=3", ["--seed", "3"],
+     ["--seq", "5", "--max-depth", "2", "--samples", "5"], 0),
+    ("energy", "energy-5-d1.json", "precision=rational", ["--precision", "rational"],
+     ["--seq", "5", "--depth", "1", "--pin", "1,1/3,0"], 0),
+    ("walk", "walk-5-d0.csv", "trials=40", ["--trials", "40"],
+     ["--seq", "5", "--depth", "0", "--max-steps", "1000", "--x", "0", "--y", "1"], 0),
+    ("build", "build-5-d0.json", "out={out}", ["--out", "{out}"], ["--seq", "5", "--depth", "0"],
+     0),
+]
+
+
+@pytest.mark.parametrize("verb, name, lines, flags, rest, code", _SETTING_CASES,
+                         ids=[f"{verb}-{name}" for verb, name, *_ in _SETTING_CASES])
+def test_diverging_flag_matches_config(tmp_path, monkeypatch, capsys, verb, name, lines, flags,
+                                       rest, code):
+    """Each config key gives the same exit code, stderr and bytes from a
+    key=value file as from its flag, and a different result from the
+    default, so the setting reaches the verb."""
+    monkeypatch.delenv("THIN_GASKET_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for source in ("default", "file", "flag"):
+        out = tmp_path / source
+        cfg = tmp_path / f"{source}.cfg"
+        cfg.write_text(lines.format(out=out) + "\n" if source == "file" else "")
+        argv = [verb, *rest, "--config", cfg]
+        argv += [f.format(out=out) for f in flags] if source == "flag" else []
+        argv += [] if "{out}" in lines else ["--out", out]
+        rc = run(argv)
+        path = out / name
+        got[source] = (rc, capsys.readouterr().err, path.read_bytes() if path.exists() else None)
+    assert got["file"] == got["flag"]
+    assert got["file"][0] == code and (got["file"][2] is None) == (code == 1)
+    assert got["file"] != got["default"]
 
 
 # ---- Exit codes ----------------------------------------------------------
@@ -639,6 +699,36 @@ def test_realize_past_the_int_digit_limit(tmp_path, capsys):
     data = json.loads((tmp_path / "realize-eta1-n14.json").read_text(), parse_int=str)
     assert len(data["levels"][13]) == 7116
     assert data["records"][13]["level"] == data["levels"][13]
+
+
+def test_fraction_inputs_stop_past_4300_digits():
+    assert cli._parse_fraction("--s", "9" * 4300) == 10 ** 4300 - 1
+    assert cli._parse_fraction("--s", "-1/" + "9" * 4300) == Fraction(-1, 10 ** 4300 - 1)
+    for raw in ("1e4300", "-1e4300", "1e-4300", "3e-4300"):
+        with pytest.raises(GasketError, match="--s is too large"):
+            cli._parse_fraction("--s", raw)
+
+
+@pytest.mark.parametrize("argv, code, name", [
+    (["psi", "--seq", "5", "--kind", "time", "--s", "1e5000"], 1, None),
+    (["psi", "--seq", "5", "--diverging", "--kind", "time", "--s", "1e3000"], 0, "psi-5.json"),
+    (["psi", "--seq", "5", "--kind", "mass", "--invert", "1e-5000"], 1, None),
+    (["energy", "--precision", "rational", "--depth", "0", "--pin", "1e3000,0,0"], 0,
+     "energy-5-d0.json"),
+], ids=["s", "s-squared", "invert", "pin"])
+def test_exact_values_past_the_int_digit_limit(tmp_path, argv, code, name):
+    """An input past 4300 digits is refused; an output past them (s^2 and
+    the energy have 6001 digits) is written in full."""
+    got, err = run_process([*argv, "--out", tmp_path])
+    assert "Traceback" not in err, err
+    assert got == code, err
+    if name is None:
+        assert err.startswith(f"error: {argv[-2]} is too large")
+        assert not any(tmp_path.iterdir())
+    else:
+        data = json.loads((tmp_path / name).read_text())
+        value = data["kinds"]["time"]["value"] if argv[0] == "psi" else data["energy"]
+        assert value == ("1" if argv[0] == "psi" else "2") + "0" * 6000
 
 
 def test_slowdecay_below_six_knot_levels(tmp_path, capsys):
