@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -52,6 +53,13 @@ OUT_ENV = "THIN_GASKET_OUT"
 #: and grow linearly in l.  One --index is O(1) at any l.
 MATRICES_MAX_L = 10_000
 
+#: Input fractions' numerators and denominators stay below the default
+#: int-to-str limit, which main lifts: none reaches the quadratic conversion.
+_MAX_INPUT = 10 ** 4300
+#: A decimal with an exponent, in the syntax Fraction accepts.
+_DECIMAL = re.compile(r"\s*[-+]?(?=\d|\.\d)(?P<int>\d+(?:_\d+)*)?"
+                      r"(?:\.(?P<frac>\d+(?:_\d+)*)?)?[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*", re.ASCII)
+
 
 # ---- Configuration -------------------------------------------------------
 
@@ -64,15 +72,24 @@ def _parse_int(key: str, raw) -> int:
 
 
 def _parse_fraction(key: str, raw) -> Fraction:
+    too_large = f"{key} is too large: its numerator or denominator has more than 4300 digits"
+    # Fraction computes 10**exp: answer a zero mantissa first, and refuse an
+    # exponent past 4300 + the mantissa's digits, which fails the check below
+    decimal = _DECIMAL.fullmatch(raw)
+    if decimal:
+        digits = ((decimal["int"] or "") + (decimal["frac"] or "")).replace("_", "")
+        if not digits.strip("0"):
+            return Fraction(0)
+        # the length first: int() refuses a string past the digit limit
+        exp = decimal["exp"].lstrip("+-").replace("_", "").lstrip("0")
+        if len(exp) > 20 or int(exp or 0) > 4300 + len(digits):
+            raise GasketError(too_large)
     try:
         value = Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise GasketError(f"{key} must be a fraction such as 1/5, got {raw!r}") from None
-    # the default int-to-str limit, which main lifts: no input past it
-    # reaches the quadratic conversion
-    if max(abs(value.numerator), value.denominator) >= 10 ** 4300:
-        raise GasketError(f"{key} is too large: its numerator or denominator has "
-                          "more than 4300 digits")
+    if max(abs(value.numerator), value.denominator) >= _MAX_INPUT:
+        raise GasketError(too_large)
     return value
 
 

@@ -248,12 +248,9 @@ def _corner_numerators(ls: LevelSequence, n: int) -> np.ndarray:
     """(M_n, 3, 2) integer corner numerators over denominator L_n."""
     base = np.zeros((1, 2), dtype=np.int64)
     L = ls.L(n)
-    Lk = 1
     for k in range(1, n + 1):
-        l = ls.level(k)
-        Lk *= l
-        letters = np.asarray(boundary_cells(l), dtype=np.int64)
-        mult = L // Lk
+        letters = np.asarray(boundary_cells(ls.level(k)), dtype=np.int64)
+        mult = L // ls.L(k)
         base = (base[:, None, :] + letters[None, :, :] * mult).reshape(-1, 2)
     return base[:, None, :] + CORNER_OFFSETS[None, :, :]
 

@@ -26,7 +26,7 @@ from .geometry import (ApproximationGraph, _cell_least_hops, _outer_ball_mass,
                        geodesic_hops)
 from .rand import stream
 from .resistance import ResistanceSolver
-from .sequence import LevelSequence, cell_count, time_factor, walk_exponent
+from .sequence import LevelSequence, walk_exponent
 
 KINDS = ("time", "mass", "resistance")
 
@@ -74,7 +74,9 @@ def beta_bundle(ls: LevelSequence) -> BetaBundle:
 
 
 class PiecewiseScale:
-    """One of the three scale functions, evaluated exactly per segment."""
+    """One of the three scale functions, exact per segment from the
+    sequence's prefix products.  The inverse is exact for mass and
+    resistance, and for time within 2^-64 relative (exact at eval(s))."""
 
     def __init__(self, ls: LevelSequence, kind: str):
         if kind not in KINDS:
@@ -82,55 +84,37 @@ class PiecewiseScale:
         self.ls = ls
         self.kind = kind
         self.bundle = beta_bundle(ls)
-        if kind == "time":
-            self.tail_beta = self.bundle.time[0]
-        elif kind == "mass":
-            self.tail_beta = self.bundle.mass[0]
-        else:
-            self.tail_beta = self.bundle.resistance[1]
-        self._levels: list[int] = []      # l_n per segment
-        self._Ls: list[int] = [1]         # L_0, L_1, ...
-        self._leads: list = []            # lead coefficient per segment
-        self._lead_running = Fraction(1)  # 1/T, 1/M, or R at current depth
+        lo, hi = self.bundle.for_kind(kind)
+        self.tail_beta = hi if kind == "resistance" else lo
 
     # -- segments ----------------------------------------------------------
-
-    def _append_segment(self):
-        n = len(self._levels) + 1
-        if n > _MAX_SEGMENTS:
-            raise DomainError(f"scale limited to {_MAX_SEGMENTS} segments")
-        l = self.ls.level(n)  # raises SequenceError past the sequence
-        self._levels.append(l)
-        self._Ls.append(self._Ls[-1] * l)
-        if self.kind == "time":
-            self._lead_running /= time_factor(l)
-        elif self.kind == "mass":
-            self._lead_running /= cell_count(l)
-        else:
-            self._lead_running *= Fraction(9, 6 * l + 1)
-        self._leads.append(self._lead_running)
 
     def _segment_of(self, s: Fraction) -> int:
         """1-based segment index n with 1/L_n <= s <= 1/L_{n-1}."""
         n = 1
         while True:
-            if n > len(self._levels):
-                try:
-                    self._append_segment()
-                except SequenceError:
-                    raise DomainError(
-                        f"s = {s} lies below the resolution of the stored sequence")
-            if s * self._Ls[n] >= 1:
+            if n > _MAX_SEGMENTS:
+                raise DomainError(f"scale limited to {_MAX_SEGMENTS} segments")
+            try:
+                ln = self.ls.L(n)
+            except SequenceError:
+                raise DomainError(
+                    f"s = {s} lies below the resolution of the stored sequence")
+            if s.numerator * ln >= s.denominator:
                 return n
             n += 1
 
     def segment_data(self, n: int):
-        while n > len(self._levels):
-            self._append_segment()
-        l = self._levels[n - 1]
+        """(l_n, L_n, lead, A, B): lead is the value at the knot 1/L_n."""
+        if n > _MAX_SEGMENTS:
+            raise DomainError(f"scale limited to {_MAX_SEGMENTS} segments")
+        ln = self.ls.L(n)  # raises SequenceError past the sequence
+        lead = (1 / self.ls.T(n) if self.kind == "time" else
+                Fraction(1, self.ls.M(n)) if self.kind == "mass" else self.ls.R(n))
+        l = self.ls.level(n)
         a = Fraction(3 * l - 4, l - 1)
         b = Fraction(6 * l - 8, 9 * (l - 1))
-        return l, self._Ls[n], self._leads[n - 1], a, b
+        return l, ln, lead, a, b
 
     def knot(self, n: int):
         """(s, value) at the segment boundary s = 1/L_n."""
@@ -158,7 +142,7 @@ class PiecewiseScale:
                 raise DomainError(f"the {self.kind} scale s^{float(beta):.6g} is past double "
                                   "range at this s") from None
         n = self._segment_of(s)
-        return self._segment_value(n, s * self._Ls[n] - 1)
+        return self._segment_value(n, s * self.ls.L(n) - 1)
 
     def _segment_value(self, n: int, x):
         """The segment-n formula at x = s L_n - 1, exact for rational x."""
@@ -168,9 +152,6 @@ class PiecewiseScale:
         if self.kind == "mass":
             return lead * (1 + a * x)
         return lead * (1 + b * x)
-
-    def __call__(self, s) -> float:
-        return float(self.eval(s))
 
     def log_eval(self, s):
         """Natural log of the value as a 120-bit mpmath float; safe for
@@ -183,8 +164,12 @@ class PiecewiseScale:
             return mpmath.log(mpmath.mpf(val))
 
     def inverse(self, t):
-        """Rational bisection solve of eval(s) = t to relative width 1e-14;
-        monotonicity is exact."""
+        """The s with eval(s) = t.  On (0, 1], t's segment in closed form
+        with tau = t / lead: exact for mass and resistance; for time
+        x = 2(tau - 1)/(A + B + sqrt(D)), D = (A - B)^2 + 4AB tau, with sqrt(D)
+        floored 64 bits past D's denominator, so s is exact when D is a
+        rational square (t = eval(s) at a rational s), else at most 2^-64 s
+        above the root.  Past 1, the power tail in floats."""
         t = Fraction(t)
         if t <= 0:
             raise DomainError("scale values are positive")
@@ -198,21 +183,18 @@ class PiecewiseScale:
                 raise DomainError(f"the {self.kind} scale inverse t^(1/{beta:.6g}) is past "
                                   "double range at this t") from None
         n = 1
-        while True:
-            _, knot_val = self.knot(n)
-            if knot_val <= t:
-                break
+        while self.knot(n)[1] > t:
             n += 1
-        lo, hi = Fraction(1, self._Ls[n]), Fraction(1, self._Ls[n - 1])
-        if self.eval(lo) == t:
-            return lo
-        while hi - lo > 1e-14 * lo:
-            mid = (lo + hi) / 2
-            if self.eval(mid) >= t:
-                hi = mid
-            else:
-                lo = mid
-        return (lo + hi) / 2
+        _, ln, lead, a, b = self.segment_data(n)
+        tau = t / lead
+        if self.kind == "time":
+            d = (a - b) ** 2 + 4 * a * b * tau
+            root = Fraction(math.isqrt(d.numerator * d.denominator << 128),
+                            d.denominator << 64)
+            x = 2 * (tau - 1) / (a + b + root)
+        else:
+            x = (tau - 1) / (a if self.kind == "mass" else b)
+        return (1 + x) / ln
 
 
 def build_scale(ls: LevelSequence, kind: str) -> PiecewiseScale:

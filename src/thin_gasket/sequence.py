@@ -81,6 +81,8 @@ class LevelSequence:
             raise SequenceError(f"unknown continuation rule {self.continuation!r}")
         if self.continuation == REPEAT_LAST and not self.entries:
             raise SequenceError("repeat-last continuation needs a nonempty prefix")
+        # (L_n, M_n, R_n, T_n) for n = 0, 1, ...: computed once per n, on demand
+        object.__setattr__(self, "_products", [(1, 1, Fraction(1), Fraction(1))])
 
     # -- single levels ------------------------------------------------------
 
@@ -102,30 +104,29 @@ class LevelSequence:
 
     # -- product scales -----------------------------------------------------
 
+    def _prefix(self, n: int) -> tuple[int, int, Fraction, Fraction]:
+        """(L_n, M_n, R_n, T_n); an empty product for n <= 0.  Past a finite
+        prefix, the SequenceError names the first missing level."""
+        products = self._products
+        while len(products) <= n:
+            l = self.level(len(products))
+            L, M, R, T = products[-1]
+            products.append((L * l, M * cell_count(l), R * resistance_ratio(l),
+                             T * time_factor(l)))
+        return products[max(n, 0)]
+
     def L(self, n: int) -> int:
         """Length denominator L_n = l_1 * ... * l_n (L_0 = 1)."""
-        out = 1
-        for k in range(1, n + 1):
-            out *= self.level(k)
-        return out
+        return self._prefix(n)[0]
 
     def M(self, n: int) -> int:
         """Cell count M_n = prod (3 l_k - 3) (M_0 = 1)."""
-        out = 1
-        for k in range(1, n + 1):
-            out *= cell_count(self.level(k))
-        return out
+        return self._prefix(n)[1]
 
     def R(self, n: int) -> Fraction:
         """Resistance scale R_n = prod r_{l_k} (R_0 = 1)."""
-        out = Fraction(1)
-        for k in range(1, n + 1):
-            out *= resistance_ratio(self.level(k))
-        return out
+        return self._prefix(n)[2]
 
     def T(self, n: int) -> Fraction:
         """Time scale T_n = M_n / R_n = prod (2 l_k^2 - (5/3) l_k - 1/3)."""
-        out = Fraction(1)
-        for k in range(1, n + 1):
-            out *= time_factor(self.level(k))
-        return out
+        return self._prefix(n)[3]

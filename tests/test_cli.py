@@ -709,6 +709,22 @@ def test_fraction_inputs_stop_past_4300_digits():
             cli._parse_fraction("--s", raw)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["psi", "--seq", "5", "--s", "1e100000000"], 1),
+    (["psi", "--seq", "5", "--invert", "1e-100000000"], 1),
+    (["energy", "--precision", "rational", "--depth", "0", "--pin", "1e100000000,0,0"], 1),
+    (["energy", "--precision", "rational", "--depth", "0", "--pin", "0e100000000,1,0"], 0),
+], ids=["s", "invert", "pin", "pin-zero"])
+def test_huge_decimal_exponents_answer_at_once(tmp_path, argv, code):
+    """Fraction computes 10**exp before any digit check: a huge exponent is
+    refused, and a zero mantissa read as 0, without that power."""
+    got, err = run_process([*argv, "--out", tmp_path], timeout=20)
+    assert "Traceback" not in err, err
+    assert got == code, err
+    if code:
+        assert err.startswith("error:") and "is too large" in err
+
+
 @pytest.mark.parametrize("argv, code, name", [
     (["psi", "--seq", "5", "--kind", "time", "--s", "1e5000"], 1, None),
     (["psi", "--seq", "5", "--diverging", "--kind", "time", "--s", "1e3000"], 0, "psi-5.json"),

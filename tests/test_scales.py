@@ -90,11 +90,69 @@ def test_quadratic_envelope(ls576):
 
 
 def test_inverse_round_trip(ls576):
+    for psi in scale_triple(ls576):
+        for s in (Fraction(1, 7), Fraction(3, 100), Fraction(1, 999)):
+            assert psi.inverse(psi.eval(s)) == s
+
+
+_INVERSE_SEQUENCES = {
+    "576-repeat": LevelSequence((5, 7, 6), continuation="repeat-last"),
+    "9-58-diverging": LevelSequence((9, 58), continuation="repeat-last", diverging=True),
+}
+_OPEN_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9).filter(
+    lambda q: 0 < q < 1)
+
+
+@pytest.mark.parametrize("name", list(_INVERSE_SEQUENCES))
+@given(t=_OPEN_UNIT, s=_OPEN_UNIT)
+def test_inverse_is_exact_for_mass_and_resistance(name, t, s):
+    for kind in ("mass", "resistance"):
+        scale = build_scale(_INVERSE_SEQUENCES[name], kind)
+        assert scale.eval(scale.inverse(t)) == t
+        assert scale.inverse(scale.eval(s)) == s
+
+
+@pytest.mark.parametrize("name", list(_INVERSE_SEQUENCES))
+@given(t=_OPEN_UNIT, s=_OPEN_UNIT)
+def test_time_inverse_within_2_to_the_minus_64(name, t, s):
+    """Exact at every value of a rational s; elsewhere at most 2^-64 s*
+    above the root s*, which eval brackets."""
+    psi = build_scale(_INVERSE_SEQUENCES[name], "time")
+    assert psi.inverse(psi.eval(s)) == s
+    back = psi.inverse(t)
+    assert psi.eval(back / (1 + Fraction(1, 2 ** 64))) <= t <= psi.eval(back)
+
+
+@pytest.mark.parametrize("name", list(_INVERSE_SEQUENCES))
+@given(ts=st.lists(_OPEN_UNIT, min_size=2, max_size=6))
+def test_inverse_is_monotone(name, ts):
+    ts = sorted(ts)
+    for kind in ("time", "mass", "resistance"):
+        scale = build_scale(_INVERSE_SEQUENCES[name], kind)
+        backs = [scale.inverse(t) for t in ts]
+        assert backs == sorted(backs)
+
+
+@pytest.mark.parametrize("name", list(_INVERSE_SEQUENCES))
+@pytest.mark.parametrize("kind", ["time", "mass", "resistance"])
+def test_knots_round_trip(name, kind):
+    scale = build_scale(_INVERSE_SEQUENCES[name], kind)
+    for n in range(8):
+        s, value = scale.knot(n)
+        assert scale.inverse(value) == s
+        assert scale.eval(s) == value
+
+
+def test_scale_refusals_keep_their_texts(ls576):
     psi = build_scale(ls576, "time")
-    for s in (Fraction(1, 7), Fraction(3, 100), Fraction(1, 999)):
-        t = psi.eval(s)
-        back = psi.inverse(t)
-        assert float(back) == pytest.approx(float(s), rel=1e-12)
+    with pytest.raises(DomainError, match="^scale limited to 200 segments$"):
+        psi.inverse(Fraction(1, 10 ** 400))
+    with pytest.raises(DomainError, match="^scale limited to 200 segments$"):
+        psi.eval(Fraction(1, 10 ** 400))
+    finite = build_scale(LevelSequence((5, 7, 6)), "mass")
+    with pytest.raises(DomainError, match="^s = 1/1000 lies below the resolution of the "
+                       "stored sequence$"):
+        finite.eval(Fraction(1, 1000))
 
 
 def test_exponents_and_bundle(ls5):

@@ -105,3 +105,38 @@ def test_products_multiply_level_by_level(entries):
         assert ls.R(k) == R and ls.T(k) == T
     # the time exponent stays strictly above quadratic scaling
     assert ls.T(n) > ls.L(n) ** 2
+
+
+# levels 1..8 of each sequence; None past a finite prefix
+_WRITTEN_LEVELS = {
+    ((5,), "repeat-last"): (5, 5, 5, 5, 5, 5, 5, 5),
+    ((5, 7, 6), "repeat-last"): (5, 7, 6, 6, 6, 6, 6, 6),
+    ((6, 5, 9), None): (6, 5, 9, None, None, None, None, None),
+}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("key", list(_WRITTEN_LEVELS), ids=["5", "576-repeat", "659-none"])
+def test_prefix_products_in_either_order(key, order):
+    """L, M, R and T at n = -1..8 equal the products of the written-out
+    levels, whether the first call fills the list to its largest n or each
+    call extends a list filled to a lower n."""
+    ls = LevelSequence(*key)
+    levels = _WRITTEN_LEVELS[key]
+    ns = list(range(-1, 9))
+    for n in (ns if order == "ascending" else ns[::-1]):
+        if n >= 1 and levels[n - 1] is None:
+            with pytest.raises(SequenceError, match="level 4 past the stored prefix"):
+                ls.L(n)
+            for product in (ls.M, ls.R, ls.T):
+                with pytest.raises(SequenceError, match="level 4 past the stored prefix"):
+                    product(n)
+            continue
+        L = M = 1
+        R = T = Fraction(1)
+        for l in levels[:max(n, 0)]:
+            L *= l
+            M *= 3 * l - 3
+            R *= Fraction(9, 6 * l + 1)
+            T *= Fraction((3 * l - 3) * (6 * l + 1), 9)
+        assert (ls.L(n), ls.M(n), ls.R(n), ls.T(n)) == (L, M, R, T)
