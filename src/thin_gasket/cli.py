@@ -5,7 +5,7 @@ extension matrices, energy measures, the concentration certificate and
 divergence statistic, scale-function checks, level realization, slowly
 decaying profiles, random walks, and the acceptance suite.  One table, VERBS,
 declares each verb's handler, the flags it reads (any other is a usage error)
-and whether it runs in float only (certify, diverge, dm, slowdecay, walk:
+and whether it runs in float only (certify, diverge, dm, walk:
 precision rational is refused).  Outputs are deterministic for a fixed
 configuration: JSON for machine reports, CSV for tables, SVG for figures.
 
@@ -22,7 +22,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import numbers
 import os
 import re
@@ -467,13 +466,7 @@ def cmd_compare(args) -> int:
 
 def cmd_slowdecay(args) -> int:
     power = args.power
-    if not math.isfinite(power):
-        raise GasketError(f"--power must be finite, got {power}")
-
-    def psi0(r: float) -> float:
-        return r ** power
-
-    eta, rep = slow_decay_eta(psi0, n_max=args.n_max)
+    eta, rep = slow_decay_eta(power, n_max=args.n_max)
     summ = summability_report(eta, n_terms=args.n_max)
     payload = {"power": power, "report": rep, "summable": summ["summable"]}
     path = _write_json(_out_path(args, f"slowdecay-p{power}.json"), payload)
@@ -562,8 +555,8 @@ VERBS = {
     "realize": (cmd_realize, (*_ETA_N, ("--n0", dict(type=int, default=None)),
                               ("--min-ratio", dict(type=int, default=5))), False),
     "compare": (cmd_compare, _ETA_N, False),
-    "slowdecay": (cmd_slowdecay, (*_PRECISION, ("--power", dict(type=float, default=2.5)),
-                                  ("--n-max", dict(type=int, default=6))), True),
+    "slowdecay": (cmd_slowdecay, (("--power", dict(type=float, default=2.5)),
+                                  ("--n-max", dict(type=int, default=6))), False),
     "walk": (cmd_walk, (*_SEQ, *_DEPTH, *_SEED, *_PRECISION,
                         ("--trials", dict(type=int, default=None)),
                         ("--max-steps", dict(type=int, default=10_000_000)), *_XY), True),

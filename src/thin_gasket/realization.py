@@ -76,7 +76,6 @@ numerator/denominator pairs.
 
 from __future__ import annotations
 
-import bisect
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -633,68 +632,53 @@ def _knot_identity_exact(entries) -> bool:
 # ---- Slowly decaying profiles -------------------------------------------
 
 
-#: Floor and point count of slow_decay_eta's geometric grid on [floor, 1].
-_SLOW_DECAY_R_MIN = 1e-12
-_SLOW_DECAY_GRID = 600
+#: Bound on n_max^2 + n_max/(p-2), about -log2 of slow_decay_eta's deepest
+#: knot: n_max <= 512 at large p, 465 at p = 2.01.  The knots' Fraction work
+#: (and the summability screen's interpolation over them) grows faster than
+#: the cube of n_max; at the bound, slowdecay takes 1.0-1.2 s on 2 vCPUs
+#: (--power 1e308 --n-max 512, --power 2.01 --n-max 465), 4.6 s at n_max 800.
+_SLOW_DECAY_MAX_BITS = 1 << 18
 
 
-def slow_decay_eta(psi0, n_max: int = 6) -> tuple[EtaFunction, dict]:
-    """Build a summable piecewise eta dominating psi0(r)/r^2 up to scale.
+def slow_decay_eta(power: float, n_max: int = 6) -> tuple[EtaFunction, dict]:
+    """Build a summable piecewise eta dominating psi0(r)/r^2 up to scale,
+    for psi0 = r^p with 2 < p < inf.
 
-    psi0 is a positive nondecreasing callable on (0, 1].  With
-    eta0(r) = sup over s <= r of psi0(s)/s^2 and s_n the largest s with
-    eta0(s) <= 2^{-n} eta0(1), the knots (2^{-n^2} s_n, 2^{-n}) define a
-    piecewise linear eta whose summability terms are bounded by 2^{1-2n},
-    so the partial sums never exceed 2/3.
+    eta0(r) = psi0(r)/r^2 = r^(p-2) is increasing with eta0(1) = 1, so the
+    largest s with eta0(s) <= 2^{-n} is s_n = 2^{-n/(p-2)} in closed form:
+    with e = n/(p-2) as a double and f = e - floor(e), s_n is the Fraction
+    2^{-f} 2^{-floor(e)}, which never underflows and is an exact power of
+    1/2 when e is an integer.  The knots r_n = 2^{-n^2} s_n, at height
+    2^{-n}, define a piecewise linear eta whose summability terms
+    r_n/r_{n-1} are bounded by 2^{1-2n}, so the partial sums never exceed
+    2/3.
+
+    Dominance, eta(r) >= eta0(r)/2 with 1e-9 relative slack, is checked
+    per piece [r_n, r_{n-1}], n = 1..n_max, in log2: eta is nondecreasing
+    and eta0 increasing, so eta >= eta(r_n) = 2^{-n} and
+    eta0 <= eta0(r_{n-1}) on the piece, and 2^{-n} >= eta0(r_{n-1})/2 proves
+    it on the whole piece.  The pieces cover [r_{n_max}, 1].
     """
     if n_max < 1:
         raise DomainError("need at least one knot level")
-    grid = [_SLOW_DECAY_R_MIN * (1.0 / _SLOW_DECAY_R_MIN) ** (i / (_SLOW_DECAY_GRID - 1))
-            for i in range(_SLOW_DECAY_GRID)]
-    env = []
-    cur = -math.inf
-    for s in grid:
-        cur = max(cur, psi0(s) / (s * s))
-        env.append(cur)
-    eta0_one = env[-1]
-    if eta0_one <= 0:
-        raise DomainError("psi0 must be positive somewhere on the grid")
-
-    def eta0(s: float) -> float:
-        j = bisect.bisect_right(grid, s) - 1
-        base = env[j] if j >= 0 else 0.0
-        return max(base, psi0(s) / (s * s))
-
-    s_list = []
+    if not 2 < power < math.inf:
+        raise DomainError(f"psi0 = r^p needs 2 < p < inf for r^(p-2) to decay, "
+                          f"got p = {power}")
+    # n_max first: a huge int would not convert to a float
+    if n_max > _SLOW_DECAY_MAX_BITS or n_max * (n_max + 1 / (power - 2)) > _SLOW_DECAY_MAX_BITS:
+        raise DomainError(f"the deepest knot at n_max = {n_max}, p = {power} lies below "
+                          f"2^-{_SLOW_DECAY_MAX_BITS}, past the knot budget")
+    s_list, r_list = [], []
     for n in range(n_max + 1):
-        target = eta0_one / 2 ** n
-        if eta0(1.0) <= target:
-            s_list.append(1.0)
-            continue
-        if eta0(grid[0]) > target:
-            raise DomainError(f"grid floor {_SLOW_DECAY_R_MIN} too coarse for level {n}")
-        lo, hi = grid[0], 1.0
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if eta0(mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-        # the exact maximizers are nonincreasing in n; keep that exact
-        s_list.append(min(lo, s_list[-1]) if s_list else lo)
-
-    knots = []
-    for n in range(n_max + 1):
-        r = Fraction(1, 2 ** (n * n)) * Fraction(s_list[n])
-        knots.append((r, Fraction(1, 2 ** n)))
-    knots = sorted(knots)
+        e = n / (power - 2)
+        whole = math.floor(e)
+        s = Fraction(2.0 ** (whole - e)) / 2 ** whole
+        s_list.append(s)
+        r_list.append(s / 2 ** (n * n))
+    knots = [(r, Fraction(1, 2 ** n)) for n, r in enumerate(r_list)][::-1]
     eta = EtaFunction.piecewise(knots, label="slow-decay")
 
-    terms = []
-    for n in range(1, n_max + 1):
-        r_n = knots[n_max - n][0]
-        r_prev = knots[n_max - n + 1][0]
-        terms.append(r_n / r_prev)
+    terms = [r / r_prev for r_prev, r in zip(r_list, r_list[1:])]
     partial = []
     acc = Fraction(0)
     for t in terms:
@@ -702,10 +686,11 @@ def slow_decay_eta(psi0, n_max: int = 6) -> tuple[EtaFunction, dict]:
         partial.append(float(acc))
     bound_ok = all(t <= Fraction(1, 2 ** (2 * n - 1)) for n, t in enumerate(terms, 1))
 
-    dom_grid = [s for s in grid if s >= float(knots[0][0])]
-    dominated = all(eta(s) >= psi0(s) / (s * s) / (2 * eta0_one) * (1 - 1e-9)
-                    for s in dom_grid)
-    report = {"n_max": n_max, "s_values": s_list,
+    slack = math.log2(1 - 1e-9)
+    dominated = all(
+        -n >= (power - 2) * (math.log2(r.numerator) - math.log2(r.denominator)) - 1 + slack
+        for n, r in enumerate(r_list[:-1], 1))
+    report = {"n_max": n_max, "s_values": [float(s) for s in s_list],
               "knots": [(float(r), float(y)) for r, y in knots],
               "terms": [float(t) for t in terms], "partial_sums": partial,
               "terms_below_geometric": bound_ok,

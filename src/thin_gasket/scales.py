@@ -282,19 +282,17 @@ def doubling_check(scale: PiecewiseScale, c: Fraction | None = None,
             double_viol.append(s)
 
     lnc = math.log(float(c))
-    logs = {s: float(scale.log_eval(s)) for s in pool}
-    lns = {s: math.log(s.numerator) - math.log(s.denominator) for s in pool}
+    logs = [float(scale.log_eval(s)) for s in pool]
+    lns = [math.log(s.numerator) - math.log(s.denominator) for s in pool]
     pair_viol = []
-    n_pairs = 0
     for i, s in enumerate(pool):
-        for big in pool[i + 1:]:
-            n_pairs += 1
-            gap = lns[big] - lns[s]
-            ratio = logs[big] - logs[s]
+        for j in range(i + 1, len(pool)):
+            gap = lns[j] - lns[i]
+            ratio = logs[j] - logs[i]
             if ratio > lnc + beta_hi * gap + 1e-9 or ratio < -lnc + beta_lo * gap - 1e-9:
-                pair_viol.append((s, big))
+                pair_viol.append((s, pool[j]))
     return {"kind": scale.kind, "c": c, "beta": (beta_lo, beta_hi),
-            "n_points": len(pool), "n_pairs": n_pairs,
+            "n_points": len(pool), "n_pairs": len(pool) * (len(pool) - 1) // 2,
             "doubling_violations": double_viol, "pair_violations": pair_viol,
             "passed": not double_viol and not pair_viol}
 

@@ -229,7 +229,7 @@ _VERB_OPTIONS = {
            "--pairs": None},
     "realize": {"--eta": None, "--n": None, "--n0": None, "--min-ratio": None},
     "compare": {"--eta": None, "--n": None},
-    "slowdecay": {**_PRECISION, "--power": None, "--n-max": None},
+    "slowdecay": {"--power": None, "--n-max": None},
     "walk": {**_SEQ, "--depth": None, "--seed": None, **_PRECISION, "--trials": None,
              "--max-steps": None, "--x": None, "--y": None},
     "verify-all": {"--only": None},
@@ -258,7 +258,7 @@ def test_parser_surface():
     for verb, sp in _subparsers().items():
         expected = {"-h --help": None, **_VERB_OPTIONS[verb], "--out": None, "--config": None}
         assert _options(sp) == expected, verb
-    assert sum(len(_VERB_OPTIONS[verb]) + 2 for verb in _VERB_OPTIONS) == 115
+    assert sum(len(_VERB_OPTIONS[verb]) + 2 for verb in _VERB_OPTIONS) == 114
 
 
 _UNREAD = [(verb, flag) for verb in _VERB_OPTIONS for flag in _FORMER_COMMON
@@ -306,7 +306,7 @@ def test_float_only_verbs_refuse_rational_before_their_handler(tmp_path, monkeyp
     """Every verb VERBS marks float only exits 1 under --precision rational,
     in-process, and its handler never starts."""
     float_only = [verb for verb, (_, _, only) in cli.VERBS.items() if only]
-    assert float_only == ["certify", "diverge", "dm", "slowdecay", "walk"]
+    assert float_only == ["certify", "diverge", "dm", "walk"]
 
     def no_work(cfg, args):
         raise AssertionError("a float-only handler ran under precision rational")
@@ -363,7 +363,6 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["diverge", "--seq", "5,6", "--max-depth", "3", "--precision", "rational"],
     ["dm", "--seq", "5", "--depth", "1", "--precision", "rational"],
     ["walk", "--seq", "5", "--depth", "1", "--trials", "100", "--precision", "rational"],
-    ["slowdecay", "--power", "3.0", "--precision", "rational"],
     ["dm", "--config", "RATIONAL_CONFIG"],  # the same from a config file
     # a config file naming no precision the routes know: no silent float run
     ["energy", "--config", "BAD_PRECISION_CONFIG", "--pin", "1,0,0"],
@@ -377,6 +376,8 @@ def test_domain_error_exits_1(tmp_path, capsys):
     # non-finite powers would be written as the non-JSON Infinity and NaN
     ["slowdecay", "--power", "inf"],
     ["slowdecay", "--power", "nan"],
+    # a deepest knot near 2^-(10^10): refused before any knot is built
+    ["slowdecay", "--power", "1e308", "--n-max", "100000"],
     ["psi", "--segments", "-1"],  # empty knot lists
     # level 22 is past the precision cap: refused while the window is scanned,
     # not after minutes of levels 18-21 or of exp(2^n) for every n <= N + 9
@@ -392,11 +393,11 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "psi-invert-overflow", "realize-eta2", "realize-eta3", "realize-eta4",
         "resistance-depth", "resistance-equal-ids-out-of-range", "realize-n0-zero", "realize-n0-negative",
         "extend-rational-size", "certify-cascade-budget", "certify-rational",
-        "diverge-rational", "dm-rational", "walk-rational", "slowdecay-rational",
+        "diverge-rational", "dm-rational", "walk-rational",
         "dm-config-rational",
         "config-precision", "config-diverging", "matrices-l-budget",
         "config-missing", "config-directory", "config-latin1", "slowdecay-power-inf",
-        "slowdecay-power-nan",
+        "slowdecay-power-nan", "slowdecay-knot-budget",
         "psi-segments", "realize-n200", "realize-n100000", "compare-n2000",
         "diverge-samples-budget"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
@@ -462,7 +463,7 @@ _VERB_FLAGS = {
     "dm": st.integers(-1, 20).map(lambda n: ["--pairs", n]),
     "realize": _ETA,
     "compare": _ETA,
-    "slowdecay": st.tuples(st.sampled_from([0.5, 2.5, 4.0]), _SMALL).map(
+    "slowdecay": st.tuples(st.sampled_from([0.5, 2.1, 2.5, 4.0]), _SMALL).map(
         lambda t: ["--power", t[0], "--n-max", t[1]]),
     "walk": st.tuples(st.integers(0, 2000), st.integers(-1, 10_000)).map(
         lambda t: ["--trials", t[0], "--max-steps", t[1]]),
@@ -751,6 +752,37 @@ def test_slowdecay_below_six_knot_levels(tmp_path, capsys):
     assert run(["slowdecay", "--n-max", "3", "--out", tmp_path]) == 0
     data = json.loads((tmp_path / "slowdecay-p2.5.json").read_text())
     assert data["summable"] is True
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--power", "2.1"], "slowdecay-p2.1.json"),  # s_4 = 2^-40
+    (["--power", "2.5", "--n-max", "20"], "slowdecay-p2.5.json"),  # s_20 = 2^-40
+])
+def test_slowdecay_slow_regime(tmp_path, capsys, argv, name):
+    """Powers near 2 and deep levels: s_n = 2^(-n/(p-2)) needs no grid."""
+    assert run(["slowdecay", *argv, "--out", tmp_path]) == 0
+    data = json.loads((tmp_path / name).read_text())
+    assert data["report"]["passed"] and data["report"]["dominates"]
+    assert data["summable"] is True
+
+
+@pytest.mark.parametrize("power", ["2", "0.5"])
+def test_slowdecay_refuses_a_profile_that_does_not_decay(tmp_path, capsys, power):
+    assert run(["slowdecay", "--power", power, "--out", tmp_path]) == 1
+    assert "needs 2 < p < inf for r^(p-2) to decay" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_slowdecay_ignores_config_precision(tmp_path, capsys):
+    """slowdecay reads no precision: a config file's precision=rational
+    changes no byte of its file."""
+    config = tmp_path / "rational.cfg"
+    config.write_text("precision=rational\n")
+    out = tmp_path / "out"
+    assert run(["slowdecay", "--power", "3.0", "--n-max", "7", "--config", config,
+                "--out", out]) == 0
+    golden = (GOLDEN / "slowdecay-p3.0.json").read_bytes()
+    assert (out / "slowdecay-p3.0.json").read_bytes() == golden
 
 
 def test_doubling_verb(tmp_path, capsys):

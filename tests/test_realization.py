@@ -189,7 +189,7 @@ def test_log_domain_report_matches_integer_products(profile):
     """Per-level factor logs give the report the same floats as the logs of
     the level-size products."""
     if profile == "slow-decay":
-        eta, _ = slow_decay_eta(lambda r: r ** 2.5, n_max=12)
+        eta, _ = slow_decay_eta(2.5, n_max=12)
         res = realize_sequence(eta, 3)
     else:
         eta = EtaFunction.elementary()
@@ -459,7 +459,7 @@ def test_elementary_is_the_first_iterate():
 
 
 def test_slow_decay_profile():
-    eta, rep = slow_decay_eta(lambda r: r ** 2.5, n_max=6)
+    eta, rep = slow_decay_eta(2.5, n_max=6)
     assert rep["passed"]
     assert rep["dominates"] and rep["terms_below_geometric"]
     for n, s in enumerate(rep["s_values"]):
@@ -474,4 +474,55 @@ def test_slow_decay_profile():
 
 def test_slow_decay_rejects_empty():
     with pytest.raises(DomainError):
-        slow_decay_eta(lambda r: r ** 2, n_max=0)
+        slow_decay_eta(2, n_max=0)
+
+
+@pytest.mark.parametrize("p", [2.5, 3, 3.7, 4, 6])
+def test_slow_decay_knots_in_closed_form(p):
+    """s_n = 2^(-n/(p-2)): eta0(s_n) = s_n^(p-2) is 2^-n within a few ulps."""
+    _, rep = slow_decay_eta(p, n_max=12)
+    assert rep["passed"]
+    for n, s in enumerate(rep["s_values"]):
+        assert math.ldexp(s ** (p - 2), n) == pytest.approx(1, rel=4 * 2.0 ** -52, abs=0)
+
+
+@pytest.mark.parametrize("p,base", [(2.5, 4), (3, 2)])
+def test_slow_decay_knots_are_exact_powers_of_a_half(p, base):
+    eta, rep = slow_decay_eta(p, n_max=12)
+    assert rep["s_values"] == [base ** -n for n in range(13)]
+    assert [r for r, _ in eta.knots] == [Fraction(1, 2 ** (n * n) * base ** n)
+                                         for n in range(12, -1, -1)]
+
+
+def test_slow_decay_near_two_keeps_every_knot():
+    """At p = 2.01, s_12 = 2^-1200 and r_12 near 2^-1344 lie past double range."""
+    eta, rep = slow_decay_eta(2.01, n_max=12)
+    rs = [r for r, _ in eta.knots]
+    assert rs[0] > 0 and all(a < b for a, b in zip(rs, rs[1:]))
+    assert rep["passed"] and rep["dominates"]
+
+
+@pytest.mark.parametrize("p", [2.5, 3.7])
+def test_slow_decay_dominates_inside_each_piece(p):
+    """The per-piece check against eta(r) >= r^(p-2)/2 at ten points inside
+    each piece [r_n, r_{n-1}], geometrically spaced."""
+    eta, rep = slow_decay_eta(p, n_max=6)
+    assert rep["dominates"]
+    for (lo, _), (hi, _) in zip(eta.knots, eta.knots[1:]):
+        for j in range(10):
+            r = float(lo) * (float(hi) / float(lo)) ** (j / 9)
+            assert eta(r) >= r ** (p - 2) / 2 * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("p", [2, 1.5, -3.0, math.nan, math.inf])
+def test_slow_decay_refuses_powers_without_decay(p):
+    with pytest.raises(DomainError, match="to decay"):
+        slow_decay_eta(p, n_max=3)
+
+
+@pytest.mark.parametrize("p,n_max", [(1e308, 513), (2.01, 466), (2 + 2 ** -51, 1),
+                                     (3.0, 10 ** 400)])
+def test_slow_decay_refuses_knots_past_the_budget(p, n_max):
+    """Refused before any knot is built: n_max^2 + n_max/(p-2) > 2^18."""
+    with pytest.raises(DomainError, match="knot budget"):
+        slow_decay_eta(p, n_max=n_max)
