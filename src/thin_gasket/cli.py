@@ -307,7 +307,7 @@ def cmd_resistance(args) -> int:
 
 def cmd_matrices(args) -> int:
     l = args.l
-    if args.index:
+    if args.index is not None:
         i = tuple(_parse_int("index entry", t) for t in args.index.split(","))
         mats = [harmonic_matrix(l, i)]
     else:
@@ -495,7 +495,7 @@ def cmd_walk(args) -> int:
 
 def cmd_verify_all(args) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
         numbers = {_parse_int("criterion number", t) for t in args.only.split(",")}
     results = acceptance.run_all(numbers=numbers, out=None)
     payload = acceptance.results_json(results)

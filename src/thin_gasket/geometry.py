@@ -6,14 +6,24 @@ boundary cells.  Every vertex carries exact integer lattice coordinates
 and metric comparisons are exact integer arithmetic.  The graph metric
 (BFS hops times 1/L_n) is the finite-depth proxy for the geodesic metric.
 
+The graph is its cells.  Cells meet only at corners, so every edge is a
+side of exactly one cell: the adjacency is read off the cell sides, with
+three edges per cell, and a cell's k-hop neighbourhood (cells linked by
+shared corners) has as its vertices the closed k-hop vertex ball about the
+cell's corners.
+
 Sizes are budgeted in corner slots, 3 M_n: build_graph refuses more than
-MAX_CORNERS = 6e6 (about 100 MB of working arrays; (5,) builds to depth 5,
-3 M_5 = 746,496), and the cell cascade behind energy measures
-(forms.HarmonicSpec.cell_numerators) more than 2^27.  Harmonic extension
-on V_n (forms.HarmonicSpec.extend) scatters that cascade onto the cells, so
-it reaches MAX_CORNERS in both precisions; exact pair resistances, by
-cell-by-cell elimination, are bounded only by MAX_CORNERS too.  A CellMeasure
-is plain arrays: per-cell masses in word enumeration order and their total.
+MAX_CORNERS = 6e6 ((5,) builds to depth 5, 3 M_5 = 746,496).  A build and
+its adjacency peak at about 54 traced bytes per slot (measured at (5,)
+depth 5 and (40,) depth 3 with numpy 2.4 and scipy 1.17), budgeted as
+_BYTES_PER_SLOT = 60: about 360 MB of working arrays at the full budget.
+The cell cascade behind energy measures (forms.HarmonicSpec.cell_numerators)
+refuses more than 2^27 slots.  Harmonic extension on V_n
+(forms.HarmonicSpec.extend) scatters that cascade onto the cells, so it
+reaches MAX_CORNERS in both precisions; exact pair resistances, by
+cell-by-cell elimination, are bounded only by MAX_CORNERS too.  A
+CellMeasure is plain arrays: per-cell masses in word enumeration order and
+their total.
 """
 
 from __future__ import annotations
@@ -36,6 +46,8 @@ CORNER_OFFSETS = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
 
 #: Corner slots (3 M_n) build_graph may assemble.
 MAX_CORNERS = 6_000_000
+# traced peak of a build and its adjacency, per corner slot, rounded up
+_BYTES_PER_SLOT = 60
 
 
 # ---- Alphabets ----------------------------------------------------------
@@ -127,19 +139,15 @@ class ApproximationGraph:
               rows in product enumeration order of words.
     """
 
-    def __init__(self, ls, level, L, vertices, enc, cells, boundary, edges):
+    def __init__(self, ls, level, L, vertices, cells, boundary):
         self.ls = ls
         self.level = level
         self.L = L
         self.vertices = vertices
-        self._enc = enc
         self.cells = cells
         self.boundary = boundary
-        self.edges = edges
         self._adj = None
         self._nbr = None
-        self._vertex_cells = None
-        self._cell_adj = None
         self._hop_adj = None
 
     # -- sizes
@@ -154,33 +162,27 @@ class ApproximationGraph:
 
     @property
     def n_edges(self) -> int:
-        return self.edges.shape[0]
+        return self.adjacency.nnz // 2
 
     # -- lookups
-
-    def vertex_ids(self, coords: np.ndarray) -> np.ndarray:
-        codes = (coords[..., 0].astype(np.int64) << _ENC_SHIFT) | coords[..., 1]
-        ids = np.searchsorted(self._enc, codes)
-        # a code past the last vertex sorts to len(self._enc)
-        if not (np.all(ids < len(self._enc)) and np.all(self._enc[ids] == codes)):
-            raise DomainError("some coordinates are not vertices of this graph")
-        return ids
 
     def corner_id(self, j: int) -> int:
         return int(self.boundary[j])
 
     @property
     def adjacency(self) -> sparse.csr_matrix:
+        """Vertex adjacency from the cell sides, each side once in each
+        direction (int8 ones, sorted CSR)."""
         if self._adj is None:
-            e = self.edges
-            rows = np.concatenate([e[:, 0], e[:, 1]])
-            cols = np.concatenate([e[:, 1], e[:, 0]])
+            # cells meet only at corners, so each edge is a side of one cell;
+            # int32 is scipy's index dtype here, and halves the COO arrays
+            c = self.cells.astype(np.int32)
+            rows = np.repeat(c, 2, axis=1).ravel()
+            cols = c[:, [1, 2, 0, 2, 0, 1]].ravel()
             data = np.ones(rows.shape[0], dtype=np.int8)
-            adj = sparse.csr_matrix(
+            self._adj = sparse.csr_matrix(
                 (data, (rows, cols)), shape=(self.n_vertices, self.n_vertices)
             )
-            adj.sort_indices()
-            self._adj = adj
         return self._adj
 
     @property
@@ -195,34 +197,12 @@ class ApproximationGraph:
         return self._nbr
 
     @property
-    def vertex_cells(self) -> sparse.csr_matrix:
-        """Vertex -> incident cells incidence (V x M)."""
-        if self._vertex_cells is None:
-            m = self.n_cells
-            rows = self.cells.ravel()
-            cols = np.repeat(np.arange(m, dtype=np.int64), 3)
-            data = np.ones(rows.shape[0], dtype=np.int8)
-            inc = sparse.csr_matrix((data, (rows, cols)), shape=(self.n_vertices, m))
-            inc.sort_indices()
-            self._vertex_cells = inc
-        return self._vertex_cells
-
-    @property
     def _hop_adjacency(self) -> sparse.csr_matrix:
         """The vertex adjacency in the float64 CSR form csgraph takes without
         a copy."""
         if self._hop_adj is None:
             self._hop_adj = self.adjacency.astype(np.float64)
         return self._hop_adj
-
-    @property
-    def _cell_adjacency(self) -> sparse.csr_matrix:
-        """Cells sharing a vertex (M x M, the diagonal included), in the
-        float64 CSR form csgraph takes without a copy."""
-        if self._cell_adj is None:
-            inc = self.vertex_cells
-            self._cell_adj = (inc.T @ inc).tocsr().astype(np.float64)
-        return self._cell_adj
 
     def word(self, idx: int) -> tuple:
         return index_to_word(self.ls, self.level, idx)
@@ -269,31 +249,21 @@ def build_graph(ls: LevelSequence, n: int) -> ApproximationGraph:
     if 3 * M > MAX_CORNERS:
         raise BudgetError(
             f"depth {n} needs {3 * M} corner slots (> budget {MAX_CORNERS}); "
-            f"roughly {3 * M * 16 / 1e6:.0f} MB of working arrays"
+            f"about {3 * M * _BYTES_PER_SLOT / 1e6:.0f} MB of working arrays "
+            f"at {_BYTES_PER_SLOT} bytes per slot"
         )
     if L >= _COORD_LIMIT:
         raise BudgetError(f"L_n = {L} overflows the 31-bit coordinate encoding")
 
     corners = _corner_numerators(ls, n)  # (M, 3, 2)
     codes = (corners[..., 0] << _ENC_SHIFT) | corners[..., 1]
+    del corners  # freed before np.unique, the peak of the build
     enc, inverse = np.unique(codes.ravel(), return_inverse=True)
     cells = inverse.reshape(-1, 3).astype(np.int64)
     vertices = np.stack([enc >> _ENC_SHIFT, enc & ((1 << _ENC_SHIFT) - 1)], axis=1)
 
     boundary = np.searchsorted(enc, np.array([0, L << _ENC_SHIFT, L], dtype=np.int64))
-
-    pair_idx = np.array([[0, 1], [0, 2], [1, 2]])
-    pairs = cells[:, pair_idx].reshape(-1, 2)
-    pairs = np.sort(pairs, axis=1)
-    edge_codes = np.sort(pairs[:, 0] * vertices.shape[0] + pairs[:, 1])
-    # cells share only corners, so the codes are distinct; the mask keeps
-    # np.unique's result without its hash table
-    edge_codes = edge_codes[np.concatenate(([True], edge_codes[1:] != edge_codes[:-1]))]
-    edges = np.stack(
-        [edge_codes // vertices.shape[0], edge_codes % vertices.shape[0]], axis=1
-    )
-
-    return ApproximationGraph(ls, n, L, vertices, enc, cells, boundary, edges)
+    return ApproximationGraph(ls, n, L, vertices, cells, boundary)
 
 
 # ---- Metric --------------------------------------------------------------
@@ -305,16 +275,27 @@ def geodesic_hops(g: ApproximationGraph, sources) -> np.ndarray:
     return csgraph.dijkstra(g._hop_adjacency, directed=True, unweighted=True, indices=src)
 
 
+def _cell_least_hops(g: ApproximationGraph, hops: np.ndarray) -> np.ndarray:
+    """Least hop count over each cell's corners, from (V,) BFS hop counts,
+    so balls of several radii about one centre share one search and one
+    pass over the cells."""
+    h0, h1, h2 = hops[g.cells.T]
+    return np.minimum(np.minimum(h0, h1), h2)
+
+
 # ---- Cell neighborhoods --------------------------------------------------
 
 
 def _cell_hops(g: ApproximationGraph, w, radii) -> np.ndarray:
     """Hop counts from cell w to every cell in the share-a-vertex adjacency,
-    by one BFS that stops past the largest radius, or at 0 for no radii
-    (np.inf beyond it).
+    np.inf beyond the largest radius (0 for no radii).
 
-    Each radius k must satisfy 0 <= k <= l_n, and w must be a depth-n word.
-    The depth-0 graph's one cell is at hop 0 for any w.
+    Cells meet only at corners, so a cell w' != w lies k >= 1 cell hops from
+    w iff its nearest corner lies k - 1 vertex hops from w's corners: one
+    vertex BFS from those corners, stopped at the largest radius less one,
+    serves every radius.  Each radius k must satisfy 0 <= k <= l_n, and w
+    must be a depth-n word.  The depth-0 graph's one cell is at hop 0 for
+    any w.
     """
     n = g.level
     radii = list(radii)
@@ -329,12 +310,18 @@ def _cell_hops(g: ApproximationGraph, w, radii) -> np.ndarray:
     start = word_to_index(g.ls, w)
     if len(tuple(w)) != n:
         raise DomainError(f"word depth {len(tuple(w))} != graph depth {n}")
-    return csgraph.dijkstra(g._cell_adjacency, directed=True, unweighted=True,
-                            indices=start, limit=max(radii, default=0))
+    top = max(radii, default=0)
+    near = csgraph.dijkstra(g._hop_adjacency, directed=True, unweighted=True,
+                            indices=g.cells[start], min_only=True, limit=max(top - 1, 0))
+    hops = _cell_least_hops(g, near) + 1
+    hops[hops > top] = np.inf  # radius 0: the BFS cannot stop short of w's corners
+    hops[start] = 0
+    return hops
 
 
 def neighborhood_vertex_ids(g: ApproximationGraph, w, k: int) -> np.ndarray:
-    """Vertex ids of the closed union of the k-hop cell neighborhood of w."""
+    """Vertex ids of the closed union of the k-hop cell neighborhood of w,
+    which is the closed k-hop vertex ball about w's corners."""
     return np.unique(g.cells[_cell_hops(g, w, (k,)) <= k].ravel())
 
 
@@ -352,14 +339,6 @@ class CellMeasure:
         self.masses = masses
         # item() gives a Python float, or the Fraction of an object array
         self.total = masses.sum(keepdims=True).item() if total is None else total
-
-
-def _cell_least_hops(g: ApproximationGraph, hops: np.ndarray) -> np.ndarray:
-    """Least hop count over each cell's corners, from the (V,) BFS hop
-    counts of one centre, so balls of several radii about it share one
-    search and one pass over the cells."""
-    h0, h1, h2 = hops[g.cells.T]
-    return np.minimum(np.minimum(h0, h1), h2)
 
 
 def _outer_ball_mass(g: ApproximationGraph, least_hops: np.ndarray, s: Fraction) -> Fraction:

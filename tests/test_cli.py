@@ -385,6 +385,10 @@ def test_domain_error_exits_1(tmp_path, capsys):
     ["realize", "--n", "100000"],
     ["compare", "--n", "2000"],
     ["diverge", "--samples", "100000000"],  # an 8.9 GiB children index
+    # empty values are malformed, not absent: no run of all ten criteria or
+    # listing of all twelve matrices
+    ["verify-all", "--only", ""],
+    ["matrices", "--l", "5", "--index", ""],
 ], ids=["corner-index", "resistance-corners-and-xy", "dm-pairs", "dm-no-pairs",
         "seq-parse", "walk-trials", "walk-vertex", "walk-max-steps", "walk-past-cap",
         "walk-work-budget",
@@ -399,7 +403,7 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "config-missing", "config-directory", "config-latin1", "slowdecay-power-inf",
         "slowdecay-power-nan", "slowdecay-knot-budget",
         "psi-segments", "realize-n200", "realize-n100000", "compare-n2000",
-        "diverge-samples-budget"])
+        "diverge-samples-budget", "verify-only-empty", "matrices-index-empty"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     config = tmp_path / "bad-precision.cfg"
     config.write_text("seq=5\ndepth=1\nprecision=exact\n")
@@ -418,6 +422,16 @@ def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["verify-all", "--only", ""], "criterion number"),
+    (["matrices", "--l", "5", "--index", ""], "index entry"),
+])
+def test_empty_flag_value_is_refused(tmp_path, capsys, argv, key):
+    assert run([*argv, "--out", tmp_path]) == 1
+    assert f"{key} must be an integer, got ''" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("eta,y", [("eta3", "1/16"), ("eta4", "1/4")])

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thin_gasket.errors import BudgetError, DomainError
-from thin_gasket.geometry import (_cell_hops, _cell_least_hops, _outer_ball_mass,
-                                  boundary_cells, build_graph, geodesic_hops,
-                                  graph_to_json, index_to_word, interior_letters,
-                                  is_cell_index, neighborhood_vertex_ids,
-                                  render_svg, word_to_index, words)
+from thin_gasket.geometry import (_BYTES_PER_SLOT, _cell_hops, _cell_least_hops,
+                                  _outer_ball_mass, boundary_cells, build_graph,
+                                  geodesic_hops, graph_to_json, index_to_word,
+                                  interior_letters, is_cell_index,
+                                  neighborhood_vertex_ids, render_svg, word_to_index,
+                                  words)
 from thin_gasket.sequence import LevelSequence
 
 
@@ -84,8 +86,7 @@ def test_depth_two_graph_frozen_counts(ls5):
 
 
 def _cells_of_vertex(g, v: int) -> np.ndarray:
-    inc = g.vertex_cells
-    return inc.indices[inc.indptr[v]: inc.indptr[v + 1]]
+    return np.flatnonzero((g.cells == v).any(axis=1))
 
 
 @pytest.mark.parametrize("seq,depth", [((5,), 1), ((5,), 2), ((7,), 1),
@@ -94,7 +95,7 @@ def test_cell_incidence_structure(seq, depth):
     g = build_graph(LevelSequence(seq, continuation="repeat-last"), depth)
     # every corner slot is accounted for and no vertex sits in 3+ cells,
     # so distinct cells can share at most one point
-    counts = np.diff(g.vertex_cells.indptr)
+    counts = np.bincount(g.cells.ravel(), minlength=g.n_vertices)
     assert counts.min() >= 1
     assert counts.max() <= 2
     assert counts.sum() == 3 * g.n_cells
@@ -112,6 +113,8 @@ def test_edges_are_cell_sides(ls5):
         for a, b in itertools.combinations(sorted(int(v) for v in c), 2):
             sides.add((a, b))
     assert len(sides) == g.n_edges
+    a = g.adjacency.tocoo()
+    assert set(zip(a.row.tolist(), a.col.tolist())) == sides | {(b, a) for a, b in sides}
 
 
 @pytest.mark.parametrize("depth", range(6))
@@ -119,9 +122,35 @@ def test_edges_match_unique_of_cell_sides(ls5, depth):
     g = build_graph(ls5, depth)
     sides = np.sort(g.cells[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
     codes = np.unique(sides[:, 0] * g.n_vertices + sides[:, 1])
-    expected = np.stack([codes // g.n_vertices, codes % g.n_vertices], axis=1)
-    assert g.edges.dtype == expected.dtype
-    assert np.array_equal(g.edges, expected)
+    a = g.adjacency
+    assert a.has_canonical_format
+    # each side appears once as (u, v) and once as (v, u)
+    pairs = np.sort(np.stack(a.nonzero(), axis=1).astype(np.int64), axis=1)
+    got, twice = np.unique(pairs[:, 0] * g.n_vertices + pairs[:, 1], return_counts=True)
+    assert np.array_equal(got, codes)
+    assert np.all(twice == 2)
+    assert g.n_edges == len(codes)
+
+
+@pytest.mark.parametrize("seq,depth", [((5,), 5), ((5, 7, 6), 3), ((9, 58), 2)])
+def test_each_side_counted_once(seq, depth):
+    # cells meet only at corners: three distinct edges per cell, none twice
+    g = build_graph(LevelSequence(seq, continuation="repeat-last"), depth)
+    assert g.n_edges == 3 * g.n_cells
+    assert np.all(g.adjacency.data == 1)
+
+
+def test_graph_traced_peak_within_documented_figure(ls5):
+    # build plus adjacency, against the per-slot figure the module docstring
+    # and the BudgetError text state
+    tracemalloc.start()
+    try:
+        g = build_graph(ls5, 5)
+        g.adjacency
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _BYTES_PER_SLOT * 3 * g.n_cells
 
 
 def test_graph_budget(ls5):
@@ -130,20 +159,6 @@ def test_graph_budget(ls5):
     for depth in (6, 9):
         with pytest.raises(BudgetError):
             build_graph(ls5, depth)
-
-
-def test_vertex_ids_round_trip(ls5):
-    g = build_graph(ls5, 2)
-    assert np.array_equal(g.vertex_ids(g.vertices), np.arange(g.n_vertices))
-
-
-# (100, 100) sorts past the last vertex code; (1, 100) sorts between codes
-@pytest.mark.parametrize("coords", [[[100, 100]], [[1, 100]], [[0, 0], [100, 100]]],
-                         ids=["past-last-code", "between-codes", "mixed"])
-def test_vertex_ids_rejects_non_vertices(coords):
-    g = build_graph(LevelSequence((5,)), 1)
-    with pytest.raises(DomainError, match="not vertices"):
-        g.vertex_ids(np.array(coords))
 
 
 # ---- Metric --------------------------------------------------------------
@@ -189,13 +204,14 @@ def test_neighborhood_size_bounds(seq, depth):
                 assert len(hood) <= 4
 
 
-def _neighborhood_by_set_bfs(g, w, k) -> list:
-    """Cell indices within k hops of w, by a set BFS over the cells of each
-    frontier cell's corners."""
+def _neighborhoods_by_set_bfs(g, w, k_max: int) -> list:
+    """Sorted cell indices within k hops of w for k = 0..k_max, by a set
+    BFS over the cells of each frontier cell's corners."""
     start = word_to_index(g.ls, w)
     seen = {start}
     frontier = [start]
-    for _ in range(k):
+    out = [sorted(seen)]
+    for _ in range(k_max):
         nxt = []
         for c in frontier:
             for v in g.cells[c]:
@@ -204,7 +220,16 @@ def _neighborhood_by_set_bfs(g, w, k) -> list:
                         seen.add(int(c2))
                         nxt.append(int(c2))
         frontier = nxt
-    return sorted(seen)
+        out.append(sorted(seen))
+    return out
+
+
+def _check_neighborhoods(g, w):
+    l_n = g.ls.level(g.level)
+    for k, cells in enumerate(_neighborhoods_by_set_bfs(g, w, l_n)):
+        assert list(np.flatnonzero(_cell_hops(g, w, (k,)) <= k)) == cells
+        assert np.array_equal(neighborhood_vertex_ids(g, w, k),
+                              np.unique(g.cells[cells].ravel()))
 
 
 @pytest.mark.parametrize("seq", [(5,), (5, 6), (6, 5)])
@@ -212,11 +237,37 @@ def test_neighborhoods_match_set_bfs(seq):
     ls = LevelSequence(seq, continuation="repeat-last")
     g = build_graph(ls, 2)
     for w in words(ls, 2):
-        for k in range(ls.level(2) + 1):
-            cells = _neighborhood_by_set_bfs(g, w, k)
-            assert list(np.flatnonzero(_cell_hops(g, w, (k,)) <= k)) == cells
+        _check_neighborhoods(g, w)
+
+
+@pytest.mark.parametrize("seq", [(5,), (5, 7, 6)])
+def test_neighborhoods_match_set_bfs_at_depth_three(seq):
+    ls = LevelSequence(seq, continuation="repeat-last")
+    g = build_graph(ls, 3)
+    l_n = ls.level(3)
+    rng = np.random.default_rng(3)
+    for idx in rng.choice(g.n_cells, size=25, replace=False):
+        w = g.word(int(idx))
+        _check_neighborhoods(g, w)
+        # the vertices of the k-hop cell neighbourhood are the closed k-hop
+        # vertex ball about w's corners
+        ball = geodesic_hops(g, g.cells[idx]).min(axis=0)
+        for k in range(l_n + 1):
             assert np.array_equal(neighborhood_vertex_ids(g, w, k),
-                                  np.unique(g.cells[cells].ravel()))
+                                  np.flatnonzero(ball <= k))
+
+
+@pytest.mark.parametrize("seq,depth", [((5,), 1), ((5,), 3), ((5, 7, 6), 3)])
+def test_cell_hops_at_radius_zero(seq, depth):
+    # the BFS from w's corners reaches the cells at hop 1; radius 0 must
+    # still report them, and every cell but w, as np.inf
+    ls = LevelSequence(seq, continuation="repeat-last")
+    g = build_graph(ls, depth)
+    for idx in (0, g.n_cells // 2, g.n_cells - 1):
+        expected = np.full(g.n_cells, np.inf)
+        expected[idx] = 0
+        for radii in ((0,), (), (0, 0)):
+            assert np.array_equal(_cell_hops(g, g.word(idx), radii), expected)
 
 
 def test_neighborhood_rejects_radius_past_level(ls5):
