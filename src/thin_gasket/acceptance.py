@@ -5,7 +5,9 @@ exact subdivision energy ratios, closed-form extension matrices checked
 against elimination, depth-independent corner resistance, metric and
 neighborhood bounds, energy-measure calculus, the mass concentration
 certificate, scale function inequalities, certified level realization,
-and random-walk cross-validation.  Criteria with a stated wall-clock
+and random-walk cross-validation.  The general-solver oracles of
+criteria 1, 2, 3 and 6 live in linalg, which this module, alone of the
+package, imports at load time.  Criteria with a stated wall-clock
 budget fail when they run over it.  `run_all` prints one verdict line
 per criterion.
 """
@@ -19,17 +21,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .errors import DomainError
 from .forms import (base_energy, cell_energies, extension_ratio_check,
-                    harmonic_extend, matrix_stack_by_elimination,
-                    matrix_stack_exact)
+                    harmonic_extend, matrix_stack_exact)
 from .geometry import (_cell_hops, boundary_cells, build_graph,
                        geodesic_hops, words)
 from .measures import (ceiling_below_sup, divergence_statistic,
                        energy_measure, singularity_certificate)
 from .rand import stream
 from .realization import (EtaFunction, comparability_report, realize_sequence)
-from .resistance import corner_resistance_by_reduction
 from .scales import (build_scale, comparison_checks, doubling_check,
                      knot_continuity_check, product_identity_check)
 from .sequence import LevelSequence, cell_count
@@ -87,7 +88,7 @@ def _c2():
     for l in range(5, 11):
         letters = boundary_cells(l)
         stack = matrix_stack_exact(l)
-        oracle = matrix_stack_by_elimination(l)
+        oracle = linalg.matrix_stack_by_elimination(l)
         for pos, i in enumerate(letters):
             mat = stack[pos]
             for row in mat:
@@ -109,7 +110,7 @@ def _c3():
     for entries in seqs:
         ls = LevelSequence(entries, continuation="repeat-last")
         for n in range(4):
-            value = float(corner_resistance_by_reduction(ls, n))
+            value = float(linalg.corner_resistance_by_reduction(ls, n))
             err = abs(value - 2.0 / 3.0)
             worst = max(worst, err)
             if err > 1e-9:
@@ -199,7 +200,7 @@ def _c6():
         hf = harmonic_extend(ls, tuple(float(x) for x in pin), 3, precision="float")
         a = energy_measure(hf, 3).masses
         # the oracle: masses off a sparse LU solve on the depth-3 graph
-        b = cell_energies(hf.cell_values_from_graph(3)) / float(ls.R(3))
+        b = cell_energies(linalg.cell_values_from_graph(hf, 3)) / float(ls.R(3))
         worst = max(worst, float(np.max(np.abs(a - b))))
         if worst > 1e-12:
             return False, f"matrix/graph route disagree by {worst:.2e}"

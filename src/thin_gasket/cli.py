@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from . import acceptance
 from .errors import BudgetError, GasketError
 from .forms import check_precision, harmonic_extend, harmonic_matrix
 from .geometry import (boundary_cells, build_graph, graph_to_json, render_svg,
@@ -497,6 +496,7 @@ def cmd_verify_all(args) -> int:
     numbers = None
     if args.only is not None:
         numbers = {_parse_int("criterion number", t) for t in args.only.split(",")}
+    from . import acceptance  # here, not at load: acceptance loads linalg and scipy
     results = acceptance.run_all(numbers=numbers, out=None)
     payload = acceptance.results_json(results)
     path = _write_json(_out_path(args, "verify-all.json"), payload)

@@ -7,36 +7,33 @@ cell corner triples.  Harmonic extension pins the outer corner values
 it: the cell cascade, per-cell products of the one-subdivision harmonic
 matrices, whose depth-n corner values give the energy, the energy measure
 and, scattered onto the graph's cells, the values on V_n.  Those matrices
-come from closed forms over 6l + 1.  Pinned Laplacian solves are kept only
-as oracles: elimination on the depth-1 graph for the matrices, and a solve
-on the depth-n graph (HarmonicSpec.cell_values_from_graph) for the cascade.
+come from closed forms over 6l + 1.  Their oracles (elimination on the
+depth-1 graph, a pinned solve on the depth-n graph, the exact trace) live in
+linalg, which this module imports only inside extension_ratio_check.
 
 One cascade serves both precisions: HarmonicSpec keeps (num, den) per
 depth, values num / den, and cell_numerators is its one step, one einsum
 of the level's matrix stack with the depth above.  The level-l matrices are
 integer numerators over 6l + 1 (_numerator_stack), so a rational num holds
-Python ints over the lcm of the pin's denominators times the product of
-6 l_k + 1 over k <= d; Fractions are built only where a caller receives
-them (cell_values, extend, energy).  A float num is the float64 values and
-den is 1.  HarmonicSpec also owns the float energy masses (float_masses)
-that the measure and both statistics of one h share.  The
-one-subdivision trace is an exact Schur complement of linalg, taken with
-the depth-1 vertices in reverse Cuthill-McKee order; folded level by level,
-it is the oracle of the closed-form corner resistance.  It has no float
-route.
+Python ints over the lcm of the pin's denominators (over_common_denominator)
+times the product of 6 l_k + 1 over k <= d; Fractions are built only where
+a caller receives them (cell_values, extend, energy).  A float num is the
+float64 values and den is 1.  HarmonicSpec also owns the float energy
+masses (float_masses) that the measure and both statistics of one h share.
+The float energies refuse a pin whose E0 leaves double range.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csgraph
 
-from . import linalg
 from .errors import BudgetError, DomainError
 from .geometry import ApproximationGraph, boundary_cells, build_graph, is_cell_index
 from .rand import stream
@@ -57,6 +54,13 @@ def base_energy(u):
     """E0 of a corner triple; exact for Fraction inputs."""
     u0, u1, u2 = u
     return (u0 - u1) ** 2 + (u0 - u2) ** 2 + (u1 - u2) ** 2
+
+
+def over_common_denominator(values):
+    """Ints and Fractions (any re-iterable collection) as (numerators, den):
+    Python ints over the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def cell_energies(values: np.ndarray) -> np.ndarray:
@@ -122,28 +126,6 @@ def _cell_numerators(l: int, i) -> tuple:
 @lru_cache(maxsize=None)
 def _depth_one_graph(l: int) -> ApproximationGraph:
     return build_graph(LevelSequence((l,)), 1)
-
-
-@lru_cache(maxsize=None)
-def _basis_extension_exact(l: int):
-    """Exact vertex values of the three corner-basis harmonic extensions
-    at depth 1, as a V x 3 nested list of Fractions, by elimination."""
-    g = _depth_one_graph(l)
-    lap = linalg.dense_rational_laplacian(g.adjacency)
-    pins = [int(v) for v in g.boundary]
-    pin_values = [[Fraction(1), Fraction(0), Fraction(0)],
-                  [Fraction(0), Fraction(1), Fraction(0)],
-                  [Fraction(0), Fraction(0), Fraction(1)]]
-    return linalg.rational_pinned_solve(lap, pins, pin_values)
-
-
-def matrix_stack_by_elimination(l: int):
-    """The level-l matrices read off a rational pinned solve on the depth-1
-    graph, in boundary_cells(l) order.  O(l^3); an oracle for the closed
-    forms of matrix_stack_exact, not a production route."""
-    g = _depth_one_graph(l)
-    values = _basis_extension_exact(l)
-    return tuple(tuple(tuple(values[int(v)]) for v in cell) for cell in g.cells)
 
 
 @dataclass(frozen=True)
@@ -218,7 +200,7 @@ class HarmonicSpec:
         # the cell cascade by depth, (num, den) with values num / den, each
         # num read-only; the depth-0 cell lists its corners as (q0, q1, q2)
         if precision == "rational":
-            row, den = linalg.over_common_denominator(pin)
+            row, den = over_common_denominator(pin)
             num = np.array([row], dtype=object)
         else:
             num, den = np.array([pin], dtype=np.float64), 1
@@ -284,28 +266,24 @@ class HarmonicSpec:
         self._materialized[n] = (g, values)
         return self._materialized[n]
 
-    def cell_values_from_graph(self, d: int):
-        """Corner values of depth-d cells read off a pinned Laplacian solve
-        on the depth-d graph: dense fraction-free elimination in rational
-        precision (refused past linalg.RATIONAL_SIZE_LIMIT vertices), a
-        sparse LU in float.  The cascade's independent oracle, for tests and
-        acceptance; no production route calls it."""
-        g = build_graph(self.ls, d)
-        if self.precision == "rational":
-            lap = linalg.dense_rational_laplacian(g.adjacency)
-            full = linalg.rational_pinned_solve(lap, [int(p) for p in g.boundary],
-                                                [[v] for v in self.pin])
-            values = np.array(full, dtype=object)[:, 0]
-        else:
-            values, _ = linalg.pinned_solve(linalg.laplacian(g.adjacency), g.boundary,
-                                            np.array(self.pin))
-        return values[g.cells]
-
     # -- energies
+
+    def _check_double_range(self) -> None:
+        """Refuse a pin whose E0 is not finite, or nonzero below the smallest
+        normal double: float energies would read inf, or 0.0 and pass vacuously."""
+        u0, u1, u2 = self.pin
+        diffs = (u0 - u1, u0 - u2, u1 - u2)
+        e0 = sum(d * d for d in diffs)  # not **: a float power raises on overflow
+        if not e0 <= sys.float_info.max or (any(diffs) and e0 < sys.float_info.min):
+            raise DomainError("the pin's energy E0 leaves double range, so float energies "
+                              "would read inf or 0; --precision rational computes them exactly")
 
     def energy(self, n: int):
         """Depth-n energy of the extension, from the cell cascade (equals
-        the pin energy for any n >= 0)."""
+        the pin energy for any n >= 0).  Float precision refuses a pin whose
+        E0 leaves double range (_check_double_range)."""
+        if self.precision != "rational":
+            self._check_double_range()
         num, den = self.cell_numerators(n)
         total = cell_energies(num).sum()
         r = self.ls.R(n)
@@ -316,8 +294,10 @@ class HarmonicSpec:
 
     def float_masses(self, d: int) -> np.ndarray:
         """Read-only float64 energy masses E0 / R_d of the depth-d cells, once
-        per depth; in rational precision the exact masses, correctly rounded."""
+        per depth; in rational precision the exact masses, correctly rounded.
+        Refuses a pin whose E0 leaves double range (_check_double_range)."""
         if d not in self._masses:
+            self._check_double_range()
             num, den = self.cell_numerators(d)
             r = self.ls.R(d)
             energies = cell_energies(num)
@@ -362,37 +342,21 @@ def harmonic_extend(ls: LevelSequence, pin, depth: int, method: str = "cells",
 # ---- One-subdivision ratio check ----------------------------------------
 
 
-def one_subdivision_trace(l: int, trace=TRIANGLE_FORM):
-    """Exact trace (Schur complement), as an object array, onto the three
-    outer corners (q0, q1, q2) of the level-l one-subdivision network whose
-    every cell carries the 3x3 form `trace` (unit conductances by default).
-
-    The vertices are eliminated in reverse Cuthill-McKee order: the ring of
-    cells then stays a narrow band, where lexicographic order fills in."""
-    g = _depth_one_graph(l)
-    perm = csgraph.reverse_cuthill_mckee(g.adjacency)
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(perm.size, dtype=perm.dtype)
-    t = np.asarray(trace, dtype=object)
-    lap = np.zeros((g.n_vertices, g.n_vertices), dtype=object)
-    for cell in pos[g.cells]:
-        lap[np.ix_(cell, cell)] += t
-    return linalg.schur_complement(lap, [int(pos[v]) for v in g.boundary])
-
-
 def extension_ratio_check(l: int, seed: int = 7, precision: str = "rational") -> dict:
     """Verify that minimal one-subdivision extension energy is r_l * E0.
 
     Rational mode checks the 3x3 trace matrix against r_l times the triangle
     form exactly; equality gives quad(v) == r_l * E0(v) for every pin v.
     Float mode solves for the corner basis plus _RATIO_RANDOM_PINS random
-    pins and reports the maximum relative error of the energy ratio.
+    pins and reports the maximum relative error of the energy ratio.  Both
+    run linalg's oracles, imported here so that forms loads no solver.
     """
+    from . import linalg
     check_precision(precision)
     r = resistance_ratio(l)
     report = {"l": l, "expected": r, "precision": precision}
     if precision == "rational":
-        trace_equal = np.array_equal(one_subdivision_trace(l),
+        trace_equal = np.array_equal(linalg.one_subdivision_trace(l),
                                      [[r * x for x in row] for row in TRIANGLE_FORM])
         report.update(trace_equal=bool(trace_equal), passed=bool(trace_equal))
     else:

@@ -10,7 +10,8 @@ The graph is its cells.  Cells meet only at corners, so every edge is a
 side of exactly one cell: the adjacency is read off the cell sides, with
 three edges per cell, and a cell's k-hop neighbourhood (cells linked by
 shared corners) has as its vertices the closed k-hop vertex ball about the
-cell's corners.
+cell's corners.  scipy is imported only by the adjacency (built on first
+use) and the BFS, so a graph that is never asked for its edges loads none.
 
 Sizes are budgeted in corner slots, 3 M_n: build_graph refuses more than
 MAX_CORNERS = 6e6 ((5,) builds to depth 5, 3 M_5 = 746,496).  A build and
@@ -33,8 +34,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import BudgetError, DomainError, SequenceError
 from .sequence import LevelSequence, cell_count, check_level
@@ -123,7 +122,6 @@ def index_to_word(ls: LevelSequence, n: int, idx: int) -> tuple:
 def words(ls: LevelSequence, n: int):
     """Iterate all depth-n words in product enumeration order."""
     import itertools
-
     alphabets = [boundary_cells(ls.level(k)) for k in range(1, n + 1)]
     return itertools.product(*alphabets)
 
@@ -170,10 +168,12 @@ class ApproximationGraph:
         return int(self.boundary[j])
 
     @property
-    def adjacency(self) -> sparse.csr_matrix:
+    def adjacency(self):
         """Vertex adjacency from the cell sides, each side once in each
-        direction (int8 ones, sorted CSR)."""
+        direction (int8 ones, a sorted scipy CSR matrix)."""
         if self._adj is None:
+            from scipy import sparse
+
             # cells meet only at corners, so each edge is a side of one cell;
             # int32 is scipy's index dtype here, and halves the COO arrays
             c = self.cells.astype(np.int32)
@@ -197,7 +197,7 @@ class ApproximationGraph:
         return self._nbr
 
     @property
-    def _hop_adjacency(self) -> sparse.csr_matrix:
+    def _hop_adjacency(self):
         """The vertex adjacency in the float64 CSR form csgraph takes without
         a copy."""
         if self._hop_adj is None:
@@ -208,7 +208,7 @@ class ApproximationGraph:
         return index_to_word(self.ls, self.level, idx)
 
 
-def _padded_neighbor_table(adj: sparse.csr_matrix) -> np.ndarray:
+def _padded_neighbor_table(adj) -> np.ndarray:
     """(V, 4) int32 table whose row v lists v's neighbours (sorted CSR
     order) repeated to width 4, so a uniform column is a uniform neighbour.
 
@@ -271,6 +271,7 @@ def build_graph(ls: LevelSequence, n: int) -> ApproximationGraph:
 
 def geodesic_hops(g: ApproximationGraph, sources) -> np.ndarray:
     """BFS hop counts from the given source vertex ids, shape (S, V)."""
+    from scipy.sparse import csgraph
     src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
     return csgraph.dijkstra(g._hop_adjacency, directed=True, unweighted=True, indices=src)
 
@@ -310,6 +311,7 @@ def _cell_hops(g: ApproximationGraph, w, radii) -> np.ndarray:
     start = word_to_index(g.ls, w)
     if len(tuple(w)) != n:
         raise DomainError(f"word depth {len(tuple(w))} != graph depth {n}")
+    from scipy.sparse import csgraph
     top = max(radii, default=0)
     near = csgraph.dijkstra(g._hop_adjacency, directed=True, unweighted=True,
                             indices=g.cells[start], min_only=True, limit=max(top - 1, 0))

@@ -1,36 +1,34 @@
-"""Linear-algebra backends: dense exact rational elimination and sparse
-float solves.
+"""General solvers and the oracles of the closed forms, in one module.
 
-Every solve here is an oracle: harmonic extension runs the cell cascade of
-forms, and exact resistances run their own elimination in resistance.  The
-rational path is fraction-free Gaussian elimination for small systems: the
-graph oracle of exact harmonic extension (HarmonicSpec.cell_values_from_graph)
-and the one-subdivision oracles of forms.  It scales each row of the system
-to integers by the lcm of its denominators, eliminates by integer row
-combinations kept primitive (each updated row divided by the gcd of its
-entries), and builds Fractions only in the back-substitution of the
-solution.  It eliminates the unknowns in index order, so a caller that
-wants little fill-in numbers them first (forms orders the depth-1 ring by
-reverse Cuthill-McKee).  Its Schur complement is the kept rows of the
-Laplacian applied to exact harmonic extensions of unit pins, returned as a
-numpy object array of Fractions.  It is the one-subdivision trace of forms,
-whose fold checks the closed-form corner resistance, and the test oracle of
-the exact resistance elimination; there is no float Schur complement.
-RATIONAL_SIZE_LIMIT guards these oracles only: graphs of more than 400
-vertices and systems of more than 400 unknowns are refused with a
-SolveError, since the cost of dense elimination grows with the size cubed
-times the cost of ever longer integers.  The float path assembles sparse
-graph Laplacians and solves pinned systems either by direct LU with at most
-MAX_REFINE rounds of iterative refinement (default) or by conjugate
-gradients (method="cg") preconditioned with one symmetric-mode incomplete LU
-of the reduced system, both to the relative residual SOLVE_RTOL.  The
-pinned Laplacian's condition number grows like the time scale T_n, so a
-Jacobi preconditioner needed about sqrt(T_n) iterations (1,712 on (5,) at
-depth 4); the incomplete LU needs 5 there and 7 or 8 at depth 5.  cg stays
-an oracle independent of the direct LU: its answer is certified by the true
-residual of the unpreconditioned system.  pinned_solve is the float oracle
-of the cell cascade (cell_values_from_graph, extension_ratio_check) and of
-the float resistance solver.
+Only acceptance, the tests and the benchmark import this module, and it
+alone imports scipy at load time.  Its oracle routes: matrix_stack_by_elimination (a
+rational pinned solve on the depth-1 graph) checks forms.matrix_stack_exact
+in criterion 2; cell_values_from_graph (a pinned solve on the depth-d
+graph) checks the cell cascade in criterion 6; one_subdivision_trace, the
+exact trace of one l-subdivision onto its corners with the depth-1 vertices
+in reverse Cuthill-McKee order, checks r_l in criterion 1, and folded level
+by level (corner_trace, corner_resistance_by_reduction) checks the corner
+resistance 2/3 in criterion 3; the fold is exact only.
+
+The rational solver is fraction-free Gaussian elimination: each row is
+scaled to integers by the lcm of its denominators, rows are combined in
+integers kept primitive (divided by the gcd of their entries), and Fractions
+appear only in the back-substitution.  Unknowns go in index order, so a
+caller that wants little fill-in numbers them first.  schur_complement is
+the kept rows of the Laplacian applied to exact harmonic extensions of unit
+pins, an object array of Fractions.  RATIONAL_SIZE_LIMIT refuses, with a
+SolveError, graphs of more than 400 vertices and systems of more than 400
+unknowns: dense elimination grows with the size cubed times the cost of
+ever longer integers.
+
+The float solver, pinned_solve, is a sparse LU with at most MAX_REFINE
+refinement rounds, or (method="cg") conjugate gradients preconditioned with
+one symmetric-mode incomplete LU of the reduced system, both to the
+relative residual SOLVE_RTOL.  The condition number grows like T_n, so
+Jacobi needed about sqrt(T_n) iterations (1,712 on (5,) at depth 4); the
+incomplete LU needs 5 there and 7 or 8 at depth 5, and the true residual of
+the unpreconditioned system certifies cg's answer.  It is the float oracle
+of the cell cascade and of the float resistance solver.
 """
 
 from __future__ import annotations
@@ -40,9 +38,14 @@ from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as spla
 
 from .errors import SolveError
+from .forms import TRIANGLE_FORM, _depth_one_graph, over_common_denominator
+from .geometry import build_graph
+from .resistance import corner_resistance
+from .sequence import LevelSequence
 
 #: Vertices and unknowns a dense exact oracle solve accepts.
 RATIONAL_SIZE_LIMIT = 400
@@ -52,13 +55,6 @@ SOLVE_RTOL = 1e-12
 
 #: Refinement rounds of pinned_solve's direct route.
 MAX_REFINE = 4
-
-
-def over_common_denominator(values):
-    """Ints and Fractions (any re-iterable collection) as (numerators, den):
-    Python ints over the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _integer_row(row) -> dict:
@@ -273,3 +269,73 @@ def schur_complement(lap_dense, keep):
     kept = np.array([list(lap_dense[i]) for i in keep], dtype=object)
     links = kept.any(axis=0)  # the columns the kept rows touch
     return kept[:, links] @ ext[links]
+
+
+# ---- Oracle routes -------------------------------------------------------
+
+
+def matrix_stack_by_elimination(l: int):
+    """The level-l matrices read off a rational pinned solve of the three
+    corner-basis pins on the depth-1 graph, in boundary_cells(l) order.
+    O(l^3); the oracle of forms.matrix_stack_exact, not a production route."""
+    g = _depth_one_graph(l)
+    units = [[Fraction(int(j == k)) for k in range(3)] for j in range(3)]
+    values = rational_pinned_solve(dense_rational_laplacian(g.adjacency),
+                                   [int(v) for v in g.boundary], units)
+    return tuple(tuple(tuple(values[int(v)]) for v in cell) for cell in g.cells)
+
+
+def cell_values_from_graph(h, d: int):
+    """Corner values of the depth-d cells of the HarmonicSpec h read off a
+    pinned Laplacian solve on the depth-d graph: dense fraction-free
+    elimination in rational precision (refused past RATIONAL_SIZE_LIMIT
+    vertices), a sparse LU in float.  The cell cascade's independent oracle,
+    for tests and acceptance; no production route calls it."""
+    g = build_graph(h.ls, d)
+    if h.precision == "rational":
+        full = rational_pinned_solve(dense_rational_laplacian(g.adjacency),
+                                     [int(p) for p in g.boundary], [[v] for v in h.pin])
+        values = np.array(full, dtype=object)[:, 0]
+    else:
+        values, _ = pinned_solve(laplacian(g.adjacency), g.boundary, np.array(h.pin))
+    return values[g.cells]
+
+
+def one_subdivision_trace(l: int, trace=TRIANGLE_FORM):
+    """Exact trace (Schur complement), as an object array, onto the three
+    outer corners (q0, q1, q2) of the level-l one-subdivision network whose
+    every cell carries the 3x3 form `trace` (unit conductances by default).
+
+    The vertices are eliminated in reverse Cuthill-McKee order: the ring of
+    cells then stays a narrow band, where lexicographic order fills in."""
+    g = _depth_one_graph(l)
+    perm = csgraph.reverse_cuthill_mckee(g.adjacency)
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size, dtype=perm.dtype)
+    t = np.asarray(trace, dtype=object)
+    lap = np.zeros((g.n_vertices, g.n_vertices), dtype=object)
+    for cell in pos[g.cells]:
+        lap[np.ix_(cell, cell)] += t
+    return schur_complement(lap, [int(pos[v]) for v in g.boundary])
+
+
+def corner_trace(ls: LevelSequence, n: int):
+    """Exact trace of the unit-conductance depth-n network onto (q0, q1, q2),
+    an object array of Fractions, by folding one-subdivision networks level
+    by level: valid because all cells at one depth are translates of a
+    single model cell."""
+    trace = np.array([[Fraction(t) for t in row] for row in TRIANGLE_FORM], dtype=object)
+    for k in range(n, 0, -1):
+        trace = one_subdivision_trace(ls.level(k), trace)
+    return trace
+
+
+def corner_resistance_by_reduction(ls: LevelSequence, n: int, j: int = 0, k: int = 1):
+    """R_n(q_j, q_k), a Fraction, from the folded corner trace: the oracle of
+    resistance.corner_resistance's closed form.  It refuses the arguments
+    that corner_resistance refuses."""
+    corner_resistance(ls, n, j, k)
+    t = corner_trace(ls, n)
+    m = 3 - j - k
+    # conductances -t on a triangle: the edge jk in parallel with jm, mk in series
+    return ls.R(n) / (-t[j][k] + t[j][m] * t[k][m] / (-t[j][m] - t[k][m]))

@@ -77,10 +77,12 @@ numerator/denominator pairs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 import mpmath
 from mpmath import iv
@@ -139,6 +141,7 @@ class EtaFunction:
         self.kind = kind
         self.k = k
         self.knots = None
+        self._inverse_knots = None  # the knots swapped, (y, r): eta^{-1}'s interpolant
         if kind == "piecewise":
             if not knots or len(knots) < 2:
                 raise DomainError("piecewise eta needs at least two knots")
@@ -149,6 +152,7 @@ class EtaFunction:
             if ks[-1][0] != 1 or ks[-1][1] != 1:
                 raise DomainError("piecewise eta must end at the knot (1, 1)")
             self.knots = ks
+            self._inverse_knots = [(y, r) for r, y in ks]
         elif kind != "iterated":
             raise DomainError(f"unknown eta kind {kind!r}")
         self.label = label or kind
@@ -199,7 +203,7 @@ class EtaFunction:
         """Certified interval enclosure of 1/eta^{-1}(y) at the current iv
         precision, for a rational y in (0, 1]: the package's one eta^{-1}."""
         if self.kind == "piecewise":
-            r = _interpolate(y, [(b, a) for a, b in self.knots], "y")
+            r = _interpolate(y, self._inverse_knots, "y")
             return iv.mpf(r.denominator) / iv.mpf(r.numerator)
         e_iv = iv.exp(iv.mpf(1))
         # 1/eta1^{-1}(v) = exp(1/v) - e + 1: each iterate needs only the
@@ -221,13 +225,19 @@ class EtaFunction:
 
 def _interpolate(x: Fraction, knots, name: str) -> Fraction:
     """The linear interpolant through the increasing (x, y) knots at x, 1
-    past the last; eta passes its knots, eta^{-1} the same ones swapped."""
-    if x < knots[0][0]:
+    past the last; eta passes its knots, eta^{-1} the same ones swapped.
+    The piece is found by bisection on the abscissae, and a knot's own y is
+    returned as it is, with no Fraction arithmetic."""
+    i = bisect_left(knots, x, key=itemgetter(0))
+    if i == len(knots):
+        return Fraction(1)
+    x2, y2 = knots[i]
+    if x == x2:
+        return y2
+    if i == 0:
         raise DomainError(f"{name} = {float(x)} below the stored knots")
-    for (x1, y1), (x2, y2) in zip(knots, knots[1:]):
-        if x <= x2:
-            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-    return Fraction(1)
+    x1, y1 = knots[i - 1]
+    return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
 
 def _iv_exp_pow2(m: int):
@@ -658,6 +668,11 @@ def slow_decay_eta(power: float, n_max: int = 6) -> tuple[EtaFunction, dict]:
     and eta0 increasing, so eta >= eta(r_n) = 2^{-n} and
     eta0 <= eta0(r_{n-1}) on the piece, and 2^{-n} >= eta0(r_{n-1})/2 proves
     it on the whole piece.  The pieces cover [r_{n_max}, 1].
+
+    The floats s_values, knots and terms read 0.0 below double range
+    (s_11 = 2^-1100 at p = 2.01); s_exact and knots_exact give each dyadic
+    value m 2^e as [m, e], and terms_exact each term r_n / r_{n-1}, a ratio
+    of dyadics, as its reduced [numerator, denominator].
     """
     if n_max < 1:
         raise DomainError("need at least one knot level")
@@ -690,9 +705,16 @@ def slow_decay_eta(power: float, n_max: int = 6) -> tuple[EtaFunction, dict]:
     dominated = all(
         -n >= (power - 2) * (math.log2(r.numerator) - math.log2(r.denominator)) - 1 + slack
         for n, r in enumerate(r_list[:-1], 1))
+    # s_n = m 2^e, the Fraction of a double over a power of 2, and
+    # (r_n, 2^-n) = (m 2^(e - n^2), 2^-n)
+    s_exact = [(s.numerator, 1 - s.denominator.bit_length()) for s in s_list]
     report = {"n_max": n_max, "s_values": [float(s) for s in s_list],
+              "s_exact": s_exact,
               "knots": [(float(r), float(y)) for r, y in knots],
-              "terms": [float(t) for t in terms], "partial_sums": partial,
+              "knots_exact": [((m, e - n * n), (1, -n)) for n, (m, e) in enumerate(s_exact)][::-1],
+              "terms": [float(t) for t in terms],
+              "terms_exact": [(t.numerator, t.denominator) for t in terms],
+              "partial_sums": partial,
               "terms_below_geometric": bound_ok,
               "partial_sum_bound": 2.0 / 3.0,
               "partial_sums_ok": partial[-1] <= 2.0 / 3.0 + 1e-12,

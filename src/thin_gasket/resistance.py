@@ -21,14 +21,13 @@ along the chains with the closed-form harmonic matrices
 system left on the outer corners.  The float route's one refinement pass
 takes its residual on the same local network.  A query does
 O(sum_k |I_k|) work and holds no array over the graph's vertices; the size
-of an exact query is bounded only by build_graph's corner budget.  The
-sparse LU of linalg.pinned_solve and the dense Fraction Schur complement
-of linalg are its oracles in the tests.
+of an exact query is bounded only by build_graph's corner budget.
 
-The level-by-level reduction (corner_trace) survives only as the closed
-form's oracle, exact only: it folds the graph onto its corners through
-exact Schur complements of one-subdivision networks, which is valid
-because all cells at one depth are translates of a single model cell.
+The model cell's K_II, read off its own D - A, is factored once per level
+by scipy's banded Cholesky, imported there, so corner pairs load no scipy.
+The oracles live in linalg: pinned_solve and schur_complement check the
+solver, and corner_resistance_by_reduction, the exact fold onto the
+corners, the closed form.
 """
 
 from __future__ import annotations
@@ -39,15 +38,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
-from scipy.sparse import csgraph
 
-from . import linalg
 from .errors import DomainError, SolveError
-from .forms import (TRIANGLE_FORM, _depth_one_graph, check_precision, matrix_stack,
-                    matrix_stack_exact, one_subdivision_trace)
+from .forms import _depth_one_graph, check_precision, matrix_stack, matrix_stack_exact
 from .geometry import CORNER_OFFSETS, ApproximationGraph, boundary_cells, build_graph
 from .sequence import LevelSequence
 
@@ -87,27 +80,6 @@ def corner_resistance(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
         ls.level(n)  # O(1): a sequence with level n has every level below it
     value = Fraction(2, 3) if precision == "rational" else 2 / 3
     return ResistanceResult(value, precision == "rational", "reduction", 0.0, j, k)
-
-
-def corner_trace(ls: LevelSequence, n: int):
-    """Exact trace of the unit-conductance depth-n network onto (q0, q1, q2),
-    an object array of Fractions, by folding one-subdivision networks level
-    by level."""
-    trace = np.array([[Fraction(t) for t in row] for row in TRIANGLE_FORM], dtype=object)
-    for k in range(n, 0, -1):
-        trace = one_subdivision_trace(ls.level(k), trace)
-    return trace
-
-
-def corner_resistance_by_reduction(ls: LevelSequence, n: int, j: int = 0, k: int = 1):
-    """R_n(q_j, q_k), a Fraction, from the folded corner trace: the oracle of
-    corner_resistance's closed form.  It refuses the arguments that
-    corner_resistance refuses."""
-    corner_resistance(ls, n, j, k)
-    t = corner_trace(ls, n)
-    m = 3 - j - k
-    # conductances -t on a triangle: the edge jk in parallel with jm, mk in series
-    return ls.R(n) / (-t[j][k] + t[j][m] * t[k][m] / (-t[j][m] - t[k][m]))
 
 
 # ---- General pairs -------------------------------------------------------
@@ -169,15 +141,20 @@ class _ModelCell(NamedTuple):
         """K_II^-1 rhs for an (|I|, k) float array; LAPACK's banded solve
         called directly, as a query's few small solves are dominated by
         scipy's wrapper checks."""
+        from scipy.linalg.lapack import dpbtrs
         return dpbtrs(self.chol, rhs)[0]
 
 
 @lru_cache(maxsize=None)
 def _model_cell(l: int) -> _ModelCell:
-    """Banded Cholesky of one l-subdivision network's interior block; no
-    dense |I| x |I| array is formed (|I| = 6l - 12)."""
+    """Banded Cholesky of one l-subdivision network's interior block, read
+    off the network's D - A; no dense |I| x |I| array is formed
+    (|I| = 6l - 12)."""
+    from scipy import sparse
+    from scipy.linalg import cholesky_banded
+    from scipy.sparse import csgraph
     g = _depth_one_graph(l)
-    lap = linalg.laplacian(g.adjacency).tocsr()
+    lap = (sparse.diags(g.degrees, dtype=np.float64) - g.adjacency).tocsr()
     mask = np.ones(g.n_vertices, dtype=bool)
     mask[g.boundary] = False
     inner = np.flatnonzero(mask)

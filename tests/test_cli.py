@@ -22,6 +22,8 @@ from thin_gasket.cli import load_config, main, make_parser
 from thin_gasket.errors import GasketError
 from thin_gasket.forms import base_energy, harmonic_extend
 from thin_gasket.geometry import build_graph
+from thin_gasket.linalg import cell_values_from_graph
+from thin_gasket.realization import slow_decay_eta
 from thin_gasket.sequence import LevelSequence
 
 
@@ -389,6 +391,12 @@ def test_domain_error_exits_1(tmp_path, capsys):
     # listing of all twelve matrices
     ["verify-all", "--only", ""],
     ["matrices", "--l", "5", "--index", ""],
+    # float pins whose energy leaves double range: no inf, 0.0 or vacuous PASS
+    ["energy", "--pin", "1e200,0,0", "--depth", "0"],  # E0 = 2e400
+    ["energy", "--pin", "1e-170,0,0", "--depth", "1"],  # E0 = 2e-340
+    ["certify", "--pin", "1e-170,0,0", "--max-depth", "3"],  # 0 admissible cells
+    ["diverge", "--seq", "5", "--max-depth", "2", "--pin", "1e308,-1e308,0"],  # inf masses
+    ["measure", "--pin", "1e308,-1e308,0", "--depth", "1"],
 ], ids=["corner-index", "resistance-corners-and-xy", "dm-pairs", "dm-no-pairs",
         "seq-parse", "walk-trials", "walk-vertex", "walk-max-steps", "walk-past-cap",
         "walk-work-budget",
@@ -403,7 +411,9 @@ def test_domain_error_exits_1(tmp_path, capsys):
         "config-missing", "config-directory", "config-latin1", "slowdecay-power-inf",
         "slowdecay-power-nan", "slowdecay-knot-budget",
         "psi-segments", "realize-n200", "realize-n100000", "compare-n2000",
-        "diverge-samples-budget", "verify-only-empty", "matrices-index-empty"])
+        "diverge-samples-budget", "verify-only-empty", "matrices-index-empty",
+        "energy-pin-overflow", "energy-pin-underflow", "certify-pin-underflow",
+        "diverge-pin-overflow", "measure-pin-overflow"])
 def test_bad_input_exits_1_without_traceback(tmp_path, argv):
     config = tmp_path / "bad-precision.cfg"
     config.write_text("seq=5\ndepth=1\nprecision=exact\n")
@@ -674,7 +684,7 @@ def test_rational_extend_past_the_dense_solve_limit(tmp_path, capsys):
     pin = (Fraction(1), Fraction(2, 3), Fraction(1, 9))
     energy = sum(base_energy(corners) for corners in values[g.cells]) / ls.R(2)
     assert energy == base_energy(pin)
-    oracle = harmonic_extend(ls, [float(p) for p in pin], 0).cell_values_from_graph(2)
+    oracle = cell_values_from_graph(harmonic_extend(ls, [float(p) for p in pin], 0), 2)
     assert np.max(np.abs(values[g.cells].astype(np.float64) - oracle)) <= 1e-12
 
 
@@ -797,6 +807,86 @@ def test_slowdecay_ignores_config_precision(tmp_path, capsys):
                 "--out", out]) == 0
     golden = (GOLDEN / "slowdecay-p3.0.json").read_bytes()
     assert (out / "slowdecay-p3.0.json").read_bytes() == golden
+
+
+def test_slowdecay_exact_fields_read_back_nonzero(tmp_path, capsys):
+    """s_11 = 2^-1100 and knots from n = 10 on are 0.0 as floats; the exact
+    fields read back as the Fractions slow_decay_eta built, all nonzero."""
+    assert run(["slowdecay", "--power", "2.01", "--n-max", "12", "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "slowdecay-p2.01.json").read_text())["report"]
+    eta, _ = slow_decay_eta(2.01, n_max=12)
+    r_list = [r for r, _ in eta.knots][::-1]
+    s_list = [r * 2 ** (n * n) for n, r in enumerate(r_list)]
+
+    def dyadic(pair):
+        m, e = pair
+        return Fraction(m) * Fraction(2) ** e
+
+    assert [dyadic(p) for p in report["s_exact"]] == s_list
+    assert [(dyadic(r), dyadic(y)) for r, y in report["knots_exact"]] == eta.knots
+    terms = [r / r_prev for r_prev, r in zip(r_list, r_list[1:])]
+    assert [Fraction(num, den) for num, den in report["terms_exact"]] == terms
+    assert all(x for x in s_list + r_list + terms)
+    # the floats these fields stand beside underflow
+    assert report["s_values"][-1] == 0.0 and report["knots"][0][0] == 0.0
+
+
+# Verbs that build no adjacency and run no solver, each with the flags that
+# keep it small; energy, measure and extend also run in rational precision.
+_SCIPY_FREE = [
+    ["energy", "--seq", "5,6", "--depth", "2", "--pin", "1,0,1/3"],
+    ["measure", "--seq", "5,6", "--depth", "2", "--pin", "1,0,1/3"],
+    ["extend", "--seq", "5", "--depth", "2", "--pin", "1,0,1/3"],
+    *([verb, "--seq", "5", "--depth", "1", "--pin", "1,0,1/3", "--precision", "rational"]
+      for verb in ("energy", "measure", "extend")),
+    ["certify", "--seq", "6,5", "--max-depth", "2"],
+    ["diverge", "--seq", "5,6", "--max-depth", "2", "--samples", "5"],
+    ["matrices", "--l", "7"],
+    ["psi", "--seq", "5,7,6", "--s", "1/40", "--segments", "3"],
+    ["doubling", "--seq", "7,5", "--segments", "3"],
+    ["realize", "--eta", "eta1", "--n", "4"],
+    ["compare", "--eta", "eta1", "--n", "4"],
+    ["slowdecay", "--power", "3.0", "--n-max", "5"],
+    ["render", "--seq", "5", "--depth", "1", "--size", "60"],
+    ["resistance", "--seq", "5,6", "--depth", "2", "--corners", "0,2"],
+]
+# verbs that do load scipy, run after the rest in the same interpreter
+_SCIPY_USERS = [
+    ["build", "--seq", "5", "--depth", "1"],
+    ["dm", "--seq", "5", "--depth", "1", "--pairs", "5"],
+    ["walk", "--seq", "5", "--depth", "0", "--trials", "50"],
+    ["resistance", "--seq", "5", "--depth", "1", "--x", "3", "--y", "11"],
+    ["verify-all", "--only", "3"],
+]
+_IMPORT_BOUNDARY = """
+import json, sys
+from thin_gasket.cli import main
+loaded = ["scipy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    loaded.append((main(argv), "scipy" in sys.modules))
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_scipy_free_verbs_load_no_scipy(tmp_path):
+    """Only linalg imports scipy at load time, and only acceptance imports
+    linalg: importing the CLI and running a verb that builds no adjacency
+    loads no scipy, and the verbs that need it still run."""
+    env = dict(os.environ)
+    src = str(Path(thin_gasket.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    free, users = ([[*argv, "--out", str(tmp_path)] for argv in group]
+                   for group in (_SCIPY_FREE, _SCIPY_USERS))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY, json.dumps(free),
+                           json.dumps(users)], capture_output=True, text=True,
+                          timeout=120, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["loaded"][0] is False
+    for argv, (code, loaded) in zip(free, report["loaded"][1:]):
+        assert (code, loaded) == (0, False), argv
+    assert report["codes"] == [0] * len(users)
 
 
 def test_doubling_verb(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,14 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thin_gasket import forms, linalg
+from thin_gasket import linalg
 from thin_gasket.errors import BudgetError, DomainError
 from thin_gasket.forms import (TRIANGLE_FORM, _depth_one_graph, base_energy,
                                cell_energies, extension_ratio_check,
                                harmonic_extend, harmonic_matrix, matrix_stack,
-                               matrix_stack_by_elimination, matrix_stack_exact,
-                               one_subdivision_trace)
+                               matrix_stack_exact)
 from thin_gasket.geometry import boundary_cells, build_graph, interior_letters
+from thin_gasket.linalg import (cell_values_from_graph, matrix_stack_by_elimination,
+                                one_subdivision_trace)
 from thin_gasket.sequence import LevelSequence, resistance_ratio
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=64)
@@ -171,10 +173,37 @@ def test_depth_one_energy_identity_random_pins(a, b, c):
 def test_routes_agree_on_floats(ls576):
     h = harmonic_extend(ls576, (1.0, 0.5, 0.0), 2, method="cells")
     via_matrices = np.asarray(h.cell_values(2))
-    via_graph = np.asarray(h.cell_values_from_graph(2))
+    via_graph = np.asarray(cell_values_from_graph(h, 2))
     assert np.max(np.abs(via_matrices - via_graph)) < 1e-12
     graph_energy = cell_energies(via_graph).sum() / ls576.R(2)
     assert h.energy(2) == pytest.approx(graph_energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("pin", [(1e200, 0.0, 0.0), (1e-170, 0.0, 0.0), (1e-160, 0.0, 0.0),
+                                 (1e308, -1e308, 0.0)])
+def test_float_energy_outside_double_range_is_refused(ls5, pin):
+    """E0 = 2e400, 2e-340 (0.0 as squared differences), 2e-320 (subnormal)
+    and inf: refused before any float energy is formed, with no warning,
+    naming the exact route."""
+    h = harmonic_extend(ls5, pin, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for energies in (h.energy, h.float_masses):
+            with pytest.raises(DomainError, match="--precision rational"):
+                energies(1)
+        _, values = h.extend(1)  # the values stay in the pin's range
+    assert np.all(np.isfinite(values))
+    exact = harmonic_extend(ls5, pin, 1, precision="rational")
+    assert exact.energy(1) == base_energy([Fraction(x) for x in pin])
+
+
+@pytest.mark.parametrize("pin", [(1e308, 1e308, 1e308), (1e-300, 1e-300, 1e-300),
+                                 (1e150, 0.0, 0.0), (1e-150, 0.0, 0.0)])
+def test_float_energy_inside_double_range(ls5, pin):
+    """Constant pins have energy 0, and E0 of 2e300 or 2e-300 is a double."""
+    h = harmonic_extend(ls5, pin, 1)
+    assert h.energy(1) == pytest.approx(base_energy(pin), rel=1e-12)
+    assert h.float_masses(1).sum() == pytest.approx(base_energy(pin), rel=1e-12)
 
 
 def test_extension_bounded_by_pin_range(ls5):
@@ -190,7 +219,7 @@ def test_rational_extend_equals_the_dense_solve(seq, depth):
     h = harmonic_extend(ls, (1, Fraction(2, 3), Fraction(1, 9)), 0, precision="rational")
     g, values = h.extend(depth)
     assert all(type(x) is Fraction for x in values)
-    assert np.array_equal(values[g.cells], h.cell_values_from_graph(depth))
+    assert np.array_equal(values[g.cells], cell_values_from_graph(h, depth))
 
 
 @pytest.mark.parametrize("seq,depth", [((5,), 3), ((5, 7, 6), 3), ((7, 7), 2)])
@@ -380,7 +409,7 @@ def test_cached_cascade_arrays_are_read_only(ls5, precision):
 
 
 def test_ratio_check_fails_on_a_perturbed_trace(monkeypatch):
-    real = forms.one_subdivision_trace
+    real = linalg.one_subdivision_trace
 
     def perturbed(l, *args, **kwargs):
         t = real(l, *args, **kwargs).copy()
@@ -390,7 +419,7 @@ def test_ratio_check_fails_on_a_perturbed_trace(monkeypatch):
         return t
 
     assert extension_ratio_check(5, seed=3)["passed"]
-    monkeypatch.setattr(forms, "one_subdivision_trace", perturbed)
+    monkeypatch.setattr(linalg, "one_subdivision_trace", perturbed)
     report = extension_ratio_check(5, seed=3)
     assert report["passed"] is False
     assert report["trace_equal"] is False

@@ -8,12 +8,13 @@ from thin_gasket import forms, measures
 from thin_gasket.errors import BudgetError, DomainError
 from thin_gasket.forms import base_energy, cell_energies, harmonic_extend
 from thin_gasket.geometry import boundary_cells, interior_letters, word_to_index
+from thin_gasket.linalg import cell_values_from_graph, corner_trace
 from thin_gasket.measures import (MASS_FLOOR_REL, SINGULARITY_GAP,
                                   _children_coefficients, ceiling_below_sup,
                                   children_sum_ceiling, divergence_statistic,
                                   energy_measure, singularity_certificate)
 from thin_gasket.rand import stream
-from thin_gasket.resistance import corner_trace, effective_resistance
+from thin_gasket.resistance import effective_resistance
 from thin_gasket.sequence import LevelSequence, cell_count
 
 
@@ -75,7 +76,7 @@ def test_rational_routes_stay_exact():
         assert _only_fractions(mu.masses) and type(mu.total) is Fraction
     # the values on V_2, and the graph oracle on the depth-1 graph
     assert _only_fractions(h.extend(2)[1])
-    assert _only_fractions(h.cell_values_from_graph(1))
+    assert _only_fractions(cell_values_from_graph(h, 1))
     for n in (0, 2):
         assert _only_fractions(corner_trace(ls, n))
     assert type(effective_resistance(ls, 1, 3, 11, precision="rational").value) is Fraction
@@ -93,7 +94,7 @@ def test_routes_agree_in_float():
     ls = LevelSequence((5, 7), continuation="repeat-last")
     h = harmonic_extend(ls, (1.0, 0.25, 0.0), 2, method="cells")
     masses = energy_measure(h, 2).masses
-    oracle = cell_energies(h.cell_values_from_graph(2)) / float(ls.R(2))
+    oracle = cell_energies(cell_values_from_graph(h, 2)) / float(ls.R(2))
     assert np.max(np.abs(masses - oracle)) < 1e-12
 
 

@@ -7,11 +7,12 @@ import pytest
 
 from thin_gasket import linalg
 from thin_gasket.errors import DomainError, SequenceError
-from thin_gasket.forms import TRIANGLE_FORM, _depth_one_graph, one_subdivision_trace
+from thin_gasket.forms import TRIANGLE_FORM, _depth_one_graph
 from thin_gasket.geometry import build_graph
+from thin_gasket.linalg import (corner_resistance_by_reduction, corner_trace,
+                                one_subdivision_trace)
 from thin_gasket.resistance import (ResistanceSolver, _exact_model_cell, _model_cell,
-                                    corner_resistance, corner_resistance_by_reduction,
-                                    corner_trace, effective_resistance)
+                                    corner_resistance, effective_resistance)
 from thin_gasket.sequence import LevelSequence, resistance_ratio
 
 TRIANGLE = [[Fraction(2), Fraction(-1), Fraction(-1)],

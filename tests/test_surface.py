@@ -3,6 +3,10 @@
 A settable value is a function or lambda parameter other than self and cls,
 or a dataclass or NamedTuple field.  A change that adds or removes one
 updates the count below, as test_parser_surface does for CLI flags.
+
+The import boundary is guarded the same way: only linalg, the home of the
+general solvers and their oracles, imports scipy when it loads, and only
+acceptance imports linalg when it loads.
 """
 
 import ast
@@ -41,3 +45,40 @@ def test_settable_value_count():
                   for p in sorted(package.glob("*.py"))}
     counts = ", ".join(f"{name} {n}" for name, n in per_module.items() if n)
     assert sum(per_module.values()) == SETTABLE_VALUES, f"settable values per module: {counts}"
+
+
+def _load_time_imports(tree: ast.AST) -> list[str]:
+    """The modules a module's import statements name outside function
+    bodies, the ones that run when it loads: `from .x import y` gives .x
+    and .x.y, `from . import y` gives .y."""
+    names = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            sep = "." if node.module else ""
+            names += [base] * bool(node.module) + [f"{base}{sep}{a.name}" for a in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _names_module(name: str, module: str) -> bool:
+    return name == module or name.startswith(module + ".")
+
+
+def test_only_linalg_imports_scipy_and_only_acceptance_imports_linalg():
+    package = Path(thin_gasket.__file__).parent
+    imports = {p.name: _load_time_imports(ast.parse(p.read_text()))
+               for p in sorted(package.glob("*.py"))}
+    scipy = {name for name, found in imports.items()
+             if any(_names_module(m, "scipy") for m in found)}
+    linalg = {name for name, found in imports.items()
+              if any(_names_module(m, ".linalg") or _names_module(m, "thin_gasket.linalg")
+                     for m in found)}
+    assert scipy == {"linalg.py"}
+    assert linalg == {"acceptance.py"}
