@@ -27,11 +27,10 @@ from .realization import (EtaFunction, RealizationResult,
                           slow_decay_eta, summability_report)
 from .resistance import (ResistanceResult, ResistanceSolver, corner_resistance,
                          effective_resistance)
-from .scales import (BetaBundle, PiecewiseScale, beta_bundle, build_scale,
-                     comparison_checks, doubling_check, knot_continuity_check,
-                     mass_exponent, product_identity_check,
-                     quadratic_envelope_check, resistance_exponent,
-                     same_segment_check, scale_triple)
+from .scales import (PiecewiseScale, comparison_checks, doubling_check,
+                     knot_continuity_check, mass_exponent,
+                     product_identity_check, quadratic_envelope_check,
+                     resistance_exponent, same_segment_check)
 from .sequence import (LevelSequence, cell_count, resistance_ratio,
                        time_factor, walk_exponent)
 from .walks import (HittingStats, WalkConfig, commute_time_check,

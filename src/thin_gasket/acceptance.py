@@ -31,7 +31,7 @@ from .measures import (ceiling_below_sup, divergence_statistic,
                        energy_measure, singularity_certificate)
 from .rand import stream
 from .realization import (EtaFunction, comparability_report, realize_sequence)
-from .scales import (build_scale, comparison_checks, doubling_check,
+from .scales import (KINDS, PiecewiseScale, comparison_checks, doubling_check,
                      knot_continuity_check, product_identity_check)
 from .sequence import LevelSequence, cell_count
 from .walks import WalkConfig, commute_time_check
@@ -249,17 +249,16 @@ def _c8():
     min_pairs = math.inf
     for entries in seqs:
         ls = LevelSequence(entries, continuation="repeat-last")
-        for kind in ("time", "mass", "resistance"):
-            kc = knot_continuity_check(build_scale(ls, kind), 6)
+        for kind in KINDS:
+            kc = knot_continuity_check(PiecewiseScale(ls, kind), 6)
             if not kc["passed"]:
                 return False, f"{kind} knot mismatch for {entries}"
         pi = product_identity_check(ls, n_segments=6)
         if not pi["passed"]:
             return False, (f"scale product identity off by "
                            f"{pi['tail_rel_err']:.2e} for {entries}")
-        for kind, c in (("time", Fraction(81)), ("resistance", Fraction(6))):
-            db = doubling_check(build_scale(ls, kind), c, n_segments=6,
-                                target_points=48)
+        for kind in ("time", "resistance"):
+            db = doubling_check(PiecewiseScale(ls, kind), n_segments=6, target_points=48)
             if not db["passed"]:
                 return False, f"{kind} doubling violation for {entries}"
             min_pairs = min(min_pairs, db["n_pairs"])
@@ -292,8 +291,8 @@ def _c9():
         return False, (f"ratio range [{rep['ratio_min']:.3f}, "
                        f"{rep['ratio_max']:.3f}] outside budget "
                        f"({rep['budget'][0]:.3f}, {rep['budget'][1]:.1f})")
-    for kind, c in (("time", Fraction(81)), ("resistance", Fraction(6))):
-        db = doubling_check(build_scale(res.sequence, kind), c)
+    for kind in ("time", "resistance"):
+        db = doubling_check(PiecewiseScale(res.sequence, kind))
         if not db["passed"]:
             return False, f"{kind} doubling failed on realized sequence"
     return True, (f"n0=1, levels start (9, 58), 12 certified brackets; "

@@ -38,7 +38,7 @@ from .measures import divergence_statistic, energy_measure, singularity_certific
 from .realization import (EtaFunction, comparability_report, realize_sequence,
                           slow_decay_eta, summability_report)
 from .resistance import corner_resistance, effective_resistance
-from .scales import (build_scale, comparison_checks, doubling_check,
+from .scales import (KINDS, PiecewiseScale, comparison_checks, doubling_check,
                      knot_continuity_check, product_identity_check,
                      quadratic_envelope_check, same_segment_check)
 from .sequence import LevelSequence
@@ -368,10 +368,10 @@ def cmd_psi(args) -> int:
         raise GasketError(f"psi lists knots 0..segments and needs segments >= 0, "
                           f"got {args.segments}")
     ls = _sequence(args)
-    kinds = ("time", "mass", "resistance") if args.kind == "all" else (args.kind,)
+    kinds = KINDS if args.kind == "all" else (args.kind,)
     payload = {"seq": list(args.seq), "kinds": {}}
     for kind in kinds:
-        sc = build_scale(ls, kind)
+        sc = PiecewiseScale(ls, kind)
         entry = {}
         if args.s is not None:
             s = _parse_fraction("--s", args.s)
@@ -402,11 +402,11 @@ def cmd_psi(args) -> int:
 
 def cmd_doubling(args) -> int:
     ls = _sequence(args)
-    kinds = ("time", "mass", "resistance") if args.kind == "all" else (args.kind,)
+    kinds = KINDS if args.kind == "all" else (args.kind,)
     payload = {"seq": list(args.seq), "kinds": {}}
     ok = True
     for kind in kinds:
-        sc = build_scale(ls, kind)
+        sc = PiecewiseScale(ls, kind)
         checks = {
             "knots": knot_continuity_check(sc, args.segments),
             "doubling": doubling_check(sc, n_segments=args.segments),
@@ -522,7 +522,7 @@ _OUT_CONFIG = (("--out", dict(type=str, default=None,
                ("--config", dict(type=str, default=None, help="key=value configuration file")))
 _PIN = (("--pin", dict(type=str, default="1,0,0")),)
 _MAX_DEPTH = (("--max-depth", dict(type=int, default=3)),)
-_KIND = (("--kind", dict(choices=("time", "mass", "resistance", "all"), default="all")),)
+_KIND = (("--kind", dict(choices=(*KINDS, "all"), default="all")),)
 _XY = (("--x", dict(type=int, default=None)), ("--y", dict(type=int, default=None)))
 _ETA_N = (("--eta", dict(type=str, default="eta1")), ("--n", dict(type=int, default=8)))
 

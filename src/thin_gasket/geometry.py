@@ -204,9 +204,6 @@ class ApproximationGraph:
             self._hop_adj = self.adjacency.astype(np.float64)
         return self._hop_adj
 
-    def word(self, idx: int) -> tuple:
-        return index_to_word(self.ls, self.level, idx)
-
 
 def _padded_neighbor_table(adj) -> np.ndarray:
     """(V, 4) int32 table whose row v lists v's neighbours (sorted CSR
@@ -358,14 +355,8 @@ def _outer_ball_mass(g: ApproximationGraph, least_hops: np.ndarray, s: Fraction)
 
 def graph_to_json(g: ApproximationGraph) -> dict:
     """Plain-data description of the graph (exact integer coordinates)."""
-    cells = []
-    for idx in range(g.n_cells):
-        cells.append(
-            {
-                "word": [list(letter) for letter in g.word(idx)],
-                "corners": [int(c) for c in g.cells[idx]],
-            }
-        )
+    cells = [{"word": [list(letter) for letter in word], "corners": corners}
+             for word, corners in zip(words(g.ls, g.level), g.cells.tolist())]
     return {
         "level": g.level,
         "sequence_prefix": list(g.ls.prefix(g.level)),
@@ -388,9 +379,8 @@ def render_svg(g: ApproximationGraph, size: float = 600.0) -> str:
     pts = g.vertices.astype(np.float64)
     xs = (pts[:, 0] + 0.5 * pts[:, 1]) * (size / L)
     ys = h - pts[:, 1] * (size * math.sqrt(3.0) / 2.0 / L)
-    for idx in range(g.n_cells):
-        c = g.cells[idx]
-        coords = " ".join(f"{xs[v]:.4f},{ys[v]:.4f}" for v in c)
-        lines.append(f'<polygon points="{coords}" fill="#2f4a6b"/>')
+    points = [f"{x:.4f},{y:.4f}" for x, y in zip(xs.tolist(), ys.tolist())]
+    lines += [f'<polygon points="{points[a]} {points[b]} {points[c]}" fill="#2f4a6b"/>'
+              for a, b, c in g.cells.tolist()]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

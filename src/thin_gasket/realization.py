@@ -69,9 +69,8 @@ offset chosen.
 
 In the comparability report, ln T_n and ln Psi are sums of the logs of
 the per-level factors (6l+1), (l-1), 3, (s1 + j(3l-4)) and (9 s1 + j(6l-8)),
-so no level-size product is formed only to be logged.  The knot identity is
-checked exactly per level, and r and eta(r) come from integer
-numerator/denominator pairs.
+so no level-size product is formed only to be logged, and r and eta(r)
+come from integer numerator/denominator pairs.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ from mpmath import iv
 from mpmath.libmp import mpf_e, normalize, round_ceiling, round_floor
 
 from .errors import DomainError, RealizationError
-from .sequence import MIN_LEVEL, LevelSequence, time_factor
+from .sequence import MIN_LEVEL, LevelSequence
 
 #: Largest magnitude, in bits, of an argument the inverses pass to exp.
 #: mpmath reduces x modulo log 2 at about mag(x) extra bits (0.24 s at 1e5
@@ -572,8 +571,6 @@ def comparability_report(eta: EtaFunction, result: RealizationResult) -> dict:
             prod *= 1 - mpmath.mpf(5) / (6 * l) - mpmath.mpf(1) / (6 * l * l)
         c_lo = float(mpmath.mpf(2) ** -n0 * prod)
 
-        identity_ok = _knot_identity_exact(entries)
-
         def ln(x: int):
             return mpmath.log(mpmath.mpf(x))
 
@@ -614,12 +611,11 @@ def comparability_report(eta: EtaFunction, result: RealizationResult) -> dict:
     return {"eta": eta.label, "n0": n0, "n_levels": big_n,
             "c_eta": float(c_eta), "beta_eta": beta_eta,
             "c_hi": c_hi, "c_lo": c_lo,
-            "knot_identity_exact": identity_ok,
             "knot_ratios": knot_ratios,
             "ratio_min": min(all_ratios), "ratio_max": max(all_ratios),
             "budget": (lo_budget, hi_budget),
             "knots_in_core": knots_in_core,
-            "passed": in_budget and identity_ok}
+            "passed": in_budget}
 
 
 def result_horizon(result: RealizationResult) -> int:
@@ -629,14 +625,6 @@ def result_horizon(result: RealizationResult) -> int:
 def _sample_point(l: int, j: int, s1: int, big_l: int) -> tuple[int, int]:
     """The sample point r = u/L_n, u = 1 + j(l-1)/s1, as an unreduced pair."""
     return s1 + j * (l - 1), s1 * big_l
-
-
-def _knot_identity_exact(entries) -> bool:
-    """T_n / L_n^2 = 2^n prod (1 - 5/(6 l_k) - 1/(6 l_k^2)) for every n,
-    exactly.  Both sides are products of nonzero per-level factors, so by
-    induction this holds iff each level has
-    time_factor(l) = 2 l^2 (1 - 5/(6l) - 1/(6l^2)) = (6l+1)(l-1)/3."""
-    return all(3 * time_factor(l) == (6 * l + 1) * (l - 1) for l in entries)
 
 
 # ---- Slowly decaying profiles -------------------------------------------

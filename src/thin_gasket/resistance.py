@@ -86,13 +86,12 @@ def corner_resistance(ls: LevelSequence, n: int, j: int = 0, k: int = 1,
 
 
 def effective_resistance(ls: LevelSequence, n: int, x: int, y: int,
-                         graph: ApproximationGraph | None = None,
                          precision: str = "float") -> ResistanceResult:
     """R_n(x, y) between vertex ids of the depth-n graph by ResistanceSolver:
     exact in rational precision; in float precision with the relative
     residual of its refined potential."""
     check_precision(precision)
-    g = graph if graph is not None else build_graph(ls, n)
+    g = build_graph(ls, n)
     if not (0 <= x < g.n_vertices and 0 <= y < g.n_vertices):
         raise DomainError("vertex id out of range")
     if x == y:

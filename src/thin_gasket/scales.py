@@ -8,9 +8,9 @@ On the segment [1/L_n, 1/L_{n-1}] write x = s L_n - 1, which runs over
     resistance scale  Psi_R(s) = R_n (1 + B x)
 
 All three are continuous across knots, multiply as Psi = Psi_M * Psi_R,
-and extend past s = 1 by pure powers.  Evaluation is exact rational on
-(0, 1]; comparisons against power laws run in the log domain so that
-astronomically deep sequences stay usable.
+and extend past s = 1 by pure powers.  Each kind is one row of _ROWS.
+Evaluation is exact rational on (0, 1]; comparisons against power laws run
+in the log domain so that astronomically deep sequences stay usable.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from .rand import stream
 from .resistance import ResistanceSolver
 from .sequence import LevelSequence, walk_exponent
 
-KINDS = ("time", "mass", "resistance")
-
 #: Segments a PiecewiseScale extends to before refusing a smaller s.
 _MAX_SEGMENTS = 200
 
@@ -44,48 +42,40 @@ def resistance_exponent(l: int) -> float:
     return (math.log(6 * l + 1) - math.log(9)) / math.log(l)
 
 
-@dataclass(frozen=True)
-class BetaBundle:
-    """Lower/upper power-law exponents for the three scales.
-
-    Min/max over the stored levels; a diverging sequence uses the
-    l -> infinity limits on the side they bound.
-    """
-
-    time: tuple[float, float]
-    mass: tuple[float, float]
-    resistance: tuple[float, float]
-
-    def for_kind(self, kind: str) -> tuple[float, float]:
-        return getattr(self, kind)
-
-
-def beta_bundle(ls: LevelSequence) -> BetaBundle:
-    entries = ls.entries
-    if not entries:
-        raise SequenceError("cannot derive exponents from an empty sequence")
-    walks = [walk_exponent(l) for l in entries]
-    masses = [mass_exponent(l) for l in entries]
-    ress = [resistance_exponent(l) for l in entries]
-    if ls.diverging:
-        return BetaBundle((2.0, max(walks)), (1.0, max(masses)), (min(ress), 1.0))
-    return BetaBundle((min(walks), max(walks)), (min(masses), max(masses)),
-                      (min(ress), max(ress)))
+#: Per kind: the per-level exponent, its l -> infinity limit, the knot value
+#: at 1/L_n as a prefix product and its power (+-1), the linear factors
+#: 1 + c x it multiplies, each as (p, q, r) with c = (p l - q)/(r (l - 1)),
+#: so A is (3, 4, 1) and B (6, 8, 9), and the default doubling constant.
+_ROWS = {
+    "time": (walk_exponent, 2.0, LevelSequence.T, -1, ((3, 4, 1), (6, 8, 9)), Fraction(81)),
+    "mass": (mass_exponent, 1.0, LevelSequence.M, -1, ((3, 4, 1),), Fraction(81)),
+    "resistance": (resistance_exponent, 1.0, LevelSequence.R, 1, ((6, 8, 9),), Fraction(6)),
+}
+KINDS = tuple(_ROWS)
 
 
 class PiecewiseScale:
     """One of the three scale functions, exact per segment from the
     sequence's prefix products.  The inverse is exact for mass and
-    resistance, and for time within 2^-64 relative (exact at eval(s))."""
+    resistance, and for time within 2^-64 relative (exact at eval(s)).
+    betas: the kind's exponent band over the stored levels, widened to its
+    limit for a diverging sequence; tail_beta, the bound nearer the limit."""
 
     def __init__(self, ls: LevelSequence, kind: str):
-        if kind not in KINDS:
+        if kind not in _ROWS:
             raise DomainError(f"kind must be one of {KINDS}")
+        if not ls.entries:
+            raise SequenceError("cannot derive exponents from an empty sequence")
+        exponent, limit, self._product, self._power, self._factors, self.doubling_c = _ROWS[kind]
         self.ls = ls
         self.kind = kind
-        self.bundle = beta_bundle(ls)
-        lo, hi = self.bundle.for_kind(kind)
-        self.tail_beta = hi if kind == "resistance" else lo
+        self._segments = {}
+        exps = [exponent(l) for l in ls.entries]
+        lo, hi = min(exps), max(exps)
+        if ls.diverging:
+            lo, hi = min(lo, limit), max(hi, limit)
+        self.betas = (lo, hi)
+        self.tail_beta = lo if abs(lo - limit) <= abs(hi - limit) else hi
 
     # -- segments ----------------------------------------------------------
 
@@ -105,22 +95,25 @@ class PiecewiseScale:
             n += 1
 
     def segment_data(self, n: int):
-        """(l_n, L_n, lead, A, B): lead is the value at the knot 1/L_n."""
+        """(l_n, L_n, lead, slopes), computed once per segment: lead is the
+        value at the knot 1/L_n and slopes the c of each linear factor
+        1 + c x the kind multiplies."""
         if n > _MAX_SEGMENTS:
             raise DomainError(f"scale limited to {_MAX_SEGMENTS} segments")
-        ln = self.ls.L(n)  # raises SequenceError past the sequence
-        lead = (1 / self.ls.T(n) if self.kind == "time" else
-                Fraction(1, self.ls.M(n)) if self.kind == "mass" else self.ls.R(n))
-        l = self.ls.level(n)
-        a = Fraction(3 * l - 4, l - 1)
-        b = Fraction(6 * l - 8, 9 * (l - 1))
-        return l, ln, lead, a, b
+        data = self._segments.get(n)
+        if data is None:
+            ln = self.ls.L(n)  # raises SequenceError past the sequence
+            l = self.ls.level(n)
+            data = self._segments[n] = (
+                l, ln, Fraction(self._product(self.ls, n)) ** self._power,
+                tuple(Fraction(p * l - q, r * (l - 1)) for p, q, r in self._factors))
+        return data
 
     def knot(self, n: int):
         """(s, value) at the segment boundary s = 1/L_n."""
         if n == 0:
             return Fraction(1), Fraction(1)
-        _, ln, lead, _, _ = self.segment_data(n)
+        _, ln, lead, _ = self.segment_data(n)
         return Fraction(1, ln), lead
 
     # -- evaluation --------------------------------------------------------
@@ -146,12 +139,10 @@ class PiecewiseScale:
 
     def _segment_value(self, n: int, x):
         """The segment-n formula at x = s L_n - 1, exact for rational x."""
-        _, _, lead, a, b = self.segment_data(n)
-        if self.kind == "time":
-            return lead * (1 + a * x) * (1 + b * x)
-        if self.kind == "mass":
-            return lead * (1 + a * x)
-        return lead * (1 + b * x)
+        _, _, value, slopes = self.segment_data(n)
+        for c in slopes:
+            value = value * (1 + c * x)
+        return value
 
     def log_eval(self, s):
         """Natural log of the value as a 120-bit mpmath float; safe for
@@ -165,7 +156,7 @@ class PiecewiseScale:
 
     def inverse(self, t):
         """The s with eval(s) = t.  On (0, 1], t's segment in closed form
-        with tau = t / lead: exact for mass and resistance; for time
+        with tau = t / lead: exact for one linear factor; for two
         x = 2(tau - 1)/(A + B + sqrt(D)), D = (A - B)^2 + 4AB tau, with sqrt(D)
         floored 64 bits past D's denominator, so s is exact when D is a
         rational square (t = eval(s) at a rational s), else at most 2^-64 s
@@ -183,30 +174,31 @@ class PiecewiseScale:
                 raise DomainError(f"the {self.kind} scale inverse t^(1/{beta:.6g}) is past "
                                   "double range at this t") from None
         n = 1
-        while self.knot(n)[1] > t:
-            n += 1
-        _, ln, lead, a, b = self.segment_data(n)
+        try:
+            while self.knot(n)[1] > t:
+                n += 1
+        except SequenceError:
+            raise DomainError(f"t = {t} lies below the resolution of the stored sequence")
+        _, ln, lead, slopes = self.segment_data(n)
         tau = t / lead
-        if self.kind == "time":
+        if len(slopes) == 2:
+            a, b = slopes
             d = (a - b) ** 2 + 4 * a * b * tau
             root = Fraction(math.isqrt(d.numerator * d.denominator << 128),
                             d.denominator << 64)
             x = 2 * (tau - 1) / (a + b + root)
         else:
-            x = (tau - 1) / (a if self.kind == "mass" else b)
+            x = (tau - 1) / slopes[0]
         return (1 + x) / ln
 
 
-def build_scale(ls: LevelSequence, kind: str) -> PiecewiseScale:
-    return PiecewiseScale(ls, kind)
-
-
-def scale_triple(ls: LevelSequence):
-    return (build_scale(ls, "time"), build_scale(ls, "mass"),
-            build_scale(ls, "resistance"))
-
-
 # ---- Structural checks ---------------------------------------------------
+
+
+def _grid(scale: PiecewiseScale, n: int, k: int) -> list:
+    """The k + 1 points (1 + j(l_n - 1)/k)/L_n, j = 0..k, of segment n."""
+    l, ln, _, _ = scale.segment_data(n)
+    return [(1 + Fraction(j * (l - 1), k)) / ln for j in range(k + 1)]
 
 
 def knot_continuity_check(scale: PiecewiseScale, n_segments: int) -> dict:
@@ -226,14 +218,9 @@ def knot_continuity_check(scale: PiecewiseScale, n_segments: int) -> dict:
 def product_identity_check(ls: LevelSequence, n_segments: int = 4) -> dict:
     """Psi = Psi_M * Psi_R: exact at 5 points per segment of (0, 1], within
     1e-14 relative on the tails."""
-    psi, psi_m, psi_r = scale_triple(ls)
-    exact_ok = True
-    for n in range(1, n_segments + 1):
-        l, ln, _, _, _ = psi.segment_data(n)
-        for j in range(5):
-            s = (1 + Fraction(j * (l - 1), 4)) / ln
-            if psi.eval(s) != psi_m.eval(s) * psi_r.eval(s):
-                exact_ok = False
+    psi, psi_m, psi_r = (PiecewiseScale(ls, kind) for kind in KINDS)
+    exact_ok = all(psi.eval(s) == psi_m.eval(s) * psi_r.eval(s)
+                   for n in range(1, n_segments + 1) for s in _grid(psi, n, 4))
     tail_err = 0.0
     for s in (Fraction(3, 2), Fraction(2), Fraction(5)):
         lhs = float(psi.eval(s))
@@ -249,11 +236,7 @@ def _sample_pool(scale: PiecewiseScale, n_segments: int, target_points: int = 46
     pts = [Fraction(1), Fraction(3, 2), Fraction(2)]
     per = max(3, -(-(target_points - len(pts) - n_segments) // n_segments))
     for n in range(1, n_segments + 1):
-        l, ln, _, _, _ = scale.segment_data(n)
-        pts.append(Fraction(1, ln))
-        for j in range(1, per + 1):
-            x = Fraction(j * (l - 1), per + 1)
-            pts.append((1 + x) / ln)
+        pts += _grid(scale, n, per + 1)[:-1]
     return sorted(set(pts))
 
 
@@ -263,12 +246,12 @@ def doubling_check(scale: PiecewiseScale, c: Fraction | None = None,
     value(2s) <= c * value(s), and for every ordered pool pair the power
     sandwich (1/c)(S/s)^beta_lo <= ratio <= c (S/s)^beta_hi."""
     if c is None:
-        c = Fraction(6) if scale.kind == "resistance" else Fraction(81)
+        c = scale.doubling_c
     if n_segments is None:
         n_segments = min(len(scale.ls.entries), _MAX_SEGMENTS)
     if n_segments < 1:
         raise DomainError(f"doubling checks need n_segments >= 1, got {n_segments}")
-    beta_lo, beta_hi = scale.bundle.for_kind(scale.kind)
+    beta_lo, beta_hi = scale.betas
     pool = _sample_pool(scale, n_segments, target_points)
 
     double_viol = []
@@ -305,8 +288,7 @@ def same_segment_check(scale: PiecewiseScale, n_segments: int) -> dict:
     lo_c, hi_c = Fraction(2, 9), Fraction(9, 2)
     violations = []
     for n in range(1, n_segments + 1):
-        l, ln, _, _, _ = scale.segment_data(n)
-        ss = [(1 + Fraction(j * (l - 1), 5)) / ln for j in range(6)]
+        ss = _grid(scale, n, 5)
         vals = [scale.eval(s) for s in ss]
         for i in range(len(ss)):
             for j in range(i + 1, len(ss)):
@@ -326,17 +308,14 @@ def quadratic_envelope_check(scale: PiecewiseScale, n_segments: int) -> dict:
         raise DomainError("the quadratic envelope applies to the time scale")
     violations = []
     for n in range(1, n_segments + 1):
-        l, ln, lead, a, b = scale.segment_data(n)
-        base = scale.eval(Fraction(1, ln))
-        for j in range(10):
-            u = 1 + Fraction(j * (l - 1), 9)
-            ratio = scale.eval(u / ln) / (u * u * base)
+        ss = _grid(scale, n, 9)
+        base = scale.eval(ss[0])
+        for s in ss:
+            u = s / ss[0]
+            ratio = scale.eval(s) / (u * u * base)
             if not (1 <= ratio < 2):
                 violations.append((n, u))
-    knots = []
-    for n in range(n_segments + 1):
-        s, v = scale.knot(n)
-        knots.append(v / (s * s))
+    knots = [v / (s * s) for s, v in map(scale.knot, range(n_segments + 1))]
     knot_monotone = all(knots[i + 1] <= knots[i] for i in range(len(knots) - 1))
     return {"n_segments": n_segments, "violations": violations,
             "knot_ratios_nonincreasing": knot_monotone,
@@ -410,12 +389,11 @@ def comparison_checks(g: ApproximationGraph, n_pairs: int = 200,
 
         6^-4 lam^b1 Q(d) <= Q(lam d) <= 6^4 lam^b0 Q(d),
 
-    where Q(t) = Psi(t)/m(B(x,t)) and (b0, b1) are the resistance
-    exponents.
+    where Q(t) = Psi(t)/m(B(x,t)) and (b0, b1) are Psi_R's betas.
     """
     ls, n = g.ls, g.level
-    psi, psi_m, psi_r = scale_triple(ls)
-    b0, b1 = psi.bundle.resistance
+    psi, psi_m, psi_r = (PiecewiseScale(ls, kind) for kind in KINDS)
+    b0, b1 = psi_r.betas
     solver = ResistanceSolver(g)
     scale_r = ls.R(n)
     pairs = sample_vertex_pairs(g, n_pairs, seed)

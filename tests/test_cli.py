@@ -629,6 +629,14 @@ def test_render_deterministic_bytes(tmp_path):
     assert a.startswith(b"<svg ")
 
 
+def test_render_bytes_match_their_sha256(tmp_path):
+    # the figure's sha256, written before render_svg formatted each vertex once
+    assert run(["render", "--seq", "5,7,6", "--depth", "2", "--out", tmp_path]) == 0
+    data = (tmp_path / "render-5-7-6-d2.svg").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "6b3cf9a1dab9c6ba43d063dc885a31b3210fcf60c34964a44576863ddead7cc2")
+
+
 def test_energy_golden(tmp_path, capsys):
     rc = run(["energy", "--seq", "5,6", "--depth", "2", "--pin", "1,0,0",
               "--precision", "rational", "--out", tmp_path])

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -247,7 +248,7 @@ def test_neighborhoods_match_set_bfs_at_depth_three(seq):
     l_n = ls.level(3)
     rng = np.random.default_rng(3)
     for idx in rng.choice(g.n_cells, size=25, replace=False):
-        w = g.word(int(idx))
+        w = index_to_word(ls, 3, int(idx))
         _check_neighborhoods(g, w)
         # the vertices of the k-hop cell neighbourhood are the closed k-hop
         # vertex ball about w's corners
@@ -267,7 +268,7 @@ def test_cell_hops_at_radius_zero(seq, depth):
         expected = np.full(g.n_cells, np.inf)
         expected[idx] = 0
         for radii in ((0,), (), (0, 0)):
-            assert np.array_equal(_cell_hops(g, g.word(idx), radii), expected)
+            assert np.array_equal(_cell_hops(g, index_to_word(ls, depth, idx), radii), expected)
 
 
 def test_neighborhood_rejects_radius_past_level(ls5):
@@ -323,6 +324,15 @@ def test_graph_to_json_shape(ls5):
     assert len(d["cells"]) == 12
     corners = d["cells"][0]["corners"]
     assert len(corners) == 3
+
+
+def test_graph_to_json_matches_the_per_index_construction(ls576):
+    g = build_graph(ls576, 2)
+    cells = [{"word": [list(letter) for letter in index_to_word(ls576, 2, idx)],
+              "corners": [int(c) for c in g.cells[idx]]} for idx in range(g.n_cells)]
+    d = graph_to_json(g)
+    assert json.dumps(d["cells"]) == json.dumps(cells)
+    assert d["vertices"] == [[int(a), int(b)] for a, b in g.vertices]
 
 
 def test_render_svg_deterministic(ls576):

@@ -105,8 +105,8 @@ def _pinned_unit_resistance(g, x, y, method):
 def test_effective_resistance_methods_agree(ls5):
     g = build_graph(ls5, 1)
     x, y = int(g.corner_id(0)), int(g.corner_id(1))
-    exact = effective_resistance(ls5, 1, x, y, graph=g, precision="rational")
-    elim = effective_resistance(ls5, 1, x, y, graph=g)
+    exact = effective_resistance(ls5, 1, x, y, precision="rational")
+    elim = effective_resistance(ls5, 1, x, y)
     cg = float(ls5.R(1)) * _pinned_unit_resistance(g, x, y, "cg")
     assert exact.exact and exact.value == Fraction(2, 3)
     assert elim.method == "elimination" and not elim.exact
@@ -117,15 +117,15 @@ def test_effective_resistance_methods_agree(ls5):
 
 def test_effective_resistance_symmetry_and_identity(ls5):
     g = build_graph(ls5, 1)
-    a = effective_resistance(ls5, 1, 3, 11, graph=g)
-    b = effective_resistance(ls5, 1, 11, 3, graph=g)
+    a = effective_resistance(ls5, 1, 3, 11)
+    b = effective_resistance(ls5, 1, 11, 3)
     assert float(a) == pytest.approx(float(b), rel=1e-12)
-    same = effective_resistance(ls5, 1, 3, 3, graph=g)
+    same = effective_resistance(ls5, 1, 3, 3)
     assert float(same) == 0.0
     with pytest.raises(DomainError):
-        effective_resistance(ls5, 1, 3, g.n_vertices, graph=g)
+        effective_resistance(ls5, 1, 3, g.n_vertices)
     with pytest.raises(DomainError):
-        effective_resistance(ls5, 1, -1, 3, graph=g, precision="rational")
+        effective_resistance(ls5, 1, -1, 3, precision="rational")
 
 
 def test_resistance_is_a_metric_on_samples(ls5):
@@ -152,7 +152,7 @@ def test_solver_matches_direct(ls5):
     for x, y in [(0, 7), (3, 40)]:
         ref = _pinned_unit_resistance(g, x, y, "direct")
         assert solver.unit_resistance(x, y) == pytest.approx(ref, rel=1e-9)
-        got = effective_resistance(ls5, 2, x, y, graph=g)
+        got = effective_resistance(ls5, 2, x, y)
         assert float(got) == pytest.approx(float(ls5.R(2)) * ref, rel=1e-9)
 
 
@@ -225,7 +225,7 @@ def test_exact_elimination_equals_dense_schur_complement(entries, depth):
     assert g.n_vertices <= linalg.RATIONAL_SIZE_LIMIT
     pairs = _sample_pairs(g, 8, seed=depth)
     for (x, y), oracle in zip(pairs, _dense_oracle(ls, depth, pairs)):
-        res = effective_resistance(ls, depth, x, y, graph=g, precision="rational")
+        res = effective_resistance(ls, depth, x, y, precision="rational")
         assert type(res.value) is Fraction and res.value == oracle
         assert (res.method, res.exact, res.residual) == ("rational", True, 0.0)
 
@@ -236,8 +236,8 @@ def test_exact_elimination_past_the_dense_limit(entries, depth):
     g = build_graph(ls, depth)
     assert g.n_vertices > linalg.RATIONAL_SIZE_LIMIT
     for x, y in _sample_pairs(g, 5, seed=depth):
-        exact = effective_resistance(ls, depth, x, y, graph=g, precision="rational").value
-        approx = effective_resistance(ls, depth, x, y, graph=g).value
+        exact = effective_resistance(ls, depth, x, y, precision="rational").value
+        approx = effective_resistance(ls, depth, x, y).value
         assert type(exact) is Fraction
         assert abs(approx - exact) <= 1e-12 * exact
 
@@ -299,7 +299,7 @@ def test_unit_resistance_refuses_ids_out_of_range(ls5):
     # equal ids are range-checked before the x == y shortcut
     for precision in ("float", "rational"):
         with pytest.raises(DomainError):
-            effective_resistance(ls5, 1, 999, 999, graph=g, precision=precision)
+            effective_resistance(ls5, 1, 999, 999, precision=precision)
 
 
 # ---- Address-local queries -----------------------------------------------
@@ -311,8 +311,8 @@ def test_refinement_reaches_the_exact_value_on_a_long_level():
     ls = LevelSequence((3001,))
     g = build_graph(ls, 1)
     for x, y in _sample_pairs(g, 5, seed=3)[3:]:
-        exact = effective_resistance(ls, 1, x, y, graph=g, precision="rational").value
-        approx = effective_resistance(ls, 1, x, y, graph=g)
+        exact = effective_resistance(ls, 1, x, y, precision="rational").value
+        approx = effective_resistance(ls, 1, x, y)
         assert abs(approx.value - exact) <= 1e-14 * exact
 
 
@@ -335,8 +335,8 @@ def test_query_memory_is_address_local(ls5):
 def test_exact_query_at_full_depth(ls5):
     g = build_graph(ls5, 5)
     x, y = _sample_pairs(g, 4, seed=5)[3]
-    exact = effective_resistance(ls5, 5, x, y, graph=g, precision="rational")
-    approx = effective_resistance(ls5, 5, x, y, graph=g)
+    exact = effective_resistance(ls5, 5, x, y, precision="rational")
+    approx = effective_resistance(ls5, 5, x, y)
     assert type(exact.value) is Fraction
     assert abs(approx.value - exact.value) <= 1e-12 * exact.value
 

@@ -4,6 +4,9 @@ A settable value is a function or lambda parameter other than self and cls,
 or a dataclass or NamedTuple field.  A change that adds or removes one
 updates the count below, as test_parser_surface does for CLI flags.
 
+The public names, thin_gasket.__all__ (the submodules included), are
+pinned the same way, so a name added or removed is an edit to PUBLIC_NAMES.
+
 The import boundary is guarded the same way: only linalg, the home of the
 general solvers and their oracles, imports scipy when it loads, and only
 acceptance imports linalg when it loads.
@@ -14,7 +17,27 @@ from pathlib import Path
 
 import thin_gasket
 
-SETTABLE_VALUES = 433
+SETTABLE_VALUES = 425
+
+PUBLIC_NAMES = (
+    "AddressSample", "ApproximationGraph", "BudgetError", "CellMeasure",
+    "CertificateReport", "DivergenceReport", "DomainError", "EtaFunction",
+    "GasketError", "HarmonicMatrix", "HarmonicSpec", "HittingStats", "LevelSequence",
+    "PiecewiseScale", "RealizationError", "RealizationResult", "ResistanceResult",
+    "ResistanceSolver", "SINGULARITY_GAP", "SequenceError", "SolveError", "WalkConfig",
+    "base_energy", "boundary_cells", "build_graph", "cell_count",
+    "children_sum_ceiling", "commute_time_check", "comparability_report",
+    "comparison_checks", "corner_resistance", "divergence_statistic", "doubling_check",
+    "effective_resistance", "energy_measure", "errors", "exit_time_profile", "forms",
+    "geodesic_hops", "geometry", "graph_to_json", "harmonic_extend", "harmonic_matrix",
+    "index_to_word", "interior_letters", "is_cell_index", "knot_continuity_check",
+    "mass_exponent", "matrix_stack", "matrix_stack_exact", "measures",
+    "neighborhood_vertex_ids", "product_identity_check", "quadratic_envelope_check",
+    "rand", "realization", "realize_sequence", "render_svg", "resistance",
+    "resistance_exponent", "resistance_ratio", "same_segment_check", "scales",
+    "sequence", "singularity_certificate", "slow_decay_eta", "summability_report",
+    "time_factor", "walk_exponent", "walks", "word_to_index", "words",
+)
 
 
 def _is_record_class(node: ast.ClassDef) -> bool:
@@ -45,6 +68,10 @@ def test_settable_value_count():
                   for p in sorted(package.glob("*.py"))}
     counts = ", ".join(f"{name} {n}" for name, n in per_module.items() if n)
     assert sum(per_module.values()) == SETTABLE_VALUES, f"settable values per module: {counts}"
+
+
+def test_public_names():
+    assert sorted(thin_gasket.__all__) == list(PUBLIC_NAMES)
 
 
 def _load_time_imports(tree: ast.AST) -> list[str]:
