@@ -9,6 +9,8 @@ space-time scale functions, realization of prescribed scales, and random
 walk diagnostics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (BudgetError, DomainError, GasketError, RealizationError,
                      SequenceError, SolveError)
 from .forms import (HarmonicMatrix, HarmonicSpec, base_energy, harmonic_extend,
@@ -38,4 +40,6 @@ from .walks import (HittingStats, WalkConfig, commute_time_check,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public functions, classes and constants; a star import binds no submodule
+__all__ = [name for name, value in vars().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -30,6 +30,7 @@ their total.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -291,12 +292,15 @@ def _cell_hops(g: ApproximationGraph, w, radii) -> np.ndarray:
     Cells meet only at corners, so a cell w' != w lies k >= 1 cell hops from
     w iff its nearest corner lies k - 1 vertex hops from w's corners: one
     vertex BFS from those corners, stopped at the largest radius less one,
-    serves every radius.  Each radius k must satisfy 0 <= k <= l_n, and w
-    must be a depth-n word.  The depth-0 graph's one cell is at hop 0 for
-    any w.
+    serves every radius.  Each radius k must be an integer with
+    0 <= k <= l_n, and w must be a depth-n word.  The depth-0 graph's one
+    cell is at hop 0 for any w.
     """
     n = g.level
     radii = list(radii)
+    for k in radii:
+        if not isinstance(k, numbers.Integral):
+            raise DomainError(f"neighborhood radius {k} is not an integer")
     if n == 0:
         if any(k != 0 for k in radii):
             raise DomainError("depth-0 graph has a single cell; k must be 0")

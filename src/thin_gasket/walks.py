@@ -2,10 +2,14 @@
 
 The walker moves to a uniformly random graph neighbor each step; the
 simulator advances it k steps at a time through jump tables over the
-vertices that are not targets.  Commute times between two vertices have
-exact expectation 2 |E| R_unit(x, y) = 6 M_n R_unit(x, y), which ties the
-simulator back to the resistance solvers; the check compares the empirical
-mean against that prediction in standard-error units.
+vertices that are not targets.  Its draws are, bit for bit, those of
+`rng.integers(0, 4**k, size=n, dtype=np.uint16)` called once per block on
+one Philox stream per chunk of walkers, n the walkers still active, but
+read straight from the stream's raw 64-bit output (see `_Words`).  Commute
+times between two vertices have exact expectation
+2 |E| R_unit(x, y) = 6 M_n R_unit(x, y), which ties the simulator back to
+the resistance solvers; the check compares the empirical mean against that
+prediction in standard-error units.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ _WORK_BUDGET = 2_000_000_000
 
 # Walkers simulated per chunk, each chunk on its own random stream.
 _CHUNK = 100_000
+
+# Raw uint64 draws per refill of a word source: 1 MB, 2^19 words.
+_REFILL = 1 << 17
 
 # A commute check passes when its z-score is within this many stderr.
 _Z_MAX = 4.0
@@ -65,13 +72,48 @@ def _block_length(n_free: int) -> int:
     return k
 
 
-def _jump_table(nbr: np.ndarray, target_mask: np.ndarray, k: int):
-    """k-step jump table over the F free vertices (those not in target_mask).
+class _Words:
+    """The words `rng.integers(0, 4**k, size=n, dtype=np.uint16)` returns,
+    call by call, read from bulk raw output of rng's bit generator.
 
-    Entry f * 4^k + word, for free index f and a word of k 2-bit digits with
-    the first step in the low bits, is the free index the walk ends on, or
-    F + s - 1 when it first hits a target at step s (1 <= s <= k).  Returns
-    the flat int32 table and the vertex -> free index map (F on targets).
+    On a range of 4^k numpy's bounded draw never rejects.  The bit
+    generator's `next_uint32` hands out the low then the high half of each
+    raw uint64 (a spare half carries over to the next call); a call of size
+    n takes ceil(n/2) of them, splits each into its low then its high 16
+    bits, keeps the first n and returns the top 2k bits of each.  So the raw
+    stream, read as little-endian uint16, is the words in order, one word
+    skipped after a call of odd size.  Refills draw _REFILL raw values at a
+    time, or more when one call needs more.
+    """
+
+    def __init__(self, rng: np.random.Generator, k: int):
+        self._raw = rng.bit_generator.random_raw
+        self._drop = 16 - 2 * k
+        self._buf = np.empty(0, dtype=np.uint16)
+        self._at = 0
+
+    def take(self, n: int) -> np.ndarray:
+        used = n + (n & 1)
+        if self._at + used > self._buf.size:
+            rest = self._buf[self._at:]
+            raw = self._raw(max(_REFILL, -(-(used - rest.size) // 4)))
+            halves = raw.astype("<u8", copy=False).view("<u2")
+            self._buf = np.concatenate([rest, halves >> self._drop])
+            self._at = 0
+        words = self._buf[self._at:self._at + n]
+        self._at += used
+        return words
+
+
+def _jump_table(nbr: np.ndarray, target_mask: np.ndarray, k: int):
+    """k-step jump table over the F free vertices (those not in target_mask),
+    one row of 4^k entries per free vertex, found at row offset f << 2k.
+
+    Entry (f << 2k) | word, for free index f and a word of k 2-bit digits
+    with the first step in the low bits, is the row offset of the free
+    vertex the walk ends on, or (F << 2k) + s - 1 when it first hits a
+    target at step s (1 <= s <= k).  Returns the flat int32 table and the
+    vertex -> row offset map (F << 2k on targets).
     """
     free = np.flatnonzero(~target_mask)
     n_free = free.size
@@ -86,8 +128,8 @@ def _jump_table(nbr: np.ndarray, target_mask: np.ndarray, k: int):
         cur = step[cur, (words >> 2 * j) & 3]
         absorbed += cur == n_free
     # a walk first hit at step s is absorbed for k - s + 1 of the k steps
-    table = np.where(cur == n_free, n_free + k - absorbed, cur)
-    return table.ravel(), index
+    table = np.where(cur == n_free, (n_free << 2 * k) + k - absorbed, cur << 2 * k)
+    return table.ravel(), index << 2 * k
 
 
 def simulate_hitting(g: ApproximationGraph, start: int, target_mask: np.ndarray,
@@ -95,11 +137,14 @@ def simulate_hitting(g: ApproximationGraph, start: int, target_mask: np.ndarray,
     """Per-trial step counts until the walk started at `start` first sits on
     a target vertex.  Returns (steps array, capped count).
 
-    Walkers advance k steps per iteration through a jump table: each draws
-    one uniform integer below 4^k, whose 2-bit digits (low bits first) pick
-    columns of the padded neighbour table, so every step is a uniform
-    neighbour.  A trial is capped iff it has not hit by cfg.max_steps; its
-    count is then max_steps.
+    Walkers advance k steps per block through a jump table.  Chunk c of
+    _CHUNK walkers draws from stream(cfg.seed, (tag << 32) | c), and each
+    block takes, in trial order, one word below 4^k per active walker: the
+    words of `integers(0, 4**k, size=active, dtype=np.uint16)` on that
+    stream, read from its raw output by `_Words`.  A word's 2-bit digits
+    (low bits first) pick columns of the padded neighbour table, so every
+    step is a uniform neighbour.  A trial is capped iff it has not hit by
+    cfg.max_steps; its count is then max_steps.
     """
     if not 0 <= start < g.n_vertices:
         raise DomainError("start vertex out of range")
@@ -107,26 +152,28 @@ def simulate_hitting(g: ApproximationGraph, start: int, target_mask: np.ndarray,
         return np.zeros(cfg.trials, dtype=np.int64), 0
     n_free = int(np.count_nonzero(~target_mask))
     k = _block_length(n_free)
-    table, index = _jump_table(g.neighbor_table, target_mask, k)
-    shift = 2 * k
+    table, rows = _jump_table(g.neighbor_table, target_mask, k)
+    hit_row = n_free << 2 * k  # row offsets from here on are hits
+    index = np.empty(min(_CHUNK, cfg.trials), dtype=np.int64)
     chunks = []
     capped = 0
     remaining = cfg.trials
     chunk_idx = 0
     while remaining > 0:
         m = min(_CHUNK, remaining)
-        rng = stream(cfg.seed, (tag << 32) | chunk_idx)
+        words = _Words(stream(cfg.seed, (tag << 32) | chunk_idx), k)
         steps = np.zeros(m, dtype=np.int64)
-        walker = np.arange(m)
-        pos = np.full(m, index[start], dtype=np.int32)
+        walker = np.arange(m, dtype=np.int32)
+        pos = np.full(m, rows[start], dtype=np.int32)
         base = 0
         while walker.size and base < cfg.max_steps:
-            words = rng.integers(0, 1 << shift, size=walker.size, dtype=np.uint16)
-            pos = table[(pos << shift) | words]
-            hit = pos >= n_free
-            if hit.any():
-                steps[walker[hit]] = base + 1 + (pos[hit] - n_free)
-                keep = ~hit
+            pos = table[np.bitwise_or(pos, words.take(walker.size),
+                                      out=index[:walker.size])]
+            hit = (pos >= hit_row).nonzero()[0]
+            if hit.size:
+                steps[walker[hit]] = base + 1 + (pos[hit] - hit_row)
+                keep = np.ones(walker.size, dtype=bool)
+                keep[hit] = False
                 walker, pos = walker[keep], pos[keep]
             base += k
         late = np.flatnonzero(steps > cfg.max_steps)  # hit inside the last block

@@ -280,7 +280,7 @@ def test_neighborhood_rejects_radius_past_level(ls5):
 def test_neighborhood_rejects_bad_radii_and_words(ls5):
     g = build_graph(ls5, 2)
     w = ((0, 0), (0, 1))
-    for bad in (-1, 6):
+    for bad in (-1, 6, 1.5):
         with pytest.raises(DomainError, match="radius"):
             neighborhood_vertex_ids(g, w, bad)
         with pytest.raises(DomainError, match="radius"):

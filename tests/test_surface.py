@@ -4,8 +4,9 @@ A settable value is a function or lambda parameter other than self and cls,
 or a dataclass or NamedTuple field.  A change that adds or removes one
 updates the count below, as test_parser_surface does for CLI flags.
 
-The public names, thin_gasket.__all__ (the submodules included), are
-pinned the same way, so a name added or removed is an edit to PUBLIC_NAMES.
+The public names, thin_gasket.__all__ (functions, classes and constants,
+no submodule), are pinned the same way, so a name added or removed is an
+edit to PUBLIC_NAMES.
 
 The import boundary is guarded the same way: only linalg, the home of the
 general solvers and their oracles, imports scipy when it loads, and only
@@ -14,10 +15,11 @@ acceptance imports linalg when it loads.
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import thin_gasket
 
-SETTABLE_VALUES = 425
+SETTABLE_VALUES = 428
 
 PUBLIC_NAMES = (
     "AddressSample", "ApproximationGraph", "BudgetError", "CellMeasure",
@@ -28,15 +30,15 @@ PUBLIC_NAMES = (
     "base_energy", "boundary_cells", "build_graph", "cell_count",
     "children_sum_ceiling", "commute_time_check", "comparability_report",
     "comparison_checks", "corner_resistance", "divergence_statistic", "doubling_check",
-    "effective_resistance", "energy_measure", "errors", "exit_time_profile", "forms",
-    "geodesic_hops", "geometry", "graph_to_json", "harmonic_extend", "harmonic_matrix",
+    "effective_resistance", "energy_measure", "exit_time_profile",
+    "geodesic_hops", "graph_to_json", "harmonic_extend", "harmonic_matrix",
     "index_to_word", "interior_letters", "is_cell_index", "knot_continuity_check",
-    "mass_exponent", "matrix_stack", "matrix_stack_exact", "measures",
+    "mass_exponent", "matrix_stack", "matrix_stack_exact",
     "neighborhood_vertex_ids", "product_identity_check", "quadratic_envelope_check",
-    "rand", "realization", "realize_sequence", "render_svg", "resistance",
-    "resistance_exponent", "resistance_ratio", "same_segment_check", "scales",
-    "sequence", "singularity_certificate", "slow_decay_eta", "summability_report",
-    "time_factor", "walk_exponent", "walks", "word_to_index", "words",
+    "realize_sequence", "render_svg",
+    "resistance_exponent", "resistance_ratio", "same_segment_check",
+    "singularity_certificate", "slow_decay_eta", "summability_report",
+    "time_factor", "walk_exponent", "word_to_index", "words",
 )
 
 
@@ -72,6 +74,14 @@ def test_settable_value_count():
 
 def test_public_names():
     assert sorted(thin_gasket.__all__) == list(PUBLIC_NAMES)
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from thin_gasket import *", namespace)
+    del namespace["__builtins__"]
+    assert [name for name, value in namespace.items() if isinstance(value, ModuleType)] == []
+    assert sorted(namespace) == list(PUBLIC_NAMES)
 
 
 def _load_time_imports(tree: ast.AST) -> list[str]:

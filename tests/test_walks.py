@@ -10,7 +10,7 @@ from thin_gasket.geometry import (_padded_neighbor_table, build_graph,
 from thin_gasket import walks
 from thin_gasket.rand import stream
 from thin_gasket.sequence import LevelSequence
-from thin_gasket.walks import (WalkConfig, _block_length, _stats,
+from thin_gasket.walks import (WalkConfig, _Words, _block_length, _stats,
                                commute_time_check, exit_time_profile,
                                simulate_hitting)
 
@@ -77,6 +77,15 @@ def test_exit_time_profile_shape():
     for row in rows:
         assert row["trials"] == 800
         assert row["mean"] > 0
+
+
+def test_exit_time_profile_refuses_fractional_radius():
+    g = _graph((5,), 2)
+    for bad in (1.5, np.float64(2.0)):
+        with pytest.raises(DomainError, match=f"radius {bad} is not an integer"):
+            exit_time_profile(g, ((0, 0), (0, 0)), [bad], cfg=WalkConfig(trials=10))
+    rows = exit_time_profile(g, ((0, 0), (0, 0)), [np.int64(1)], cfg=WalkConfig(trials=10))
+    assert rows[0]["k"] == 1
 
 
 def test_walk_config_validation():
@@ -167,12 +176,19 @@ def _edge_cases():
     yield "exit-radius-2", g, start, mask, WalkConfig(trials=2_000, seed=9), 102, walks._CHUNK
     q1 = int(g.corner_id(1))
     yield "start-on-target", g, q1, _mask(g, [q1]), WalkConfig(trials=50, seed=4), 1, walks._CHUNK
-    # a tenth of the vertices as targets: larger free sets, so k = 3 and k = 1
-    for depth in (3, 4):
+    # one chunk of 1,000 walkers takes 678,356 words (odd-size padding
+    # included), more than the 524,288 of one refill
+    q0 = int(g.corner_id(0))
+    yield ("commute-d2-past-refill", g, q0, _mask(g, [q1]), WalkConfig(trials=1_000, seed=17),
+           1, walks._CHUNK)
+    # random targets: a tenth of the vertices gives k = 3 at depth 3 and k = 1
+    # at depth 4; 70% at depth 3 gives k = 4 and 60% at depth 4 gives k = 2
+    for depth, share in ((3, 0.1), (4, 0.1), (3, 0.7), (4, 0.6)):
         g = _graph((5,), depth)
-        mask = np.random.default_rng(depth).random(g.n_vertices) < 0.1
+        mask = np.random.default_rng(depth).random(g.n_vertices) < share
         mask[0] = False
-        yield (f"sparse-targets-d{depth}", g, 0, mask, WalkConfig(trials=1_000, seed=8), 1,
+        name = "sparse" if share < 0.5 else "dense"
+        yield (f"{name}-targets-d{depth}", g, 0, mask, WalkConfig(trials=1_000, seed=8), 1,
                walks._CHUNK)
 
 
@@ -187,6 +203,26 @@ def test_kernel_matches_one_step_reference(case, monkeypatch):
     assert steps.dtype == ref_steps.dtype
     assert np.array_equal(steps, ref_steps)
     assert capped == ref_capped
+
+
+def test_reference_cases_cover_every_block_length():
+    cases = [*_commute_cases(), *_edge_cases(), *_cap_cases()]
+    ks = {_block_length(int(np.count_nonzero(~mask))) for _, _, _, mask, *_ in cases}
+    assert ks == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_words_match_bounded_integers(k, monkeypatch):
+    """The kernel's words against numpy's bounded draw on the same stream,
+    call by call: sizes 1, odd and even, on refills of 8 raw values (32
+    words), some calls longer than one refill."""
+    monkeypatch.setattr(walks, "_REFILL", 8)
+    words = _Words(stream(21, k), k)
+    rng = stream(21, k)
+    for n in (1, 2, 1, 7, 8, 33, 1, 40, 5, 100, 6, 1, 64, 3, 2):
+        got = words.take(n)
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, rng.integers(0, 4 ** k, size=n, dtype=np.uint16))
 
 
 def test_block_length_keeps_tables_in_budget():
